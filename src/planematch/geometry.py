@@ -1,9 +1,10 @@
 """Exact planar geometry on integer-scaled coordinates.
 
 Coordinates are decimal values with at most six fractional digits, scaled by
-10**6 and stored as Python ints. All orientation, incircle, distance and
+10**6 and stored as Python ints. All orientation, distance and
 angle-threshold comparisons below are therefore exact; only angle magnitudes
-(``cw_angle``) are returned in double precision.
+(``cw_angle``) are returned in double precision. The incircle test lives with
+the Delaunay triangulation in ``proximity``.
 
 Angle conventions: ``cw_angle(a, v, b)`` is the clockwise rotation in
 [0, 2*pi) taking ray v->a onto ray v->b. Threshold tests against pi/3, pi/2
@@ -418,28 +419,6 @@ def convex_empty(pts: PointSet, poly: Sequence[int]) -> bool:
         if point_in_convex_polygon(pts, poly, p):
             return False
     return True
-
-
-def incircle_sign(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
-    """Exact incircle test: sign > 0 iff d lies strictly inside the circle
-    through a, b, c taken in counterclockwise order.
-    """
-    xs, ys = pts.xs, pts.ys
-    adx = xs[a] - xs[d]
-    ady = ys[a] - ys[d]
-    bdx = xs[b] - xs[d]
-    bdy = ys[b] - ys[d]
-    cdx = xs[c] - xs[d]
-    cdy = ys[c] - ys[d]
-    ad2 = adx * adx + ady * ady
-    bd2 = bdx * bdx + bdy * bdy
-    cd2 = cdx * cdx + cdy * cdy
-    det = (
-        adx * (bdy * cd2 - cdy * bd2)
-        - ady * (bdx * cd2 - cdx * bd2)
-        + ad2 * (bdx * cdy - cdx * bdy)
-    )
-    return (det > 0) - (det < 0)
 
 
 def point_in_triangle_closed(pts: PointSet, u: int, v: int, w: int, p: int) -> bool:

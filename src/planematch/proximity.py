@@ -1,15 +1,26 @@
 """Proximity structures: Delaunay triangulation, degree-bounded Euclidean
 MST, threshold forests, disk graphs, second-closest queries and skeletons.
 
-The Delaunay triangulation is computed with scipy (Qhull) and then repaired
-into a canonical exact triangulation: every internal edge is certified with
-an exact integer incircle test, locally non-Delaunay edges are flipped, and
-exactly co-circular quads are flipped to the lexicographically smaller
-diagonal. The result is deterministic and always contains the Euclidean MST.
+The Delaunay triangulation is canonical and exact: every internal edge is
+locally Delaunay under an exact integer incircle test, and exactly
+co-circular quads take the lexicographically smaller diagonal. The result is
+deterministic and always contains the Euclidean MST.
+
+scipy (Qhull) proposes a triangulation of the coordinates translated by
+their exact integer minimum. Floats then serve only as a certified filter:
+when the coordinate span is below 2^53 the translated doubles are exact, and
+Shewchuk's static error bounds prove most internal edges strictly locally
+Delaunay. Every edge the filter cannot decide gets the exact integer test.
+When no edge must flip, Qhull's triangulation is returned as is; otherwise a
+Lawson flip pass repairs it, testing exactly every edge whose certificate
+does not hold. A span of 2^53 or more, or Qhull's joggled fallback, sends
+every edge to the exact test. Exactness therefore depends on the span of the
+coordinates, not on their magnitude.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Optional
 
 import numpy as np
@@ -102,8 +113,26 @@ class SkeletonTree:
         return self.tree.n
 
 
+# Shewchuk's static error bounds (orient2d and incircle, stage A) for
+# double-precision evaluation on exactly representable inputs.
+_EPS = 2.0**-53
+_CCW_ERRBOUND_A = (3.0 + 16.0 * _EPS) * _EPS
+_ICC_ERRBOUND_A = (10.0 + 96.0 * _EPS) * _EPS
+# Integer coordinates translated by their minimum are exact doubles below
+# this span.
+_EXACT_FLOAT_SPAN = 2**53
+# Internal edges certified per vectorized step, which bounds the temporaries.
+_CERTIFY_CHUNK = 2048
+
+
 def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _span(pts: PointSet) -> tuple[int, int, int]:
+    """(min x, min y, largest coordinate range) of a nonempty point set."""
+    x0, y0 = min(pts.xs), min(pts.ys)
+    return x0, y0, max(max(pts.xs) - x0, max(pts.ys) - y0)
 
 
 def _coord_edge_key(pts: PointSet, u: int, v: int):
@@ -136,6 +165,58 @@ def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
     )
 
 
+def _ccw(pts: PointSet, a: int, b: int, c: int) -> list[int]:
+    """The triangle's vertices in counterclockwise order (as given when
+    degenerate)."""
+    xs, ys = pts.xs, pts.ys
+    if orient(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) < 0:
+        return [a, c, b]
+    return [a, b, c]
+
+
+def _should_flip(pts: PointSet, tri, p: int, q: int, edge: tuple[int, int]) -> bool:
+    """Whether the canonical triangulation replaces ``edge`` of the ccw
+    triangle ``tri`` (third vertex p) by the diagonal p-q: q lies strictly
+    inside the circumcircle of tri, or on it with p-q the lexicographically
+    smaller diagonal."""
+    det = _incircle_det_int(pts, *tri, q)
+    if det != 0:
+        return det > 0
+    return _coord_edge_key(pts, p, q) < _coord_edge_key(pts, *edge)
+
+
+def _certified_delaunay(xy: np.ndarray, a, b, c, d) -> np.ndarray:
+    """True where static error bounds prove, for the exact coordinates in
+    ``xy``, that triangle abc is nondegenerate and d lies strictly outside
+    its circumcircle (Shewchuk 1997, orient2d and incircle stage A)."""
+    ax, ay = xy[a, 0], xy[a, 1]
+    bx, by = xy[b, 0], xy[b, 1]
+    cx, cy = xy[c, 0], xy[c, 1]
+    dx, dy = xy[d, 0], xy[d, 1]
+    detleft = (ax - cx) * (by - cy)
+    detright = (ay - cy) * (bx - cx)
+    orientation = detleft - detright
+    sure = np.abs(orientation) > _CCW_ERRBOUND_A * (np.abs(detleft) + np.abs(detright))
+    adx, ady = ax - dx, ay - dy
+    bdx, bdy = bx - dx, by - dy
+    cdx, cdy = cx - dx, cy - dy
+    bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
+    cdxady, adxcdy = cdx * ady, adx * cdy
+    adxbdy, bdxady = adx * bdy, bdx * ady
+    alift = adx * adx + ady * ady
+    blift = bdx * bdx + bdy * bdy
+    clift = cdx * cdx + cdy * cdy
+    det = alift * (bdxcdy - cdxbdy) + blift * (cdxady - adxcdy) + clift * (adxbdy - bdxady)
+    permanent = (
+        (np.abs(bdxcdy) + np.abs(cdxbdy)) * alift
+        + (np.abs(cdxady) + np.abs(adxcdy)) * blift
+        + (np.abs(adxbdy) + np.abs(bdxady)) * clift
+    )
+    sure &= np.abs(det) > _ICC_ERRBOUND_A * permanent
+    # Outside means a negative determinant for the ccw ordering of abc.
+    return sure & (np.sign(orientation) * det < 0)
+
+
 class _FlipMesh:
     """Minimal editable triangulation supporting Lawson flips."""
 
@@ -147,10 +228,7 @@ class _FlipMesh:
             self._add_tri(t)
 
     def _add_tri(self, t) -> int:
-        a, b, c = t
-        xs, ys = self.pts.xs, self.pts.ys
-        if orient(xs[a], ys[a], xs[b], ys[b], xs[c], ys[c]) < 0:
-            a, b, c = a, c, b
+        a, b, c = _ccw(self.pts, *t)
         idx = len(self.tris)
         self.tris.append([a, b, c])
         for e in (_edge_key(a, b), _edge_key(b, c), _edge_key(a, c)):
@@ -201,14 +279,22 @@ class _FlipMesh:
         return sorted(self.edge_map.keys())
 
 
-def _canonicalize(pts: PointSet, mesh: _FlipMesh) -> None:
+def _canonicalize(pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] = None) -> None:
     """Lawson flip loop with exact incircle tests.
 
     Flips every locally non-Delaunay internal edge, and flips exactly
     co-circular quads whose other diagonal has a lexicographically smaller
     coordinate key. Terminates because each flip strictly decreases the
     lifted potential or, at equal potential, the sorted edge-key multiset.
+
+    Edges (u, v) whose code ``u * n + v`` is in ``certified`` are known to be
+    strictly locally Delaunay and skip the exact test; an edge leaves the set
+    when a flip replaces one of its two triangles. The flip sequence is the
+    same as without certificates.
     """
+    if certified is None:
+        certified = set()
+    n = pts.n
     pending = list(mesh.edge_map.keys())
     in_queue = set(pending)
     guard = 0
@@ -219,22 +305,15 @@ def _canonicalize(pts: PointSet, mesh: _FlipMesh) -> None:
             raise RuntimeError("delaunay canonicalization did not converge")
         edge = pending.pop()
         in_queue.discard(edge)
+        if edge[0] * n + edge[1] in certified:
+            continue
         tris = mesh.edge_map.get(edge)
         if tris is None or len(tris) != 2:
             continue
         t1, t2 = tris
         p = mesh.opposite(t1, edge)
         q = mesh.opposite(t2, edge)
-        a, b, c = mesh.tris[t1]
-        det = _incircle_det_int(pts, a, b, c, q)
-        do_flip = False
-        if det > 0:
-            do_flip = True
-        elif det == 0:
-            alt = _edge_key(p, q)
-            if _coord_edge_key(pts, *alt) < _coord_edge_key(pts, *edge):
-                do_flip = True
-        if not do_flip:
+        if not _should_flip(pts, mesh.tris[t1], p, q, edge):
             continue
         new_edge = mesh.flip(edge)
         if new_edge is None:
@@ -246,9 +325,62 @@ def _canonicalize(pts: PointSet, mesh: _FlipMesh) -> None:
                 _edge_key(tri[1], tri[2]),
                 _edge_key(tri[0], tri[2]),
             ):
-                if e != new_edge and e not in in_queue:
-                    pending.append(e)
-                    in_queue.add(e)
+                if e != new_edge:
+                    certified.discard(e[0] * n + e[1])
+                    if e not in in_queue:
+                        pending.append(e)
+                        in_queue.add(e)
+
+
+def _internal_edges(simplices: np.ndarray, neighbors: np.ndarray):
+    """Each internal edge once, as (lower triangle i, local vertex k of i
+    opposite the edge, apex q of the other triangle)."""
+    i, k = np.nonzero(neighbors > np.arange(len(simplices))[:, None])
+    j = neighbors[i, k]
+    q = simplices[j, np.argmax(neighbors[j] == i[:, None], axis=1)]
+    return i, k, q
+
+
+def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri) -> Optional[set[int]]:
+    """None when Qhull's triangulation ``tri`` of the exact coordinates
+    ``xy`` is already canonical; otherwise the codes ``u * n + v`` of its
+    edges (u, v) certified strictly locally Delaunay by the float filter.
+    Codes, unlike tuples, add nothing for the garbage collector to scan.
+
+    Edges the filter cannot decide get the exact test that the flip pass
+    would apply to them, so None means that pass would flip nothing.
+    """
+    simplices = tri.simplices
+    i, k, q = _internal_edges(simplices, tri.neighbors)
+    ok = np.empty(len(i), dtype=bool)
+    for lo in range(0, len(i), _CERTIFY_CHUNK):
+        part = slice(lo, lo + _CERTIFY_CHUNK)
+        t = simplices[i[part]]
+        ok[part] = _certified_delaunay(xy, t[:, 0], t[:, 1], t[:, 2], q[part])
+    for e in np.flatnonzero(~ok).tolist():
+        t = simplices[i[e]].tolist()
+        kk = int(k[e])
+        p, u, v = t[kk], t[(kk + 1) % 3], t[(kk + 2) % 3]
+        if _should_flip(pts, _ccw(pts, *t), p, int(q[e]), _edge_key(u, v)):
+            break
+    else:
+        return None
+    u = simplices[i, (k + 1) % 3][ok].astype(np.int64)
+    v = simplices[i, (k + 2) % 3][ok].astype(np.int64)
+    return set((np.minimum(u, v) * pts.n + np.maximum(u, v)).tolist())
+
+
+def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
+    """The Triangulation of a triangle array: sorted distinct edges, and the
+    triangles in order with sorted vertices."""
+    pairs = np.concatenate((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
+    pairs.sort(axis=1)
+    codes = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
+    lo, hi = np.divmod(codes[np.append(True, codes[1:] != codes[:-1])], n)
+    return Triangulation(
+        edges=tuple(zip(lo.tolist(), hi.tolist())),
+        triangles=tuple(map(tuple, np.sort(simplices, axis=1).tolist())),
+    )
 
 
 def delaunay(pts: PointSet) -> Triangulation:
@@ -275,25 +407,28 @@ def delaunay(pts: PointSet) -> Triangulation:
     from scipy.spatial import Delaunay as _SciDelaunay
     from scipy.spatial import QhullError
 
-    coords = pts.coords_float()
+    x0, y0, span = _span(pts)
+    xy = np.column_stack(
+        (np.array([x - x0 for x in xs], dtype=float), np.array([y - y0 for y in ys], dtype=float))
+    )
+    exact_floats = span < _EXACT_FLOAT_SPAN
     try:
-        tri = _SciDelaunay(coords)
+        tri = _SciDelaunay(xy)
     except QhullError:
-        tri = _SciDelaunay(coords, qhull_options="QJ")
+        tri = _SciDelaunay(xy, qhull_options="QJ")
+        exact_floats = False
 
-    simplices = tri.simplices.tolist()
-    mesh = _FlipMesh(pts, simplices)
-    _canonicalize(pts, mesh)
     # Points dropped by Qhull merging (exact duplicates are impossible, but
     # near-collinear boundary points can vanish) would break MST coverage;
-    # verify coverage and fail loudly if violated.
-    covered = set()
-    for e in mesh.edge_map.keys():
-        covered.add(e[0])
-        covered.add(e[1])
-    if len(covered) != n:
-        missing = [i for i in range(n) if i not in covered]
-        raise RuntimeError(f"triangulation dropped points: {missing[:5]}")
+    # flips keep the set of triangle vertices, so check it here.
+    missing = np.flatnonzero(np.bincount(tri.simplices.ravel(), minlength=n) == 0)
+    if missing.size:
+        raise RuntimeError(f"triangulation dropped points: {missing[:5].tolist()}")
+    certified = _certify_or_flip(pts, xy, tri) if exact_floats else set()
+    if certified is None:
+        return _triangulation_of(tri.simplices, n)
+    mesh = _FlipMesh(pts, tri.simplices.tolist())
+    _canonicalize(pts, mesh, certified)
     return Triangulation(
         edges=tuple(mesh.live_edges()),
         triangles=tuple(mesh.live_triangles()),
@@ -328,7 +463,32 @@ class _UnionFind:
 
 
 def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
-    """Edges as (sq_length, u, v), sorted by (length, lexicographic pair)."""
+    """Edges as (sq_length, u, v), sorted by (length, lexicographic pair).
+
+    Squared lengths are at most 2 * span^2 for the coordinate span; below
+    2^63 they are computed and sorted in int64, otherwise in Python ints.
+    """
+    x0, y0, span = _span(pts)
+    if 2 * span * span < 1 << 63:
+        return _sorted_edges_int64(pts, edges, x0, y0)
+    return _sorted_edges_exact(pts, edges)
+
+
+def _sorted_edges_int64(pts: PointSet, edges, x0: int, y0: int) -> list[tuple[int, int, int]]:
+    # Translating in Python first keeps coordinates above 2^63 convertible.
+    xs = np.array([x - x0 for x in pts.xs], dtype=np.int64)
+    ys = np.array([y - y0 for y in pts.ys], dtype=np.int64)
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    u = np.minimum(ends[0::2], ends[1::2])
+    v = np.maximum(ends[0::2], ends[1::2])
+    dx = xs[u] - xs[v]
+    dy = ys[u] - ys[v]
+    sq = dx * dx + dy * dy
+    order = np.lexsort((v, u, sq))
+    return list(zip(sq[order].tolist(), u[order].tolist(), v[order].tolist()))
+
+
+def _sorted_edges_exact(pts: PointSet, edges) -> list[tuple[int, int, int]]:
     out = []
     for u, v in edges:
         if u > v:

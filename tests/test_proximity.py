@@ -5,18 +5,31 @@ import math
 import random
 from itertools import combinations
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from planematch.errors import TooFewPoints
-from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, point_in_triangle_closed
+from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, orient, point_in_triangle_closed
+from planematch.io import gen_points
 from planematch.proximity import (
+    _ccw,
+    _canonicalize,
+    _certified_delaunay,
+    _FlipMesh,
+    _incircle_det_int,
+    _sorted_edges_exact,
+    _sorted_edges_int64,
     delaunay,
     disk_graph,
     emst5,
     forest_leq,
     second_closest,
     skeleton,
+    sorted_candidate_edges,
 )
+from planematch.udg import plane_matching
 
 S = 10**6
 
@@ -65,8 +78,6 @@ def test_delaunay_triangle():
 def test_delaunay_square_tie_break():
     pts = ps((0, 0), (1, 0), (0, 1), (1, 1))
     # Both diagonals are exactly co-circular: verify with the incircle test.
-    from planematch.proximity import _incircle_det_int
-
     assert _incircle_det_int(pts, 0, 1, 3, 2) == 0
     t = delaunay(pts)
     edges = set(t.edges)
@@ -112,6 +123,243 @@ def test_delaunay_planar_random():
     t = delaunay(pts)
     for (a, b), (c, d) in combinations(t.edges, 2):
         assert not cross_ids(pts, a, b, c, d), ((a, b), (c, d))
+
+
+def exact_reference_edges(pts: PointSet) -> tuple[tuple[int, int], ...]:
+    """Delaunay edges by the unfiltered route: Qhull on the untranslated
+    coordinates, then the exact flip pass over every edge."""
+    from scipy.spatial import Delaunay
+
+    mesh = _FlipMesh(pts, Delaunay(pts.coords_float()).simplices.tolist())
+    _canonicalize(pts, mesh)
+    return tuple(mesh.live_edges())
+
+
+def pythagorean_circle(r: int) -> list[tuple[int, int]]:
+    return sorted(
+        (x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y == r * r
+    )
+
+
+def degenerate_corpus():
+    yield "grid5", [(x * S, y * S) for x in range(5) for y in range(5)]
+    yield "grid12x9", [(x * S, y * S) for x in range(12) for y in range(9)]
+    yield "grid-unscaled", [(x, y) for x in range(7) for y in range(6)]
+    for r in (5, 25, 65):
+        circle = pythagorean_circle(r)
+        yield f"circle{r}", circle
+        yield f"circle{r}+centre", circle + [(0, 0)]
+        yield f"circle{r}-scaled", [(x * S, y * S) for x, y in circle]
+    yield "collinear+1", [(k * S, 0) for k in range(40)] + [(13 * S, 2 * S)]
+    rng = random.Random(21)
+    for n in (40, 400):
+        big = 10**21
+        yield f"1e21-{n}", sorted({(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(n)})
+    for mode in ("uniform", "clustered"):
+        pts = gen_points(1500, 4, mode)
+        yield mode, list(zip(pts.xs, pts.ys))
+
+
+@pytest.mark.parametrize("name,coords", list(degenerate_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_delaunay_equals_exact_reference(name, coords):
+    pts = PointSet(coords)
+    assert delaunay(pts).edges == exact_reference_edges(pts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=4, max_size=30))
+def test_delaunay_equals_exact_reference_small_grid(coords):
+    coords = sorted(coords)
+    x0, y0 = coords[0]
+    x1, y1 = coords[1]
+    assume(any(orient(x0, y0, x1, y1, x, y) != 0 for x, y in coords[2:]))
+    pts = PointSet(coords)
+    assert delaunay(pts).edges == exact_reference_edges(pts)
+
+
+def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
+    # When Qhull needs QJ, every edge of its triangulation goes to the exact
+    # flip pass, with no certificate.
+    import scipy.spatial
+    from scipy.spatial import QhullError
+
+    real = scipy.spatial.Delaunay
+    returned = []
+
+    def strict_only_with_qj(points, qhull_options=None):
+        if qhull_options != "QJ":
+            raise QhullError("forced")
+        tri = real(points, qhull_options=qhull_options)
+        returned.append(tri.simplices)
+        return tri
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", strict_only_with_qj)
+    grid = PointSet((x * S, y * S) for x in range(8) for y in range(7))
+    for pts in (grid, gen_points(300, 5, "uniform")):
+        got = delaunay(pts).edges
+        mesh = _FlipMesh(pts, returned[-1].tolist())
+        _canonicalize(pts, mesh)
+        assert got == tuple(mesh.live_edges())
+
+
+def test_delaunay_dropped_point_raises(monkeypatch):
+    import scipy.spatial
+    from types import SimpleNamespace
+
+    real = scipy.spatial.Delaunay
+
+    def drops_point_zero(points, qhull_options=None):
+        tri = real(points, qhull_options=qhull_options)
+        keep = ~(tri.simplices == 0).any(axis=1)
+        return SimpleNamespace(simplices=tri.simplices[keep], neighbors=tri.neighbors[keep])
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", drops_point_zero)
+    with pytest.raises(RuntimeError, match=r"triangulation dropped points: \[0\]"):
+        delaunay(gen_points(50, 3, "uniform"))
+
+
+def test_filter_never_certifies_an_edge_that_flips():
+    # Quads one scaled unit off co-circular, at coordinates near 2^46: the
+    # float determinant there is dominated by rounding.
+    rng = random.Random(13)
+    triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
+    rows = []
+    for _ in range(400):
+        a, b, r = rng.choice(triples)
+        k = rng.randrange(2**40, 2**46) // r
+        on_circle = [(a * k, b * k), (-b * k, a * k), (-a * k, -b * k), (b * k, -a * k),
+                     (b * k, a * k), (-a * k, b * k)]
+        p, q, s, d = rng.sample(on_circle, 4)
+        d = (d[0] + rng.choice((-1, 0, 1)), d[1] + rng.choice((-1, 0, 1)))
+        rows.append((p, q, s, d))
+    # Triangles of orientation determinant 1 at coordinates near 2^51, whose
+    # float orientation rounds to zero, against a far apex.
+    while len(rows) < 800:
+        px, py = rng.randrange(2**48, 2**49), rng.randrange(2**48, 2**49)
+        if math.gcd(px, py) != 1:
+            continue
+        sy = pow(px, -1, py)
+        sx = (px * sy - 1) // py  # px * sy - py * sx == 1
+        a = (2**51, 2**51)
+        b = (a[0] + px, a[1] + py)
+        c = (a[0] + sx, a[1] + sy)
+        d = (a[0] + rng.randrange(-(2**49), 2**49), a[1] + rng.randrange(-(2**49), 2**49))
+        rows.append((a, b, c, d))
+    coords = [pt for row in rows for pt in row]
+    pts = PointSet.__new__(PointSet)  # the quads share points, so skip deduplication
+    pts.xs = [x for x, _ in coords]
+    pts.ys = [y for _, y in coords]
+    xy = np.array(coords, dtype=float)
+    idx = np.arange(len(coords)).reshape(-1, 4)
+    certified = _certified_delaunay(xy, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
+    outside = 0
+    for (a, b, c, d), ok in zip(idx.tolist(), certified.tolist()):
+        det = _incircle_det_int(pts, *_ccw(pts, a, b, c), d)
+        outside += det < 0
+        if ok:
+            assert det < 0
+    assert outside > 0
+
+
+def random_convex_triangulation(rng, polygon):
+    """A random triangulation of a convex polygon given in boundary order."""
+    if len(polygon) < 3:
+        return []
+    k = rng.randrange(1, len(polygon) - 1)
+    return (
+        [[polygon[0], polygon[k], polygon[-1]]]
+        + random_convex_triangulation(rng, polygon[: k + 1])
+        + random_convex_triangulation(rng, polygon[k:])
+    )
+
+
+def test_canonicalize_certificates_keep_the_flip_sequence():
+    # Non-Delaunay triangulations of points on a parabola (never four
+    # co-circular): certified edges whose triangles a flip replaces must be
+    # tested again, so the flips and the result match the uncertified pass.
+    rng = random.Random(31)
+    for _ in range(60):
+        xs = sorted(rng.sample(range(60), rng.randrange(5, 25)))
+        pts = PointSet((x * S, x * x * S) for x in xs)
+        triangles = random_convex_triangulation(rng, list(range(pts.n)))
+        plain = _FlipMesh(pts, triangles)
+        _canonicalize(pts, plain)
+        mesh = _FlipMesh(pts, triangles)
+        internal = [(e, ts) for e, ts in mesh.edge_map.items() if len(ts) == 2]
+        xy = np.column_stack((np.array(pts.xs, dtype=float), np.array(pts.ys, dtype=float)))
+        abc = np.array([triangles[t1] for _, (t1, _) in internal]).reshape(-1, 3)
+        far = np.array([mesh.opposite(t2, e) for e, (_, t2) in internal], dtype=int)
+        ok = _certified_delaunay(xy, abc[:, 0], abc[:, 1], abc[:, 2], far)
+        _canonicalize(pts, mesh, {u * pts.n + v for ((u, v), _), keep in zip(internal, ok.tolist()) if keep})
+        assert mesh.tris == plain.tris
+
+
+def test_filter_certifies_clear_cases():
+    pts = gen_points(300, 8, "uniform")
+    xy = np.column_stack((np.array(pts.xs, dtype=float), np.array(pts.ys, dtype=float)))
+    rng = random.Random(2)
+    quads = np.array([rng.sample(range(pts.n), 4) for _ in range(500)])
+    certified = _certified_delaunay(xy, *quads.T)
+    exact = [_incircle_det_int(pts, *_ccw(pts, a, b, c), d) < 0 for a, b, c, d in quads.tolist()]
+    assert certified.tolist() == exact
+
+
+def shifted(coords, dx, dy):
+    return PointSet((x + dx, y + dy) for x, y in coords)
+
+
+def test_translation_past_2_53_keeps_delaunay_and_udg_matching():
+    lattice = [(x * S, y * S) for x in range(24) for y in range(20)]
+    rng = random.Random(6)
+    walk, x, y = set(), 0, 0
+    while len(walk) < 300:
+        walk.add((x, y))
+        x += rng.randrange(-S // 2, S // 2 + 1)
+        y += rng.randrange(-S // 2, S // 2 + 1)
+    walk = sorted(walk)
+    cases = [
+        (lattice, rng.randrange(2**53, 2**54), rng.randrange(2**53, 2**54)),
+        (walk, 10**15 + rng.randrange(S), 10**15 - rng.randrange(S)),
+    ]
+    for coords, dx, dy in cases:
+        base, moved = PointSet(coords), shifted(coords, dx, dy)
+        assert delaunay(moved).edges == delaunay(base).edges
+        assert plane_matching(moved).pairs == plane_matching(base).pairs
+
+
+def random_edges(rng, n, m):
+    return [tuple(rng.sample(range(n), 2)) for _ in range(m)]
+
+
+def test_sorted_candidate_edges_int64_equals_python_ints():
+    rng = random.Random(17)
+    for span in (10, S, 2**31 - 1):
+        for _ in range(5):
+            n = rng.randrange(3, 60)
+            pts = PointSet(sorted({(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)}))
+            edges = random_edges(rng, pts.n, 3 * pts.n)
+            want = _sorted_edges_exact(pts, edges)
+            assert _sorted_edges_int64(pts, edges, min(pts.xs), min(pts.ys)) == want
+            assert sorted_candidate_edges(pts, edges) == want
+
+
+def test_sorted_candidate_edges_int64_boundary():
+    # 2 * span^2 < 2^63 exactly when span < 2^31; the longest possible edge
+    # must come out exact on both sides of that boundary.
+    for span in (2**31 - 1, 2**31):
+        pts = PointSet([(0, 0), (span, span), (span, 0), (1, 5)])
+        edges = [(0, 1), (1, 2), (3, 0), (2, 3), (3, 1)]
+        got = sorted_candidate_edges(pts, edges)
+        assert got == _sorted_edges_exact(pts, edges)
+        assert got[-1] == (2 * span * span, 0, 1)
+
+
+def test_sorted_candidate_edges_above_2_63():
+    rng = random.Random(23)
+    for base, span in ((2**64 + 3, S), (-(2**70), 2**40), (2**63, 2**65)):
+        pts = PointSet(sorted({(base + rng.randint(0, span), base - rng.randint(0, span)) for _ in range(40)}))
+        edges = random_edges(rng, pts.n, 100)
+        assert sorted_candidate_edges(pts, edges) == _sorted_edges_exact(pts, edges)
 
 
 def test_emst5_chain():
