@@ -17,7 +17,15 @@ from typing import Optional
 from .errors import OddPointCount, SeedRequired
 from .geometry import PointSet, angle_exactly_third_pi
 from .matching import Matching
-from .proximity import Forest, Tree, emst5, forest_leq, nearest_index
+from .proximity import (
+    Forest,
+    Tree,
+    _component_trees,
+    emst5,
+    even_threshold,
+    forest_leq,
+    second_closest_batch,
+)
 from .udg import consecutive_leaf_pairs, run_peeling
 
 
@@ -66,12 +74,11 @@ def compare_to_opt(
             checks.append(found)
     if not checks:
         return []
-    nn = nearest_index(pts)
     queries = []
     for _, v, p, q in checks:
         queries.append((p, v))
         queries.append((q, v))
-    answers = nn.second_closest_batch(queries)
+    answers = second_closest_batch(pts, queries)
     seeds: list[SeedTriple] = []
     for row, (idx, v, p, q) in enumerate(checks):
         pp = answers[2 * row]
@@ -90,9 +97,13 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     """Shortest MST edge length whose threshold forest survives the decision
     procedure, together with that forest and its stored seeds.
 
-    The refuted lengths form a prefix of the sorted edge lengths (evenness
-    persists once reached), and the full MST always survives, so the binary
-    search boundary is well defined and at most the optimal bottleneck.
+    The full MST always survives, so the binary search over the sorted
+    distinct edge lengths is well defined and ends at most at the optimal
+    bottleneck. One Kruskal pass (``even_threshold``) first finds the
+    shortest length whose forest has no odd tree; every probe below it is
+    refuted without building a forest, exactly as ``compare_to_opt`` would
+    refute it, and every other probe calls ``compare_to_opt``. The probe
+    answers, and hence the search, are those of probing every length.
     """
     n = pts.n
     if n % 2 != 0:
@@ -101,11 +112,12 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
         raise OddPointCount("need at least 2 points")
     mst = emst5(pts)
     lengths = sorted(set(mst.edge_sq.values()))
+    even_sq = even_threshold(mst)
     results: dict[int, Optional[list[SeedTriple]]] = {}
 
     def probe(i: int) -> Optional[list[SeedTriple]]:
         if i not in results:
-            results[i] = compare_to_opt(pts, mst, lengths[i])
+            results[i] = None if lengths[i] < even_sq else compare_to_opt(pts, mst, lengths[i])
         return results[i]
 
     lo, hi = 0, len(lengths) - 1
@@ -125,43 +137,6 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     seeds = probe(hi)
     forest = forest_leq(mst, sq, pts)
     return CriticalEdgeResult(edge=edge, sq_length=sq, forest=forest, seeds=seeds)
-
-
-def _split_components(tree: Tree, removed: set[int]) -> list[Tree]:
-    from .proximity import _tree_from_adj  # shared tree builder
-
-    seen = set(removed)
-    comps: list[list[int]] = []
-    for s in tree.vertices:
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in tree.adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        comps.append(comp)
-    out = []
-    for comp in comps:
-        adj = {v: [u for u in tree.adj[v] if u not in removed] for v in comp}
-        out.append(
-            Tree(
-                vertices=tuple(sorted(comp)),
-                adj={v: sorted(us) for v, us in adj.items()},
-                edge_sq={
-                    (min(v, u), max(v, u)): tree.edge_sq[(min(v, u), max(v, u))]
-                    for v in comp
-                    for u in adj[v]
-                    if v < u
-                },
-            )
-        )
-    return out
 
 
 def match_tree_first(
@@ -215,7 +190,11 @@ def match_tree_first(
         return Matching.of(pts, res.pairs)
     # Seed partner is internal: split the tree there, drop the matched leaf,
     # and peel every part while still avoiding the seed segment.
-    parts = _split_components(tree, {p, pp})
+    removed = (p, pp)
+    parts = _component_trees(
+        pts,
+        {v: [u for u in tree.adj[v] if u not in removed] for v in tree.vertices if v not in removed},
+    )
     pairs: list[tuple[int, int]] = [seed_pair]
     for part in parts:
         sub = run_peeling(pts, part, avoid=(p, pp))

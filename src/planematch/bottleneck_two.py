@@ -39,8 +39,8 @@ from .matching import Matching
 from .proximity import (
     Forest,
     Tree,
+    _component_trees,
     _degree_reduce,
-    _tree_from_adj,
     delaunay,
     sorted_candidate_edges,
 )
@@ -118,24 +118,8 @@ def even_forest(pts: PointSet) -> EvenForest:
     if odd != 0 or last_edge is None:
         raise InvariantViolation("even forest construction did not terminate")
     _degree_reduce(pts, adj)
-    seen: set[int] = set()
-    trees: list[Tree] = []
-    for s in range(n):
-        if s in seen:
-            continue
-        comp = [s]
-        seen.add(s)
-        stack = [s]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        trees.append(_tree_from_adj(pts, comp, adj))
     return EvenForest(
-        forest=Forest(trees=trees, last_edge=last_edge),
+        forest=Forest(trees=_component_trees(pts, adj), last_edge=last_edge),
         last_edge=last_edge,
         last_sq=last_sq,
     )

@@ -18,7 +18,7 @@ from typing import Optional
 from .blossom import bottleneck_crossing
 from .bottleneck_one import first_approx
 from .bottleneck_two import second_approx
-from .errors import PlaneMatchError
+from .errors import FormatError, PlaneMatchError
 from .geometry import SCALE, PointSet
 from .io import format_points, gen_points, parse_points, render_svg
 from .matching import Matching, validate
@@ -34,10 +34,17 @@ def _sq_to_decimal(sq: int) -> float:
     return math.sqrt(sq) / SCALE
 
 
+def _read(path: str) -> bytes:
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
 def _load_points(args) -> PointSet:
     if args.input:
-        with open(args.input, "rb") as fh:
-            return parse_points(fh.read())
+        return parse_points(_read(args.input))
     if args.n is not None:
         return gen_points(args.n, args.seed, args.mode)
     raise PlaneMatchError("provide --input FILE or --n N [--seed S --mode M]")
@@ -173,8 +180,7 @@ def cmd_crossing(args) -> int:
 
 def cmd_validate(args) -> int:
     pts = _load_points(args)
-    with open(args.matching, "r", encoding="utf-8") as fh:
-        payload = json.load(fh)
+    payload = json.loads(_read(args.matching))
     pairs = [tuple(e) for e in payload.get("edges", [])]
     m = Matching.of(pts, pairs)
     rep = validate(pts, m)

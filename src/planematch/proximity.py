@@ -20,12 +20,13 @@ coordinates, not on their magnitude.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, groupby
+from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .errors import TooFewPoints
+from .errors import OddPointCount, TooFewPoints
 from .geometry import PointSet, angle_exactly_third_pi, orient, sort_clockwise
 
 
@@ -133,6 +134,17 @@ def _span(pts: PointSet) -> tuple[int, int, int]:
     """(min x, min y, largest coordinate range) of a nonempty point set."""
     x0, y0 = min(pts.xs), min(pts.ys)
     return x0, y0, max(max(pts.xs) - x0, max(pts.ys) - y0)
+
+
+def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
+    """The coordinates minus their exact integer minimum, as an (n, 2)
+    float array, and whether the span is small enough for them to be
+    exact."""
+    x0, y0, span = _span(pts)
+    xy = np.column_stack(
+        (np.array([x - x0 for x in pts.xs], dtype=float), np.array([y - y0 for y in pts.ys], dtype=float))
+    )
+    return xy, span < _EXACT_FLOAT_SPAN
 
 
 def _coord_edge_key(pts: PointSet, u: int, v: int):
@@ -407,11 +419,7 @@ def delaunay(pts: PointSet) -> Triangulation:
     from scipy.spatial import Delaunay as _SciDelaunay
     from scipy.spatial import QhullError
 
-    x0, y0, span = _span(pts)
-    xy = np.column_stack(
-        (np.array([x - x0 for x in xs], dtype=float), np.array([y - y0 for y in ys], dtype=float))
-    )
-    exact_floats = span < _EXACT_FLOAT_SPAN
+    xy, exact_floats = _translated_floats(pts)
     try:
         tri = _SciDelaunay(xy)
     except QhullError:
@@ -580,16 +588,12 @@ def emst5(pts: PointSet) -> Tree:
     return _tree_from_adj(pts, range(n), adj)
 
 
-def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
-    """Forest of the tree edges with squared length at most ``sq_limit``."""
-    adj: dict[int, set[int]] = {v: set() for v in tree.vertices}
-    for (u, v), sq in tree.edge_sq.items():
-        if sq <= sq_limit:
-            adj[u].add(v)
-            adj[v].add(u)
+def _component_trees(pts: PointSet, adj) -> list[Tree]:
+    """The trees of the connected components of ``adj`` (vertex -> neighbour
+    ids, one key per vertex), ordered by their smallest vertex."""
     seen: set[int] = set()
     trees: list[Tree] = []
-    for start in tree.vertices:
+    for start in sorted(adj):
         if start in seen:
             continue
         comp = [start]
@@ -603,8 +607,42 @@ def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
                     comp.append(y)
                     stack.append(y)
         trees.append(_tree_from_adj(pts, comp, adj))
-    trees.sort(key=lambda t: t.vertices[0])
-    return Forest(trees=trees, threshold_sq=sq_limit)
+    return trees
+
+
+def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
+    """Forest of the tree edges with squared length at most ``sq_limit``."""
+    adj: dict[int, set[int]] = {v: set() for v in tree.vertices}
+    for (u, v), sq in tree.edge_sq.items():
+        if sq <= sq_limit:
+            adj[u].add(v)
+            adj[v].add(u)
+    return Forest(trees=_component_trees(pts, adj), threshold_sq=sq_limit)
+
+
+def even_threshold(tree: Tree) -> int:
+    """The smallest squared edge length L of ``tree`` at which every tree of
+    ``forest_leq(tree, L)`` has an even number of vertices.
+
+    One Kruskal pass over the edges in length order, counting odd
+    components; merging two even or two odd components leaves no new odd
+    one, so every threshold at or above L is all-even and every one below
+    has an odd tree. A tree with an even number of vertices always has L.
+    """
+    if tree.n % 2 != 0:
+        raise OddPointCount(f"tree has an odd number of vertices: {tree.n}")
+    uf = _UnionFind(max(tree.vertices, default=-1) + 1)
+    size = uf.size
+    odd = tree.n
+    edges = sorted((sq, u, v) for (u, v), sq in tree.edge_sq.items())
+    for sq, group in groupby(edges, itemgetter(0)):
+        for _, u, v in group:
+            ru, rv = uf.find(u), uf.find(v)
+            odd -= 2 * (size[ru] & size[rv] & 1)
+            uf.union(ru, rv)
+        if odd == 0:
+            return sq
+    raise TooFewPoints("an empty tree has no edge length")
 
 
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
@@ -644,92 +682,57 @@ def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
     return DiskGraph(adj=adj, sq_radius=sq_radius)
 
 
-class NearestIndex:
-    """Static k-nearest-neighbour index over a PointSet.
-
-    Backed by a scipy cKDTree for candidate generation; the final choice is
-    always made with exact integer squared distances and lexicographic id
-    tie-breaks, escalating the candidate count when float ties are possible.
-    """
-
-    def __init__(self, pts: PointSet):
+def _kdtree(pts: PointSet):
+    """A cKDTree over the translated coordinates, built once and kept on the
+    PointSet; None when the span is 2^53 or more and they are not exact."""
+    if pts._kdtree is None:
+        xy, exact = _translated_floats(pts)
+        if not exact:
+            return None
         from scipy.spatial import cKDTree
 
-        self.pts = pts
-        self._tree = cKDTree(pts.coords_float())
+        pts._kdtree = cKDTree(xy)
+    return pts._kdtree
 
-    def second_closest(self, p: int, v: int) -> int:
-        pts = self.pts
-        n = pts.n
-        k = min(n, 8)
-        coords = pts.coords_float()
-        while True:
-            dists, idxs = self._tree.query(coords[p], k=k)
-            idx_list = np.atleast_1d(idxs).tolist()
-            best = None
-            for j in idx_list:
-                if j == p or j == v or j >= n:
-                    continue
-                key = (pts.sq_dist(p, j), j)
-                if best is None or key < best:
-                    best = key
-            if best is not None:
-                # Escalate when unseen points could still tie or beat the
-                # current best within float tolerance.
-                if k < n:
-                    horizon = float(np.atleast_1d(dists)[-1])
-                    if horizon * horizon <= best[0] * (1 + 1e-9):
-                        k = min(n, k * 2)
-                        continue
-                return best[1]
-            if k >= n:
-                raise TooFewPoints("no candidate point besides p and v")
-            k = min(n, k * 2)
 
-    def second_closest_batch(self, queries: list[tuple[int, int]]) -> list[int]:
-        """Vectorized second_closest for many (p, v) pairs."""
-        if not queries:
-            return []
-        pts = self.pts
-        n = pts.n
-        coords = pts.coords_float()
-        k = min(n, 8)
-        qc = coords[[p for p, _ in queries]]
-        dists, idxs = self._tree.query(qc, k=k)
-        dists = np.atleast_2d(dists)
-        idxs = np.atleast_2d(idxs)
-        out: list[int] = []
-        for row, (p, v) in enumerate(queries):
-            best = None
-            for col in range(idxs.shape[1]):
-                j = int(idxs[row, col])
-                if j == p or j == v or j >= n:
-                    continue
-                key = (pts.sq_dist(p, j), j)
-                if best is None or key < best:
-                    best = key
-            horizon = float(dists[row, -1])
-            if best is None or (
-                k < n and horizon * horizon <= best[0] * (1 + 1e-9)
-            ):
-                out.append(self.second_closest(p, v))
+def second_closest_batch(pts: PointSet, queries: list[tuple[int, int]]) -> list[int]:
+    """For each (p, v), the nearest point to p among all points except p and
+    v; distance ties break toward the smaller id.
+
+    The kd-tree only proposes candidates. The choice among them uses exact
+    integer squared distances, and a query is asked again with twice the
+    candidates while an unseen point could still tie or beat the best within
+    float tolerance. Without an exact kd-tree every point is scanned.
+    """
+    if not queries:
+        return []
+    n = pts.n
+    if n < 3:
+        raise TooFewPoints("second_closest needs at least 3 points")
+    tree = _kdtree(pts)
+    if tree is None:
+        return [_closest(pts, p, v, range(n))[1] for p, v in queries]
+    out = [0] * len(queries)
+    pending = list(range(len(queries)))
+    k = min(n, 8)
+    while pending:
+        dists, idxs = tree.query(tree.data[[queries[row][0] for row in pending]], k=k)
+        retry = []
+        for row, ds, js in zip(pending, dists.tolist(), idxs.tolist()):
+            best = _closest(pts, *queries[row], js)
+            if best is not None and (k == n or ds[-1] * ds[-1] > best[0] * (1 + 1e-9)):
+                out[row] = best[1]
             else:
-                out.append(best[1])
-        return out
+                retry.append(row)
+        pending = retry
+        k = min(n, 2 * k)
+    return out
 
 
-_NN_CACHE: dict[int, NearestIndex] = {}
-
-
-def nearest_index(pts: PointSet) -> NearestIndex:
-    """The per-PointSet nearest-neighbour index, built once and cached."""
-    key = id(pts)
-    idx = _NN_CACHE.get(key)
-    if idx is None or idx.pts is not pts:
-        idx = NearestIndex(pts)
-        _NN_CACHE.clear()
-        _NN_CACHE[key] = idx
-    return idx
+def _closest(pts: PointSet, p: int, v: int, candidates) -> Optional[tuple[int, int]]:
+    """(squared distance, id) of the candidate nearest to p other than p and
+    v, ties toward the smaller id; None when there is none."""
+    return min(((pts.sq_dist(p, j), j) for j in candidates if j != p and j != v), default=None)
 
 
 def second_closest(pts: PointSet, p: int, v: int) -> int:
@@ -737,11 +740,9 @@ def second_closest(pts: PointSet, p: int, v: int) -> int:
 
     Distance ties break toward the smaller id.
     """
-    if pts.n < 3:
-        raise TooFewPoints("second_closest needs at least 3 points")
     pts.check_id(p)
     pts.check_id(v)
-    return nearest_index(pts).second_closest(p, v)
+    return second_closest_batch(pts, [(p, v)])[0]
 
 
 def skeleton(tree: Tree) -> SkeletonTree:

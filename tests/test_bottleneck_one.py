@@ -6,7 +6,9 @@ import random
 
 import pytest
 
+import planematch.bottleneck_one as bottleneck_one
 from planematch.bottleneck_one import (
+    CriticalEdgeResult,
     SeedTriple,
     compare_to_opt,
     critical_edge,
@@ -15,6 +17,7 @@ from planematch.bottleneck_one import (
 )
 from planematch.errors import OddPointCount, SeedRequired
 from planematch.geometry import SCALE, PointSet
+from planematch.io import gen_points
 from planematch.matching import validate
 from planematch.oracle import exact_bottleneck_plane
 from planematch.proximity import Tree, emst5, forest_leq, second_closest
@@ -102,6 +105,71 @@ def test_critical_edge_at_most_oracle_random():
         ce = critical_edge(pts)
         opt = exact_bottleneck_plane(pts)
         assert ce.sq_length <= opt.bottleneck_sq
+
+
+def reference_critical_edge(pts):
+    """The binary search with every probe answered by compare_to_opt."""
+    mst = emst5(pts)
+    lengths = sorted(set(mst.edge_sq.values()))
+    results = {}
+
+    def probe(i):
+        if i not in results:
+            results[i] = compare_to_opt(pts, mst, lengths[i])
+        return results[i]
+
+    lo, hi = 0, len(lengths) - 1
+    if probe(lo) is not None:
+        hi = lo
+    else:
+        while hi - lo > 1:
+            mid = (lo + hi) // 2
+            if probe(mid) is None:
+                lo = mid
+            else:
+                hi = mid
+    sq = lengths[hi]
+    edge = min(e for e, d in mst.edge_sq.items() if d == sq)
+    forest = forest_leq(mst, sq, pts)
+    return CriticalEdgeResult(edge=edge, sq_length=sq, forest=forest, seeds=probe(hi))
+
+
+def critical_edge_cases():
+    rng = random.Random(808)
+    for _ in range(80):
+        n = rng.choice([2, 4, 6, 8, 12, 20, 40])
+        yield random_even_pointset(rng, n, span=rng.choice([3, 10, 30]))
+    yield PointSet((x * S, y * S) for x in range(8) for y in range(6))
+    yield PointSet((x, y) for x in range(-5, 6) for y in range(-5, 6) if x * x + y * y == 25)
+    circle = [(x, y) for x in range(-65, 66) for y in range(-65, 66) if x * x + y * y == 65 * 65]
+    yield PointSet([(0, 0)] + circle[1:])
+    for seed in (1, 2, 3):
+        for mode in ("uniform", "clustered"):
+            yield gen_points(600, seed, mode)
+        yield gen_points(598, seed, "star-chain")
+
+
+def test_critical_edge_equals_search_probing_every_length():
+    for pts in critical_edge_cases():
+        assert pts.n % 2 == 0
+        got, want = critical_edge(pts), reference_critical_edge(pts)
+        assert (got.edge, got.sq_length, got.seeds) == (want.edge, want.sq_length, want.seeds)
+        assert got.forest == want.forest
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4])
+def test_critical_edge_builds_few_forests(monkeypatch, seed):
+    # Probes below the first all-even length never reach compare_to_opt.
+    calls = []
+    original = bottleneck_one.compare_to_opt
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(bottleneck_one, "compare_to_opt", counted)
+    critical_edge(gen_points(5000, seed, "clustered"))
+    assert 1 <= len(calls) <= 3
 
 
 def test_false_implies_below_optimum():

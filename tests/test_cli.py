@@ -191,6 +191,22 @@ def test_cli_error_object(capsys):
     assert rep["error"]["code"] == "odd_point_count"
 
 
+def test_cli_error_on_unreadable_file(capsys, tmp_path):
+    missing = str(tmp_path / "missing.txt")
+    code, rep = run_cli(capsys, "approx1", "--input", missing)
+    assert code == 2
+    assert rep["error"]["code"] == "format_error"
+    assert missing in rep["error"]["message"]
+    f = tmp_path / "pts.txt"
+    f.write_text("2\n0 0\n1 0\n")
+    code, rep = run_cli(capsys, "validate", "--input", str(f), "--matching", missing)
+    assert code == 2
+    assert rep["error"]["code"] == "format_error"
+    code, rep = run_cli(capsys, "approx2", "--input", str(tmp_path))
+    assert code == 2
+    assert rep["error"]["code"] == "format_error"
+
+
 def test_cli_error_on_oversize(capsys):
     code, rep = run_cli(capsys, "exact", "--n", "18", "--seed", "0")
     assert code == 2

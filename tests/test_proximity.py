@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planematch.errors import TooFewPoints
+from planematch.errors import OddPointCount, TooFewPoints
 from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, orient, point_in_triangle_closed
 from planematch.io import gen_points
 from planematch.proximity import (
@@ -24,8 +24,10 @@ from planematch.proximity import (
     delaunay,
     disk_graph,
     emst5,
+    even_threshold,
     forest_leq,
     second_closest,
+    second_closest_batch,
     skeleton,
     sorted_candidate_edges,
 )
@@ -431,6 +433,39 @@ def test_forest_leq_thresholds():
     assert sorted(t.n for t in fhalf.trees) == [1, 1, 1, 1]
 
 
+def assert_even_threshold_matches_forests(pts: PointSet) -> None:
+    tree = emst5(pts)
+    even_sq = even_threshold(tree)
+    for sq in sorted(set(tree.edge_sq.values())):
+        has_odd = any(t.n % 2 for t in forest_leq(tree, sq, pts).trees)
+        assert (sq < even_sq) == has_odd
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=2, max_size=40))
+def test_even_threshold_matches_forest_parity_small(coords):
+    coords = sorted(coords)
+    assert_even_threshold_matches_forests(PointSet(coords[: len(coords) // 2 * 2]))
+
+
+@pytest.mark.parametrize(
+    "name,coords",
+    [(name, coords) for name, coords in degenerate_corpus() if len(coords) <= 200],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_even_threshold_matches_forest_parity_degenerate(name, coords):
+    assert_even_threshold_matches_forests(PointSet(coords[: len(coords) // 2 * 2]))
+
+
+def test_even_threshold_examples():
+    # Pairs at distance 1, joined by an edge of length 3: the pairs are even.
+    assert even_threshold(emst5(ps((0, 0), (1, 0), (4, 0), (5, 0)))) == S * S
+    # Only the middle pair is at distance 1; the outer points join at 2.
+    assert even_threshold(emst5(ps((0, 0), (2, 0), (3, 0), (5, 0)))) == 4 * S * S
+    with pytest.raises(OddPointCount):
+        even_threshold(emst5(ps((0, 0), (1, 0), (3, 0))))
+
+
 def test_disk_graph_examples():
     pts = ps((0, 0), (1, 0), (3, 0))
     g1 = disk_graph(pts, S * S)
@@ -540,6 +575,46 @@ def test_second_closest_brute_force_random():
                 ((pts.sq_dist(p, j), j) for j in range(pts.n) if j not in (p, v)),
             )[1]
             assert got == want
+
+
+def brute_second_closest(pts: PointSet, p: int, v: int) -> int:
+    return min((pts.sq_dist(p, j), j) for j in range(pts.n) if j not in (p, v))[1]
+
+
+def test_second_closest_far_from_origin():
+    # Doubles near 10^18 are 128 apart, so an untranslated kd-tree misranks
+    # neighbours of a span-2000 set there; above a 2^53 span every point is
+    # scanned exactly.
+    rng = random.Random(23)
+    coords = set()
+    while len(coords) < 400:
+        coords.add((rng.randrange(2000), rng.randrange(2000)))
+    coords = sorted(coords)
+    wide = coords[:200] + [(x + 2**60, y + 2**61) for x, y in coords[200:]]
+    cases = [
+        (shifted(coords, 10**18 + rng.randrange(10**9), 10**18 - rng.randrange(10**9)), True),
+        (shifted(coords, -(10**18), 3 * 10**18), True),
+        (PointSet(wide), False),
+    ]
+    for pts, uses_kdtree in cases:
+        queries = [(rng.randrange(pts.n), rng.randrange(pts.n)) for _ in range(300)]
+        want = [brute_second_closest(pts, p, v) for p, v in queries]
+        assert second_closest_batch(pts, queries) == want
+        assert [second_closest(pts, p, v) for p, v in queries] == want
+        assert (pts._kdtree is not None) == uses_kdtree
+
+
+def test_second_closest_batch_escalates_on_ties():
+    # From the centre every circle point ties, so eight candidates never
+    # settle the query and the candidate count doubles up to n.
+    rng = random.Random(5)
+    for r in (25, 65):
+        pts = PointSet([(0, 0)] + pythagorean_circle(r))
+        queries = [(0, v) for v in range(pts.n)]
+        queries += [(rng.randrange(pts.n), rng.randrange(pts.n)) for _ in range(50)]
+        want = [brute_second_closest(pts, p, v) for p, v in queries]
+        assert second_closest_batch(pts, queries) == want
+    assert second_closest_batch(pts, []) == []
 
 
 def test_second_closest_too_few():
