@@ -2,18 +2,26 @@
 the possibly-crossing bottleneck perfect matching built on top of it.
 
 The matcher is the classic augmenting-path algorithm with blossom
-contraction via base pointers; worst case O(V^3), which is ample for the
-distance-set binary search used here.
+contraction via base pointers; worst case O(V^3). The crossing bottleneck
+lies between the last edge L of the even prefix of the complete graph's
+Kruskal order and 2L, so the search probes only the distances in that
+bracket, galloping up from L; on uniform inputs L itself is usually
+feasible, and one probe decides.
 """
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
 
-from .errors import OddPointCount
+import numpy as np
+
+from .errors import InvariantViolation, OddPointCount
 from .geometry import PointSet
 from .matching import Matching
-from .proximity import disk_graph
+from .proximity import all_pairs_sq, disk_graph, even_prefix_sq
+
+# Sorted pairs converted to Python per step of the even-prefix scan.
+_PREFIX_CHUNK = 1024
 
 
 @dataclass(frozen=True)
@@ -128,39 +136,82 @@ def max_matching(g: AbstractGraph) -> tuple[tuple[int, int], ...]:
 
 @dataclass(frozen=True)
 class BottleneckCrossingResult:
-    """Minimum bottleneck over all (possibly crossing) perfect matchings."""
+    """Minimum bottleneck over all (possibly crossing) perfect matchings,
+    with the certified lower end ``lower_sq`` = L^2 of its bracket
+    [L^2, 4 L^2]."""
 
     bottleneck_sq: int
     matching: Matching
+    lower_sq: int
+
+
+def _crossing_bracket(pts: PointSet) -> tuple[int, np.ndarray]:
+    """(L^2, the distinct squared distances in [L^2, 4 L^2] as an ascending
+    array).
+
+    L is the last edge of the even prefix of the complete graph's Kruskal
+    order. Below L some threshold component is odd, so no perfect matching
+    exists there. The square of an even tree has a perfect matching, and by
+    the triangle inequality its edges are at most 2L, so the crossing
+    bottleneck is one of these distances.
+    """
+    sq, u, v = all_pairs_sq(pts)
+    order = np.argsort(sq)
+
+    def prefix():
+        for start in range(0, len(order), _PREFIX_CHUNK):
+            part = order[start:start + _PREFIX_CHUNK]
+            yield from zip(sq[part].tolist(), u[part].tolist(), v[part].tolist())
+
+    lower_sq = even_prefix_sq(prefix(), pts.n, pts.n)
+    start = np.count_nonzero(sq < lower_sq)
+    stop = len(sq)
+    if 4 * lower_sq < int(sq[order[-1]]):
+        stop = np.count_nonzero(sq <= 4 * lower_sq)
+    window = sq[order[start:stop]]
+    # Not np.unique: it imports numpy.ma, which costs set-up time and memory.
+    return lower_sq, window[np.concatenate(([True], window[1:] != window[:-1]))]
 
 
 def bottleneck_crossing(pts: PointSet) -> BottleneckCrossingResult:
-    """Minimum lambda in the pairwise-distance set such that the disk graph
+    """Minimum lambda among the pairwise distances such that the disk graph
     of radius lambda admits a perfect matching, plus a witness matching.
+
+    Feasibility is monotone in lambda, and lambda lies in [L, 2L] for the
+    even-prefix length L (``_crossing_bracket``). The search probes L first,
+    then gallops upward by 1, 3, 7, ... candidates, capped at the last one,
+    and bisects the last gap. The witness is the blossom matching of the
+    disk graph at the minimum.
     """
     n = pts.n
     if n % 2 != 0:
         raise OddPointCount(f"n must be even, got {n}")
     if n == 0:
-        return BottleneckCrossingResult(0, Matching.of(pts, []))
-    dists = sorted({pts.sq_dist(i, j) for i in range(n) for j in range(i + 1, n)})
+        return BottleneckCrossingResult(0, Matching.of(pts, []), 0)
+    lower_sq, cands = _crossing_bracket(pts)
 
-    def feasible(sq: int):
-        g = disk_graph(pts, sq)
+    def feasible(i: int):
+        g = disk_graph(pts, int(cands[i]))
         pairs = max_matching_pairs(n, g.adj)
         return pairs if len(pairs) * 2 == n else None
 
-    lo, hi = 0, len(dists) - 1
-    witness = feasible(dists[hi])
-    assert witness is not None  # complete graph always has a perfect matching
+    last = len(cands) - 1
+    lo, hi = 0, 0
+    witness = feasible(hi)
+    while witness is None:
+        if hi == last:
+            # The square of an even tree has a perfect matching within 2L.
+            raise InvariantViolation("no perfect matching at twice the even-prefix length")
+        lo, hi = hi + 1, min(2 * hi + 1, last)
+        witness = feasible(hi)
     while lo < hi:
         mid = (lo + hi) // 2
-        pairs = feasible(dists[mid])
+        pairs = feasible(mid)
         if pairs is not None:
             witness = pairs
             hi = mid
         else:
             lo = mid + 1
     return BottleneckCrossingResult(
-        bottleneck_sq=dists[hi], matching=Matching.of(pts, witness)
+        bottleneck_sq=int(cands[hi]), matching=Matching.of(pts, witness), lower_sq=lower_sq
     )

@@ -42,6 +42,34 @@ def _read(path: str) -> bytes:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _load_pairs(path: str) -> list[tuple[int, int]]:
+    """The ``edges`` list of a matching JSON object, as id pairs."""
+    try:
+        payload = json.loads(_read(path))
+    except ValueError as exc:
+        raise FormatError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(payload, dict):
+        raise FormatError(f"{path} must hold a JSON object with an 'edges' list")
+    edges = payload.get("edges", [])
+    if not isinstance(edges, list):
+        raise FormatError(f"'edges' in {path} must be a list")
+    pairs = []
+    for e in edges:
+        if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
+            raise FormatError(f"edge {e!r} in {path} is not a pair of integer point ids")
+        pairs.append((e[0], e[1]))
+    return pairs
+
+
+def _bracket_report(report: dict, cross) -> None:
+    """L, the certified lower bound on the crossing bottleneck, and the
+    check that the crossing bottleneck lies in [L, 2L]."""
+    report["lambda_lower_bound"] = _sq_to_decimal(cross.lower_sq)
+    report["checks"]["crossing_bracket"] = (
+        cross.lower_sq <= cross.bottleneck_sq <= 4 * cross.lower_sq
+    )
+
+
 def _load_points(args) -> PointSet:
     if args.input:
         return parse_points(_read(args.input))
@@ -124,6 +152,7 @@ def cmd_one_third(args) -> int:
         "size_bound": m.size >= math.ceil(cross.matching.size / 3),
         "length_bound": m.bottleneck_sq <= cross.bottleneck_sq,
     }
+    _bracket_report(report, cross)
     if args.oracle:
         opt = exact_bottleneck_plane(pts)
         report["checks"]["crossing_lower_bound"] = (
@@ -170,6 +199,7 @@ def cmd_crossing(args) -> int:
     ms = (time.perf_counter() - t0) * 1000
     report = _base_report("crossing-bottleneck", pts, res.matching, ms)
     report["checks"] = {"size_bound": res.matching.size == pts.n // 2}
+    _bracket_report(report, res)
     if args.oracle:
         opt = exact_bottleneck_plane(pts)
         report["checks"]["length_bound"] = res.bottleneck_sq <= opt.bottleneck_sq
@@ -180,9 +210,7 @@ def cmd_crossing(args) -> int:
 
 def cmd_validate(args) -> int:
     pts = _load_points(args)
-    payload = json.loads(_read(args.matching))
-    pairs = [tuple(e) for e in payload.get("edges", [])]
-    m = Matching.of(pts, pairs)
+    m = Matching.of(pts, _load_pairs(args.matching))
     rep = validate(pts, m)
     report = {
         "algorithm": "validate",

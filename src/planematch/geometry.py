@@ -37,7 +37,7 @@ class PointSet:
     derived predicates stay exact regardless of magnitude.
     """
 
-    __slots__ = ("xs", "ys", "_kdtree", "_kd_coords")
+    __slots__ = ("xs", "ys", "_kdtree")
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
         xs: list[int] = []
@@ -53,7 +53,6 @@ class PointSet:
         self.xs = xs
         self.ys = ys
         self._kdtree = None
-        self._kd_coords = None
 
     @classmethod
     def from_floats(cls, coords: Iterable[tuple[float, float]]) -> "PointSet":
@@ -82,16 +81,6 @@ class PointSet:
         dx = self.xs[i] - self.xs[j]
         dy = self.ys[i] - self.ys[j]
         return dx * dx + dy * dy
-
-    def coords_float(self):
-        """Float coordinate array (cached), for scipy structures only."""
-        if self._kd_coords is None:
-            import numpy as np
-
-            self._kd_coords = np.column_stack(
-                (np.asarray(self.xs, dtype=float), np.asarray(self.ys, dtype=float))
-            )
-        return self._kd_coords
 
 
 @dataclass(frozen=True)

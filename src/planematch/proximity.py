@@ -136,6 +136,12 @@ def _span(pts: PointSet) -> tuple[int, int, int]:
     return x0, y0, max(max(pts.xs) - x0, max(pts.ys) - y0)
 
 
+def _int64_exact(span: int) -> bool:
+    """Whether every squared distance of a point set with this coordinate
+    span, at most 2 * span^2, fits in int64."""
+    return 2 * span * span < 1 << 63
+
+
 def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
     """The coordinates minus their exact integer minimum, as an (n, 2)
     float array, and whether the span is small enough for them to be
@@ -477,7 +483,7 @@ def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
     2^63 they are computed and sorted in int64, otherwise in Python ints.
     """
     x0, y0, span = _span(pts)
-    if 2 * span * span < 1 << 63:
+    if _int64_exact(span):
         return _sorted_edges_int64(pts, edges, x0, y0)
     return _sorted_edges_exact(pts, edges)
 
@@ -620,29 +626,65 @@ def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
     return Forest(trees=_component_trees(pts, adj), threshold_sq=sq_limit)
 
 
+def even_prefix_sq(edges, size: int, odd: int) -> int:
+    """The first squared length at which a Kruskal pass over ``edges`` leaves
+    no odd component.
+
+    ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
+    ids below ``size``; ``odd`` is the number of vertices taking part, each
+    an odd singleton at the start. Merging two even or two odd components
+    leaves no new odd one, so every length at or above the answer is
+    all-even and every one below has an odd component. An edge inside one
+    component changes nothing, which keeps the count right on graphs with
+    cycles.
+    """
+    uf = _UnionFind(size)
+    sizes = uf.size
+    for sq, group in groupby(edges, itemgetter(0)):
+        for _, u, v in group:
+            ru, rv = uf.find(u), uf.find(v)
+            if ru == rv:
+                continue
+            odd -= 2 * (sizes[ru] & sizes[rv] & 1)
+            uf.union(ru, rv)
+        if odd == 0:
+            return sq
+    raise TooFewPoints("no edge length leaves every component even")
+
+
 def even_threshold(tree: Tree) -> int:
     """The smallest squared edge length L of ``tree`` at which every tree of
     ``forest_leq(tree, L)`` has an even number of vertices.
 
-    One Kruskal pass over the edges in length order, counting odd
-    components; merging two even or two odd components leaves no new odd
-    one, so every threshold at or above L is all-even and every one below
-    has an odd tree. A tree with an even number of vertices always has L.
+    One Kruskal pass over the edges in length order (``even_prefix_sq``). A
+    tree with an even number of vertices always has L.
     """
     if tree.n % 2 != 0:
         raise OddPointCount(f"tree has an odd number of vertices: {tree.n}")
-    uf = _UnionFind(max(tree.vertices, default=-1) + 1)
-    size = uf.size
-    odd = tree.n
     edges = sorted((sq, u, v) for (u, v), sq in tree.edge_sq.items())
-    for sq, group in groupby(edges, itemgetter(0)):
-        for _, u, v in group:
-            ru, rv = uf.find(u), uf.find(v)
-            odd -= 2 * (size[ru] & size[rv] & 1)
-            uf.union(ru, rv)
-        if odd == 0:
-            return sq
-    raise TooFewPoints("an empty tree has no edge length")
+    return even_prefix_sq(edges, max(tree.vertices, default=-1) + 1, tree.n)
+
+
+def all_pairs_sq(pts: PointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sq, u, v): the squared distance of every pair u < v, in
+    lexicographic pair order.
+
+    ``sq`` is int64 when 2 * span^2 < 2^63 for the coordinate span, and an
+    object array of Python ints otherwise, so every entry is exact.
+    """
+    n = pts.n
+    u, v = np.triu_indices(n, 1)
+    x0, y0, span = _span(pts)
+    dtype = np.int64 if _int64_exact(span) else object
+    # Translating in Python first keeps coordinates above 2^63 convertible.
+    xs = np.array([x - x0 for x in pts.xs], dtype=dtype)
+    ys = np.array([y - y0 for y in pts.ys], dtype=dtype)
+    sq = xs[u] - xs[v]
+    sq *= sq
+    dy = ys[u] - ys[v]
+    dy *= dy
+    sq += dy
+    return sq, u, v
 
 
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:

@@ -18,7 +18,7 @@ from typing import Optional, Sequence
 
 from .errors import DisconnectedInput, InvariantViolation
 from .geometry import SCALE, PointSet, cross_ids, sort_clockwise
-from .matching import Matching
+from .matching import Matching, _crossing_candidates
 from .proximity import Tree, disk_graph, emst5
 
 
@@ -88,6 +88,11 @@ def one_third(
     three direction classes and the largest class is returned. If the
     rotation cap fires, the trace is flagged and the largest class is
     greedily planarized instead, preserving planarity but not the bound.
+
+    The rotatable pairs (e, f), e < f, are kept in a table filled once from
+    the grid of ``_crossing_candidates``. Each rotation takes the smallest,
+    which is the first pair a row-major rescan of the sorted edges would
+    find; afterwards only the two new edges are tested against the others.
     """
     covered = m.covered()
     if len(covered) != 2 * m.size:
@@ -96,46 +101,48 @@ def one_third(
         cap = 10 * pts.n**3
     pairs = sorted(m.pairs)
     trace = RotationTrace()
-    rotations = 0
-    while True:
-        changed = False
-        k = len(pairs)
-        for i in range(k):
-            for j in range(i + 1, k):
-                a, b = pairs[i]
-                c, d = pairs[j]
-                if not cross_ids(pts, a, b, c, d):
-                    continue
-                repl = _rotation_pairing(pts, pairs[i], pairs[j])
-                if repl is None:
-                    continue
-                before = _total_length(pts, pairs)
-                new1 = tuple(sorted(repl[0]))
-                new2 = tuple(sorted(repl[1]))
-                removed = (pairs[i], pairs[j])
-                del pairs[j]
-                del pairs[i]
-                pairs.append(new1)
-                pairs.append(new2)
-                pairs.sort()
-                trace.steps.append(
-                    RotationStep(
-                        removed=removed,
-                        added=(new1, new2),
-                        total_before=before,
-                        total_after=_total_length(pts, pairs),
-                    )
-                )
-                rotations += 1
-                changed = True
-                break
-            if changed:
-                break
-        if not changed:
-            break
-        if rotations >= cap:
+
+    table: dict = {}
+
+    def record(e, f) -> None:
+        """Table the pair e < f if the two edges cross at an angle <= pi/3."""
+        if cross_ids(pts, *e, *f):
+            repl = _rotation_pairing(pts, e, f)
+            if repl is not None:
+                table[e, f] = repl
+
+    for i, j in _crossing_candidates(pts, pairs):
+        record(pairs[i], pairs[j])
+    while table:
+        e, f = min(table)
+        repl = table[e, f]
+        before = _total_length(pts, pairs)
+        new1 = tuple(sorted(repl[0]))
+        new2 = tuple(sorted(repl[1]))
+        pairs.remove(f)
+        pairs.remove(e)
+        pairs.append(new1)
+        pairs.append(new2)
+        pairs.sort()
+        trace.steps.append(
+            RotationStep(
+                removed=(e, f),
+                added=(new1, new2),
+                total_before=before,
+                total_after=_total_length(pts, pairs),
+            )
+        )
+        if len(trace.steps) >= cap:
             trace.capped = True
             break
+        for key in [k for k in table if e in k or f in k]:
+            del table[key]
+        # The new edges lie in opposite cones at the old crossing point, so
+        # they cannot cross each other.
+        for g in pairs:
+            if g != new1 and g != new2:
+                record(min(new1, g), max(new1, g))
+                record(min(new2, g), max(new2, g))
 
     classes: list[list[tuple[int, int]]] = [[], [], []]
     for pair in pairs:

@@ -5,11 +5,16 @@ import random
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from planematch.blossom import AbstractGraph, bottleneck_crossing, max_matching
+from planematch import blossom
+from planematch.blossom import AbstractGraph, bottleneck_crossing, max_matching, max_matching_pairs
 from planematch.errors import OddPointCount
 from planematch.geometry import PointSet
+from planematch.io import gen_points
 from planematch.oracle import exact_bottleneck_plane
+from planematch.proximity import disk_graph, emst5, even_threshold
 
 S = 10**6
 
@@ -119,9 +124,6 @@ def test_crossing_bottleneck_lower_bounds_plane_optimum():
 
 def test_feasibility_monotone():
     rng = random.Random(23)
-    from planematch.blossom import max_matching_pairs
-    from planematch.proximity import disk_graph
-
     for _ in range(30):
         n = rng.choice([4, 6, 8])
         coords = set()
@@ -136,3 +138,102 @@ def test_feasibility_monotone():
         # Once feasible, always feasible.
         first = feas.index(True) if True in feas else len(feas)
         assert all(feas[first:])
+
+
+def reference_bottleneck_crossing(pts: PointSet):
+    """The full-range search: binary search over every distinct pairwise
+    distance, witness from the last feasible probe."""
+    n = pts.n
+    dists = sorted({pts.sq_dist(i, j) for i in range(n) for j in range(i + 1, n)})
+
+    def feasible(sq):
+        pairs = max_matching_pairs(n, disk_graph(pts, sq).adj)
+        return pairs if len(pairs) * 2 == n else None
+
+    lo, hi = 0, len(dists) - 1
+    witness = feasible(dists[hi])
+    while lo < hi:
+        mid = (lo + hi) // 2
+        pairs = feasible(dists[mid])
+        if pairs is not None:
+            witness = pairs
+            hi = mid
+        else:
+            lo = mid + 1
+    return dists[hi], tuple(witness)
+
+
+def assert_crossing_equals_reference(pts: PointSet) -> None:
+    res = bottleneck_crossing(pts)
+    assert (res.bottleneck_sq, res.matching.pairs) == reference_bottleneck_crossing(pts)
+    assert res.lower_sq <= res.bottleneck_sq <= 4 * res.lower_sq
+    # L is the even threshold of the complete graph, which the EMST shares.
+    assert res.lower_sq == even_threshold(emst5(pts))
+
+
+def pythagorean_circle(r: int) -> list[tuple[int, int]]:
+    return sorted(
+        (x, y) for x in range(-r, r + 1) for y in range(-r, r + 1) if x * x + y * y == r * r
+    )
+
+
+def crossing_corpus():
+    yield "grid6", [(x * S, y * S) for x in range(6) for y in range(6)]
+    yield "grid-unscaled", [(x, y) for x in range(5) for y in range(4)]
+    for r in (5, 25):
+        yield f"circle{r}", pythagorean_circle(r)
+        yield f"circle{r}+centre", pythagorean_circle(r) + [(0, 0), (r + 1, 0)]
+    yield "collinear", [(k * S, 0) for k in range(20)]
+    yield "collinear+1", [(k * S, 0) for k in range(19)] + [(7 * S, 2 * S)]
+    yield "obtuse+far", [(0, 0), (2, 0), (1, 1), (10, 0)]
+    rng = random.Random(31)
+    shift = 2**60
+    yield "beyond-2^53", [(shift + rng.randrange(10**6), shift + 3 * k) for k in range(40)]
+    big = 10**21
+    yield "2span^2>=2^63", sorted({(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(40)})
+    for seed in (1, 4):
+        pts = gen_points(120, seed, "uniform")
+        yield f"uniform120-{seed}", list(zip(pts.xs, pts.ys))
+    pts = gen_points(100, 2, "clustered")
+    yield "clustered100", list(zip(pts.xs, pts.ys))
+
+
+@pytest.mark.parametrize("name,coords", list(crossing_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_bottleneck_crossing_equals_full_search_degenerate(name, coords):
+    assert len(coords) % 2 == 0
+    assert_crossing_equals_reference(PointSet(coords))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=2, max_size=24))
+def test_bottleneck_crossing_equals_full_search_small(coords):
+    coords = sorted(coords)
+    assert_crossing_equals_reference(PointSet(coords[: len(coords) // 2 * 2]))
+
+
+def test_bottleneck_crossing_bracket_skips_cycle_edges():
+    # The edge (0, 1) closes the triangle 0-1-2 while it is odd; L is the
+    # length at which the far point joins, not the triangle's last edge.
+    res = bottleneck_crossing(PointSet([(0, 0), (2, 0), (1, 1), (10, 0)]))
+    assert res.lower_sq == 64
+    assert res.bottleneck_sq == 64
+
+
+def test_bottleneck_crossing_probes_few(monkeypatch):
+    calls = []
+    real = blossom.max_matching_pairs
+
+    def counted(n, adj):
+        calls.append(n)
+        return real(n, adj)
+
+    monkeypatch.setattr(blossom, "max_matching_pairs", counted)
+    counts = []
+    for seed in range(1, 9):
+        calls.clear()
+        res = bottleneck_crossing(gen_points(300, seed, "uniform"))
+        counts.append(len(calls))
+        # One probe when the bracket's first candidate L is feasible.
+        assert res.bottleneck_sq != res.lower_sq or len(calls) == 1
+    # At most 6 probes per search on average; the full-range search made 16-17.
+    assert sum(counts) <= 6 * len(counts), counts

@@ -135,6 +135,8 @@ def test_cli_one_third(capsys):
     assert rep["cap_exceeded"] is False
     assert rep["checks"]["size_bound"] and rep["checks"]["length_bound"]
     assert rep["checks"]["crossing_lower_bound"]
+    assert rep["checks"]["crossing_bracket"]
+    assert 0 < rep["lambda_lower_bound"]
 
 
 def test_cli_udg_match_star_chain(capsys):
@@ -144,10 +146,19 @@ def test_cli_udg_match_star_chain(capsys):
     assert rep["checks"]["size_bound"] and rep["checks"]["length_bound"]
 
 
-def test_cli_crossing_bottleneck(capsys):
+def test_cli_crossing_bottleneck(capsys, tmp_path):
     code, rep = run_cli(capsys, "crossing-bottleneck", "--n", "8", "--seed", "1", "--oracle")
     assert code == 0
     assert rep["checks"]["size_bound"] and rep["checks"]["length_bound"]
+    assert rep["checks"]["crossing_bracket"]
+    assert rep["lambda_lower_bound"] <= rep["bottleneck"] <= 2 * rep["lambda_lower_bound"]
+    # Four points on a line at 0, 1, 3, 4: L = 1 and the bottleneck is 1.
+    f = tmp_path / "pts.txt"
+    f.write_text("4\n0 0\n1 0\n3 0\n4 0\n")
+    code, rep = run_cli(capsys, "crossing-bottleneck", "--input", str(f))
+    assert code == 0
+    assert rep["lambda_lower_bound"] == 1.0 and rep["bottleneck"] == 1.0
+    assert rep["checks"]["crossing_bracket"]
 
 
 def test_cli_validate_round_trip(capsys, tmp_path):
@@ -205,6 +216,32 @@ def test_cli_error_on_unreadable_file(capsys, tmp_path):
     code, rep = run_cli(capsys, "approx2", "--input", str(tmp_path))
     assert code == 2
     assert rep["error"]["code"] == "format_error"
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        '{"edges": [[0, 1]',
+        '{"edges": [[0, 1, 2]]}',
+        '{"edges": [["a", 1]]}',
+        '{"edges": [[0, true]]}',
+        '{"edges": [[0.0, 1]]}',
+        '{"edges": [0, 1]}',
+        '{"edges": {"0": 1}}',
+        '[[0, 1]]',
+        '"edges"',
+        "",
+    ],
+)
+def test_cli_error_on_malformed_matching(capsys, tmp_path, text):
+    f = tmp_path / "pts.txt"
+    f.write_text("2\n0 0\n1 0\n")
+    bad = tmp_path / "m.json"
+    bad.write_text(text)
+    code, rep = run_cli(capsys, "validate", "--input", str(f), "--matching", str(bad))
+    assert code == 2
+    assert rep["error"]["code"] == "format_error"
+    assert str(bad) in rep["error"]["message"]
 
 
 def test_cli_error_on_oversize(capsys):

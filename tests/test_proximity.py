@@ -24,6 +24,7 @@ from planematch.proximity import (
     delaunay,
     disk_graph,
     emst5,
+    even_prefix_sq,
     even_threshold,
     forest_leq,
     second_closest,
@@ -132,7 +133,8 @@ def exact_reference_edges(pts: PointSet) -> tuple[tuple[int, int], ...]:
     coordinates, then the exact flip pass over every edge."""
     from scipy.spatial import Delaunay
 
-    mesh = _FlipMesh(pts, Delaunay(pts.coords_float()).simplices.tolist())
+    xy = np.column_stack((np.asarray(pts.xs, dtype=float), np.asarray(pts.ys, dtype=float)))
+    mesh = _FlipMesh(pts, Delaunay(xy).simplices.tolist())
     _canonicalize(pts, mesh)
     return tuple(mesh.live_edges())
 
@@ -464,6 +466,16 @@ def test_even_threshold_examples():
     assert even_threshold(emst5(ps((0, 0), (2, 0), (3, 0), (5, 0)))) == 4 * S * S
     with pytest.raises(OddPointCount):
         even_threshold(emst5(ps((0, 0), (1, 0), (3, 0))))
+
+
+def test_even_prefix_skips_cycle_edges():
+    # A square 0-1-2-3 with the diagonal 0-2. The diagonal closes the
+    # triangle 0-1-2 while it is odd, which must not count as a merge: the
+    # odd triangle and vertex 3 first join at length 2.
+    edges = [(1, 0, 1), (1, 1, 2), (1, 0, 2), (2, 2, 3), (2, 0, 3)]
+    assert even_prefix_sq(edges, 4, 4) == 2
+    with pytest.raises(TooFewPoints):
+        even_prefix_sq(edges[:3], 4, 4)
 
 
 def test_disk_graph_examples():

@@ -7,10 +7,13 @@ from decimal import Decimal, getcontext
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from planematch.blossom import AbstractGraph, bottleneck_crossing, max_matching
 from planematch.errors import DisconnectedInput
 from planematch.geometry import SCALE, PointSet, cross_ids
+from planematch.io import gen_points
 from planematch.matching import Matching, validate
 from planematch.proximity import disk_graph, emst5
 from planematch.udg import one_third, plane_matching
@@ -218,3 +221,119 @@ def test_tree_and_cycle_udg_maximum():
                 continue
         m = plane_matching(pts)
         assert m.size == blossom_max_size(pts, S * S)
+
+
+def reference_one_third(pts, m, cap=None):
+    """The rescan: after every rotation, scan the sorted edges again from
+    the start for the first pair crossing at an angle <= pi/3."""
+    from planematch.udg import RotationStep, RotationTrace, _direction_class, _rotation_pairing, _total_length
+
+    if cap is None:
+        cap = 10 * pts.n**3
+    pairs = sorted(m.pairs)
+    trace = RotationTrace()
+    while True:
+        found = None
+        for i, j in combinations(range(len(pairs)), 2):
+            if cross_ids(pts, *pairs[i], *pairs[j]):
+                repl = _rotation_pairing(pts, pairs[i], pairs[j])
+                if repl is not None:
+                    found = i, j, repl
+                    break
+        if found is None:
+            break
+        i, j, repl = found
+        before = _total_length(pts, pairs)
+        removed = (pairs[i], pairs[j])
+        new1, new2 = tuple(sorted(repl[0])), tuple(sorted(repl[1]))
+        del pairs[j]
+        del pairs[i]
+        pairs = sorted(pairs + [new1, new2])
+        trace.steps.append(RotationStep(removed, (new1, new2), before, _total_length(pts, pairs)))
+        if len(trace.steps) >= cap:
+            trace.capped = True
+            break
+    classes = [[], [], []]
+    for pair in pairs:
+        classes[_direction_class(pts, *pair)].append(pair)
+    trace.class_sizes = tuple(len(c) for c in classes)
+    chosen = classes[max(range(3), key=lambda i: (len(classes[i]), -i))]
+    if trace.capped:
+        kept = []
+        for pair in chosen:
+            if all(not cross_ids(pts, *pair, *other) for other in kept):
+                kept.append(pair)
+        chosen = kept
+    return Matching.of(pts, chosen), trace
+
+
+def assert_one_third_equals_reference(pts, m):
+    for cap in (None, 0, 1):
+        out, trace = one_third(pts, m, cap=cap)
+        ref_out, ref_trace = reference_one_third(pts, m, cap=cap)
+        assert out.pairs == ref_out.pairs
+        assert trace == ref_trace
+
+
+def shuffled_matching(pts, seed):
+    ids = list(range(pts.n))
+    random.Random(seed).shuffle(ids)
+    return Matching.of(pts, [(ids[k], ids[k + 1]) for k in range(0, pts.n - 1, 2)])
+
+
+def one_third_corpus():
+    yield "grid6", [(x * S, y * S) for x in range(6) for y in range(6)]
+    circle = sorted(
+        (x, y) for x in range(-25, 26) for y in range(-25, 26) if x * x + y * y == 625
+    )
+    yield "circle25", circle
+    yield "collinear", [(k * S, 0) for k in range(20)]
+    yield "collinear+1", [(k * S, 0) for k in range(19)] + [(7 * S, 2 * S)]
+    rng = random.Random(8)
+    shift = 2**60
+    yield "beyond-2^53", [(shift + rng.randrange(10**7), shift + rng.randrange(10**7)) for _ in range(40)]
+    big = 10**21
+    yield "2span^2>=2^63", sorted({(rng.randint(-big, big), rng.randint(-big, big)) for _ in range(40)})
+    for n in (140, 200):
+        pts = gen_points(n, 3, "uniform")
+        yield f"uniform{n}", list(zip(pts.xs, pts.ys))
+
+
+@pytest.mark.parametrize("name,coords", list(one_third_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_one_third_equals_rescan_degenerate(name, coords):
+    pts = PointSet(coords)
+    # A shuffled matching crosses often (63 rotations on uniform140); the
+    # crossing bottleneck matching rarely.
+    assert_one_third_equals_reference(pts, shuffled_matching(pts, len(coords)))
+    if pts.n <= 40:
+        assert_one_third_equals_reference(pts, bottleneck_crossing(pts).matching)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=2, max_size=30),
+    st.integers(0, 2**32),
+)
+def test_one_third_equals_rescan_small(coords, seed):
+    pts = PointSet(sorted(coords))
+    assert_one_third_equals_reference(pts, shuffled_matching(pts, seed))
+
+
+def test_one_third_crossing_tests_few(monkeypatch):
+    from planematch import udg
+
+    calls = []
+    real = udg.cross_ids
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    monkeypatch.setattr(udg, "cross_ids", counted)
+    for seed in range(1, 9):
+        pts = gen_points(300, seed, "uniform")
+        m = bottleneck_crossing(pts).matching
+        calls.clear()
+        one_third(pts, m)
+        # The rescan made 14k-73k tests here.
+        assert len(calls) <= 3000, (seed, len(calls))
