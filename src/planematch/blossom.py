@@ -4,24 +4,23 @@ the possibly-crossing bottleneck perfect matching built on top of it.
 The matcher is the classic augmenting-path algorithm with blossom
 contraction via base pointers; worst case O(V^3). The crossing bottleneck
 lies between the last edge L of the even prefix of the complete graph's
-Kruskal order and 2L, so the search probes only the distances in that
-bracket, galloping up from L; on uniform inputs L itself is usually
-feasible, and one probe decides.
+Kruskal order and 2L. The search probes L first; on uniform inputs L is
+usually feasible, and one blossom run decides. Otherwise a Tutte barrier
+read off the failed augmenting-path search names the next length at which
+a perfect matching can exist, and the search jumps there.
 """
 from __future__ import annotations
 
+from bisect import bisect_right, insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
+from operator import itemgetter
 
-import numpy as np
-
-from .errors import InvariantViolation, OddPointCount
+from .errors import InvariantViolation, OddPointCount, TooFewPoints
 from .geometry import PointSet
 from .matching import Matching
-from .proximity import all_pairs_sq, disk_graph, even_prefix_sq
-
-# Sorted pairs converted to Python per step of the even-prefix scan.
-_PREFIX_CHUNK = 1024
+from .proximity import disk_graph, even_prefix_sq, pairs_within
 
 
 @dataclass(frozen=True)
@@ -42,52 +41,56 @@ class AbstractGraph:
         return cls(n=n, adj=tuple(tuple(sorted(a)) for a in adj))
 
 
-def max_matching_pairs(n: int, adj) -> list[tuple[int, int]]:
-    """Maximum-cardinality matching as a sorted list of vertex pairs."""
-    match = [-1] * n
+def _searcher(n: int, adj, match: list[int]):
+    """Edmonds' augmenting-path search from one root at a time, with
+    blossom contraction via base pointers.
+
+    Returns (find_path, used, tree). ``find_path(root)`` augments ``match``
+    in place along a path from the exposed vertex ``root`` and returns
+    True, or returns False; the vertices it reached are then in ``tree``,
+    and ``used`` marks those an even alternating path from the root reaches.
+    """
     p = [-1] * n
     base = list(range(n))
     used = [False] * n
-    blossom = [False] * n
-
-    # Greedy initialization cuts down the number of augmenting searches.
-    for v in range(n):
-        if match[v] == -1:
-            for u in adj[v]:
-                if match[u] == -1:
-                    match[v] = u
-                    match[u] = v
-                    break
+    # Vertices the current search has reached, which are the only ones to
+    # reset, and the reached vertices of each blossom base.
+    tree: list[int] = []
+    members: dict[int, list[int]] = {}
 
     def lca(a: int, b: int) -> int:
-        used_path = [False] * n
+        on_path = set()
         x = a
         while True:
             x = base[x]
-            used_path[x] = True
+            on_path.add(x)
             if match[x] == -1:
                 break
             x = p[match[x]]
         y = b
         while True:
             y = base[y]
-            if used_path[y]:
+            if y in on_path:
                 return y
             y = p[match[y]]
 
-    def mark_path(v: int, b: int, child: int) -> None:
+    def mark_path(v: int, b: int, child: int, blossom: set) -> None:
         while base[v] != b:
-            blossom[base[v]] = True
-            blossom[base[match[v]]] = True
+            blossom.add(base[v])
+            blossom.add(base[match[v]])
             p[v] = child
             child = match[v]
             v = p[match[v]]
 
     def find_path(root: int) -> bool:
-        for i in range(n):
+        for i in tree:
             used[i] = False
             p[i] = -1
             base[i] = i
+        tree.clear()
+        members.clear()
+        tree.append(root)
+        members[root] = [root]
         used[root] = True
         q = deque([root])
         while q:
@@ -97,18 +100,25 @@ def max_matching_pairs(n: int, adj) -> list[tuple[int, int]]:
                     continue
                 if to == root or (match[to] != -1 and p[match[to]] != -1):
                     curbase = lca(v, to)
-                    for i in range(n):
-                        blossom[i] = False
-                    mark_path(v, curbase, to)
-                    mark_path(to, curbase, v)
-                    for i in range(n):
-                        if blossom[base[i]]:
-                            base[i] = curbase
-                            if not used[i]:
-                                used[i] = True
-                                q.append(i)
+                    blossom: set[int] = set()
+                    mark_path(v, curbase, to, blossom)
+                    mark_path(to, curbase, v, blossom)
+                    inside: list[int] = []
+                    for b in blossom:
+                        inside.extend(members.pop(b))
+                    # Queued in index order: the matching found depends on
+                    # the queue order.
+                    inside.sort()
+                    for i in inside:
+                        base[i] = curbase
+                        if not used[i]:
+                            used[i] = True
+                            q.append(i)
+                    members.setdefault(curbase, []).extend(inside)
                 elif p[to] == -1:
                     p[to] = v
+                    tree.append(to)
+                    members[to] = [to]
                     if match[to] == -1:
                         # Augment along the alternating path to the root.
                         u = to
@@ -120,13 +130,64 @@ def max_matching_pairs(n: int, adj) -> list[tuple[int, int]]:
                             u = ppv
                         return True
                     used[match[to]] = True
+                    tree.append(match[to])
+                    members[match[to]] = [match[to]]
                     q.append(match[to])
         return False
 
+    return find_path, used, tree
+
+
+def max_matching_pairs(n: int, adj) -> list[tuple[int, int]]:
+    """Maximum-cardinality matching as a sorted list of vertex pairs."""
+    match = [-1] * n
+
+    # Greedy initialization cuts down the number of augmenting searches.
     for v in range(n):
         if match[v] == -1:
+            for u in adj[v]:
+                if match[u] == -1:
+                    match[v] = u
+                    match[u] = v
+                    break
+
+    find_path, _, _ = _searcher(n, adj, match)
+    # A search that finds no augmenting path from a vertex finds none after
+    # later augmentations either, and any path from the last exposed vertex
+    # would end at an earlier one; so that last search is skipped.
+    exposed = [v for v in range(n) if match[v] == -1]
+    for k, v in enumerate(exposed):
+        if match[v] == -1 and any(match[u] == -1 for u in exposed[k + 1:]):
             find_path(v)
     return sorted((v, match[v]) for v in range(n) if match[v] > v)
+
+
+def tutte_barrier(n: int, adj, pairs) -> list[int]:
+    """A Tutte barrier of the graph given a maximum matching ``pairs`` with
+    an exposed vertex: a vertex set A whose removal leaves more than |A|
+    odd components, so no perfect matching exists.
+
+    A is the set of inner vertices of the failed augmenting-path search from
+    an exposed vertex. When that search ends, every edge from its outer
+    vertices goes to an inner vertex or stays inside one blossom, so each of
+    its blossoms, which have an odd number of vertices, is a component of
+    the graph minus A; there is one blossom more than there are inner
+    vertices. Of the exposed vertices' searches the one with the fewest
+    inner vertices is taken: removing less of the graph, it tends to keep
+    more odd components apart for longer as the radius grows.
+    """
+    match = _mates(n, pairs)
+    find_path, used, tree = _searcher(n, adj, match)
+    best = None
+    for root in range(n):
+        if match[root] != -1:
+            continue
+        if find_path(root):
+            raise InvariantViolation("tutte_barrier needs a maximum matching")
+        inner = [i for i in tree if not used[i]]
+        if best is None or len(inner) < len(best):
+            best = inner
+    return best
 
 
 def max_matching(g: AbstractGraph) -> tuple[tuple[int, int], ...]:
@@ -145,73 +206,158 @@ class BottleneckCrossingResult:
     lower_sq: int
 
 
-def _crossing_bracket(pts: PointSet) -> tuple[int, np.ndarray]:
-    """(L^2, the distinct squared distances in [L^2, 4 L^2] as an ascending
-    array).
+class _Window:
+    """The pairs (sq, u, v), u < v, of a point set at squared distance at
+    most ``sq_radius``, sorted; the radius grows on demand up to 4 L^2,
+    beyond which no probe goes."""
+
+    def __init__(self, pts: PointSet, pairs: list, sq_radius: int, top_sq: int):
+        self.pts, self.pairs, self.sq_radius, self.top_sq = pts, pairs, sq_radius, top_sq
+
+    def _after(self, sq: int) -> int:
+        return bisect_right(self.pairs, sq, key=itemgetter(0))
+
+    def _grow(self) -> bool:
+        if self.sq_radius >= self.top_sq:
+            return False
+        self.sq_radius = min(2 * self.sq_radius, self.top_sq)
+        self.pairs = pairs_within(self.pts, self.sq_radius)
+        return True
+
+    def extend(self, adj, sq_from: int, sq_to: int) -> None:
+        """Grow the sorted adjacency lists ``adj`` of the disk graph at
+        squared radius ``sq_from`` in place to those of the one at ``sq_to``,
+        which is within the window."""
+        for _, a, b in self.pairs[self._after(sq_from):self._after(sq_to)]:
+            insort(adj[a], b)
+            insort(adj[b], a)
+
+    def barrier_sq(self, adj, sq_from: int, barrier: list[int]) -> int:
+        """The first squared length at which removing ``barrier`` from the
+        disk graph leaves at most |barrier| odd components, given the disk
+        graph ``adj`` at squared radius ``sq_from``, which leaves more.
+
+        By the Tutte-Berge formula no disk graph below that length has a
+        perfect matching. The one at 4 L^2 has one, so the pass ends in the
+        window. The components of ``adj`` minus the barrier are found first;
+        then a Kruskal pass over the longer pairs merges them.
+        """
+        n = len(adj)
+        cut = [False] * n
+        for a in barrier:
+            cut[a] = True
+        comp = [-1] * n
+        odd: list[int] = []
+        for root in range(n):
+            if comp[root] != -1 or cut[root]:
+                continue
+            comp[root] = label = len(odd)
+            stack, size = [root], 0
+            while stack:
+                x = stack.pop()
+                size += 1
+                for y in adj[x]:
+                    if comp[y] == -1 and not cut[y]:
+                        comp[y] = label
+                        stack.append(y)
+            odd.append(size & 1)
+        count, spare = sum(odd), len(barrier)
+        parent = list(range(len(odd)))
+
+        def find(x: int) -> int:
+            while parent[x] != x:
+                parent[x] = x = parent[parent[x]]
+            return x
+
+        start = self._after(sq_from)
+        while True:
+            for sq, a, b in islice(self.pairs, start, None):
+                if cut[a] or cut[b]:
+                    continue
+                ra, rb = find(comp[a]), find(comp[b])
+                if ra == rb:
+                    continue
+                parent[rb] = ra
+                if odd[ra] and odd[rb]:
+                    odd[ra] = 0
+                    count -= 2
+                    # Counts never rise, so the first edge that reaches
+                    # the spare count has the answer's length.
+                    if count <= spare:
+                        return sq
+                else:
+                    odd[ra] |= odd[rb]
+            swept = self.sq_radius
+            if not self._grow():
+                raise InvariantViolation("no perfect matching at twice the even-prefix length")
+            start = self._after(swept)
+
+
+def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
+    """(L^2, a window of the pairs up to 4 L^2 by length).
 
     L is the last edge of the even prefix of the complete graph's Kruskal
     order. Below L some threshold component is odd, so no perfect matching
     exists there. The square of an even tree has a perfect matching, and by
     the triangle inequality its edges are at most 2L, so the crossing
-    bottleneck is one of these distances.
+    bottleneck is one of the distances in [L, 2L].
+
+    Only short pairs are listed: the scan starts at a radius of 2.5 times
+    the mean point spacing, which covers L on uniform inputs, and doubles
+    the squared radius until the prefix turns even.
     """
-    sq, u, v = all_pairs_sq(pts)
-    order = np.argsort(sq)
+    n = pts.n
+    width = max(pts.xs) - min(pts.xs)
+    height = max(pts.ys) - min(pts.ys)
+    sq_radius = 25 * max(width * height // n, (max(width, height) // n) ** 2, 1) // 4
+    while True:
+        pairs = pairs_within(pts, sq_radius)
+        try:
+            lower_sq = even_prefix_sq(pairs, n, n)
+        except TooFewPoints:
+            sq_radius *= 2
+            continue
+        return lower_sq, _Window(pts, pairs, sq_radius, 4 * lower_sq)
 
-    def prefix():
-        for start in range(0, len(order), _PREFIX_CHUNK):
-            part = order[start:start + _PREFIX_CHUNK]
-            yield from zip(sq[part].tolist(), u[part].tolist(), v[part].tolist())
 
-    lower_sq = even_prefix_sq(prefix(), pts.n, pts.n)
-    start = np.count_nonzero(sq < lower_sq)
-    stop = len(sq)
-    if 4 * lower_sq < int(sq[order[-1]]):
-        stop = np.count_nonzero(sq <= 4 * lower_sq)
-    window = sq[order[start:stop]]
-    # Not np.unique: it imports numpy.ma, which costs set-up time and memory.
-    return lower_sq, window[np.concatenate(([True], window[1:] != window[:-1]))]
+def _mates(n: int, pairs) -> list[int]:
+    """Each vertex's mate in ``pairs``, -1 if it has none."""
+    mate = [-1] * n
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+    return mate
 
 
 def bottleneck_crossing(pts: PointSet) -> BottleneckCrossingResult:
     """Minimum lambda among the pairwise distances such that the disk graph
     of radius lambda admits a perfect matching, plus a witness matching.
 
-    Feasibility is monotone in lambda, and lambda lies in [L, 2L] for the
-    even-prefix length L (``_crossing_bracket``). The search probes L first,
-    then gallops upward by 1, 3, 7, ... candidates, capped at the last one,
-    and bisects the last gap. The witness is the blossom matching of the
-    disk graph at the minimum.
+    lambda lies in [L, 2L] for the even-prefix length L
+    (``_crossing_bracket``). The search probes L first; on uniform inputs L
+    is usually feasible and its blossom matching is the witness. Otherwise
+    the maximum matching of the last probe names a Tutte barrier A
+    (``tutte_barrier``): while removing A leaves more than |A| odd
+    components, no perfect matching exists, so the next probe is the first
+    length at which that count falls to |A| (``_Window.barrier_sq``). Each
+    probe lies strictly above the last and at most at lambda, so the first
+    feasible one is lambda, and its blossom matching of the disk graph at
+    lambda is the witness.
     """
     n = pts.n
     if n % 2 != 0:
         raise OddPointCount(f"n must be even, got {n}")
     if n == 0:
         return BottleneckCrossingResult(0, Matching.of(pts, []), 0)
-    lower_sq, cands = _crossing_bracket(pts)
-
-    def feasible(i: int):
-        g = disk_graph(pts, int(cands[i]))
-        pairs = max_matching_pairs(n, g.adj)
-        return pairs if len(pairs) * 2 == n else None
-
-    last = len(cands) - 1
-    lo, hi = 0, 0
-    witness = feasible(hi)
-    while witness is None:
-        if hi == last:
-            # The square of an even tree has a perfect matching within 2L.
-            raise InvariantViolation("no perfect matching at twice the even-prefix length")
-        lo, hi = hi + 1, min(2 * hi + 1, last)
-        witness = feasible(hi)
-    while lo < hi:
-        mid = (lo + hi) // 2
-        pairs = feasible(mid)
-        if pairs is not None:
-            witness = pairs
-            hi = mid
-        else:
-            lo = mid + 1
-    return BottleneckCrossingResult(
-        bottleneck_sq=int(cands[hi]), matching=Matching.of(pts, witness), lower_sq=lower_sq
-    )
+    lower_sq, window = _crossing_bracket(pts)
+    adj = disk_graph(pts, lower_sq).adj
+    pairs = max_matching_pairs(n, adj)
+    if len(pairs) * 2 == n:
+        return BottleneckCrossingResult(lower_sq, Matching.of(pts, pairs), lower_sq)
+    sq_radius = lower_sq
+    while len(pairs) * 2 < n:
+        next_sq = window.barrier_sq(adj, sq_radius, tutte_barrier(n, adj, pairs))
+        # adj stays equal to disk_graph(pts, sq_radius).adj.
+        window.extend(adj, sq_radius, next_sq)
+        sq_radius = next_sq
+        pairs = max_matching_pairs(n, adj)
+    return BottleneckCrossingResult(sq_radius, Matching.of(pts, pairs), lower_sq)

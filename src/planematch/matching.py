@@ -48,17 +48,13 @@ class ValidationReport:
 
 
 def _crossing_candidates(pts: PointSet, pairs):
-    """Candidate edge index pairs whose bounding boxes share a grid cell.
+    """Candidate edge index pairs whose bounding boxes overlap.
 
     Exact crossing requires overlapping bounding boxes, so bucketing the
     boxes on a grid sized to the typical edge never misses a crossing pair.
+    Up to 64 edges every pair of boxes is compared, in row-major order.
     """
     m = len(pairs)
-    if m <= 64:
-        for i in range(m):
-            for j in range(i + 1, m):
-                yield i, j
-        return
     xs, ys = pts.xs, pts.ys
     boxes = []
     dims = []
@@ -67,6 +63,14 @@ def _crossing_candidates(pts: PointSet, pairs):
         y0, y1 = (ys[a], ys[b]) if ys[a] <= ys[b] else (ys[b], ys[a])
         boxes.append((x0, y0, x1, y1))
         dims.append(max(x1 - x0, y1 - y0))
+    if m <= 64:
+        for i in range(m):
+            bx = boxes[i]
+            for j in range(i + 1, m):
+                by = boxes[j]
+                if not (bx[0] > by[2] or by[0] > bx[2] or bx[1] > by[3] or by[1] > bx[3]):
+                    yield i, j
+        return
     dims.sort()
     cell = max(1, dims[(19 * m) // 20] + 1)
     buckets: dict[tuple[int, int], list[int]] = {}

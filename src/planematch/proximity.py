@@ -1,5 +1,6 @@
 """Proximity structures: Delaunay triangulation, degree-bounded Euclidean
-MST, threshold forests, disk graphs, second-closest queries and skeletons.
+MST, threshold forests, disk graphs, short-pair lists, second-closest
+queries and skeletons.
 
 The Delaunay triangulation is canonical and exact: every internal edge is
 locally Delaunay under an exact integer incircle test, and exactly
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain, groupby
+from math import isqrt
 from operator import itemgetter
 from typing import Optional
 
@@ -134,12 +136,6 @@ def _span(pts: PointSet) -> tuple[int, int, int]:
     """(min x, min y, largest coordinate range) of a nonempty point set."""
     x0, y0 = min(pts.xs), min(pts.ys)
     return x0, y0, max(max(pts.xs) - x0, max(pts.ys) - y0)
-
-
-def _int64_exact(span: int) -> bool:
-    """Whether every squared distance of a point set with this coordinate
-    span, at most 2 * span^2, fits in int64."""
-    return 2 * span * span < 1 << 63
 
 
 def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
@@ -483,7 +479,7 @@ def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
     2^63 they are computed and sorted in int64, otherwise in Python ints.
     """
     x0, y0, span = _span(pts)
-    if _int64_exact(span):
+    if 2 * span * span < 1 << 63:
         return _sorted_edges_int64(pts, edges, x0, y0)
     return _sorted_edges_exact(pts, edges)
 
@@ -665,28 +661,6 @@ def even_threshold(tree: Tree) -> int:
     return even_prefix_sq(edges, max(tree.vertices, default=-1) + 1, tree.n)
 
 
-def all_pairs_sq(pts: PointSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(sq, u, v): the squared distance of every pair u < v, in
-    lexicographic pair order.
-
-    ``sq`` is int64 when 2 * span^2 < 2^63 for the coordinate span, and an
-    object array of Python ints otherwise, so every entry is exact.
-    """
-    n = pts.n
-    u, v = np.triu_indices(n, 1)
-    x0, y0, span = _span(pts)
-    dtype = np.int64 if _int64_exact(span) else object
-    # Translating in Python first keeps coordinates above 2^63 convertible.
-    xs = np.array([x - x0 for x in pts.xs], dtype=dtype)
-    ys = np.array([y - y0 for y in pts.ys], dtype=dtype)
-    sq = xs[u] - xs[v]
-    sq *= sq
-    dy = ys[u] - ys[v]
-    dy *= dy
-    sq += dy
-    return sq, u, v
-
-
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
     """Graph joining point pairs at squared distance <= sq_radius.
 
@@ -723,6 +697,39 @@ def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
         lst.sort()
     return DiskGraph(adj=adj, sq_radius=sq_radius)
 
+
+
+# With the cell itself, these offsets meet every pair of cells at most two
+# apart once.
+_HALF_NEIGHBOURS = tuple((dx, dy) for dx in range(3) for dy in range(-2, 3) if dx > 0 or dy > 0)
+
+
+def pairs_within(pts: PointSet, sq_radius: int) -> list[tuple[int, int, int]]:
+    """(sq_length, u, v) for every pair u < v at squared distance at most
+    ``sq_radius``, sorted.
+
+    Grid bucketing with cells of side just over half the radius, so a pair
+    within it lies at most two cells apart; Python ints throughout, so every
+    length is exact at any coordinate size.
+    """
+    xs, ys = pts.xs, pts.ys
+    cell = isqrt(max(sq_radius, 0)) // 2 + 1
+    buckets: dict[tuple[int, int], list[int]] = {}
+    for i in range(pts.n):
+        buckets.setdefault((xs[i] // cell, ys[i] // cell), []).append(i)
+    out = []
+    for (cx, cy), members in buckets.items():
+        near = [b for dx, dy in _HALF_NEIGHBOURS for b in buckets.get((cx + dx, cy + dy), ())]
+        for k, a in enumerate(members):
+            xa, ya = xs[a], ys[a]
+            for b in chain(members[k + 1:], near):
+                dx = xa - xs[b]
+                dy = ya - ys[b]
+                sq = dx * dx + dy * dy
+                if sq <= sq_radius:
+                    out.append((sq, a, b) if a < b else (sq, b, a))
+    out.sort()
+    return out
 
 def _kdtree(pts: PointSet):
     """A cKDTree over the translated coordinates, built once and kept on the

@@ -92,7 +92,8 @@ def one_third(
     The rotatable pairs (e, f), e < f, are kept in a table filled once from
     the grid of ``_crossing_candidates``. Each rotation takes the smallest,
     which is the first pair a row-major rescan of the sorted edges would
-    find; afterwards only the two new edges are tested against the others.
+    find; afterwards only the two new edges are tested against the others
+    whose bounding boxes meet theirs.
     """
     covered = m.covered()
     if len(covered) != 2 * m.size:
@@ -101,7 +102,13 @@ def one_third(
         cap = 10 * pts.n**3
     pairs = sorted(m.pairs)
     trace = RotationTrace()
+    xs, ys = pts.xs, pts.ys
 
+    def box(e) -> tuple[int, int, int, int]:
+        (xa, xb), (ya, yb) = sorted((xs[e[0]], xs[e[1]])), sorted((ys[e[0]], ys[e[1]]))
+        return xa, ya, xb, yb
+
+    boxes = {e: box(e) for e in pairs}
     table: dict = {}
 
     def record(e, f) -> None:
@@ -113,10 +120,11 @@ def one_third(
 
     for i, j in _crossing_candidates(pts, pairs):
         record(pairs[i], pairs[j])
+    total = _total_length(pts, pairs)
     while table:
         e, f = min(table)
         repl = table[e, f]
-        before = _total_length(pts, pairs)
+        before = total
         new1 = tuple(sorted(repl[0]))
         new2 = tuple(sorted(repl[1]))
         pairs.remove(f)
@@ -124,13 +132,11 @@ def one_third(
         pairs.append(new1)
         pairs.append(new2)
         pairs.sort()
+        # Re-summed in pair order, so each step's floats are what summing
+        # that matching gives; the next step starts from the same sum.
+        total = _total_length(pts, pairs)
         trace.steps.append(
-            RotationStep(
-                removed=(e, f),
-                added=(new1, new2),
-                total_before=before,
-                total_after=_total_length(pts, pairs),
-            )
+            RotationStep(removed=(e, f), added=(new1, new2), total_before=before, total_after=total)
         )
         if len(trace.steps) >= cap:
             trace.capped = True
@@ -138,11 +144,14 @@ def one_third(
         for key in [k for k in table if e in k or f in k]:
             del table[key]
         # The new edges lie in opposite cones at the old crossing point, so
-        # they cannot cross each other.
-        for g in pairs:
-            if g != new1 and g != new2:
-                record(min(new1, g), max(new1, g))
-                record(min(new2, g), max(new2, g))
+        # they cannot cross each other. Crossing edges have meeting boxes.
+        boxes[new1], boxes[new2] = box(new1), box(new2)
+        for new in (new1, new2):
+            x0, y0, x1, y1 = boxes[new]
+            for g in pairs:
+                gx0, gy0, gx1, gy1 = boxes[g]
+                if gx0 <= x1 and x0 <= gx1 and gy0 <= y1 and y0 <= gy1 and g != new1 and g != new2:
+                    record(min(new, g), max(new, g))
 
     classes: list[list[tuple[int, int]]] = [[], [], []]
     for pair in pairs:

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations
 
 import pytest
@@ -9,8 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planematch import blossom
-from planematch.blossom import AbstractGraph, bottleneck_crossing, max_matching, max_matching_pairs
-from planematch.errors import OddPointCount
+from planematch.blossom import (
+    AbstractGraph,
+    _crossing_bracket,
+    bottleneck_crossing,
+    max_matching,
+    max_matching_pairs,
+    tutte_barrier,
+)
+from planematch.errors import InvariantViolation, OddPointCount
 from planematch.geometry import PointSet
 from planematch.io import gen_points
 from planematch.oracle import exact_bottleneck_plane
@@ -186,6 +194,16 @@ def crossing_corpus():
     yield "collinear", [(k * S, 0) for k in range(20)]
     yield "collinear+1", [(k * S, 0) for k in range(19)] + [(7 * S, 2 * S)]
     yield "obtuse+far", [(0, 0), (2, 0), (1, 1), (10, 0)]
+    # L = 5 joins the star, which has no perfect matching; the barrier
+    # {centre} leaves three odd leaves until two of them meet at 8.
+    star = [(0, 0), (5, 0), (-3, 4), (-3, -4)]
+    yield "star", star
+    yield "star-beyond-2^63", [(2**70 + x * 10**20, 2**70 + y * 10**20) for x, y in star]
+    # A wide star and a far, dense grid: the first scan radius is below L,
+    # and lambda_c lies beyond the radius at which L is found.
+    wide = [(0, 0), (100, 0), (-50, 87), (-50, -87)] + [(1000 + i, j) for i in range(10) for j in range(10)]
+    yield "star+grid", wide
+    yield "star+grid-beyond-2^63", [(2**70 + x * 10**20, 2**70 + y * 10**20) for x, y in wide]
     rng = random.Random(31)
     shift = 2**60
     yield "beyond-2^53", [(shift + rng.randrange(10**6), shift + 3 * k) for k in range(40)]
@@ -237,3 +255,126 @@ def test_bottleneck_crossing_probes_few(monkeypatch):
         assert res.bottleneck_sq != res.lower_sq or len(calls) == 1
     # At most 6 probes per search on average; the full-range search made 16-17.
     assert sum(counts) <= 6 * len(counts), counts
+
+
+def odd_components(n: int, edges, removed: set) -> int:
+    """Odd components of the graph on range(n) minus ``removed``."""
+    parent = list(range(n))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for u, v in edges:
+        if u not in removed and v not in removed:
+            parent[find(u)] = find(v)
+    sizes = Counter(find(v) for v in range(n) if v not in removed)
+    return sum(size % 2 for size in sizes.values())
+
+
+def test_tutte_barrier_leaves_more_odd_components_than_its_size():
+    rng = random.Random(808)
+    checked = 0
+    for _ in range(400):
+        n = rng.randrange(2, 14)
+        edges = [e for e in combinations(range(n), 2) if rng.random() < 0.25]
+        g = AbstractGraph.from_edges(n, edges)
+        pairs = max_matching_pairs(n, g.adj)
+        if 2 * len(pairs) == n:
+            continue
+        barrier = tutte_barrier(n, g.adj, pairs)
+        odd = odd_components(n, edges, set(barrier))
+        # Tutte-Berge: odd - |A| never exceeds the number of exposed vertices.
+        assert len(barrier) < odd <= len(barrier) + n - 2 * len(pairs)
+        checked += 1
+    assert checked > 100
+
+
+def test_tutte_barrier_needs_a_maximum_matching():
+    path = AbstractGraph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    with pytest.raises(InvariantViolation):
+        tutte_barrier(4, path.adj, [(1, 2)])
+
+
+@pytest.mark.parametrize(
+    "name", ["grid6", "circle25+centre", "star+grid", "star+grid-beyond-2^63", "2span^2>=2^63", "uniform120-1"]
+)
+def test_window_extend_gives_the_disk_graph(name):
+    pts = PointSet(dict(crossing_corpus())[name])
+    lower_sq, window = _crossing_bracket(pts)
+    while window._grow():
+        pass
+    assert window.sq_radius >= 4 * lower_sq
+    adj = disk_graph(pts, lower_sq).adj
+    radii = sorted({sq for sq, _, _ in window.pairs if lower_sq < sq <= 4 * lower_sq})
+    assert radii
+    sq = lower_sq
+    for r in radii[:: max(1, len(radii) // 6)] + radii[-1:]:
+        if r > sq:
+            window.extend(adj, sq, r)
+            sq = r
+            assert adj == disk_graph(pts, r).adj
+
+
+def test_crossing_window_grows_past_the_first_radius(monkeypatch):
+    grown = []
+    real = blossom._Window._grow
+
+    def counted(self):
+        grown.append(self.sq_radius)
+        return real(self)
+
+    monkeypatch.setattr(blossom._Window, "_grow", counted)
+    pts = PointSet(dict(crossing_corpus())["star+grid"])
+    res = bottleneck_crossing(pts)
+    # L joins the star at (-50, +-87); two leaves first meet at 150^2 + 87^2.
+    assert (res.lower_sq, res.bottleneck_sq) == (50**2 + 87**2, 150**2 + 87**2)
+    assert grown and max(grown) < res.bottleneck_sq
+
+
+def scaled(pts: PointSet, factor: int, shift: int) -> PointSet:
+    return PointSet((shift + x * factor, shift + y * factor) for x, y in zip(pts.xs, pts.ys))
+
+
+@pytest.mark.parametrize("seed,factor", [(1, 1), (4, 1), (27, 1), (57, 1), (27, 10**15)])
+def test_bottleneck_crossing_barrier_steps_equal_full_search(seed, factor, monkeypatch):
+    steps = []
+    real = blossom.tutte_barrier
+
+    def counted(*args):
+        steps.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(blossom, "tutte_barrier", counted)
+    pts = gen_points(300, seed, "uniform")
+    if factor != 1:
+        # 2 * span^2 >= 2^63: the window holds Python ints.
+        pts = scaled(pts, factor, 2**70)
+    assert_crossing_equals_reference(pts)
+    # L is infeasible on all of these; on 1 and 57 one barrier step is not
+    # enough.
+    assert steps
+    assert len(steps) > 1 or seed not in (1, 57)
+
+
+@pytest.mark.parametrize("name", ["star", "star+grid", "star+grid-beyond-2^63", "seed1", "seed57"])
+def test_barrier_sq_is_the_first_length_leaving_few_odd_components(name):
+    if name.startswith("seed"):
+        pts = gen_points(300, int(name[4:]), "uniform")
+    else:
+        pts = PointSet(dict(crossing_corpus())[name])
+    n = pts.n
+    lower_sq, window = _crossing_bracket(pts)
+    adj = disk_graph(pts, lower_sq).adj
+    pairs = max_matching_pairs(n, adj)
+    assert 2 * len(pairs) < n
+    barrier = tutte_barrier(n, adj, pairs)
+    got = window.barrier_sq(adj, lower_sq, barrier)
+    sq = {(i, j): pts.sq_dist(i, j) for i in range(n) for j in range(i + 1, n)}
+
+    def odd_at(radius):
+        return odd_components(n, [e for e, d in sq.items() if d <= radius], set(barrier))
+
+    below = max(d for d in sq.values() if d < got)
+    assert odd_at(got) <= len(barrier) < odd_at(below)

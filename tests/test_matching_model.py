@@ -6,7 +6,7 @@ import random
 import pytest
 
 from planematch.errors import UnknownPointId
-from planematch.geometry import PointSet
+from planematch.geometry import PointSet, cross_ids
 from planematch.matching import Matching, validate
 
 S = 10**6
@@ -92,3 +92,26 @@ def test_grid_candidate_path_agrees_with_all_pairs():
     got = {(e1, e2) for kind, e1, e2 in rep.violations if kind == "crossing"}
     assert got == want_crossings
     assert rep.is_plane == (not want_crossings)
+
+
+def test_validate_small_matchings_report_crossings_in_row_major_order():
+    # Up to 64 edges the candidates are the pairs with overlapping boxes,
+    # in row-major order; a small grid makes collinear overlaps and touching
+    # endpoints common.
+    rng = random.Random(4242)
+    for _ in range(120):
+        k = rng.randrange(2, 65)
+        coords = set()
+        while len(coords) < 2 * k:
+            coords.add((rng.randrange(0, 16), rng.randrange(0, 16)))
+        pts = PointSet(sorted(coords))
+        ids = list(range(2 * k))
+        rng.shuffle(ids)
+        m = Matching.of(pts, [(ids[2 * i], ids[2 * i + 1]) for i in range(k)])
+        want = [
+            ("crossing", m.pairs[i], m.pairs[j])
+            for i in range(k)
+            for j in range(i + 1, k)
+            if cross_ids(pts, *m.pairs[i], *m.pairs[j])
+        ]
+        assert list(validate(pts, m).violations) == want
