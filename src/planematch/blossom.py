@@ -20,7 +20,7 @@ from operator import itemgetter
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
 from .geometry import PointSet
 from .matching import Matching
-from .proximity import disk_graph, even_prefix_sq, pairs_within
+from .proximity import disk_graph, even_prefix_sq, kruskal, pairs_within
 
 
 @dataclass(frozen=True)
@@ -232,65 +232,35 @@ class _Window:
             insort(adj[a], b)
             insort(adj[b], a)
 
-    def barrier_sq(self, adj, sq_from: int, barrier: list[int]) -> int:
+    def _pairs_avoiding(self, cut: set[int]):
+        """The window's pairs with no end in ``cut``, in order, growing the
+        window when they run out."""
+        start = 0
+        while True:
+            for pair in islice(self.pairs, start, None):
+                if pair[1] not in cut and pair[2] not in cut:
+                    yield pair
+            swept = self.sq_radius
+            if not self._grow():
+                return
+            start = self._after(swept)
+
+    def barrier_sq(self, barrier: list[int]) -> int:
         """The first squared length at which removing ``barrier`` from the
-        disk graph leaves at most |barrier| odd components, given the disk
-        graph ``adj`` at squared radius ``sq_from``, which leaves more.
+        disk graph leaves at most |barrier| odd components.
 
         By the Tutte-Berge formula no disk graph below that length has a
         perfect matching. The one at 4 L^2 has one, so the pass ends in the
-        window. The components of ``adj`` minus the barrier are found first;
-        then a Kruskal pass over the longer pairs merges them.
+        window. It is the ``kruskal`` pass over the pairs that avoid the
+        barrier, from the n - |barrier| odd singletons; the count never
+        rises, so the first edge that brings it to |barrier| has the
+        answer's length.
         """
-        n = len(adj)
-        cut = [False] * n
-        for a in barrier:
-            cut[a] = True
-        comp = [-1] * n
-        odd: list[int] = []
-        for root in range(n):
-            if comp[root] != -1 or cut[root]:
-                continue
-            comp[root] = label = len(odd)
-            stack, size = [root], 0
-            while stack:
-                x = stack.pop()
-                size += 1
-                for y in adj[x]:
-                    if comp[y] == -1 and not cut[y]:
-                        comp[y] = label
-                        stack.append(y)
-            odd.append(size & 1)
-        count, spare = sum(odd), len(barrier)
-        parent = list(range(len(odd)))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = x = parent[parent[x]]
-            return x
-
-        start = self._after(sq_from)
-        while True:
-            for sq, a, b in islice(self.pairs, start, None):
-                if cut[a] or cut[b]:
-                    continue
-                ra, rb = find(comp[a]), find(comp[b])
-                if ra == rb:
-                    continue
-                parent[rb] = ra
-                if odd[ra] and odd[rb]:
-                    odd[ra] = 0
-                    count -= 2
-                    # Counts never rise, so the first edge that reaches
-                    # the spare count has the answer's length.
-                    if count <= spare:
-                        return sq
-                else:
-                    odd[ra] |= odd[rb]
-            swept = self.sq_radius
-            if not self._grow():
-                raise InvariantViolation("no perfect matching at twice the even-prefix length")
-            start = self._after(swept)
+        cut, n = set(barrier), self.pts.n
+        for sq, _, _, odd in kruskal(self._pairs_avoiding(cut), n, n - len(cut)):
+            if odd <= len(cut):
+                return sq
+        raise InvariantViolation("no perfect matching at twice the even-prefix length")
 
 
 def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
@@ -355,7 +325,7 @@ def bottleneck_crossing(pts: PointSet) -> BottleneckCrossingResult:
         return BottleneckCrossingResult(lower_sq, Matching.of(pts, pairs), lower_sq)
     sq_radius = lower_sq
     while len(pairs) * 2 < n:
-        next_sq = window.barrier_sq(adj, sq_radius, tutte_barrier(n, adj, pairs))
+        next_sq = window.barrier_sq(tutte_barrier(n, adj, pairs))
         # adj stays equal to disk_graph(pts, sq_radius).adj.
         window.extend(adj, sq_radius, next_sq)
         sq_radius = next_sq

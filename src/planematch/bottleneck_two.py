@@ -42,6 +42,7 @@ from .proximity import (
     _component_trees,
     _degree_reduce,
     delaunay,
+    kruskal,
     sorted_candidate_edges,
 )
 
@@ -74,55 +75,31 @@ class TreeMatchResult:
 
 
 def even_forest(pts: PointSet) -> EvenForest:
-    """Kruskal over Delaunay edges in (length, lexicographic) order, stopped
-    at the first prefix in which every component has even size.
+    """The ``kruskal`` prefix of the Delaunay edges in (length,
+    lexicographic) order, stopped at the first edge after which every
+    component has even size; that edge and its squared length are
+    ``last_edge`` and ``last_sq``.
 
-    Each tree is the exact MST of its vertex set; the degree-five exchange is
-    applied so downstream degree and angle assumptions hold.
+    The pass stops there even inside a run of equal lengths. Each tree is
+    the exact MST of its vertex set; the degree-five exchange is applied so
+    downstream degree and angle assumptions hold.
     """
     n = pts.n
     if n % 2 != 0:
         raise OddPointCount(f"n must be even, got {n}")
     if n < 2:
         raise TooFewPoints("need at least 2 points")
-    tri = delaunay(pts)
-    parent = list(range(n))
-    size = [1] * n
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    odd = n
-    last_edge = None
-    last_sq = None
-    for sq, u, v in sorted_candidate_edges(pts, tri.edges):
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            continue
-        if size[ru] % 2 == 1 and size[rv] % 2 == 1:
-            odd -= 2
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        size[ru] += size[rv]
+    # The edges come with u < v.
+    for sq, u, v, odd in kruskal(sorted_candidate_edges(pts, delaunay(pts).edges), n, n):
         adj[u].add(v)
         adj[v].add(u)
-        last_edge = (u, v) if u < v else (v, u)
-        last_sq = sq
         if odd == 0:
             break
-    if odd != 0 or last_edge is None:
+    else:
         raise InvariantViolation("even forest construction did not terminate")
     _degree_reduce(pts, adj)
-    return EvenForest(
-        forest=Forest(trees=_component_trees(pts, adj), last_edge=last_edge),
-        last_edge=last_edge,
-        last_sq=last_sq,
-    )
+    return EvenForest(forest=Forest(trees=_component_trees(pts, adj)), last_edge=(u, v), last_sq=sq)
 
 
 def is_anchor(pts: PointSet, tree: Tree, v: int) -> bool:

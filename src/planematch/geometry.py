@@ -54,14 +54,6 @@ class PointSet:
         self.ys = ys
         self._kdtree = None
 
-    @classmethod
-    def from_floats(cls, coords: Iterable[tuple[float, float]]) -> "PointSet":
-        """Build from unscaled decimal coordinates, rounding to 6 places."""
-        return cls(
-            (round(x * SCALE), round(y * SCALE))
-            for x, y in coords
-        )
-
     @property
     def n(self) -> int:
         return len(self.xs)
@@ -369,9 +361,7 @@ def point_in_convex_polygon(pts: PointSet, poly: Sequence[int], p: int) -> bool:
             sign = o
         elif o != sign:
             return False
-    if sign == 0:
-        # p collinear with every edge: degenerate, treat as on-boundary.
-        return True
+    # Also when p is collinear with every edge: degenerate, on the boundary.
     return True
 
 

@@ -1,6 +1,6 @@
-"""Proximity structures: Delaunay triangulation, degree-bounded Euclidean
-MST, threshold forests, disk graphs, short-pair lists, second-closest
-queries and skeletons.
+"""Proximity structures: Delaunay triangulation, the Kruskal pass,
+degree-bounded Euclidean MST, threshold forests, disk graphs, short-pair
+lists, second-closest queries and skeletons.
 
 The Delaunay triangulation is canonical and exact: every internal edge is
 locally Delaunay under an exact integer incircle test, and exactly
@@ -17,27 +17,32 @@ Lawson flip pass repairs it, testing exactly every edge whose certificate
 does not hold. A span of 2^53 or more, or Qhull's joggled fallback, sends
 every edge to the exact test. Exactness therefore depends on the span of the
 coordinates, not on their magnitude.
+
+Every Kruskal pass of the package is ``kruskal``: one union-find over edges
+in length order that reports, with each edge it takes, how many odd
+components are left. ``emst5`` takes its first n - 1 edges, the even forest
+of the second approximation stops where no odd component is left, and
+``even_prefix_sq`` (the even threshold of a tree, and L of the crossing
+bracket) returns that length.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, groupby
+from itertools import chain, islice
 from math import isqrt
-from operator import itemgetter
 from typing import Optional
 
 import numpy as np
 
-from .errors import OddPointCount, TooFewPoints
+from .errors import InvariantViolation, OddPointCount, TooFewPoints
 from .geometry import PointSet, angle_exactly_third_pi, orient, sort_clockwise
 
 
 @dataclass(frozen=True)
 class Triangulation:
-    """Edge and triangle lists of a planar triangulation over point ids."""
+    """Sorted edge list of a planar triangulation over point ids."""
 
     edges: tuple[tuple[int, int], ...]
-    triangles: tuple[tuple[int, int, int], ...]
 
 
 @dataclass
@@ -52,20 +57,8 @@ class Tree:
     def n(self) -> int:
         return len(self.vertices)
 
-    def degree(self, v: int) -> int:
-        return len(self.adj[v])
-
     def edges(self) -> list[tuple[int, int]]:
         return list(self.edge_sq.keys())
-
-    def leaves(self) -> list[int]:
-        return [v for v in self.vertices if len(self.adj[v]) == 1]
-
-    def max_edge_sq(self) -> int:
-        return max(self.edge_sq.values(), default=0)
-
-    def total_sq_lengths(self) -> list[int]:
-        return sorted(self.edge_sq.values())
 
 
 @dataclass
@@ -73,8 +66,6 @@ class Forest:
     """Vertex-disjoint trees jointly covering a point set."""
 
     trees: list[Tree]
-    threshold_sq: Optional[int] = None
-    last_edge: Optional[tuple[int, int]] = None
 
     def tree_of(self) -> dict[int, int]:
         owner: dict[int, int] = {}
@@ -158,7 +149,7 @@ def _coord_edge_key(pts: PointSet, u: int, v: int):
 def _collinear_chain(pts: PointSet) -> Triangulation:
     order = sorted(range(pts.n), key=lambda i: (pts.xs[i], pts.ys[i]))
     edges = tuple(_edge_key(order[i], order[i + 1]) for i in range(pts.n - 1))
-    return Triangulation(edges=edges, triangles=())
+    return Triangulation(edges=edges)
 
 
 def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
@@ -286,9 +277,6 @@ class _FlipMesh:
         self._add_tri([p, q, v])
         return _edge_key(p, q)
 
-    def live_triangles(self) -> list[tuple[int, int, int]]:
-        return [tuple(sorted(t)) for t in self.tris if t is not None]
-
     def live_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_map.keys())
 
@@ -316,7 +304,7 @@ def _canonicalize(pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] 
     while pending:
         guard += 1
         if guard > limit:
-            raise RuntimeError("delaunay canonicalization did not converge")
+            raise InvariantViolation("delaunay canonicalization did not converge")
         edge = pending.pop()
         in_queue.discard(edge)
         if edge[0] * n + edge[1] in certified:
@@ -385,16 +373,12 @@ def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri) -> Optional[set[int]]:
 
 
 def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
-    """The Triangulation of a triangle array: sorted distinct edges, and the
-    triangles in order with sorted vertices."""
+    """The Triangulation of a triangle array: its sorted distinct edges."""
     pairs = np.concatenate((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
     pairs.sort(axis=1)
     codes = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
     lo, hi = np.divmod(codes[np.append(True, codes[1:] != codes[:-1])], n)
-    return Triangulation(
-        edges=tuple(zip(lo.tolist(), hi.tolist())),
-        triangles=tuple(map(tuple, np.sort(simplices, axis=1).tolist())),
-    )
+    return Triangulation(edges=tuple(zip(lo.tolist(), hi.tolist())))
 
 
 def delaunay(pts: PointSet) -> Triangulation:
@@ -408,7 +392,7 @@ def delaunay(pts: PointSet) -> Triangulation:
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     if n == 2:
-        return Triangulation(edges=(_edge_key(0, 1),), triangles=())
+        return Triangulation(edges=(_edge_key(0, 1),))
     xs, ys = pts.xs, pts.ys
     collinear = True
     for k in range(2, n):
@@ -433,47 +417,49 @@ def delaunay(pts: PointSet) -> Triangulation:
     # flips keep the set of triangle vertices, so check it here.
     missing = np.flatnonzero(np.bincount(tri.simplices.ravel(), minlength=n) == 0)
     if missing.size:
-        raise RuntimeError(f"triangulation dropped points: {missing[:5].tolist()}")
+        raise InvariantViolation(f"triangulation dropped points: {missing[:5].tolist()}")
     certified = _certify_or_flip(pts, xy, tri) if exact_floats else set()
     if certified is None:
         return _triangulation_of(tri.simplices, n)
     mesh = _FlipMesh(pts, tri.simplices.tolist())
     _canonicalize(pts, mesh, certified)
-    return Triangulation(
-        edges=tuple(mesh.live_edges()),
-        triangles=tuple(mesh.live_triangles()),
-    )
+    return Triangulation(edges=tuple(mesh.live_edges()))
 
 
-class _UnionFind:
-    __slots__ = ("parent", "size")
+def kruskal(edges, size: int, odd: int):
+    """Kruskal's pass over ``edges``: yields (sq, u, v, odd) for each edge
+    that joins two components, where ``odd`` is the number of odd
+    components after it.
 
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        parent = self.parent
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
+    ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
+    ids below ``size``; ``odd`` is the number of vertices taking part, each
+    an odd singleton at the start. Merging two even or two odd components
+    leaves no new odd one, so the count never rises. An edge inside one
+    component is skipped, which keeps the count right on graphs with cycles.
+    """
+    parent = list(range(size))
+    weight = [1] * size
+    for sq, u, v in edges:
+        ru = u
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        rv = v
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru == rv:
+            continue
+        wu, wv = weight[ru], weight[rv]
+        odd -= 2 * (wu & wv & 1)
+        if wu < wv:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        weight[ru] = wu + wv
+        yield sq, u, v, odd
 
 
 def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
-    """Edges as (sq_length, u, v), sorted by (length, lexicographic pair).
+    """Edges as (sq_length, u, v) with u < v, sorted by (length,
+    lexicographic pair).
 
     Squared lengths are at most 2 * span^2 for the coordinate span; below
     2^63 they are computed and sorted in int64, otherwise in Python ints.
@@ -521,7 +507,7 @@ def _degree_reduce(pts: PointSet, adj: dict[int, set[int]]) -> None:
     while over:
         guard += 1
         if guard > 10 * len(adj) + 100:
-            raise RuntimeError("degree reduction did not converge")
+            raise InvariantViolation("degree reduction did not converge")
         v = over.pop()
         if len(adj[v]) < 6:
             continue
@@ -533,7 +519,7 @@ def _degree_reduce(pts: PointSet, adj: dict[int, set[int]]) -> None:
             if angle_exactly_third_pi(pts, u, v, w):
                 candidates.append((u, w))
         if not candidates:
-            raise RuntimeError("degree-6 vertex without an exact pi/3 pair")
+            raise InvariantViolation("degree-6 vertex without an exact pi/3 pair")
         # Keep the edge to the endpoint of lowest degree; the kept endpoint
         # gains the new leaf-leaf edge.
         best = None
@@ -566,9 +552,9 @@ def _tree_from_adj(pts: PointSet, vertices, adj) -> Tree:
 def emst5(pts: PointSet) -> Tree:
     """Euclidean minimum spanning tree with maximum degree at most five.
 
-    Kruskal over the Delaunay edges with (length, lexicographic) tie order,
-    followed by the exact pi/3 exchange on any degree-6 vertex. Total weight
-    equals the unconstrained EMST weight.
+    The first n - 1 edges ``kruskal`` takes from the Delaunay edges in
+    (length, lexicographic) order, followed by the exact pi/3 exchange on
+    any degree-6 vertex. Total weight equals the unconstrained EMST weight.
     """
     n = pts.n
     if n < 1:
@@ -576,16 +562,10 @@ def emst5(pts: PointSet) -> Tree:
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     if n == 1:
         return _tree_from_adj(pts, [0], adj)
-    tri = delaunay(pts)
-    uf = _UnionFind(n)
-    taken = 0
-    for _, u, v in sorted_candidate_edges(pts, tri.edges):
-        if uf.union(u, v):
-            adj[u].add(v)
-            adj[v].add(u)
-            taken += 1
-            if taken == n - 1:
-                break
+    edges = sorted_candidate_edges(pts, delaunay(pts).edges)
+    for _, u, v, _ in islice(kruskal(edges, n, n), n - 1):
+        adj[u].add(v)
+        adj[v].add(u)
     _degree_reduce(pts, adj)
     return _tree_from_adj(pts, range(n), adj)
 
@@ -619,31 +599,20 @@ def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
         if sq <= sq_limit:
             adj[u].add(v)
             adj[v].add(u)
-    return Forest(trees=_component_trees(pts, adj), threshold_sq=sq_limit)
+    return Forest(trees=_component_trees(pts, adj))
 
 
 def even_prefix_sq(edges, size: int, odd: int) -> int:
-    """The first squared length at which a Kruskal pass over ``edges`` leaves
-    no odd component.
+    """The first squared length at which the ``kruskal`` pass over ``edges``
+    (same arguments) leaves no odd component.
 
-    ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
-    ids below ``size``; ``odd`` is the number of vertices taking part, each
-    an odd singleton at the start. Merging two even or two odd components
-    leaves no new odd one, so every length at or above the answer is
-    all-even and every one below has an odd component. An edge inside one
-    component changes nothing, which keeps the count right on graphs with
-    cycles.
+    That is the length of the first edge that brings the count to zero. The
+    count never rises, so every length at or above the answer is all-even,
+    even where the pass stops inside a run of equal lengths, and every one
+    below has an odd component.
     """
-    uf = _UnionFind(size)
-    sizes = uf.size
-    for sq, group in groupby(edges, itemgetter(0)):
-        for _, u, v in group:
-            ru, rv = uf.find(u), uf.find(v)
-            if ru == rv:
-                continue
-            odd -= 2 * (sizes[ru] & sizes[rv] & 1)
-            uf.union(ru, rv)
-        if odd == 0:
+    for sq, _, _, left in kruskal(edges, size, odd):
+        if left == 0:
             return sq
     raise TooFewPoints("no edge length leaves every component even")
 

@@ -370,7 +370,7 @@ def test_barrier_sq_is_the_first_length_leaving_few_odd_components(name):
     pairs = max_matching_pairs(n, adj)
     assert 2 * len(pairs) < n
     barrier = tutte_barrier(n, adj, pairs)
-    got = window.barrier_sq(adj, lower_sq, barrier)
+    got = window.barrier_sq(barrier)
     sq = {(i, j): pts.sq_dist(i, j) for i in range(n) for j in range(i + 1, n)}
 
     def odd_at(radius):

@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import json
+import runpy
+import sys
 
 import pytest
 
@@ -200,6 +202,28 @@ def test_cli_error_object(capsys):
     code, rep = run_cli(capsys, "exact", "--n", "7", "--seed", "0")
     assert code == 2
     assert rep["error"]["code"] == "odd_point_count"
+
+
+@pytest.mark.parametrize("algorithm", ["approx1", "approx2"])
+def test_cli_error_on_dropped_points(capsys, tmp_path, algorithm):
+    # Ten points on a line and two 3,000,000 units away, one of them
+    # 10^-6 off the line: Qhull drops five of the ten.
+    f = tmp_path / "pts.txt"
+    lines = [f"{x} 0" for x in range(10)] + ["3000000 0.000001", "3000000 5"]
+    f.write_text("12\n" + "\n".join(lines) + "\n")
+    code, rep = run_cli(capsys, algorithm, "--input", str(f))
+    assert code == 2
+    assert rep["error"]["code"] == "invariant_violation"
+    assert "dropped points" in rep["error"]["message"]
+
+
+def test_python_m_planematch(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["planematch", "approx2", "--n", "8"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("planematch", run_name="__main__")
+    assert exit_.value.code == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert rep["algorithm"] == "approx2" and rep["n"] == 8
 
 
 def test_cli_error_on_unreadable_file(capsys, tmp_path):

@@ -1,19 +1,25 @@
-"""Golden outputs: both approximations are deterministic, so refactors of the
+"""Golden outputs: every algorithm is deterministic, so refactors of the
 layers under them must reproduce these matchings byte for byte.
 
 Each digest is the sha256 of the JSON list of matched pairs, in the sorted
-order ``Matching.pairs`` keeps.
+order ``Matching.pairs`` keeps (for an even forest, of its sorted tree
+edges). Unit lattices have every shortest edge of the same length, so their
+digests pin Kruskal's tie order.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import random
 
 import pytest
 
+from planematch.blossom import bottleneck_crossing
 from planematch.bottleneck_one import first_approx
-from planematch.bottleneck_two import second_approx
+from planematch.bottleneck_two import even_forest, second_approx
+from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
+from planematch.udg import plane_matching
 
 GOLDENS = {
     (1, "uniform"): (
@@ -35,8 +41,66 @@ GOLDENS = {
 }
 
 
+# (seed, shift) -> (plane_matching digest, even_forest (last_edge, last_sq,
+# digest of the forest's edges)).
+LATTICE_GOLDENS = {
+    (1, 0): (
+        "edfb040327aeac1e07fd4cd6f6ee52559f08f76d790c2810068c9e1d3ee2646c",
+        ((233, 251), SCALE * SCALE, "97841572d4aee4f62c787219e6f9a9912d26a6dd65c4c1a625cee15c7d55c116"),
+    ),
+    (2, 0): (
+        "6ae327bc08bde11bc35aa9e9f54c375ec46c355185cc86abcefdaa496b170eb8",
+        ((206, 215), SCALE * SCALE, "b2d3389d1d0c983d472c411f0246de79b5a4b2d1a265d36b3f16f634080d7c56"),
+    ),
+    (5, 2**60): (
+        "b58d8b28804bfdd09e369d2567d414f749d29d9c0e66aa1c3cf8d334313de00c",
+        ((246, 259), SCALE * SCALE, "1d776ee9d3c55210d264b014813b6ec052d2e38633249cb2ee6982998fcce68f"),
+    ),
+}
+
+# seed -> (last_edge, last_sq, digest of the forest's edges) of even_forest
+# on a lattice with holes: it stops inside a run of diagonal edges, some of
+# which would still join two of its trees.
+HOLED_GOLDENS = {
+    2: ((53, 62), 2 * SCALE * SCALE, "7486e49acc0547e2bd5ff8acd8f4a4d6ff92a96cfee49c44fe54c92595f69e4b"),
+    3: ((127, 134), 2 * SCALE * SCALE, "0280819a51ba322eb1f897d652ed3fb7f89ca4e07bbb64378159a8b59435654d"),
+}
+
+# seed -> (bottleneck_sq, lower_sq, witness digest) on gen_points(300, seed).
+# L is infeasible on both, and each takes several Tutte-barrier steps.
+CROSSING_GOLDENS = {
+    1: (6855197014046025, 6243558952033901, "9332b05782446e5e5561630f23ebbd8e5ad50eee9b8622d9a8f96905b001a8bc"),
+    57: (7209324813924584, 6485465866640245, "1f04e0aa9f757126d3e2106955173c0132df4590f6815789da17d7330c5131a4"),
+}
+
+
+def _digest_pairs(pairs) -> str:
+    return hashlib.sha256(json.dumps([list(p) for p in pairs]).encode()).hexdigest()
+
+
 def _digest(m) -> str:
-    return hashlib.sha256(json.dumps([list(p) for p in m.pairs]).encode()).hexdigest()
+    return _digest_pairs(m.pairs)
+
+
+def unit_lattice(seed: int, shift: int) -> PointSet:
+    """A lattice of spacing SCALE and even width, sized by ``seed``."""
+    rng = random.Random(seed)
+    w = 2 * rng.randrange(6, 13)
+    h = rng.randrange(9, 19)
+    return PointSet((shift + x * SCALE, shift + y * SCALE) for x in range(w) for y in range(h))
+
+
+def holed_lattice(seed: int) -> PointSet:
+    """About 60% of a 16 x 15 lattice of spacing SCALE, chosen by ``seed``,
+    less the last point when the count is odd."""
+    rng = random.Random(seed)
+    cells = [(x, y) for x in range(16) for y in range(15) if rng.random() < 0.6]
+    cells = cells[: len(cells) - len(cells) % 2]
+    return PointSet((x * SCALE, y * SCALE) for x, y in cells)
+
+
+def forest_digest(ef) -> str:
+    return _digest_pairs(sorted(e for t in ef.forest.trees for e in t.edges()))
 
 
 @pytest.mark.parametrize("seed,mode", sorted(GOLDENS))
@@ -45,3 +109,26 @@ def test_golden_matchings(seed, mode):
     first, second = GOLDENS[(seed, mode)]
     assert _digest(first_approx(pts)) == first
     assert _digest(second_approx(pts)) == second
+
+
+@pytest.mark.parametrize("seed,shift", sorted(LATTICE_GOLDENS))
+def test_golden_unit_lattice(seed, shift):
+    pts = unit_lattice(seed, shift)
+    udg, (last_edge, last_sq, forest) = LATTICE_GOLDENS[(seed, shift)]
+    assert _digest(plane_matching(pts)) == udg
+    ef = even_forest(pts)
+    assert (ef.last_edge, ef.last_sq, forest_digest(ef)) == (last_edge, last_sq, forest)
+
+
+@pytest.mark.parametrize("seed", sorted(HOLED_GOLDENS))
+def test_golden_even_forest_stops_inside_a_tie(seed):
+    ef = even_forest(holed_lattice(seed))
+    assert (ef.last_edge, ef.last_sq, forest_digest(ef)) == HOLED_GOLDENS[seed]
+
+
+@pytest.mark.parametrize("seed", sorted(CROSSING_GOLDENS))
+def test_golden_crossing_bottleneck(seed):
+    res = bottleneck_crossing(gen_points(300, seed, "uniform"))
+    bottleneck_sq, lower_sq, witness = CROSSING_GOLDENS[seed]
+    assert (res.bottleneck_sq, res.lower_sq) == (bottleneck_sq, lower_sq)
+    assert _digest(res.matching) == witness
