@@ -13,7 +13,6 @@ cases. Every iteration matches at least four fifths of what it removes.
 from __future__ import annotations
 
 import heapq
-from collections import defaultdict
 from dataclasses import dataclass
 from typing import Optional
 
@@ -45,6 +44,7 @@ from .proximity import (
     kruskal,
     sorted_candidate_edges,
 )
+from .udg import _LiveTree
 
 
 @dataclass
@@ -124,46 +124,24 @@ def is_anchor(pts: PointSet, tree: Tree, v: int) -> bool:
 class _TreeMatcher:
     """Incremental matcher for one even tree.
 
-    Maintains degrees, internal-neighbour counts and the second-level
-    skeleton membership under batched vertex removals, each update touching
-    only a constant-size neighbourhood.
+    The live tree and its skeleton leaves are a ``_LiveTree``; the matcher
+    adds the second-level skeleton ``tdp`` (vertices with at least two
+    internal neighbours) and a heap of its candidate leaves, both updated
+    from the vertices each removal batch changes.
     """
 
     def __init__(self, pts: PointSet, tree: Tree, validate_regions: bool = False):
         self.pts = pts
-        self.tree = tree
         self.validate_regions = validate_regions
-        self.alive: set[int] = set(tree.vertices)
-        self.adj: dict[int, set[int]] = {v: set(tree.adj[v]) for v in tree.vertices}
-        self.deg: dict[int, int] = {v: len(self.adj[v]) for v in tree.vertices}
-        self.int_deg: dict[int, int] = {
-            v: sum(1 for u in self.adj[v] if self.deg[u] >= 2)
-            for v in tree.vertices
-        }
-        self.t_size = tree.n
-        self.tdp: set[int] = {
-            v
-            for v in tree.vertices
-            if self.deg[v] >= 2 and self.int_deg[v] >= 2
-        }
+        self.live = live = _LiveTree(tree)
+        self.tdp: set[int] = {v for v in tree.vertices if live.deg[v] >= 2 and live.int_deg[v] >= 2}
         self.pairs: list[tuple[int, int]] = []
         self.rounds: list[tuple[int, int]] = []
         self.regions: list[tuple[int, ...]] = []
-        self.heap1: list[int] = []
-        self.heap2: list[int] = []
-        self.in1: set[int] = set()
-        self.in2: set[int] = set()
-        for v in tree.vertices:
-            self._push1(v)
-            self._push2(v)
+        self.heap2: list[int] = sorted(self.tdp)  # a sorted list is a heap
+        self.in2: set[int] = set(self.tdp)
 
     # -- structure maintenance -------------------------------------------
-
-    def _push1(self, v: int) -> None:
-        if v in self.alive and self.deg[v] >= 2 and self.int_deg[v] <= 1:
-            if v not in self.in1:
-                heapq.heappush(self.heap1, v)
-                self.in1.add(v)
 
     def _push2(self, v: int) -> None:
         if v in self.tdp and v not in self.in2:
@@ -172,92 +150,46 @@ class _TreeMatcher:
 
     def _remove(self, removed: list[int], matched: int) -> None:
         self.rounds.append((len(removed), matched))
-        rset = set(removed)
-        if len(rset) != len(removed):
-            raise InvariantViolation("duplicate vertex in removal batch")
-        adj, deg, int_deg = self.adj, self.deg, self.int_deg
-        was_int = {r: deg[r] >= 2 for r in removed}
-        det: dict[int, int] = defaultdict(int)
-        det_int: dict[int, int] = defaultdict(int)
-        for r in removed:
-            for s in adj[r]:
-                if s in rset:
-                    continue
-                det[s] += 1
-                if was_int[r]:
-                    det_int[s] += 1
-        flipped = []
-        for s, cnt in det.items():
-            old_deg = deg[s]
-            deg[s] = old_deg - cnt
-            int_deg[s] -= det_int[s]
-            adj[s].difference_update(rset)
-            if old_deg >= 2 and deg[s] <= 1:
-                flipped.append(s)
-        for r in removed:
-            self.alive.discard(r)
-            self.tdp.discard(r)
-            adj[r] = set()
-            deg[r] = 0
-            int_deg[r] = 0
-        self.t_size -= len(removed)
-        for s in flipped:
-            for t in adj[s]:
-                int_deg[t] -= 1
-        affected = set(det.keys())
-        for s in flipped:
-            affected.update(adj[s])
-        for x in affected:
-            if deg[x] >= 2 and int_deg[x] >= 2:
-                self.tdp.add(x)
+        live, tdp = self.live, self.tdp
+        changed = live.remove(removed)
+        tdp.difference_update(removed)
+        for x in changed:
+            if live.deg[x] >= 2 and live.int_deg[x] >= 2:
+                tdp.add(x)
             else:
-                self.tdp.discard(x)
-        push_set = set(affected)
-        for x in affected:
-            push_set.update(adj[x])
-        for x in push_set:
-            if x in self.alive:
-                self._push1(x)
-                self._push2(x)
+                tdp.discard(x)
+        # A second-skeleton degree changes when a neighbour joins or leaves tdp.
+        for x in changed:
+            self._push2(x)
+            for u in live.adj[x]:
+                self._push2(u)
 
     # -- local predicates --------------------------------------------------
 
-    def _leaves_of(self, v: int) -> list[int]:
-        return sorted(u for u in self.adj[v] if self.deg[u] == 1)
-
-    def _internal_nbr(self, v: int) -> Optional[int]:
-        for u in self.adj[v]:
-            if self.deg[u] >= 2:
-                return u
-        return None
-
     def _is_anchor(self, v: int) -> bool:
-        if self.deg[v] != 3 or self.int_deg[v] != 1:
+        if self.live.deg[v] != 3 or self.live.int_deg[v] != 1:
             return False
-        w = self._internal_nbr(v)
-        leaves = self._leaves_of(v)
+        w = self.live.internal_nbr(v)
+        leaves = self.live.leaves_of(v)
         u1, u2 = sort_clockwise(self.pts, v, leaves, w)
         return cw_ge_pi(self.pts, u1, v, u2)
 
     def _anchor_leaves(self, v: int, w: int) -> tuple[int, int]:
-        leaves = self._leaves_of(v)
+        leaves = self.live.leaves_of(v)
         if len(leaves) != 2:
             raise InvariantViolation(f"anchor {v} has {len(leaves)} leaves")
         u1, u2 = sort_clockwise(self.pts, v, leaves, w)
         return u1, u2
 
     def _tdp_degree(self, v: int) -> int:
-        return sum(1 for u in self.adj[v] if u in self.tdp)
+        return sum(1 for u in self.live.adj[v] if u in self.tdp)
 
     def _pop_step1(self) -> Optional[int]:
-        while self.heap1:
-            v = heapq.heappop(self.heap1)
-            self.in1.discard(v)
-            if v not in self.alive or self.deg[v] < 2 or self.int_deg[v] > 1:
-                continue
-            if self._is_anchor(v):
-                continue
-            return v
+        """The smallest skeleton leaf that is not an anchor. An anchor stays
+        out of the heap until a removal changes its counts."""
+        while (v := self.live.pop_leaf()) is not None:
+            if not self._is_anchor(v):
+                return v
         return None
 
     def _pop_step2(self) -> Optional[int]:
@@ -293,10 +225,10 @@ class _TreeMatcher:
     # -- step 1 -------------------------------------------------------------
 
     def _step1(self, v: int) -> None:
-        w = self._internal_nbr(v)
+        w = self.live.internal_nbr(v)
         if w is None:
             raise InvariantViolation("skeleton-isolated vertex in a large tree")
-        leaves = self._leaves_of(v)
+        leaves = self.live.leaves_of(v)
         k = len(leaves)
         if k == 1:
             self._add_pair(v, leaves[0])
@@ -516,10 +448,10 @@ class _TreeMatcher:
         return pos[v1] < pos[x] < pos[v2]
 
     def _hub_order(self, w, y) -> list[int]:
-        others = [u for u in self.adj[w] if u != y]
+        others = [u for u in self.live.adj[w] if u != y]
         if y is not None:
             return sort_clockwise(self.pts, w, others, y)
-        ref = min(u for u in others if self.deg[u] >= 2)
+        ref = min(u for u in others if self.live.deg[u] >= 2)
         return sort_clockwise(self.pts, w, others, ref)
 
     def _case_four(self, w, anchors_cw, ab) -> None:
@@ -584,15 +516,15 @@ class _TreeMatcher:
 
     def _step2(self, w: int) -> None:
         y = None
-        for u in self.adj[w]:
+        for u in self.live.adj[w]:
             if u in self.tdp:
                 y = u
                 break
         if y is None:
             raise InvariantViolation("second-skeleton leaf without neighbour")
         order = self._hub_order(w, y)
-        anchors_cw = [u for u in order if self.deg[u] >= 2]
-        x_cw = [u for u in order if self.deg[u] == 1]
+        anchors_cw = [u for u in order if self.live.deg[u] >= 2]
+        x_cw = [u for u in order if self.live.deg[u] == 1]
         for v in anchors_cw:
             if not self._is_anchor(v):
                 raise InvariantViolation(f"hub neighbour {v} is not an anchor")
@@ -601,8 +533,8 @@ class _TreeMatcher:
     def _base_case_hub(self, w: int) -> None:
         """Single second-level-skeleton vertex: consume the whole tree."""
         order = self._hub_order(w, None)
-        anchors_cw = [u for u in order if self.deg[u] >= 2]
-        x_cw = [u for u in order if self.deg[u] == 1]
+        anchors_cw = [u for u in order if self.live.deg[u] >= 2]
+        x_cw = [u for u in order if self.live.deg[u] == 1]
         k = len(anchors_cw)
         merge_rounds = 1
         if k < 2:
@@ -614,7 +546,7 @@ class _TreeMatcher:
             pair = None
             for i in range(m):
                 u1, u2 = order[i], order[(i + 1) % m]
-                if self.deg[u1] == 1 and self.deg[u2] == 1:
+                if self.live.deg[u1] == 1 and self.live.deg[u2] == 1:
                     pair = (u1, u2)
                     break
             if pair is None:
@@ -642,20 +574,20 @@ class _TreeMatcher:
         pts = self.pts
         center = None
         for v in vs:
-            if self.deg[v] == 3:
+            if self.live.deg[v] == 3:
                 center = v
                 break
         pairs_before = len(self.pairs)
         if center is None:
             # Path: each end pairs with its neighbour.
-            ends = sorted(v for v in vs if self.deg[v] == 1)
+            ends = sorted(v for v in vs if self.live.deg[v] == 1)
             e1 = ends[0]
-            n1 = next(iter(self.adj[e1]))
+            n1 = next(iter(self.live.adj[e1]))
             rest = [v for v in vs if v not in (e1, n1)]
             self._add_pair(e1, n1)
             self._add_pair(rest[0], rest[1])
         else:
-            leaves = self._leaves_of(center)
+            leaves = self.live.leaves_of(center)
             best = None
             for i in range(3):
                 for j in range(i + 1, 3):
@@ -675,7 +607,7 @@ class _TreeMatcher:
 
     def _match_star6(self, center: int) -> None:
         pts = self.pts
-        leaves = self._leaves_of(center)
+        leaves = self.live.leaves_of(center)
         ref = leaves[0]
         order = [ref] + sort_clockwise(pts, center, [u for u in leaves if u != ref], ref)
         gaps_ok = [
@@ -756,15 +688,15 @@ class _TreeMatcher:
         )
 
     def _base_small(self) -> None:
-        t = self.t_size
-        vs = sorted(self.alive)
+        vs = sorted(self.live.alive)
+        t = len(vs)
         if t == 0:
             return
         if t in (1, 3):
             raise InvariantViolation(f"unreachable base case t={t}")
         if t == 2:
             a, b = vs
-            if b not in self.adj[a]:
+            if b not in self.live.adj[a]:
                 raise InvariantViolation("two leftover vertices not adjacent")
             self._add_pair(a, b)
             self._remove(vs, 2)
@@ -773,44 +705,45 @@ class _TreeMatcher:
             self._match_four(vs)
             return
         if t == 5:
-            maxdeg = max(self.deg[v] for v in vs)
+            maxdeg = max(self.live.deg[v] for v in vs)
             cands = sorted(
                 u
                 for u in vs
-                if self.deg[u] == 1
-                and any(self.deg[x] == maxdeg for x in self.adj[u])
+                if self.live.deg[u] == 1
+                and any(self.live.deg[x] == maxdeg for x in self.live.adj[u])
             )
             if not cands:
                 raise InvariantViolation("five-vertex tree without droppable leaf")
             drop = cands[0]
             self._remove([drop], 0)
-            self._match_four(sorted(self.alive))
+            self._match_four(sorted(self.live.alive))
             self._merge_last_rounds(2)
             return
         # t == 6
         for u in vs:
-            if self.deg[u] == 1:
-                d = next(iter(self.adj[u]))
-                if self.deg[d] == 2:
+            if self.live.deg[u] == 1:
+                d = next(iter(self.live.adj[u]))
+                if self.live.deg[d] == 2:
                     self._add_pair(u, d)
                     self._remove([u, d], 2)
-                    self._match_four(sorted(self.alive))
+                    self._match_four(sorted(self.live.alive))
                     return
-        centers = [v for v in vs if self.deg[v] == 5]
+        centers = [v for v in vs if self.live.deg[v] == 5]
         if centers:
             self._match_star6(centers[0])
             return
-        deg3 = sorted(v for v in vs if self.deg[v] == 3)
-        if len(deg3) != 2 or deg3[1] not in self.adj[deg3[0]]:
+        deg3 = sorted(v for v in vs if self.live.deg[v] == 3)
+        if len(deg3) != 2 or deg3[1] not in self.live.adj[deg3[0]]:
             raise InvariantViolation("unexpected six-vertex tree shape")
         self._match_six_two_centers(deg3[0], deg3[1])
 
     # -- driver ---------------------------------------------------------------
 
     def run(self) -> TreeMatchResult:
-        if self.t_size % 2 != 0:
-            raise OddPointCount(f"tree has odd size {self.t_size}")
-        while self.t_size > 6:
+        alive = self.live.alive
+        if len(alive) % 2 != 0:
+            raise OddPointCount(f"tree has odd size {len(alive)}")
+        while len(alive) > 6:
             v = self._pop_step1()
             if v is not None:
                 self._step1(v)

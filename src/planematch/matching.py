@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from .errors import FormatError
 from .geometry import PointSet, segments_cross_coords
 
 
@@ -19,10 +20,15 @@ class Matching:
 
     @classmethod
     def of(cls, pts: PointSet, pairs) -> "Matching":
+        """Normalise the pairs to ``a < b`` and sort them. Raises
+        UnknownPointId for an id outside ``pts`` and FormatError for a pair
+        of a point with itself."""
         norm = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
         for a, b in norm:
             pts.check_id(a)
             pts.check_id(b)
+            if a == b:
+                raise FormatError(f"pair ({a}, {b}) matches a point with itself")
         bq = max((pts.sq_dist(a, b) for a, b in norm), default=0)
         return cls(pairs=norm, bottleneck_sq=bq)
 

@@ -5,9 +5,12 @@ at least a third of any (possibly crossing) matching while never lengthening
 its bottleneck, and a skeleton-peeling matching of the degree-bounded MST of
 a connected unit disk graph with at least (n-1)/5 edges.
 
-The peeling engine is shared with the bottleneck approximations, which rerun
-it with a pre-matched seed pair, forbidden vertices and a segment that
-matched edges must avoid crossing.
+One removal core, ``_LiveTree``, tracks the live tree under vertex removal:
+degrees, internal degrees and a heap of skeleton leaves. ``run_peeling`` is
+a thin driver over it, which the first bottleneck approximation reruns with
+a pre-matched seed pair, forbidden vertices and a segment that matched edges
+must avoid crossing; the second approximation's tree matcher builds on the
+same core.
 """
 from __future__ import annotations
 
@@ -189,6 +192,78 @@ class PeelResult:
     skipped: int
 
 
+class _LiveTree:
+    """The live part of a tree under vertex removal.
+
+    Keeps the adjacency sets of the live vertices, their degrees ``deg``
+    and internal degrees ``int_deg`` (live neighbours that are not leaves),
+    and a min-heap of skeleton leaves: live vertices with deg >= 2 and
+    int_deg <= 1. The heap is lazy; ``remove`` pushes every vertex whose
+    counts change, so ``pop_leaf`` returns the smallest skeleton leaf.
+    """
+
+    def __init__(self, tree: Tree):
+        vertices = tree.vertices
+        self.alive = set(vertices)
+        self.adj: dict[int, set[int]] = {v: set(tree.adj[v]) for v in vertices}
+        deg = self.deg = {v: len(self.adj[v]) for v in vertices}
+        self.int_deg = {v: sum(1 for u in self.adj[v] if deg[u] >= 2) for v in vertices}
+        self.heap = [v for v in vertices if self.is_skeleton_leaf(v)]
+        heapq.heapify(self.heap)
+        self.in_heap = set(self.heap)
+
+    def is_skeleton_leaf(self, v: int) -> bool:
+        return v in self.alive and self.deg[v] >= 2 and self.int_deg[v] <= 1
+
+    def pop_leaf(self) -> Optional[int]:
+        """Pop the smallest live skeleton leaf, or None when there is none."""
+        while self.heap:
+            v = heapq.heappop(self.heap)
+            self.in_heap.discard(v)
+            if self.is_skeleton_leaf(v):
+                return v
+        return None
+
+    def leaves_of(self, v: int) -> list[int]:
+        return sorted(u for u in self.adj[v] if self.deg[u] == 1)
+
+    def internal_nbr(self, v: int) -> Optional[int]:
+        for u in self.adj[v]:
+            if self.deg[u] >= 2:
+                return u
+        return None
+
+    def remove(self, batch: Sequence[int]) -> set[int]:
+        """Delete the vertices one at a time and return the live vertices
+        whose ``deg`` or ``int_deg`` changed, after pushing them."""
+        alive, adj, deg, int_deg = self.alive, self.adj, self.deg, self.int_deg
+        changed: set[int] = set()
+        for r in batch:
+            if r not in alive:
+                raise InvariantViolation(f"vertex {r} is removed twice or not in the tree")
+            alive.discard(r)
+            internal = deg[r] >= 2
+            for s in adj[r]:
+                nbrs = adj[s]
+                nbrs.discard(r)
+                changed.add(s)
+                if internal:
+                    int_deg[s] -= 1
+                deg[s] -= 1
+                if deg[s] == 1:
+                    # s became a leaf, so its last neighbour lost an internal one.
+                    for t in nbrs:
+                        int_deg[t] -= 1
+                        changed.add(t)
+            adj[r].clear()
+        changed &= alive
+        for v in changed:
+            if v not in self.in_heap and self.is_skeleton_leaf(v):
+                heapq.heappush(self.heap, v)
+                self.in_heap.add(v)
+        return changed
+
+
 def run_peeling(
     pts: PointSet,
     tree: Tree,
@@ -205,38 +280,14 @@ def run_peeling(
     never matched; candidate edges crossing ``avoid`` are skipped. A leftover
     single edge is appended when present.
     """
-    vertices = tree.vertices
-    alive = set(vertices)
-    adj: dict[int, set[int]] = {v: set(tree.adj[v]) for v in vertices}
-    deg = {v: len(adj[v]) for v in vertices}
-    int_deg = {
-        v: sum(1 for u in adj[v] if deg[u] >= 2) for v in vertices
-    }
-    heap = [v for v in vertices if deg[v] >= 2 and int_deg[v] <= 1]
-    heapq.heapify(heap)
-    in_heap = set(heap)
-
-    def push(v: int) -> None:
-        if v in alive and deg[v] >= 2 and int_deg[v] <= 1 and v not in in_heap:
-            heapq.heappush(heap, v)
-            in_heap.add(v)
-
+    live = _LiveTree(tree)
     pairs = list(init_pairs)
     iterations: list[PeelIteration] = []
     skipped = 0
-    xs, ys = pts.xs, pts.ys
 
-    while heap:
-        v = heapq.heappop(heap)
-        in_heap.discard(v)
-        if v not in alive or deg[v] < 2 or int_deg[v] > 1:
-            continue
-        leaves = tuple(sorted(u for u in adj[v] if deg[u] == 1))
-        w = None
-        for u in adj[v]:
-            if deg[u] >= 2:
-                w = u
-                break
+    while (v := live.pop_leaf()) is not None:
+        leaves = tuple(live.leaves_of(v))
+        w = live.internal_nbr(v)
         matched = None
         for u in leaves:
             if u in forbidden or v in forbidden:
@@ -251,29 +302,17 @@ def run_peeling(
             skipped += 1
         iterations.append(
             PeelIteration(
-                v=v, deg=deg[v], internal_nbr=w, leaves=leaves, matched=matched
+                v=v, deg=live.deg[v], internal_nbr=w, leaves=leaves, matched=matched
             )
         )
-        for r in leaves:
-            alive.discard(r)
-            adj[r].clear()
-        alive.discard(v)
-        if w is not None:
-            adj[w].discard(v)
-            deg[w] -= 1
-            int_deg[w] -= 1
-            if deg[w] == 1:
-                for t in adj[w]:
-                    int_deg[t] -= 1
-                    push(t)
-            push(w)
-        adj[v].clear()
+        live.remove((v, *leaves))
 
     final_edge = None
     final_skipped = False
+    alive = live.alive
     if len(alive) == 2:
         a, b = sorted(alive)
-        if b not in adj[a]:
+        if b not in live.adj[a]:
             raise InvariantViolation("leftover vertices are not adjacent")
         ok = a not in forbidden and b not in forbidden
         if ok and avoid is not None and cross_ids(pts, a, b, avoid[0], avoid[1]):

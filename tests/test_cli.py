@@ -268,6 +268,16 @@ def test_cli_error_on_malformed_matching(capsys, tmp_path, text):
     assert str(bad) in rep["error"]["message"]
 
 
+def test_cli_error_on_self_pair_in_matching(capsys, tmp_path):
+    f = tmp_path / "pts.txt"
+    f.write_text("4\n0 0\n1 0\n2 0\n3 0\n")
+    bad = tmp_path / "m.json"
+    bad.write_text(json.dumps({"edges": [[0, 0], [1, 2]]}))
+    code, rep = run_cli(capsys, "validate", "--input", str(f), "--matching", str(bad))
+    assert code == 2
+    assert rep["error"]["code"] == "format_error"
+
+
 def test_cli_error_on_oversize(capsys):
     code, rep = run_cli(capsys, "exact", "--n", "18", "--seed", "0")
     assert code == 2

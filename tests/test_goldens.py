@@ -16,10 +16,11 @@ import pytest
 
 from planematch.blossom import bottleneck_crossing
 from planematch.bottleneck_one import first_approx
-from planematch.bottleneck_two import even_forest, second_approx
+from planematch.bottleneck_two import even_forest, match_tree_detailed, second_approx
 from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
-from planematch.udg import plane_matching
+from planematch.proximity import emst5
+from planematch.udg import plane_matching, run_peeling
 
 GOLDENS = {
     (1, "uniform"): (
@@ -73,9 +74,54 @@ CROSSING_GOLDENS = {
     57: (7209324813924584, 6485465866640245, "1f04e0aa9f757126d3e2106955173c0132df4590f6815789da17d7330c5131a4"),
 }
 
+# instance -> (match_tree_detailed digest over the even forest's trees,
+# run_peeling digest on emst5, the same with a seed). The instance is
+# gen_points(2000, seed, mode) or a LATTICE_GOLDENS lattice.
+PEELING_GOLDENS = {
+    (1, "uniform"): (
+        "aca5f719c8049444c44f29251d3757aaabe0f15684036c16435985323e283d6e",
+        "fe833958db12822ed32309ad7fb51de9e6bd7b814537954e6e437f319904feeb",
+        "6cf38835d7b09329d75fbf8821794c3040b22c8ce8c97d6050394fdee715c91c",
+    ),
+    (1, "clustered"): (
+        "8722bc04a2d6307c7d296e5aa6ace123a1923120e3c91fe480853e935ae52362",
+        "e873b3afb8f0abd79ee57bc5f11ea767638a0b6f6be81698742864885ae6e187",
+        "db50c7c3a483e0b40ecd7fe1f11eccb30cfa9a10de2c8c8a15702a7a3baa15d5",
+    ),
+    (2, "uniform"): (
+        "76fa136cdd47608769cdbcb1e37c0ceb9ba2a2c876ad7d502dec8a310df4d6ee",
+        "4bd462f9ad171886821b38510e4c4f2404b5ea6f4fd2391fe05c13e5a7f8089a",
+        "712b9f19d2547ab2b515ab9bb321688f0d084342701668eb5db3590ac2d8afac",
+    ),
+    (2, "clustered"): (
+        "271ac6f51e15c85f2bb495e36f046fadf7b5f2a25bf12c853dcfe0bc4d6162a6",
+        "ba739019e94237c45937d6f5370002809dce5a359d263bc1fdd0079e1092b421",
+        "c70f7def28cf6189726dbe2714c022277d7dab240c893001d764ad28bafdb83b",
+    ),
+    (1, 0): (
+        "255207eb27ba3414808c0eba5bb8e93b804790510f3b1f2095cee8882053ddab",
+        "d3ad4f837bd42db9f9586b1881df6d1398c1a761ff2b2fe62adb0f1e03677a2d",
+        "2dae4196ccb8ba64f2b69099a6e28e44dd07e8340d9d98bef326b1d9613d063c",
+    ),
+    (2, 0): (
+        "6327a16e36120b07b0682eeaa9a1ed70766cc1cc51d2499a6d0a2ad00902d139",
+        "4136734e085a5678ee3d4cb34bf1247cbf7267b2963c2c966cfc8aec92d26edf",
+        "c130b52595296e2fc36fc3d6c5257f267c5628a061f5dc0d46e705a6c5ed806f",
+    ),
+    (5, 2**60): (
+        "50ed7ce69dbdc5ee05082c3d6ecaad8a654cb017d7fdad1a5897c9f26d0cb470",
+        "792713d648b24d34fc3eed1d9d3d287f65fa42b192c5dce59c9e4dc79b0bc469",
+        "5a7f995b58689941465e5d39389cc971e469a6c6f3d0544821a52d3348e640a7",
+    ),
+}
+
+
+def _digest_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
 
 def _digest_pairs(pairs) -> str:
-    return hashlib.sha256(json.dumps([list(p) for p in pairs]).encode()).hexdigest()
+    return _digest_json([list(p) for p in pairs])
 
 
 def _digest(m) -> str:
@@ -97,6 +143,26 @@ def holed_lattice(seed: int) -> PointSet:
     cells = [(x, y) for x in range(16) for y in range(15) if rng.random() < 0.6]
     cells = cells[: len(cells) - len(cells) % 2]
     return PointSet((x * SCALE, y * SCALE) for x, y in cells)
+
+
+def peeling_instance(key) -> PointSet:
+    if key in LATTICE_GOLDENS:
+        return unit_lattice(*key)
+    return gen_points(2000, *key)
+
+
+def peeling_seed(tree) -> dict:
+    """A seed pair of two far-apart leaves, pre-matched, forbidden and
+    avoided, so that many candidate edges cross it."""
+    leaves = [v for v in tree.vertices if len(tree.adj[v]) == 1]
+    p, q = leaves[0], leaves[len(leaves) // 2]
+    return dict(init_pairs=[(min(p, q), max(p, q))], forbidden=frozenset((p, q)), avoid=(p, q))
+
+
+def peel_record(res) -> list:
+    """Every field of a PeelResult, as JSON-ready lists."""
+    its = [[it.v, it.deg, it.internal_nbr, list(it.leaves), it.matched] for it in res.iterations]
+    return [res.pairs, its, res.final_edge, res.final_edge_skipped, res.skipped]
 
 
 def forest_digest(ef) -> str:
@@ -132,3 +198,14 @@ def test_golden_crossing_bottleneck(seed):
     bottleneck_sq, lower_sq, witness = CROSSING_GOLDENS[seed]
     assert (res.bottleneck_sq, res.lower_sq) == (bottleneck_sq, lower_sq)
     assert _digest(res.matching) == witness
+
+
+@pytest.mark.parametrize("key", list(PEELING_GOLDENS), ids=str)
+def test_golden_peeling(key):
+    pts = peeling_instance(key)
+    matcher, plain, seeded = PEELING_GOLDENS[key]
+    trees = [match_tree_detailed(pts, t) for t in even_forest(pts).forest.trees]
+    assert _digest_json([[r.pairs, r.rounds, r.regions] for r in trees]) == matcher
+    tree = emst5(pts)
+    assert _digest_json(peel_record(run_peeling(pts, tree))) == plain
+    assert _digest_json(peel_record(run_peeling(pts, tree, **peeling_seed(tree)))) == seeded

@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from planematch.errors import UnknownPointId
+from planematch.errors import FormatError, UnknownPointId
 from planematch.geometry import PointSet, cross_ids
 from planematch.matching import Matching, validate
 
@@ -47,6 +47,12 @@ def test_validate_unknown_id():
     pts = ps((0, 0), (1, 0))
     with pytest.raises(UnknownPointId):
         validate(pts, Matching(pairs=((0, 9),), bottleneck_sq=0))
+
+
+def test_of_rejects_self_pair():
+    pts = ps((0, 0), (1, 0), (2, 0), (3, 0))
+    with pytest.raises(FormatError):
+        Matching.of(pts, [(0, 0), (1, 2)])
 
 
 def test_violations_iff_flags_false():

@@ -1,0 +1,206 @@
+"""The removal core ``udg._LiveTree`` and ``run_peeling`` over it, against
+a reference copy of the peeling loop that kept its own removal state, and
+against from-scratch counts on the live subtree."""
+from __future__ import annotations
+
+import heapq
+from typing import Optional, Sequence
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from planematch.errors import InvariantViolation
+from planematch.geometry import SCALE, PointSet, cross_ids
+from planematch.proximity import Tree, emst5, skeleton
+from planematch.udg import PeelIteration, PeelResult, _LiveTree, run_peeling
+from test_kruskal import degenerate_corpus
+
+S = SCALE
+
+
+def reference_run_peeling(
+    pts: PointSet,
+    tree: Tree,
+    *,
+    init_pairs: Sequence[tuple[int, int]] = (),
+    forbidden: frozenset[int] = frozenset(),
+    avoid: Optional[tuple[int, int]] = None,
+) -> PeelResult:
+    """run_peeling as it was before the removal core: its own alive set,
+    adjacency, degree counts and skeleton-leaf heap."""
+    vertices = tree.vertices
+    alive = set(vertices)
+    adj: dict[int, set[int]] = {v: set(tree.adj[v]) for v in vertices}
+    deg = {v: len(adj[v]) for v in vertices}
+    int_deg = {
+        v: sum(1 for u in adj[v] if deg[u] >= 2) for v in vertices
+    }
+    heap = [v for v in vertices if deg[v] >= 2 and int_deg[v] <= 1]
+    heapq.heapify(heap)
+    in_heap = set(heap)
+
+    def push(v: int) -> None:
+        if v in alive and deg[v] >= 2 and int_deg[v] <= 1 and v not in in_heap:
+            heapq.heappush(heap, v)
+            in_heap.add(v)
+
+    pairs = list(init_pairs)
+    iterations: list[PeelIteration] = []
+    skipped = 0
+    xs, ys = pts.xs, pts.ys
+
+    while heap:
+        v = heapq.heappop(heap)
+        in_heap.discard(v)
+        if v not in alive or deg[v] < 2 or int_deg[v] > 1:
+            continue
+        leaves = tuple(sorted(u for u in adj[v] if deg[u] == 1))
+        w = None
+        for u in adj[v]:
+            if deg[u] >= 2:
+                w = u
+                break
+        matched = None
+        for u in leaves:
+            if u in forbidden or v in forbidden:
+                continue
+            if avoid is not None and cross_ids(pts, v, u, avoid[0], avoid[1]):
+                continue
+            matched = (v, u) if v < u else (u, v)
+            break
+        if matched is not None:
+            pairs.append(matched)
+        else:
+            skipped += 1
+        iterations.append(
+            PeelIteration(
+                v=v, deg=deg[v], internal_nbr=w, leaves=leaves, matched=matched
+            )
+        )
+        for r in leaves:
+            alive.discard(r)
+            adj[r].clear()
+        alive.discard(v)
+        if w is not None:
+            adj[w].discard(v)
+            deg[w] -= 1
+            int_deg[w] -= 1
+            if deg[w] == 1:
+                for t in adj[w]:
+                    int_deg[t] -= 1
+                    push(t)
+            push(w)
+        adj[v].clear()
+
+    final_edge = None
+    final_skipped = False
+    if len(alive) == 2:
+        a, b = sorted(alive)
+        if b not in adj[a]:
+            raise InvariantViolation("leftover vertices are not adjacent")
+        ok = a not in forbidden and b not in forbidden
+        if ok and avoid is not None and cross_ids(pts, a, b, avoid[0], avoid[1]):
+            ok = False
+        if ok:
+            final_edge = (a, b)
+            pairs.append(final_edge)
+        else:
+            final_skipped = True
+    elif len(alive) > 2:
+        raise InvariantViolation(f"peeling left {len(alive)} vertices")
+
+    return PeelResult(
+        pairs=pairs,
+        iterations=iterations,
+        final_edge=final_edge,
+        final_edge_skipped=final_skipped,
+        skipped=skipped,
+    )
+
+
+def seeds(tree: Tree, picks: Sequence[int]) -> list[dict]:
+    """No keyword arguments, then all three built from the vertices at the
+    given positions of ``tree.vertices``: a pre-matched, forbidden and
+    avoided pair, and a further avoided segment with one forbidden end."""
+    vs = tree.vertices
+    p, q, a, b = (vs[i % len(vs)] for i in picks)
+    out: list[dict] = [{}]
+    if p != q:
+        out.append(dict(init_pairs=[(min(p, q), max(p, q))], forbidden=frozenset((p, q)), avoid=(p, q)))
+    if a != b:
+        out.append(dict(forbidden=frozenset((a,)), avoid=(a, b)))
+    return out
+
+
+def check_against_reference(coords, picks) -> None:
+    pts = PointSet(coords)
+    tree = emst5(pts)
+    for kw in seeds(tree, picks):
+        assert run_peeling(pts, tree, **kw) == reference_run_peeling(pts, tree, **kw)
+
+
+@pytest.mark.parametrize("name,coords", list(degenerate_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_run_peeling_equals_reference_on_degenerate_corpus(name, coords):
+    n = len(coords)
+    check_against_reference(coords, (0, n // 2, n // 3, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40),
+    st.lists(st.integers(0, 48), min_size=4, max_size=4),
+)
+def test_run_peeling_equals_reference_on_grid_subsets(cells, picks):
+    # Equal lengths everywhere: many skeleton leaves tie in degree, so the
+    # smallest-id pop order decides the iterations.
+    check_against_reference([(x * S, y * S) for x, y in cells], picks)
+
+
+def live_counts(tree: Tree, alive: set[int]):
+    """(adjacency, deg, int_deg) of the live subtree, counted from scratch."""
+    adj = {v: {u for u in tree.adj[v] if u in alive} for v in alive}
+    deg = {v: len(adj[v]) for v in alive}
+    int_deg = {v: sum(1 for u in adj[v] if deg[u] >= 2) for v in alive}
+    return adj, deg, int_deg
+
+
+def test_initial_skeleton_leaves_are_the_skeleton_reference():
+    for _, coords in degenerate_corpus():
+        tree = emst5(PointSet(coords))
+        sk = skeleton(tree).tree
+        expected = sorted(v for v in sk.vertices if len(sk.adj[v]) <= 1)
+        assert list(iter(_LiveTree(tree).pop_leaf, None)) == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40),
+    st.data(),
+)
+def test_remove_keeps_counts_of_the_live_subtree(cells, data):
+    tree = emst5(PointSet([(x * S, y * S) for x, y in cells]))
+    live = _LiveTree(tree)
+    order = data.draw(st.permutations(tree.vertices))
+    while order:
+        k = data.draw(st.integers(1, 4))
+        batch, order = order[:k], order[k:]
+        before = {v: (live.deg[v], live.int_deg[v]) for v in live.alive}
+        changed = live.remove(batch)
+        adj, deg, int_deg = live_counts(tree, live.alive)
+        assert {v: live.adj[v] for v in live.alive} == adj
+        assert {v: live.deg[v] for v in live.alive} == deg
+        assert {v: live.int_deg[v] for v in live.alive} == int_deg
+        assert changed == {v for v in live.alive if before[v] != (deg[v], int_deg[v])}
+        assert {v for v in live.alive if deg[v] >= 2 and int_deg[v] <= 1} <= live.in_heap
+
+
+def test_remove_rejects_duplicated_and_removed_vertices():
+    tree = emst5(PointSet([(x * S, 0) for x in range(6)]))
+    live = _LiveTree(tree)
+    with pytest.raises(InvariantViolation):
+        live.remove([2, 3, 2])
+    live = _LiveTree(tree)
+    live.remove([0])
+    with pytest.raises(InvariantViolation):
+        live.remove([1, 0])
