@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import OddPointCount, SeedRequired
+from .errors import InvariantViolation, OddPointCount, SeedRequired
 from .geometry import PointSet, angle_exactly_third_pi
 from .matching import Matching
 from .proximity import (
@@ -47,7 +47,7 @@ class CriticalEdgeResult:
 
 
 def compare_to_opt(
-    pts: PointSet, mst: Tree, sq_lambda: int
+    pts: PointSet, mst: Tree, sq_lambda: int, forest: Optional[Forest] = None
 ) -> Optional[list[SeedTriple]]:
     """Decision procedure for one threshold of the forest binary search.
 
@@ -55,10 +55,14 @@ def compare_to_opt(
     bottleneck) when some tree of the threshold forest has odd size, or when
     a tree with two leaves on one node stores a second-closest point outside
     that tree. Otherwise returns the list of stored seed triples.
+
+    ``forest`` is the threshold forest ``forest_leq(mst, sq_lambda, pts)``
+    when the caller has already built it; it is built here otherwise.
     """
     if pts.n % 2 != 0:
         raise OddPointCount(f"n must be even, got {pts.n}")
-    forest = forest_leq(mst, sq_lambda, pts)
+    if forest is None:
+        forest = forest_leq(mst, sq_lambda, pts)
     owner = forest.tree_of()
     checks: list[tuple[int, int, int, int]] = []  # (tree_idx, v, p, q)
     for idx, tree in enumerate(forest.trees):
@@ -103,7 +107,8 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     shortest length whose forest has no odd tree; every probe below it is
     refuted without building a forest, exactly as ``compare_to_opt`` would
     refute it, and every other probe calls ``compare_to_opt``. The probe
-    answers, and hence the search, are those of probing every length.
+    answers, and hence the search, are those of probing every length. The
+    forest returned is the one the probe at the answer built.
     """
     n = pts.n
     if n % 2 != 0:
@@ -113,29 +118,34 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     mst = emst5(pts)
     lengths = sorted(set(mst.edge_sq.values()))
     even_sq = even_threshold(mst)
-    results: dict[int, Optional[list[SeedTriple]]] = {}
+    # (seeds, forest) per probed index; forest is None when no forest was built.
+    results: dict[int, tuple[Optional[list[SeedTriple]], Optional[Forest]]] = {}
 
-    def probe(i: int) -> Optional[list[SeedTriple]]:
+    def probe(i: int) -> tuple[Optional[list[SeedTriple]], Optional[Forest]]:
         if i not in results:
-            results[i] = None if lengths[i] < even_sq else compare_to_opt(pts, mst, lengths[i])
+            if lengths[i] < even_sq:
+                results[i] = (None, None)
+            else:
+                forest = forest_leq(mst, lengths[i], pts)
+                results[i] = (compare_to_opt(pts, mst, lengths[i], forest), forest)
         return results[i]
 
     lo, hi = 0, len(lengths) - 1
-    if probe(lo) is not None:
+    if probe(lo)[0] is not None:
         hi = lo
     else:
-        # Invariant: probe(lo) is None, probe(hi) is not.
-        assert probe(hi) is not None
+        # Invariant: probe(lo) is refuted, probe(hi) is not.
+        if probe(hi)[0] is None:
+            raise InvariantViolation("the full MST forest was refuted")
         while hi - lo > 1:
             mid = (lo + hi) // 2
-            if probe(mid) is None:
+            if probe(mid)[0] is None:
                 lo = mid
             else:
                 hi = mid
+    seeds, forest = probe(hi)
     sq = lengths[hi]
     edge = min(e for e, d in mst.edge_sq.items() if d == sq)
-    seeds = probe(hi)
-    forest = forest_leq(mst, sq, pts)
     return CriticalEdgeResult(edge=edge, sq_length=sq, forest=forest, seeds=seeds)
 
 

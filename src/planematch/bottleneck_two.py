@@ -75,7 +75,7 @@ class TreeMatchResult:
 
 
 def even_forest(pts: PointSet) -> EvenForest:
-    """The ``kruskal`` prefix of the Delaunay edges in (length,
+    """The ``kruskal`` prefix of the strict-tie Delaunay edges in (length,
     lexicographic) order, stopped at the first edge after which every
     component has even size; that edge and its squared length are
     ``last_edge`` and ``last_sq``.
@@ -91,7 +91,8 @@ def even_forest(pts: PointSet) -> EvenForest:
         raise TooFewPoints("need at least 2 points")
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     # The edges come with u < v.
-    for sq, u, v, odd in kruskal(sorted_candidate_edges(pts, delaunay(pts).edges), n, n):
+    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False).edges)
+    for sq, u, v, odd in kruskal(edges, n, n):
         adj[u].add(v)
         adj[v].add(u)
         if odd == 0:

@@ -57,6 +57,8 @@ def _load_pairs(path: str) -> list[tuple[int, int]]:
     for e in edges:
         if not (isinstance(e, list) and len(e) == 2 and all(type(v) is int for v in e)):
             raise FormatError(f"edge {e!r} in {path} is not a pair of integer point ids")
+        if e[0] == e[1]:
+            raise FormatError(f"edge {e!r} in {path} matches a point with itself")
         pairs.append((e[0], e[1]))
     return pairs
 

@@ -2,10 +2,19 @@
 degree-bounded Euclidean MST, threshold forests, disk graphs, short-pair
 lists, second-closest queries and skeletons.
 
-The Delaunay triangulation is canonical and exact: every internal edge is
-locally Delaunay under an exact integer incircle test, and exactly
-co-circular quads take the lexicographically smaller diagonal. The result is
-deterministic and always contains the Euclidean MST.
+The Delaunay triangulation is exact: every internal edge is locally Delaunay
+under an exact integer incircle test. It has two tie rules. The canonical
+one (the default of ``delaunay``) also flips exactly co-circular quads to
+the lexicographically smaller diagonal, so the result is unique and
+deterministic. The strict one flips only where the incircle determinant is
+strictly positive and keeps whichever diagonal of a co-circular quad it was
+given; the pipeline (``emst5``, the even forest) uses it. Either result
+contains the Euclidean MST under the (length, id) order of ``kruskal``: the
+closed disk with diameter pq of an MST edge pq holds no other point, since a
+point r on or inside it has |pr|, |rq| < |pq| and pq would be the strict
+maximum of a cycle. An edge with such an empty closed disk lies in every
+Delaunay triangulation, so Kruskal takes the same edges in the same order
+from either.
 
 scipy (Qhull) proposes a triangulation of the coordinates translated by
 their exact integer minimum. Floats then serve only as a certified filter:
@@ -15,8 +24,9 @@ Delaunay. Every edge the filter cannot decide gets the exact integer test.
 When no edge must flip, Qhull's triangulation is returned as is; otherwise a
 Lawson flip pass repairs it, testing exactly every edge whose certificate
 does not hold. A span of 2^53 or more, or Qhull's joggled fallback, sends
-every edge to the exact test. Exactness therefore depends on the span of the
-coordinates, not on their magnitude.
+every edge to the exact test. Points Qhull leaves out (near-collinear input
+can lose some) are inserted exactly before the flip pass. Exactness
+therefore depends on the span of the coordinates, not on their magnitude.
 
 Every Kruskal pass of the package is ``kruskal``: one union-find over edges
 in length order that reports, with each edge it takes, how many odd
@@ -35,7 +45,14 @@ from typing import Optional
 import numpy as np
 
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
-from .geometry import PointSet, angle_exactly_third_pi, orient, sort_clockwise
+from .geometry import (
+    PointSet,
+    angle_exactly_third_pi,
+    orient,
+    orientation,
+    point_in_triangle_closed,
+    sort_clockwise,
+)
 
 
 @dataclass(frozen=True)
@@ -179,13 +196,15 @@ def _ccw(pts: PointSet, a: int, b: int, c: int) -> list[int]:
     return [a, b, c]
 
 
-def _should_flip(pts: PointSet, tri, p: int, q: int, edge: tuple[int, int]) -> bool:
-    """Whether the canonical triangulation replaces ``edge`` of the ccw
-    triangle ``tri`` (third vertex p) by the diagonal p-q: q lies strictly
-    inside the circumcircle of tri, or on it with p-q the lexicographically
-    smaller diagonal."""
+def _should_flip(
+    pts: PointSet, tri, p: int, q: int, edge: tuple[int, int], canonical: bool
+) -> bool:
+    """Whether the triangulation replaces ``edge`` of the ccw triangle
+    ``tri`` (third vertex p) by the diagonal p-q: q lies strictly inside the
+    circumcircle of tri, or, under the canonical tie rule, on it with p-q
+    the lexicographically smaller diagonal."""
     det = _incircle_det_int(pts, *tri, q)
-    if det != 0:
+    if det != 0 or not canonical:
         return det > 0
     return _coord_edge_key(pts, p, q) < _coord_edge_key(pts, *edge)
 
@@ -277,17 +296,95 @@ class _FlipMesh:
         self._add_tri([p, q, v])
         return _edge_key(p, q)
 
+    def fill_pockets(self) -> None:
+        """Triangulate the pockets between the boundary, one simple cycle,
+        and its convex hull, which Qhull can leave where it merges facets
+        away: clip the ear at each strictly reflex boundary vertex whose
+        closed triangle holds no other boundary vertex, until none is left."""
+        pts = self.pts
+        nxt = {}  # boundary successor, the mesh on the left
+        for (a, b), ts in self.edge_map.items():
+            if len(ts) == 1:
+                tri = self.tris[ts[0]]
+                if tri[(tri.index(a) + 1) % 3] == b:
+                    nxt[a] = b
+                else:
+                    nxt[b] = a
+        prv = {b: a for a, b in nxt.items()}
+        clipped = True
+        while clipped:
+            clipped = False
+            for v in list(nxt):
+                u, w = prv[v], nxt[v]
+                if orientation(pts, u, v, w) >= 0 or any(
+                    point_in_triangle_closed(pts, u, v, w, x) for x in nxt if x not in (u, v, w)
+                ):
+                    continue
+                self._add_tri([u, v, w])
+                del nxt[v], prv[v]
+                nxt[u], prv[w] = w, u
+                clipped = True
+
+    def _sides(self, t: int, r: int):
+        """The edges of live triangle t in ccw order, and the orientation of
+        r to each: r lies in the closed triangle when none is negative."""
+        tri = self.tris[t]
+        sides = list(zip(tri, tri[1:] + tri[:1]))
+        return sides, [orientation(self.pts, u, v, r) for u, v in sides]
+
+    def _locate(self, r: int) -> Optional[int]:
+        """A live triangle that holds r, found by an exact orientation scan
+        of every triangle, or None when r lies outside the hull, which must
+        be convex."""
+        for t, tri in enumerate(self.tris):
+            if tri is not None:
+                signs = self._sides(t, r)[1]
+                if min(signs) >= 0 and max(signs) > 0:
+                    return t
+        return None
+
+    def insert(self, r: int) -> None:
+        """Add point r, which no triangle has as a vertex, exactly: split the
+        triangle that holds it, or the one or two triangles on the edge it
+        lies on; outside the hull (which must be convex), fan it to every
+        hull edge it strictly sees. The result is a triangulation, not yet
+        Delaunay."""
+        pts = self.pts
+        t = self._locate(r)
+        if t is None:
+            hull = [(e, ts[0]) for e, ts in self.edge_map.items() if len(ts) == 1]
+            for (u, v), s in hull:
+                if orientation(pts, u, v, r) * orientation(pts, u, v, self.opposite(s, (u, v))) < 0:
+                    self._add_tri([u, v, r])
+            return
+        sides, signs = self._sides(t, r)
+        if 0 not in signs:
+            self._remove_tri(t)
+            for u, v in sides:
+                self._add_tri([u, v, r])
+            return
+        # r is a point other than the vertices, so it lies on one edge.
+        u, v = sides[signs.index(0)]
+        for s in list(self.edge_map[_edge_key(u, v)]):
+            w = self.opposite(s, (u, v))
+            self._remove_tri(s)
+            self._add_tri([u, w, r])
+            self._add_tri([v, w, r])
+
     def live_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_map.keys())
 
 
-def _canonicalize(pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] = None) -> None:
+def _canonicalize(
+    pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] = None, canonical: bool = True
+) -> None:
     """Lawson flip loop with exact incircle tests.
 
-    Flips every locally non-Delaunay internal edge, and flips exactly
-    co-circular quads whose other diagonal has a lexicographically smaller
-    coordinate key. Terminates because each flip strictly decreases the
-    lifted potential or, at equal potential, the sorted edge-key multiset.
+    Flips every locally non-Delaunay internal edge and, under the canonical
+    tie rule, exactly co-circular quads whose other diagonal has a
+    lexicographically smaller coordinate key. Terminates because each flip
+    strictly decreases the lifted potential or, at equal potential (a tie
+    flip), the sorted edge-key multiset.
 
     Edges (u, v) whose code ``u * n + v`` is in ``certified`` are known to be
     strictly locally Delaunay and skip the exact test; an edge leaves the set
@@ -315,7 +412,7 @@ def _canonicalize(pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] 
         t1, t2 = tris
         p = mesh.opposite(t1, edge)
         q = mesh.opposite(t2, edge)
-        if not _should_flip(pts, mesh.tris[t1], p, q, edge):
+        if not _should_flip(pts, mesh.tris[t1], p, q, edge, canonical):
             continue
         new_edge = mesh.flip(edge)
         if new_edge is None:
@@ -343,11 +440,12 @@ def _internal_edges(simplices: np.ndarray, neighbors: np.ndarray):
     return i, k, q
 
 
-def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri) -> Optional[set[int]]:
+def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri, canonical: bool) -> Optional[set[int]]:
     """None when Qhull's triangulation ``tri`` of the exact coordinates
-    ``xy`` is already canonical; otherwise the codes ``u * n + v`` of its
-    edges (u, v) certified strictly locally Delaunay by the float filter.
-    Codes, unlike tuples, add nothing for the garbage collector to scan.
+    ``xy`` already meets the tie rule; otherwise the codes ``u * n + v`` of
+    its edges (u, v) certified strictly locally Delaunay by the float
+    filter. Codes, unlike tuples, add nothing for the garbage collector to
+    scan.
 
     Edges the filter cannot decide get the exact test that the flip pass
     would apply to them, so None means that pass would flip nothing.
@@ -363,7 +461,7 @@ def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri) -> Optional[set[int]]:
         t = simplices[i[e]].tolist()
         kk = int(k[e])
         p, u, v = t[kk], t[(kk + 1) % 3], t[(kk + 2) % 3]
-        if _should_flip(pts, _ccw(pts, *t), p, int(q[e]), _edge_key(u, v)):
+        if _should_flip(pts, _ccw(pts, *t), p, int(q[e]), _edge_key(u, v), canonical):
             break
     else:
         return None
@@ -381,12 +479,17 @@ def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
     return Triangulation(edges=tuple(zip(lo.tolist(), hi.tolist())))
 
 
-def delaunay(pts: PointSet) -> Triangulation:
-    """Delaunay triangulation with exact, deterministic tie handling.
+def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
+    """Delaunay triangulation by exact integer incircle tests.
 
-    Co-circular ties are resolved toward the lexicographically smallest
-    diagonal. Fully collinear input degenerates to the consecutive-pair
-    chain, which still contains the Euclidean MST.
+    With ``canonical`` (the default) exactly co-circular ties are resolved
+    toward the lexicographically smallest diagonal, so the triangulation is
+    unique. Without it only strictly non-Delaunay edges flip, and a tie
+    keeps the diagonal Qhull chose: still a Delaunay triangulation, and
+    still one that contains the Euclidean MST, whose edges have empty
+    closed diametral disks and so lie in every Delaunay triangulation (see
+    the module docstring). Fully collinear input degenerates to the
+    consecutive-pair chain, which still contains the Euclidean MST.
     """
     n = pts.n
     if n < 2:
@@ -412,17 +515,23 @@ def delaunay(pts: PointSet) -> Triangulation:
         tri = _SciDelaunay(xy, qhull_options="QJ")
         exact_floats = False
 
-    # Points dropped by Qhull merging (exact duplicates are impossible, but
-    # near-collinear boundary points can vanish) would break MST coverage;
-    # flips keep the set of triangle vertices, so check it here.
-    missing = np.flatnonzero(np.bincount(tri.simplices.ravel(), minlength=n) == 0)
-    if missing.size:
-        raise InvariantViolation(f"triangulation dropped points: {missing[:5].tolist()}")
-    certified = _certify_or_flip(pts, xy, tri) if exact_floats else set()
+    # Qhull merging can drop near-collinear points (exact duplicates are
+    # impossible); they are inserted into the mesh, whose certificates would
+    # not survive the splits.
+    missing = np.flatnonzero(np.bincount(tri.simplices.ravel(), minlength=n) == 0).tolist()
+    certified = _certify_or_flip(pts, xy, tri, canonical) if exact_floats and not missing else set()
     if certified is None:
         return _triangulation_of(tri.simplices, n)
     mesh = _FlipMesh(pts, tri.simplices.tolist())
-    _canonicalize(pts, mesh, certified)
+    if missing:
+        mesh.fill_pockets()
+        for r in missing:
+            mesh.insert(r)
+        # Flips keep the vertex set, so coverage is checked once, here.
+        lost = sorted(set(range(n)).difference(chain.from_iterable(mesh.edge_map)))
+        if lost:
+            raise InvariantViolation(f"triangulation dropped points: {lost[:5]}")
+    _canonicalize(pts, mesh, certified, canonical)
     return Triangulation(edges=tuple(mesh.live_edges()))
 
 
@@ -552,9 +661,10 @@ def _tree_from_adj(pts: PointSet, vertices, adj) -> Tree:
 def emst5(pts: PointSet) -> Tree:
     """Euclidean minimum spanning tree with maximum degree at most five.
 
-    The first n - 1 edges ``kruskal`` takes from the Delaunay edges in
-    (length, lexicographic) order, followed by the exact pi/3 exchange on
-    any degree-6 vertex. Total weight equals the unconstrained EMST weight.
+    The first n - 1 edges ``kruskal`` takes from the strict-tie Delaunay
+    edges in (length, lexicographic) order, followed by the exact pi/3
+    exchange on any degree-6 vertex. Total weight equals the unconstrained
+    EMST weight.
     """
     n = pts.n
     if n < 1:
@@ -562,7 +672,7 @@ def emst5(pts: PointSet) -> Tree:
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     if n == 1:
         return _tree_from_adj(pts, [0], adj)
-    edges = sorted_candidate_edges(pts, delaunay(pts).edges)
+    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False).edges)
     for _, u, v, _ in islice(kruskal(edges, n, n), n - 1):
         adj[u].add(v)
         adj[v].add(u)

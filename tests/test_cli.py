@@ -11,7 +11,7 @@ from planematch.cli import main
 from planematch.errors import BadParameters, DuplicatePoint, FormatError
 from planematch.geometry import SCALE
 from planematch.io import format_points, gen_points, parse_points, render_svg
-from planematch.matching import Matching
+from planematch.matching import Matching, validate
 
 
 def test_parse_two_points():
@@ -205,16 +205,22 @@ def test_cli_error_object(capsys):
 
 
 @pytest.mark.parametrize("algorithm", ["approx1", "approx2"])
-def test_cli_error_on_dropped_points(capsys, tmp_path, algorithm):
-    # Ten points on a line and two 3,000,000 units away, one of them
-    # 10^-6 off the line: Qhull drops five of the ten.
-    f = tmp_path / "pts.txt"
-    lines = [f"{x} 0" for x in range(10)] + ["3000000 0.000001", "3000000 5"]
-    f.write_text("12\n" + "\n".join(lines) + "\n")
-    code, rep = run_cli(capsys, algorithm, "--input", str(f))
-    assert code == 2
-    assert rep["error"]["code"] == "invariant_violation"
-    assert "dropped points" in rep["error"]["message"]
+def test_cli_matches_points_qhull_drops(capsys, tmp_path, algorithm):
+    # Points on a line and two points 3,000,000 units away, one of them
+    # 10^-6 off the line: Qhull drops most of the line, and the points are
+    # inserted back into the triangulation.
+    line10 = [f"{x} 0" for x in range(10)] + ["3000000 0.000001", "3000000 5"]
+    line20 = [f"{x} 0" for x in range(20)] + ["-3000000 0.000001", "-3000000 -5"]
+    for lines in (line10, line20):
+        f = tmp_path / "pts.txt"
+        f.write_text(f"{len(lines)}\n" + "\n".join(lines) + "\n")
+        code, rep = run_cli(capsys, algorithm, "--input", str(f))
+        assert code == 0
+        assert rep["plane"] and all(rep["checks"].values())
+        pts = parse_points(f.read_text())
+        m = Matching.of(pts, [tuple(e) for e in rep["edges"]])
+        report = validate(pts, m)
+        assert report.is_plane and report.is_matching
 
 
 def test_python_m_planematch(capsys, monkeypatch):
@@ -276,6 +282,7 @@ def test_cli_error_on_self_pair_in_matching(capsys, tmp_path):
     code, rep = run_cli(capsys, "validate", "--input", str(f), "--matching", str(bad))
     assert code == 2
     assert rep["error"]["code"] == "format_error"
+    assert str(bad) in rep["error"]["message"]
 
 
 def test_cli_error_on_oversize(capsys):

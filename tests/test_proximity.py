@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planematch.errors import InvariantViolation, OddPointCount, TooFewPoints
+from planematch.errors import OddPointCount, TooFewPoints
 from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, orient, point_in_triangle_closed
 from planematch.io import gen_points
 from planematch.proximity import (
@@ -27,6 +27,7 @@ from planematch.proximity import (
     even_prefix_sq,
     even_threshold,
     forest_leq,
+    kruskal,
     second_closest,
     second_closest_batch,
     skeleton,
@@ -204,20 +205,158 @@ def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
         assert got == tuple(mesh.live_edges())
 
 
-def test_delaunay_dropped_point_raises(monkeypatch):
-    import scipy.spatial
+def drops_point(real, k):
+    """A Qhull stand-in that triangulates every point but k, as Qhull does
+    when it merges a point away."""
     from types import SimpleNamespace
+
+    def delaunay_without_k(points, qhull_options=None):
+        tri = real(np.delete(points, k, axis=0), qhull_options=qhull_options)
+        return SimpleNamespace(simplices=tri.simplices + (tri.simplices >= k), neighbors=tri.neighbors)
+
+    return delaunay_without_k
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_delaunay_dropped_point_is_inserted(monkeypatch, canonical):
+    # A dropped hull vertex is fanned to the hull edges it sees, an interior
+    # one splits its triangle; the flip pass then restores the triangulation
+    # of the undropped call.
+    import scipy.spatial
+
+    real = scipy.spatial.Delaunay
+    sets = [gen_points(50, 3, "uniform")]
+    if canonical:
+        # A dropped grid point lies on a hull edge of the rest, or, at a
+        # corner, in line with two hull edges that it must not be fanned to.
+        sets.append(PointSet((x * S, y * S) for x in range(6) for y in range(5)))
+    for pts in sets:
+        want = delaunay(pts, canonical=canonical).edges
+        for k in range(pts.n):
+            monkeypatch.setattr(scipy.spatial, "Delaunay", drops_point(real, k))
+            assert delaunay(pts, canonical=canonical).edges == want
+        monkeypatch.setattr(scipy.spatial, "Delaunay", real)
+
+
+def near_collinear_with_far_points():
+    """Sets on which Qhull drops collinear points: ten or twenty points on a
+    line and far points just off it."""
+    far = 3 * 10**12
+    yield "line10+2", [(x * S, 0) for x in range(10)] + [(far, 1), (far, 5 * S)]
+    yield "line20+2", [(x * S, 0) for x in range(20)] + [(far, 1), (far, 5 * S)]
+    yield "line20+2-left", [(x * S, 0) for x in range(20)] + [(-far, 1), (-far, -5 * S)]
+    yield "line10+3", [(x * S, 0) for x in range(10)] + [(far, 1), (far, 5 * S), (-far, -1)]
+
+
+def brute_delaunay_edges(pts: PointSet) -> tuple[tuple[int, int], ...]:
+    """Edges of every nondegenerate triangle with no point strictly inside
+    its circumcircle: the Delaunay edges when no four points are
+    co-circular (with a tie it holds both diagonals, so a comparison fails)."""
+    edges = set()
+    for tri in combinations(range(pts.n), 3):
+        a, b, c = _ccw(pts, *tri)
+        if orient(pts.xs[a], pts.ys[a], pts.xs[b], pts.ys[b], pts.xs[c], pts.ys[c]) == 0:
+            continue
+        if all(_incircle_det_int(pts, a, b, c, d) <= 0 for d in range(pts.n)):
+            edges.update(tuple(sorted(e)) for e in ((a, b), (b, c), (a, c)))
+    return tuple(sorted(edges))
+
+
+@pytest.mark.parametrize("name,coords", list(near_collinear_with_far_points()), ids=lambda v: v if isinstance(v, str) else "")
+def test_delaunay_inserts_points_qhull_drops(name, coords):
+    from scipy.spatial import Delaunay
+
+    pts = PointSet(coords)
+    xy = np.array(coords, dtype=float)
+    assert len(np.unique(Delaunay(xy - xy.min(axis=0)).simplices)) < pts.n  # the defect repaired here
+    want = brute_delaunay_edges(pts)
+    assert delaunay(pts).edges == want
+    assert delaunay(pts, canonical=False).edges == want
+
+
+def strict_corpus():
+    yield from degenerate_corpus()
+    yield from near_collinear_with_far_points()
+    yield "lattice-offset", [(x * S + 2**53 + 7, y * S + 2**54 - 3) for x in range(30) for y in range(25)]
+    yield "lattice-unscaled-offset", [(x + 2**60, y - 2**55) for x in range(40) for y in range(30)]
+    yield "circle5x12-scaled", [(x * S, y * S) for x, y in pythagorean_circle(5)]
+
+
+@pytest.mark.parametrize("name,coords", list(strict_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_strict_ties_give_the_same_kruskal_sequence(name, coords):
+    # Every MST edge has an empty closed diametral disk, so it lies in every
+    # Delaunay triangulation and Kruskal takes the same edges in the same
+    # order from either tie rule.
+    pts = PointSet(coords)
+    runs = [
+        list(kruskal(sorted_candidate_edges(pts, delaunay(pts, canonical=c).edges), pts.n, pts.n))
+        for c in (True, False)
+    ]
+    assert runs[0] == runs[1]
+    assert len(runs[0]) == pts.n - 1
+
+
+@pytest.mark.parametrize(
+    "coords",
+    [
+        [(x * S, y * S) for x in range(30) for y in range(20)],
+        [(x, y) for x in range(25) for y in range(25)],
+        [(x * S + 2**53 + 1, y * S + 2**53) for x in range(24) for y in range(20)],
+    ],
+    ids=["scaled", "unscaled", "offset-past-2^53"],
+)
+def test_strict_lattice_never_builds_the_flip_mesh(monkeypatch, coords):
+    # Every flip the canonical rule makes on a lattice is a co-circular tie,
+    # so the strict rule, which the EMST and the even forest use, returns
+    # Qhull's triangulation as is.
+    from planematch import proximity
+    from planematch.bottleneck_two import even_forest
+
+    pts = PointSet(coords)
+
+    def no_mesh(*args):
+        raise AssertionError("built the flip mesh")
+
+    monkeypatch.setattr(proximity, "_FlipMesh", no_mesh)
+    delaunay(pts, canonical=False)
+    emst5(pts)
+    if pts.n % 2 == 0:
+        even_forest(pts)
+    with pytest.raises(AssertionError, match="flip mesh"):
+        delaunay(pts)
+
+
+def test_strict_ties_on_the_joggled_path_leave_no_strictly_non_delaunay_edge(monkeypatch):
+    import scipy.spatial
+    from scipy.spatial import QhullError
+
+    from planematch import proximity
 
     real = scipy.spatial.Delaunay
 
-    def drops_point_zero(points, qhull_options=None):
-        tri = real(points, qhull_options=qhull_options)
-        keep = ~(tri.simplices == 0).any(axis=1)
-        return SimpleNamespace(simplices=tri.simplices[keep], neighbors=tri.neighbors[keep])
+    def strict_only_with_qj(points, qhull_options=None):
+        if qhull_options != "QJ":
+            raise QhullError("forced")
+        return real(points, qhull_options=qhull_options)
 
-    monkeypatch.setattr(scipy.spatial, "Delaunay", drops_point_zero)
-    with pytest.raises(InvariantViolation, match=r"triangulation dropped points: \[0\]"):
-        delaunay(gen_points(50, 3, "uniform"))
+    meshes = []
+
+    class RecordedMesh(_FlipMesh):
+        def __init__(self, *args):
+            super().__init__(*args)
+            meshes.append(self)
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", strict_only_with_qj)
+    monkeypatch.setattr(proximity, "_FlipMesh", RecordedMesh)
+    grid = PointSet((x * S, y * S) for x in range(8) for y in range(7))
+    circle = PointSet(pythagorean_circle(65) + [(0, 0)])
+    for pts in (grid, circle, gen_points(300, 5, "uniform")):
+        got = delaunay(pts, canonical=False).edges
+        mesh = meshes[-1]
+        assert got == tuple(mesh.live_edges())
+        for edge, (t1, t2) in ((e, ts) for e, ts in mesh.edge_map.items() if len(ts) == 2):
+            det = _incircle_det_int(pts, *mesh.tris[t1], mesh.opposite(t2, edge))
+            assert det <= 0
 
 
 def test_filter_never_certifies_an_edge_that_flips():
@@ -294,6 +433,29 @@ def test_canonicalize_certificates_keep_the_flip_sequence():
         ok = _certified_delaunay(xy, abc[:, 0], abc[:, 1], abc[:, 2], far)
         _canonicalize(pts, mesh, {u * pts.n + v for ((u, v), _), keep in zip(internal, ok.tolist()) if keep})
         assert mesh.tris == plain.tris
+
+
+def test_locate_finds_the_triangle_or_reports_outside():
+    # Random (not Delaunay) triangulations of points on a parabola: every
+    # query point is found in a triangle that holds it, or reported outside
+    # exactly when no triangle does.
+    rng = random.Random(44)
+    for _ in range(40):
+        xs = sorted(rng.sample(range(-30, 30), rng.randrange(4, 20)))
+        hull = [(x * S, x * x * S) for x in xs]
+        queries = [(rng.randrange(-35 * S, 35 * S), rng.randrange(-S, 1000 * S)) for _ in range(30)]
+        pairs = list(zip(hull, hull[1:])) + [rng.sample(hull, 2) for _ in range(5)]
+        queries += [((a[0] + b[0]) // 2, (a[1] + b[1]) // 2) for a, b in pairs]  # on edges and chords
+        pts = PointSet(hull + sorted(set(queries)))
+        k = len(hull)
+        for r in range(k, pts.n):
+            mesh = _FlipMesh(pts, random_convex_triangulation(rng, list(range(k))))
+            t = mesh._locate(r)
+            holding = [
+                i for i, tri in enumerate(mesh.tris)
+                if tri is not None and point_in_triangle_closed(pts, *tri, r)
+            ]
+            assert (t in holding) if t is not None else not holding
 
 
 def test_filter_certifies_clear_cases():
