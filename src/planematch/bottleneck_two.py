@@ -44,7 +44,7 @@ from .proximity import (
     kruskal,
     sorted_candidate_edges,
 )
-from .udg import _LiveTree
+from .udg import _LiveTree, _peel_state
 
 
 @dataclass
@@ -126,44 +126,61 @@ class _TreeMatcher:
     """Incremental matcher for one even tree.
 
     The live tree and its skeleton leaves are a ``_LiveTree``; the matcher
-    adds the second-level skeleton ``tdp`` (vertices with at least two
-    internal neighbours) and a heap of its candidate leaves, both updated
-    from the vertices each removal batch changes.
+    adds the second-level skeleton (vertices with at least two internal
+    neighbours: the ``tdp`` flags of the shared ``_PeelState``, counted in
+    ``tdp_size``) and a heap of its candidate leaves with membership flags
+    ``in2``, all updated from the vertices each removal batch changes.
     """
 
     def __init__(self, pts: PointSet, tree: Tree, validate_regions: bool = False):
         self.pts = pts
         self.validate_regions = validate_regions
-        self.live = live = _LiveTree(tree)
-        self.tdp: set[int] = {v for v in tree.vertices if live.deg[v] >= 2 and live.int_deg[v] >= 2}
+        state = _peel_state(pts)
+        self.live = live = _LiveTree(tree, state)
+        deg, int_deg = live.deg, live.int_deg
+        self.tdp = tdp = state.tdp
+        self.in2 = in2 = state.in2
+        heap2: list[int] = []
+        for v in tree.vertices:
+            flag = deg[v] >= 2 and int_deg[v] >= 2
+            tdp[v] = in2[v] = flag
+            if flag:
+                heap2.append(v)
+        heapq.heapify(heap2)
+        self.heap2 = heap2
+        self.tdp_size = len(heap2)
         self.pairs: list[tuple[int, int]] = []
         self.rounds: list[tuple[int, int]] = []
         self.regions: list[tuple[int, ...]] = []
-        self.heap2: list[int] = sorted(self.tdp)  # a sorted list is a heap
-        self.in2: set[int] = set(self.tdp)
 
     # -- structure maintenance -------------------------------------------
 
-    def _push2(self, v: int) -> None:
-        if v in self.tdp and v not in self.in2:
-            heapq.heappush(self.heap2, v)
-            self.in2.add(v)
-
     def _remove(self, removed: list[int], matched: int) -> None:
         self.rounds.append((len(removed), matched))
-        live, tdp = self.live, self.tdp
+        live, tdp, in2, heap2 = self.live, self.tdp, self.in2, self.heap2
         changed = live.remove(removed)
-        tdp.difference_update(removed)
+        deg, int_deg, adj = live.deg, live.int_deg, live.adj
+        size = self.tdp_size
+        for r in removed:
+            if tdp[r]:
+                tdp[r] = 0
+                size -= 1
+        # Counts only fall, so a vertex can leave tdp but never join it.
         for x in changed:
-            if live.deg[x] >= 2 and live.int_deg[x] >= 2:
-                tdp.add(x)
-            else:
-                tdp.discard(x)
-        # A second-skeleton degree changes when a neighbour joins or leaves tdp.
+            if tdp[x] and (deg[x] < 2 or int_deg[x] < 2):
+                tdp[x] = 0
+                size -= 1
+        self.tdp_size = size
+        # A second-skeleton degree changes when a neighbour leaves tdp. Only
+        # live vertices carry the flag.
         for x in changed:
-            self._push2(x)
-            for u in live.adj[x]:
-                self._push2(u)
+            if tdp[x] and not in2[x]:
+                heapq.heappush(heap2, x)
+                in2[x] = 1
+            for u in adj[x]:
+                if tdp[u] and not in2[u]:
+                    heapq.heappush(heap2, u)
+                    in2[u] = 1
 
     # -- local predicates --------------------------------------------------
 
@@ -183,7 +200,8 @@ class _TreeMatcher:
         return u1, u2
 
     def _tdp_degree(self, v: int) -> int:
-        return sum(1 for u in self.live.adj[v] if u in self.tdp)
+        tdp = self.tdp
+        return sum(1 for u in self.live.adj[v] if tdp[u])
 
     def _pop_step1(self) -> Optional[int]:
         """The smallest skeleton leaf that is not an anchor. An anchor stays
@@ -194,10 +212,11 @@ class _TreeMatcher:
         return None
 
     def _pop_step2(self) -> Optional[int]:
-        while self.heap2:
-            v = heapq.heappop(self.heap2)
-            self.in2.discard(v)
-            if v not in self.tdp:
+        heap2, tdp, in2 = self.heap2, self.tdp, self.in2
+        while heap2:
+            v = heapq.heappop(heap2)
+            in2[v] = 0
+            if not tdp[v]:
                 continue
             if self._tdp_degree(v) != 1:
                 continue
@@ -449,7 +468,7 @@ class _TreeMatcher:
         return pos[v1] < pos[x] < pos[v2]
 
     def _hub_order(self, w, y) -> list[int]:
-        others = [u for u in self.live.adj[w] if u != y]
+        others = [u for u in self.live.nbrs(w) if u != y]
         if y is not None:
             return sort_clockwise(self.pts, w, others, y)
         ref = min(u for u in others if self.live.deg[u] >= 2)
@@ -518,7 +537,7 @@ class _TreeMatcher:
     def _step2(self, w: int) -> None:
         y = None
         for u in self.live.adj[w]:
-            if u in self.tdp:
+            if self.tdp[u]:
                 y = u
                 break
         if y is None:
@@ -583,7 +602,7 @@ class _TreeMatcher:
             # Path: each end pairs with its neighbour.
             ends = sorted(v for v in vs if self.live.deg[v] == 1)
             e1 = ends[0]
-            n1 = next(iter(self.live.adj[e1]))
+            n1 = self.live.nbrs(e1)[0]
             rest = [v for v in vs if v not in (e1, n1)]
             self._add_pair(e1, n1)
             self._add_pair(rest[0], rest[1])
@@ -689,7 +708,7 @@ class _TreeMatcher:
         )
 
     def _base_small(self) -> None:
-        vs = sorted(self.live.alive)
+        vs = sorted(self.live.live_vertices())
         t = len(vs)
         if t == 0:
             return
@@ -711,23 +730,23 @@ class _TreeMatcher:
                 u
                 for u in vs
                 if self.live.deg[u] == 1
-                and any(self.live.deg[x] == maxdeg for x in self.live.adj[u])
+                and any(self.live.deg[x] == maxdeg for x in self.live.nbrs(u))
             )
             if not cands:
                 raise InvariantViolation("five-vertex tree without droppable leaf")
             drop = cands[0]
             self._remove([drop], 0)
-            self._match_four(sorted(self.live.alive))
+            self._match_four([v for v in vs if v != drop])
             self._merge_last_rounds(2)
             return
         # t == 6
         for u in vs:
             if self.live.deg[u] == 1:
-                d = next(iter(self.live.adj[u]))
+                d = self.live.nbrs(u)[0]
                 if self.live.deg[d] == 2:
                     self._add_pair(u, d)
                     self._remove([u, d], 2)
-                    self._match_four(sorted(self.live.alive))
+                    self._match_four([v for v in vs if v not in (u, d)])
                     return
         centers = [v for v in vs if self.live.deg[v] == 5]
         if centers:
@@ -741,16 +760,17 @@ class _TreeMatcher:
     # -- driver ---------------------------------------------------------------
 
     def run(self) -> TreeMatchResult:
-        alive = self.live.alive
-        if len(alive) % 2 != 0:
-            raise OddPointCount(f"tree has odd size {len(alive)}")
-        while len(alive) > 6:
+        live = self.live
+        if live.size % 2 != 0:
+            raise OddPointCount(f"tree has odd size {live.size}")
+        while live.size > 6:
             v = self._pop_step1()
             if v is not None:
                 self._step1(v)
                 continue
-            if len(self.tdp) == 1:
-                self._base_case_hub(next(iter(self.tdp)))
+            if self.tdp_size == 1:
+                (hub,) = (u for u in live.live_vertices() if self.tdp[u])
+                self._base_case_hub(hub)
                 return TreeMatchResult(self.pairs, self.rounds, self.regions)
             w = self._pop_step2()
             if w is None:
@@ -777,17 +797,33 @@ def match_tree_second(
     return Matching.of(pts, res.pairs)
 
 
-def second_approx(pts: PointSet, validate_regions: bool = False) -> Matching:
-    """Plane matching of size at least 2n/5 whose bottleneck is at most
-    (sqrt(2)+sqrt(3)) times the optimal plane-perfect-matching bottleneck."""
+@dataclass
+class SecondApproxResult:
+    """``second_approx``'s matching with the even forest (None for no
+    points) and the per-tree results it was built from."""
+
+    matching: Matching
+    even: Optional[EvenForest]
+    trees: list[TreeMatchResult]
+
+
+def second_approx_detailed(
+    pts: PointSet, validate_regions: bool = False
+) -> SecondApproxResult:
+    """``second_approx`` with its even forest and per-tree results, from
+    which the length bound can be certified against L = ``last_sq``."""
     n = pts.n
     if n % 2 != 0:
         raise OddPointCount(f"n must be even, got {n}")
     if n == 0:
-        return Matching.of(pts, [])
+        return SecondApproxResult(Matching.of(pts, []), None, [])
     ef = even_forest(pts)
-    pairs: list[tuple[int, int]] = []
-    for tree in ef.forest.trees:
-        res = match_tree_detailed(pts, tree, validate_regions)
-        pairs.extend(res.pairs)
-    return Matching.of(pts, pairs)
+    results = [match_tree_detailed(pts, tree, validate_regions) for tree in ef.forest.trees]
+    pairs = [pair for res in results for pair in res.pairs]
+    return SecondApproxResult(Matching.of(pts, pairs), ef, results)
+
+
+def second_approx(pts: PointSet, validate_regions: bool = False) -> Matching:
+    """Plane matching of size at least 2n/5 whose bottleneck is at most
+    (sqrt(2)+sqrt(3)) times the optimal plane-perfect-matching bottleneck."""
+    return second_approx_detailed(pts, validate_regions).matching

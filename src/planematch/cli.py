@@ -4,6 +4,9 @@ generated instances, emit JSON reports and optional SVG drawings.
 Report schema:
     {"algorithm", "n", "size", "bottleneck", "plane",
      "edges": [[i, j], ...], "checks": {...}, "ms", ...}
+``crossing-bottleneck``, ``one-third`` and ``approx2`` add
+"lambda_lower_bound", a certified lower bound on the optimal bottleneck;
+``approx2`` also adds "bottleneck_over_lb".
 Errors exit nonzero with {"error": {"code", "message"}} on stdout.
 """
 from __future__ import annotations
@@ -17,7 +20,7 @@ from typing import Optional
 
 from .blossom import bottleneck_crossing
 from .bottleneck_one import first_approx
-from .bottleneck_two import second_approx
+from .bottleneck_two import SecondApproxResult, second_approx, second_approx_detailed
 from .errors import FormatError, PlaneMatchError
 from .geometry import SCALE, PointSet
 from .io import format_points, gen_points, parse_points, render_svg
@@ -69,6 +72,21 @@ def _bracket_report(report: dict, cross) -> None:
     report["lambda_lower_bound"] = _sq_to_decimal(cross.lower_sq)
     report["checks"]["crossing_bracket"] = (
         cross.lower_sq <= cross.bottleneck_sq <= 4 * cross.lower_sq
+    )
+
+
+def _certificate_report(report: dict, res: SecondApproxResult) -> None:
+    """L, the last edge of the even forest and a lower bound on the optimal
+    bottleneck; the bottleneck's ratio to it; and the two checks certified
+    at every n: the length bound against L and each removal round's 4/5
+    accounting."""
+    lower_sq = res.even.last_sq
+    b_sq = res.matching.bottleneck_sq
+    report["lambda_lower_bound"] = _sq_to_decimal(lower_sq)
+    report["bottleneck_over_lb"] = math.sqrt(b_sq / lower_sq)
+    report["checks"]["length_bound"] = b_sq * FACTOR2_SQ_DEN <= FACTOR2_SQ_NUM * lower_sq
+    report["checks"]["round_accounting"] = all(
+        5 * matched >= 4 * removed for tree in res.trees for removed, matched in tree.rounds
     )
 
 
@@ -180,10 +198,13 @@ def cmd_approx1(args) -> int:
 def cmd_approx2(args) -> int:
     pts = _load_points(args)
     t0 = time.perf_counter()
-    m = second_approx(pts)
+    res = second_approx_detailed(pts)
     ms = (time.perf_counter() - t0) * 1000
+    m = res.matching
     report = _base_report("approx2", pts, m, ms)
     report["checks"] = {"size_bound": m.size >= math.ceil(2 * pts.n / 5)}
+    if res.even is not None:
+        _certificate_report(report, res)
     if args.oracle:
         report["checks"].update(
             _oracle_checks(

@@ -34,10 +34,11 @@ class PointSet:
     """Immutable indexed set of distinct points.
 
     Ids are dense in [0, n). Coordinate arrays are plain Python ints so all
-    derived predicates stay exact regardless of magnitude.
+    derived predicates stay exact regardless of magnitude. ``_kdtree`` and
+    ``_peel`` (the skeleton-peeling working arrays) are built on first use.
     """
 
-    __slots__ = ("xs", "ys", "_kdtree")
+    __slots__ = ("xs", "ys", "_kdtree", "_peel")
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
         xs: list[int] = []
@@ -53,6 +54,7 @@ class PointSet:
         self.xs = xs
         self.ys = ys
         self._kdtree = None
+        self._peel = None
 
     @property
     def n(self) -> int:

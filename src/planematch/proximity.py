@@ -64,7 +64,9 @@ class Triangulation:
 
 @dataclass
 class Tree:
-    """A tree over a subset of point ids with exact squared edge lengths."""
+    """A tree over a subset of point ids with exact squared edge lengths.
+
+    ``adj`` lists each vertex's neighbours in increasing order."""
 
     vertices: tuple[int, ...]
     adj: dict[int, list[int]]

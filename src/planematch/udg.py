@@ -6,11 +6,14 @@ its bottleneck, and a skeleton-peeling matching of the degree-bounded MST of
 a connected unit disk graph with at least (n-1)/5 edges.
 
 One removal core, ``_LiveTree``, tracks the live tree under vertex removal:
-degrees, internal degrees and a heap of skeleton leaves. ``run_peeling`` is
-a thin driver over it, which the first bottleneck approximation reruns with
-a pre-matched seed pair, forbidden vertices and a segment that matched edges
-must avoid crossing; the second approximation's tree matcher builds on the
-same core.
+degrees, internal degrees and a heap of skeleton leaves. Its per-vertex
+state sits in flat arrays indexed by point id (``_PeelState``), allocated
+once per point set and set up per tree in O(|tree|), so a forest costs O(n)
+to allocate however many trees it has; adjacency is read from the tree's
+own lists. ``run_peeling`` is a thin loop over it, which the first
+bottleneck approximation reruns with a pre-matched seed pair, forbidden
+vertices and a segment that matched edges must avoid crossing; the second
+approximation's tree matcher builds on the same core.
 """
 from __future__ import annotations
 
@@ -192,75 +195,146 @@ class PeelResult:
     skipped: int
 
 
-class _LiveTree:
-    """The live part of a tree under vertex removal.
+class _PeelState:
+    """Per-vertex peeling state of one point set, in flat arrays indexed by
+    point id: the alive flag, ``deg``, ``int_deg``, membership of the
+    skeleton-leaf heap, and for ``bottleneck_two``'s tree matcher the
+    second-level skeleton flag ``tdp`` and membership of its heap ``in2``.
 
-    Keeps the adjacency sets of the live vertices, their degrees ``deg``
-    and internal degrees ``int_deg`` (live neighbours that are not leaves),
-    and a min-heap of skeleton leaves: live vertices with deg >= 2 and
-    int_deg <= 1. The heap is lazy; ``remove`` pushes every vertex whose
-    counts change, so ``pop_leaf`` returns the smallest skeleton leaf.
+    It is allocated once per point set (``_peel_state``) and shared by every
+    tree peeled over it: the trees of a forest are vertex-disjoint, and each
+    ``_LiveTree`` set-up rewrites every field it reads for its own vertices,
+    so what an earlier tree left behind, finished or not, is never read.
+    One peeling runs over a point set at a time.
     """
 
-    def __init__(self, tree: Tree):
-        vertices = tree.vertices
-        self.alive = set(vertices)
-        self.adj: dict[int, set[int]] = {v: set(tree.adj[v]) for v in vertices}
-        deg = self.deg = {v: len(self.adj[v]) for v in vertices}
-        self.int_deg = {v: sum(1 for u in self.adj[v] if deg[u] >= 2) for v in vertices}
-        self.heap = [v for v in vertices if self.is_skeleton_leaf(v)]
-        heapq.heapify(self.heap)
-        self.in_heap = set(self.heap)
+    __slots__ = ("alive", "deg", "int_deg", "in_heap", "tdp", "in2")
 
-    def is_skeleton_leaf(self, v: int) -> bool:
-        return v in self.alive and self.deg[v] >= 2 and self.int_deg[v] <= 1
+    def __init__(self, n: int):
+        self.alive = bytearray(n)
+        self.deg = [0] * n
+        self.int_deg = [0] * n
+        self.in_heap = bytearray(n)
+        self.tdp = bytearray(n)
+        self.in2 = bytearray(n)
+
+
+def _peel_state(pts: PointSet) -> _PeelState:
+    """The point set's peeling state, allocated on first use."""
+    state = pts._peel
+    if state is None:
+        state = pts._peel = _PeelState(pts.n)
+    return state
+
+
+class _LiveTree:
+    """The live part of one tree under vertex removal, over the point set's
+    shared ``_PeelState``.
+
+    Adjacency is the tree's own sorted ``adj`` lists, never copied: a
+    removed vertex gets ``deg`` 0, so a tree neighbour of a live vertex is
+    live exactly when its ``deg`` is nonzero. ``int_deg`` counts the live
+    neighbours that are not leaves. The min-heap holds skeleton leaves (live
+    vertices with deg >= 2 and int_deg <= 1) and is lazy; ``remove`` pushes
+    every vertex whose counts change, so ``pop_leaf`` returns the smallest
+    skeleton leaf. ``size`` is the number of live vertices. Set-up writes
+    only the tree's own vertices, in O(|tree|).
+    """
+
+    def __init__(self, tree: Tree, state: _PeelState):
+        self.tree = tree
+        self.adj = adj = tree.adj
+        alive = self.alive = state.alive
+        deg = self.deg = state.deg
+        int_deg = self.int_deg = state.int_deg
+        in_heap = self.in_heap = state.in_heap
+        vertices = tree.vertices
+        self.size = len(vertices)
+        for v in vertices:
+            alive[v] = 1
+            deg[v] = len(adj[v])
+            in_heap[v] = 0
+        heap = []
+        for v in vertices:
+            d = 0
+            for u in adj[v]:
+                if deg[u] >= 2:
+                    d += 1
+            int_deg[v] = d
+            if d <= 1 and deg[v] >= 2:
+                heap.append(v)
+                in_heap[v] = 1
+        heapq.heapify(heap)
+        self.heap = heap
+
+    def live_vertices(self) -> list[int]:
+        """The live vertices, in the order of ``tree.vertices``; O(|tree|)."""
+        alive = self.alive
+        return [v for v in self.tree.vertices if alive[v]]
+
+    def nbrs(self, v: int) -> list[int]:
+        """The live neighbours of live vertex ``v``, in increasing order."""
+        deg = self.deg
+        return [u for u in self.adj[v] if deg[u]]
 
     def pop_leaf(self) -> Optional[int]:
         """Pop the smallest live skeleton leaf, or None when there is none."""
-        while self.heap:
-            v = heapq.heappop(self.heap)
-            self.in_heap.discard(v)
-            if self.is_skeleton_leaf(v):
+        heap, in_heap, deg, int_deg = self.heap, self.in_heap, self.deg, self.int_deg
+        while heap:
+            v = heapq.heappop(heap)
+            in_heap[v] = 0
+            if deg[v] >= 2 and int_deg[v] <= 1:
                 return v
         return None
 
     def leaves_of(self, v: int) -> list[int]:
-        return sorted(u for u in self.adj[v] if self.deg[u] == 1)
+        deg = self.deg
+        return [u for u in self.adj[v] if deg[u] == 1]
 
     def internal_nbr(self, v: int) -> Optional[int]:
+        deg = self.deg
         for u in self.adj[v]:
-            if self.deg[u] >= 2:
+            if deg[u] >= 2:
                 return u
         return None
 
     def remove(self, batch: Sequence[int]) -> set[int]:
         """Delete the vertices one at a time and return the live vertices
-        whose ``deg`` or ``int_deg`` changed, after pushing them."""
-        alive, adj, deg, int_deg = self.alive, self.adj, self.deg, self.int_deg
+        whose ``deg`` or ``int_deg`` changed, after pushing them. A vertex
+        that is duplicated, already removed or not in the tree raises
+        ``InvariantViolation``."""
+        adj, alive, deg, int_deg = self.adj, self.alive, self.deg, self.int_deg
         changed: set[int] = set()
+        add = changed.add
         for r in batch:
-            if r not in alive:
+            nbrs = adj.get(r)
+            if nbrs is None or not alive[r]:
                 raise InvariantViolation(f"vertex {r} is removed twice or not in the tree")
-            alive.discard(r)
+            alive[r] = 0
+            self.size -= 1
             internal = deg[r] >= 2
-            for s in adj[r]:
-                nbrs = adj[s]
-                nbrs.discard(r)
-                changed.add(s)
+            deg[r] = 0
+            for s in nbrs:
+                d = deg[s]
+                if not d:
+                    continue
+                add(s)
                 if internal:
                     int_deg[s] -= 1
-                deg[s] -= 1
-                if deg[s] == 1:
+                deg[s] = d - 1
+                if d == 2:
                     # s became a leaf, so its last neighbour lost an internal one.
-                    for t in nbrs:
-                        int_deg[t] -= 1
-                        changed.add(t)
-            adj[r].clear()
-        changed &= alive
+                    for t in adj[s]:
+                        if deg[t]:
+                            int_deg[t] -= 1
+                            add(t)
+        # Only batch vertices died, so the rest of ``changed`` is live.
+        changed.difference_update(batch)
+        heap, in_heap = self.heap, self.in_heap
         for v in changed:
-            if v not in self.in_heap and self.is_skeleton_leaf(v):
-                heapq.heappush(self.heap, v)
-                self.in_heap.add(v)
+            if not in_heap[v] and deg[v] >= 2 and int_deg[v] <= 1:
+                heapq.heappush(heap, v)
+                in_heap[v] = 1
         return changed
 
 
@@ -280,7 +354,7 @@ def run_peeling(
     never matched; candidate edges crossing ``avoid`` are skipped. A leftover
     single edge is appended when present.
     """
-    live = _LiveTree(tree)
+    live = _LiveTree(tree, _peel_state(pts))
     pairs = list(init_pairs)
     iterations: list[PeelIteration] = []
     skipped = 0
@@ -309,9 +383,8 @@ def run_peeling(
 
     final_edge = None
     final_skipped = False
-    alive = live.alive
-    if len(alive) == 2:
-        a, b = sorted(alive)
+    if live.size == 2:
+        a, b = sorted(live.live_vertices())
         if b not in live.adj[a]:
             raise InvariantViolation("leftover vertices are not adjacent")
         ok = a not in forbidden and b not in forbidden
@@ -322,8 +395,8 @@ def run_peeling(
             pairs.append(final_edge)
         else:
             final_skipped = True
-    elif len(alive) > 2:
-        raise InvariantViolation(f"peeling left {len(alive)} vertices")
+    elif live.size > 2:
+        raise InvariantViolation(f"peeling left {live.size} vertices")
 
     return PeelResult(
         pairs=pairs,

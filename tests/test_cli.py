@@ -2,11 +2,13 @@
 from __future__ import annotations
 
 import json
+import math
 import runpy
 import sys
 
 import pytest
 
+from planematch import bottleneck_two
 from planematch.cli import main
 from planematch.errors import BadParameters, DuplicatePoint, FormatError
 from planematch.geometry import SCALE
@@ -289,3 +291,32 @@ def test_cli_error_on_oversize(capsys):
     code, rep = run_cli(capsys, "exact", "--n", "18", "--seed", "0")
     assert code == 2
     assert rep["error"]["code"] == "instance_too_large"
+
+
+@pytest.mark.parametrize("mode", ["uniform", "clustered"])
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cli_approx2_certifies_against_the_even_forest(capsys, monkeypatch, seed, mode):
+    runs = []
+    even_forest = bottleneck_two.even_forest
+
+    def counting(pts):
+        runs.append(even_forest(pts))
+        return runs[-1]
+
+    monkeypatch.setattr(bottleneck_two, "even_forest", counting)
+    code, rep = run_cli(capsys, "approx2", "--n", "4000", "--seed", str(seed), "--mode", mode)
+    assert code == 0
+    (ef,) = runs
+    assert rep["checks"] == {"size_bound": True, "length_bound": True, "round_accounting": True}
+    assert rep["lambda_lower_bound"] == math.sqrt(ef.last_sq) / SCALE
+    assert rep["bottleneck_over_lb"] == pytest.approx(rep["bottleneck"] / rep["lambda_lower_bound"])
+    assert rep["bottleneck_over_lb"] ** 2 <= 9.899
+
+
+def test_cli_approx2_without_points_reports_no_lower_bound(capsys, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("0\n")
+    code, rep = run_cli(capsys, "approx2", "--input", str(f))
+    assert code == 0
+    assert rep["checks"] == {"size_bound": True}
+    assert "lambda_lower_bound" not in rep and "bottleneck_over_lb" not in rep

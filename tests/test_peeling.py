@@ -1,19 +1,25 @@
 """The removal core ``udg._LiveTree`` and ``run_peeling`` over it, against
 a reference copy of the peeling loop that kept its own removal state, and
-against from-scratch counts on the live subtree."""
+against counts recomputed on the live subtree; and the point set's shared
+``_PeelState`` against a fresh state per tree."""
 from __future__ import annotations
 
 import heapq
+import math
+import random
 from typing import Optional, Sequence
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from planematch.bottleneck_one import critical_edge, first_approx, match_tree_first
+from planematch.bottleneck_two import even_forest, match_tree_detailed, second_approx
 from planematch.errors import InvariantViolation
 from planematch.geometry import SCALE, PointSet, cross_ids
+from planematch.matching import Matching
 from planematch.proximity import Tree, emst5, skeleton
-from planematch.udg import PeelIteration, PeelResult, _LiveTree, run_peeling
+from planematch.udg import PeelIteration, PeelResult, _LiveTree, _PeelState, run_peeling
 from test_kruskal import degenerate_corpus
 
 S = SCALE
@@ -167,10 +173,11 @@ def live_counts(tree: Tree, alive: set[int]):
 
 def test_initial_skeleton_leaves_are_the_skeleton_reference():
     for _, coords in degenerate_corpus():
-        tree = emst5(PointSet(coords))
+        pts = PointSet(coords)
+        tree = emst5(pts)
         sk = skeleton(tree).tree
         expected = sorted(v for v in sk.vertices if len(sk.adj[v]) <= 1)
-        assert list(iter(_LiveTree(tree).pop_leaf, None)) == expected
+        assert list(iter(_LiveTree(tree, _PeelState(pts.n)).pop_leaf, None)) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -179,28 +186,144 @@ def test_initial_skeleton_leaves_are_the_skeleton_reference():
     st.data(),
 )
 def test_remove_keeps_counts_of_the_live_subtree(cells, data):
-    tree = emst5(PointSet([(x * S, y * S) for x, y in cells]))
-    live = _LiveTree(tree)
+    pts = PointSet([(x * S, y * S) for x, y in cells])
+    tree = emst5(pts)
+    live = _LiveTree(tree, _PeelState(pts.n))
     order = data.draw(st.permutations(tree.vertices))
     while order:
         k = data.draw(st.integers(1, 4))
         batch, order = order[:k], order[k:]
-        before = {v: (live.deg[v], live.int_deg[v]) for v in live.alive}
+        before = {v: (live.deg[v], live.int_deg[v]) for v in live.live_vertices()}
         changed = live.remove(batch)
-        adj, deg, int_deg = live_counts(tree, live.alive)
-        assert {v: live.adj[v] for v in live.alive} == adj
-        assert {v: live.deg[v] for v in live.alive} == deg
-        assert {v: live.int_deg[v] for v in live.alive} == int_deg
-        assert changed == {v for v in live.alive if before[v] != (deg[v], int_deg[v])}
-        assert {v for v in live.alive if deg[v] >= 2 and int_deg[v] <= 1} <= live.in_heap
+        alive = set(live.live_vertices())
+        adj, deg, int_deg = live_counts(tree, alive)
+        assert {v: set(live.nbrs(v)) for v in alive} == adj
+        assert {v: live.deg[v] for v in alive} == deg
+        assert {v: live.int_deg[v] for v in alive} == int_deg
+        assert changed == {v for v in alive if before[v] != (deg[v], int_deg[v])}
+        in_heap = {v for v in tree.vertices if live.in_heap[v]}
+        assert {v for v in alive if deg[v] >= 2 and int_deg[v] <= 1} <= in_heap
 
 
 def test_remove_rejects_duplicated_and_removed_vertices():
-    tree = emst5(PointSet([(x * S, 0) for x in range(6)]))
-    live = _LiveTree(tree)
+    pts = PointSet([(x * S, 0) for x in range(6)])
+    tree = emst5(pts)
+    live = _LiveTree(tree, _PeelState(pts.n))
     with pytest.raises(InvariantViolation):
         live.remove([2, 3, 2])
-    live = _LiveTree(tree)
+    live = _LiveTree(tree, _PeelState(pts.n))
     live.remove([0])
     with pytest.raises(InvariantViolation):
         live.remove([1, 0])
+
+
+def far_pairs(k: int) -> PointSet:
+    """k point pairs one unit apart on a grid of spacing 100: the even
+    forest has one two-vertex tree per pair."""
+    side = math.isqrt(k - 1) + 1
+    coords = []
+    for i in range(k):
+        x, y = (i % side) * 100 * S, (i // side) * 100 * S
+        coords += [(x, y), (x + S, y + (i % 7) * S // 10)]
+    return PointSet(coords)
+
+
+def blob_forest(seed: int) -> PointSet:
+    """Far-apart random blobs of even sizes from 2 to 60: a forest of trees
+    of many sizes and shapes."""
+    rng = random.Random(seed)
+    coords: set[tuple[int, int]] = set()
+    for b in range(40):
+        cx, cy = (b % 8) * 1000 * S, (b // 8) * 1000 * S
+        target = len(coords) + 2 * rng.randint(1, 30)
+        while len(coords) < target:
+            coords.add((cx + rng.randrange(-10 * S, 10 * S), cy + rng.randrange(-10 * S, 10 * S)))
+    return PointSet(sorted(coords))
+
+
+def fresh(pts: PointSet) -> PointSet:
+    """Drop the point set's peeling state, so the next peeling allocates
+    its own."""
+    pts._peel = None
+    return pts
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """A list that gets one entry per ``_PeelState`` construction."""
+    made: list[int] = []
+    init = _PeelState.__init__
+
+    def counting(self, n: int) -> None:
+        made.append(n)
+        init(self, n)
+
+    monkeypatch.setattr(_PeelState, "__init__", counting)
+    return made
+
+
+@pytest.mark.parametrize(
+    "make,n_trees", [(lambda: far_pairs(2000), 2000), (lambda: blob_forest(5), 40)], ids=["pairs", "blobs"]
+)
+def test_second_approx_equals_fresh_per_tree_runs(make, n_trees, constructions):
+    pts = make()
+    got = second_approx(pts)
+    assert constructions == [pts.n]
+    trees = even_forest(pts).forest.trees
+    assert len(trees) == n_trees
+    pairs = []
+    for tree in trees:
+        pairs += match_tree_detailed(fresh(pts), tree).pairs
+    assert got == Matching.of(pts, pairs)
+
+
+@pytest.mark.parametrize("make", [lambda: far_pairs(2000), lambda: blob_forest(6)], ids=["pairs", "blobs"])
+def test_first_approx_equals_fresh_per_tree_runs(make, constructions):
+    pts = make()
+    got = first_approx(pts)
+    assert constructions == [pts.n]
+    ce = critical_edge(pts)
+    seed_by_tree = {s.tree: s for s in ce.seeds}
+    pairs = []
+    for idx, tree in enumerate(ce.forest.trees):
+        pairs += match_tree_first(fresh(pts), tree, seed_by_tree.get(idx)).pairs
+    assert got == Matching.of(pts, pairs)
+
+
+def with_chord(tree: Tree) -> Tree:
+    """The tree plus an edge between its smallest and largest vertex: a
+    cycle that peeling can never consume."""
+    a, b = tree.vertices[0], tree.vertices[-1]
+    adj = {v: sorted(tree.adj[v] + [b] * (v == a) + [a] * (v == b)) for v in tree.vertices}
+    return Tree(vertices=tree.vertices, adj=adj, edge_sq=dict(tree.edge_sq))
+
+
+def test_failed_tree_leaves_later_trees_unchanged():
+    pts = blob_forest(7)
+    trees = even_forest(pts).forest.trees
+    expected = [match_tree_detailed(fresh(pts), t) for t in trees]
+    expected_peel = [run_peeling(fresh(pts), t) for t in trees]
+    fresh(pts)
+    for i, tree in enumerate(trees):
+        if tree.n < 8:
+            continue
+        # Both peelings stop part way, leaving the tree's vertices half removed.
+        with pytest.raises(InvariantViolation):
+            match_tree_detailed(pts, with_chord(tree))
+        assert 0 < sum(not pts._peel.alive[v] for v in tree.vertices) < tree.n
+        assert match_tree_detailed(pts, tree) == expected[i]
+        with pytest.raises(InvariantViolation):
+            run_peeling(pts, with_chord(tree))
+        assert run_peeling(pts, tree) == expected_peel[i]
+    assert [match_tree_detailed(pts, t) for t in trees] == expected
+
+
+def test_remove_rejects_a_vertex_of_another_tree():
+    pts = far_pairs(4)
+    first, second = even_forest(pts).forest.trees[:2]
+    state = _PeelState(pts.n)
+    _LiveTree(first, state)
+    live = _LiveTree(second, state)
+    # The first tree's vertices are still flagged alive in the shared state.
+    with pytest.raises(InvariantViolation):
+        live.remove([first.vertices[0]])
