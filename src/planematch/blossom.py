@@ -17,6 +17,7 @@ from dataclasses import dataclass
 from itertools import islice
 from operator import itemgetter
 
+from ._nogc import nogc
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
 from .geometry import PointSet
 from .matching import Matching
@@ -298,6 +299,7 @@ def _mates(n: int, pairs) -> list[int]:
     return mate
 
 
+@nogc
 def bottleneck_crossing(pts: PointSet) -> BottleneckCrossingResult:
     """Minimum lambda among the pairwise distances such that the disk graph
     of radius lambda admits a perfect matching, plus a witness matching.

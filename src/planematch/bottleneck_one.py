@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from ._nogc import nogc
 from .errors import InvariantViolation, OddPointCount, SeedRequired
 from .geometry import PointSet, angle_exactly_third_pi
 from .matching import Matching
@@ -212,6 +213,7 @@ def match_tree_first(
     return Matching.of(pts, pairs)
 
 
+@nogc
 def first_approx(pts: PointSet, seed_source: str = "critical") -> Matching:
     """Plane matching of size at least n/5 with bottleneck at most the
     optimal plane bottleneck.

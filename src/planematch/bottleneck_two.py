@@ -16,6 +16,7 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
+from ._nogc import nogc
 from .errors import (
     DegeneratePolygon,
     InvariantViolation,
@@ -91,7 +92,7 @@ def even_forest(pts: PointSet) -> EvenForest:
         raise TooFewPoints("need at least 2 points")
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     # The edges come with u < v.
-    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False).edges)
+    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
     for sq, u, v, odd in kruskal(edges, n, n):
         adj[u].add(v)
         adj[v].add(u)
@@ -807,6 +808,7 @@ class SecondApproxResult:
     trees: list[TreeMatchResult]
 
 
+@nogc
 def second_approx_detailed(
     pts: PointSet, validate_regions: bool = False
 ) -> SecondApproxResult:
@@ -823,6 +825,7 @@ def second_approx_detailed(
     return SecondApproxResult(Matching.of(pts, pairs), ef, results)
 
 
+@nogc
 def second_approx(pts: PointSet, validate_regions: bool = False) -> Matching:
     """Plane matching of size at least 2n/5 whose bottleneck is at most
     (sqrt(2)+sqrt(3)) times the optimal plane-perfect-matching bottleneck."""

@@ -1,33 +1,41 @@
 """Point-file parsing, deterministic instance generation and SVG rendering.
 
-The text format is one integer count line followed by that many "x y" lines
-with at most six decimal places; coordinates round-trip losslessly through
-the scaled-integer representation.
+The text format is ASCII: one integer count line followed by that many
+"x y" lines with at most six decimal places; coordinates round-trip
+losslessly through the scaled-integer representation.
 """
 from __future__ import annotations
 
 import math
 import re
+from typing import Optional
 
 import numpy as np
 
-from .errors import BadParameters, FormatError
+from ._nogc import nogc
+from .errors import BadParameters, FormatError, InvariantViolation
 from .geometry import SCALE, PointSet
 from .matching import Matching
 
-_NUM_RE = re.compile(r"^[+-]?(\d+)(?:\.(\d{1,6}))?$")
+# The point-file grammar is ASCII: a coordinate is an optional sign, ASCII
+# digits and at most six decimals; spaces and tabs separate and surround the
+# values of a line; a line ends at "\n", "\r\n" or the end of the text.
+# ``_ROW_RE`` matches one coordinate line or one blank line; the whole part
+# keeps its sign, so int(whole + decimals padded to six) is the scaled value.
+_COORD = r"([+-]?[0-9]+)(?:\.([0-9]{1,6}))?"
+_COORD_RE = re.compile(_COORD)
+_ROW_RE = re.compile(rf"[ \t]*(?:{_COORD}[ \t]+{_COORD}[ \t]*)?(?:\r?\n|\Z)")
+_HEAD_RE = re.compile(r"(?:[ \t]*\r?\n)*[ \t]*([+-]?[0-9]+)[ \t]*(?:\r?\n|\Z)")
+_BLANKS_RE = re.compile(r"[ \t]+")
 
 
 def parse_coord(token: str) -> int:
     """Parse one decimal coordinate into its scaled integer, exactly."""
-    m = _NUM_RE.match(token)
+    m = _COORD_RE.fullmatch(token)
     if not m:
         raise FormatError(f"bad coordinate {token!r} (up to 6 decimals allowed)")
-    whole, frac = m.group(1), m.group(2) or ""
-    value = int(whole) * SCALE + int(frac.ljust(6, "0") or 0)
-    if token.lstrip().startswith("-"):
-        value = -value
-    return value
+    whole, frac = m.group(1, 2)
+    return int(whole + (frac or "").ljust(6, "0"))
 
 
 def format_coord(scaled: int) -> str:
@@ -40,29 +48,76 @@ def format_coord(scaled: int) -> str:
     return f"{sign}{whole}.{frac:06d}".rstrip("0")
 
 
+def _lines(text: str) -> list[str]:
+    """The non-blank lines of ``text``, without their line ending and
+    without surrounding spaces and tabs. A "\r" is part of the ending only
+    before "\n"."""
+    pieces = text.split("\n")
+    last = len(pieces) - 1
+    out = []
+    for i, piece in enumerate(pieces):
+        if i < last and piece.endswith("\r"):
+            piece = piece[:-1]
+        piece = piece.strip(" \t")
+        if piece:
+            out.append(piece)
+    return out
+
+
+def _format_error(text: str, start: int, n: Optional[int]) -> FormatError:
+    """The error for a text whose count line (``n`` None) or whose
+    coordinate line at offset ``start`` breaks the grammar. Errors come in
+    a fixed order: no line at all, the count line, the number of coordinate
+    lines, then the first bad line."""
+    lines = _lines(text)
+    if not lines:
+        return FormatError("empty input")
+    if n is None:
+        return FormatError(f"first line must be the point count: {lines[0]!r}")
+    if len(lines) - 1 != n:
+        return FormatError(f"expected {n} coordinate lines, got {len(lines) - 1}")
+    line = _lines(text[start:])[0]
+    parts = _BLANKS_RE.split(line)
+    if len(parts) != 2:
+        return FormatError(f"expected 'x y', got {line!r}")
+    for token in parts:
+        parse_coord(token)
+    raise InvariantViolation(f"the row scan rejected the valid line {line!r}")
+
+
+@nogc
 def parse_points(text: str | bytes) -> PointSet:
-    """Parse the point-file format: a count line, then "x y" lines."""
+    """Parse the point-file format: a count line, then "x y" lines.
+
+    One scan: the count line, then ``_ROW_RE`` matched line after line, each
+    match starting where the previous one ended, so no character goes
+    unread. Coordinates stay exact Python ints at any magnitude.
+    """
     if isinstance(text, bytes):
         try:
             text = text.decode("utf-8")
         except UnicodeDecodeError as exc:
             raise FormatError(f"input is not UTF-8: {exc}") from exc
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty input")
-    try:
-        n = int(lines[0])
-    except ValueError as exc:
-        raise FormatError(f"first line must be the point count: {lines[0]!r}") from exc
-    if n < 0 or len(lines) - 1 != n:
-        raise FormatError(f"expected {n} coordinate lines, got {len(lines) - 1}")
-    coords = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise FormatError(f"expected 'x y', got {ln!r}")
-        coords.append((parse_coord(parts[0]), parse_coord(parts[1])))
-    return PointSet(coords)  # raises DuplicatePoint on repeats
+    head = _HEAD_RE.match(text)
+    if head is None:
+        raise _format_error(text, 0, None)
+    n = int(head.group(1))
+    pos = head.end()
+    xs: list[int] = []
+    ys: list[int] = []
+    for m in _ROW_RE.finditer(text, pos):
+        if m.start() != pos:
+            break
+        pos = m.end()
+        wx, fx, wy, fy = m.groups("")
+        if wx:
+            xs.append(int(wx + fx.ljust(6, "0")))
+            ys.append(int(wy + fy.ljust(6, "0")))
+    if pos != len(text):
+        raise _format_error(text, pos, n)
+    if len(xs) != n:
+        raise FormatError(f"expected {n} coordinate lines, got {len(xs)}")
+    return PointSet(zip(xs, ys))  # raises DuplicatePoint on repeats
 
 
 def format_points(pts: PointSet) -> str:

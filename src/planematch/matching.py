@@ -7,6 +7,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._nogc import nogc
 from .errors import FormatError
 from .geometry import PointSet, segments_cross_coords
 
@@ -102,6 +103,7 @@ def _crossing_candidates(pts: PointSet, pairs):
                 yield key
 
 
+@nogc
 def validate(pts: PointSet, m: Matching) -> ValidationReport:
     """Certify a matching: vertex-disjointness, planarity, size, bottleneck.
 

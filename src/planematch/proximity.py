@@ -55,11 +55,33 @@ from .geometry import (
 )
 
 
-@dataclass(frozen=True)
 class Triangulation:
-    """Sorted edge list of a planar triangulation over point ids."""
+    """The distinct edges (u, v), u < v, of a planar triangulation over
+    point ids below ``n``, held as their int64 codes ``u * n + v`` in
+    increasing order, which is the lexicographic order of the pairs.
 
-    edges: tuple[tuple[int, int], ...]
+    ``edges`` spells them out as a tuple of pairs on first use; the
+    pipeline's Kruskal order (``sorted_candidate_edges``) reads the codes.
+    """
+
+    __slots__ = ("codes", "n", "_edges")
+
+    def __init__(self, codes: np.ndarray, n: int):
+        self.codes = codes
+        self.n = n
+        self._edges: Optional[tuple[tuple[int, int], ...]] = None
+
+    @classmethod
+    def of_pairs(cls, pairs, n: int) -> "Triangulation":
+        """The Triangulation of distinct (u, v) pairs with u < v."""
+        return cls(np.sort(np.array([u * n + v for u, v in pairs], dtype=np.int64)), n)
+
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        if self._edges is None:
+            lo, hi = np.divmod(self.codes, self.n)
+            self._edges = tuple(zip(lo.tolist(), hi.tolist()))
+        return self._edges
 
 
 @dataclass
@@ -167,8 +189,7 @@ def _coord_edge_key(pts: PointSet, u: int, v: int):
 
 def _collinear_chain(pts: PointSet) -> Triangulation:
     order = sorted(range(pts.n), key=lambda i: (pts.xs[i], pts.ys[i]))
-    edges = tuple(_edge_key(order[i], order[i + 1]) for i in range(pts.n - 1))
-    return Triangulation(edges=edges)
+    return Triangulation.of_pairs((_edge_key(order[i], order[i + 1]) for i in range(pts.n - 1)), pts.n)
 
 
 def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
@@ -477,8 +498,7 @@ def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
     pairs = np.concatenate((simplices[:, [0, 1]], simplices[:, [1, 2]], simplices[:, [0, 2]]))
     pairs.sort(axis=1)
     codes = np.sort(pairs[:, 0].astype(np.int64) * n + pairs[:, 1])
-    lo, hi = np.divmod(codes[np.append(True, codes[1:] != codes[:-1])], n)
-    return Triangulation(edges=tuple(zip(lo.tolist(), hi.tolist())))
+    return Triangulation(codes[np.append(True, codes[1:] != codes[:-1])], n)
 
 
 def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
@@ -497,7 +517,7 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
     if n == 2:
-        return Triangulation(edges=(_edge_key(0, 1),))
+        return Triangulation.of_pairs([(0, 1)], n)
     xs, ys = pts.xs, pts.ys
     collinear = True
     for k in range(2, n):
@@ -534,7 +554,7 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
         if lost:
             raise InvariantViolation(f"triangulation dropped points: {lost[:5]}")
     _canonicalize(pts, mesh, certified, canonical)
-    return Triangulation(edges=tuple(mesh.live_edges()))
+    return Triangulation.of_pairs(mesh.live_edges(), n)
 
 
 def kruskal(edges, size: int, odd: int):
@@ -572,8 +592,10 @@ def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
     """Edges as (sq_length, u, v) with u < v, sorted by (length,
     lexicographic pair).
 
-    Squared lengths are at most 2 * span^2 for the coordinate span; below
-    2^63 they are computed and sorted in int64, otherwise in Python ints.
+    ``edges`` is a Triangulation of ``pts``, whose sorted codes are read
+    as they are, or any iterable of (u, v) pairs. Squared
+    lengths are at most 2 * span^2 for the coordinate span; below 2^63 they
+    are computed and sorted in int64, otherwise in Python ints.
     """
     x0, y0, span = _span(pts)
     if 2 * span * span < 1 << 63:
@@ -581,26 +603,34 @@ def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
     return _sorted_edges_exact(pts, edges)
 
 
+def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Int64 arrays u <= v of ``edges`` (see ``sorted_candidate_edges``) in
+    lexicographic order, repeats kept."""
+    if isinstance(edges, Triangulation):
+        return np.divmod(edges.codes, edges.n)
+    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
+    u = np.minimum(ends[0::2], ends[1::2])
+    v = np.maximum(ends[0::2], ends[1::2])
+    order = np.lexsort((v, u))
+    return u[order], v[order]
+
+
 def _sorted_edges_int64(pts: PointSet, edges, x0: int, y0: int) -> list[tuple[int, int, int]]:
     # Translating in Python first keeps coordinates above 2^63 convertible.
     xs = np.array([x - x0 for x in pts.xs], dtype=np.int64)
     ys = np.array([y - y0 for y in pts.ys], dtype=np.int64)
-    ends = np.fromiter(chain.from_iterable(edges), dtype=np.int64)
-    u = np.minimum(ends[0::2], ends[1::2])
-    v = np.maximum(ends[0::2], ends[1::2])
+    u, v = _edge_ends(edges)
     dx = xs[u] - xs[v]
     dy = ys[u] - ys[v]
     sq = dx * dx + dy * dy
-    order = np.lexsort((v, u, sq))
+    # A stable sort by length keeps equal lengths in lexicographic order.
+    order = np.argsort(sq, kind="stable")
     return list(zip(sq[order].tolist(), u[order].tolist(), v[order].tolist()))
 
 
 def _sorted_edges_exact(pts: PointSet, edges) -> list[tuple[int, int, int]]:
-    out = []
-    for u, v in edges:
-        if u > v:
-            u, v = v, u
-        out.append((pts.sq_dist(u, v), u, v))
+    u, v = _edge_ends(edges)
+    out = [(pts.sq_dist(a, b), a, b) for a, b in zip(u.tolist(), v.tolist())]
     out.sort()
     return out
 
@@ -674,7 +704,7 @@ def emst5(pts: PointSet) -> Tree:
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     if n == 1:
         return _tree_from_adj(pts, [0], adj)
-    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False).edges)
+    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
     for _, u, v, _ in islice(kruskal(edges, n, n), n - 1):
         adj[u].add(v)
         adj[v].add(u)

@@ -20,8 +20,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
+from ._nogc import nogc
 from .errors import DisconnectedInput, InvariantViolation
 from .geometry import SCALE, PointSet, cross_ids, sort_clockwise
 from .matching import Matching, _crossing_candidates
@@ -83,6 +84,7 @@ def _total_length(pts: PointSet, pairs) -> float:
     return sum(math.sqrt(pts.sq_dist(a, b)) for a, b in pairs) / SCALE
 
 
+@nogc
 def one_third(
     pts: PointSet, m: Matching, cap: Optional[int] = None
 ) -> tuple[Matching, RotationTrace]:
@@ -174,10 +176,10 @@ def one_third(
     return Matching.of(pts, chosen), trace
 
 
-@dataclass(frozen=True)
-class PeelIteration:
+class PeelIteration(NamedTuple):
     """One round of skeleton peeling: the picked skeleton leaf, its degree,
-    its internal neighbour, and its leaf neighbours at that moment."""
+    its internal neighbour, and its leaf neighbours at that moment. A named
+    tuple, since a peeling builds one per round."""
 
     v: int
     deg: int
@@ -422,6 +424,7 @@ def _connected(adj: list[list[int]]) -> bool:
     return len(seen) == n
 
 
+@nogc
 def plane_matching(pts: PointSet) -> Matching:
     """Plane matching of the degree-bounded MST of a connected unit disk
     graph, of size at least (n-1)/5.

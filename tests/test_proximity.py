@@ -526,6 +526,24 @@ def test_sorted_candidate_edges_above_2_63():
         assert sorted_candidate_edges(pts, edges) == _sorted_edges_exact(pts, edges)
 
 
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_sorted_candidate_edges_reads_triangulation_codes(canonical):
+    # The codes a Triangulation keeps give the order its pairs give, with
+    # and without int64, and reading them builds no pair tuple.
+    sets = [gen_points(300, 5, "uniform"), gen_points(300, 6, "clustered"),
+            PointSet((x * S, y * S) for x in range(12) for y in range(9)),
+            PointSet((x * S + 2**62, y * 2**32 - 2**70) for x in range(7) for y in range(6)),
+            PointSet((k * S, 0) for k in range(9)), PointSet([(0, 0), (S, 3)])]
+    for pts in sets:
+        tri = delaunay(pts, canonical=canonical)
+        got = sorted_candidate_edges(pts, tri)
+        assert tri._edges is None
+        assert got == sorted_candidate_edges(pts, list(tri.edges)) == _sorted_edges_exact(pts, tri.edges)
+        assert type(tri.edges) is tuple and tri.edges is tri.edges
+        assert list(tri.edges) == sorted(tri.edges) and all(type(e) is tuple and e[0] < e[1] for e in tri.edges)
+        assert np.array_equal(tri.codes, [u * pts.n + v for u, v in tri.edges])
+
 def test_emst5_chain():
     pts = ps((0, 0), (1, 0), (2, 0))
     tree = emst5(pts)
