@@ -6,7 +6,7 @@ against a brute-force oracle at small sizes.
 """
 from .blossom import AbstractGraph, BottleneckCrossingResult, bottleneck_crossing, max_matching
 from .bottleneck_one import CriticalEdgeResult, SeedTriple, compare_to_opt, critical_edge, first_approx, match_tree_first
-from .bottleneck_two import AnchorInfo, EvenForest, even_forest, is_anchor, match_tree_second, second_approx
+from .bottleneck_two import EvenForest, even_forest, is_anchor, match_tree_second, second_approx
 from .geometry import SCALE, Point, PointSet, Segment, convex_empty, cw_angle, segments_cross
 from .io import gen_points, parse_points, render_svg
 from .matching import Matching, ValidationReport, validate
@@ -28,7 +28,6 @@ from .udg import RotationTrace, one_third, plane_matching
 
 __all__ = [
     "AbstractGraph",
-    "AnchorInfo",
     "BottleneckCrossingResult",
     "CriticalEdgeResult",
     "DiskGraph",

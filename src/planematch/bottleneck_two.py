@@ -57,17 +57,6 @@ class EvenForest:
     last_sq: int
 
 
-@dataclass(frozen=True)
-class AnchorInfo:
-    """An anchor: a skeleton leaf with two tree leaves spanning at least pi
-    clockwise, plus its internal neighbour."""
-
-    vertex: int
-    leaf_a: int
-    leaf_b: int
-    internal: int
-
-
 @dataclass
 class TreeMatchResult:
     pairs: list[tuple[int, int]]
@@ -269,21 +258,34 @@ class _TreeMatcher:
 
     # -- step 2 and base case machinery --------------------------------------
 
-    def _resolve_hub(
-        self,
-        w: int,
-        y: Optional[int],
-        anchors_cw: list[int],
-        x_cw: list[int],
-    ) -> None:
+    def _hub_split(
+        self, w: int, y: Optional[int]
+    ) -> tuple[list[int], list[int], list[int]]:
+        """The live neighbours of hub ``w`` other than ``y``, clockwise from
+        ``y`` (from the smallest non-leaf when ``y`` is None), then the
+        anchors and the leaves among them in that order."""
+        live = self.live
+        deg = live.deg
+        others = [u for u in live.nbrs(w) if u != y]
+        ref = y if y is not None else min(u for u in others if deg[u] >= 2)
+        order = sort_clockwise(self.pts, w, others, ref)
+        return order, [u for u in order if deg[u] >= 2], [u for u in order if deg[u] == 1]
+
+    def _resolve_hub(self, w: int, y: Optional[int]) -> None:
         """Match around a hub vertex ``w`` whose non-leaf neighbours other
-        than ``y`` are all anchors, then remove the consumed cluster."""
+        than ``y`` are all anchors, then remove the hub, its anchors with
+        their leaves, and its own leaves."""
         pts = self.pts
+        order, anchors_cw, x_cw = self._hub_split(w, y)
+        for v in anchors_cw:
+            if not self._is_anchor(v):
+                raise InvariantViolation(f"hub neighbour {v} is not an anchor")
         k = len(anchors_cw)
         ab = {v: self._anchor_leaves(v, w) for v in anchors_cw}
         removed: list[int] = [w]
         for v in anchors_cw:
             removed.extend((v, ab[v][0], ab[v][1]))
+        removed.extend(x_cw)
         if self.validate_regions and k >= 1:
             # The interleaved sequence a_1, v_1, b_1, ..., a_k, v_k, b_k must
             # be clockwise-sorted around the hub.
@@ -298,197 +300,83 @@ class _TreeMatcher:
                     )
         pairs_before = len(self.pairs)
 
-        def right_of(p: int, x: int) -> bool:
-            return orientation(pts, x, w, p) < 0
-
-        def left_of(p: int, x: int) -> bool:
-            return orientation(pts, x, w, p) > 0
-
-        if k == 1:
+        if k == 4:
+            self._case_four(w, anchors_cw, ab)
+        elif k == 1 and len(x_cw) >= 2:
             (v1,) = anchors_cw
             a1, b1 = ab[v1]
-            if len(x_cw) >= 3:
-                removed.extend(x_cw[2:])
-                x_cw = x_cw[:2]
-            if len(x_cw) <= 1:
-                self._add_pair(a1, v1)
-                self._add_pair(b1, w)
-                self._add_region((b1, v1, w))
-                removed.extend(x_cw)
-            else:
-                # Order the two leaves by their unsigned angle to the anchor.
-                c = cmp_unsigned_angle(pts, v1, w, x_cw[0], v1, w, x_cw[1])
-                x1, x2 = (x_cw[0], x_cw[1]) if c <= 0 else (x_cw[1], x_cw[0])
-                removed.extend((x1, x2))
-                if dot_sign(pts, v1, w, x1) >= 0:
-                    if cw_le_half_pi(pts, x1, w, v1):
-                        self._add_pair(v1, a1)
-                        self._add_pair(b1, x1)
-                        self._add_region((v1, b1, w, x1))
-                        self._add_pair(x2, w)
-                    else:
-                        self._add_pair(v1, b1)
-                        self._add_pair(a1, x1)
-                        self._add_region((v1, x1, w, a1))
-                        self._add_pair(x2, w)
-                else:
+            # Order the first two leaves by their unsigned angle to the anchor.
+            c = cmp_unsigned_angle(pts, v1, w, x_cw[0], v1, w, x_cw[1])
+            x1, x2 = (x_cw[0], x_cw[1]) if c <= 0 else (x_cw[1], x_cw[0])
+            if dot_sign(pts, v1, w, x1) >= 0:
+                if cw_le_half_pi(pts, x1, w, v1):
                     self._add_pair(v1, a1)
-                    self._add_pair(b1, w)
-                    self._add_region((b1, v1, w))
-                    self._add_pair(x1, x2)
-                    self._add_region((x1, w, x2))
-        elif k == 2:
-            v1, v2 = anchors_cw
-            a1, b1 = ab[v1]
-            a2, b2 = ab[v2]
-            if len(x_cw) >= 2:
-                removed.extend(x_cw[1:])
-                x_cw = x_cw[:1]
-            if not x_cw:
-                self._add_pair(v1, a1)
-                self._add_pair(b1, w)
-                self._add_region((b1, v1, w))
-                self._add_pair(v2, a2)
-            else:
-                x = x_cw[0]
-                removed.append(x)
-                between = self._between(w, y, anchors_cw, x, v1, v2)
-                if between:
-                    if right_of(a1, x):
-                        self._add_pair(x, a1)
-                        self._add_region((x, w, a1, v1))
-                        self._add_pair(v1, b1)
-                        self._add_pair(v2, a2)
-                        self._add_pair(b2, w)
-                        self._add_region((b2, v2, w))
-                    else:
-                        self._add_pair(x, b2)
-                        self._add_region((w, x, v2, b2))
-                        self._add_pair(v2, a2)
-                        self._add_pair(v1, a1)
-                        self._add_pair(b1, w)
-                        self._add_region((b1, v1, w))
+                    self._add_pair(b1, x1)
+                    self._add_region((v1, b1, w, x1))
                 else:
-                    if left_of(b1, x):
-                        self._add_pair(x, b1)
-                        self._add_region((w, x, v1, b1))
-                        self._add_pair(v1, a1)
-                        self._add_pair(v2, a2)
-                        self._add_pair(b2, w)
-                        self._add_region((b2, v2, w))
-                    else:
-                        self._add_pair(x, a2)
-                        self._add_region((x, w, a2, v2))
-                        self._add_pair(v2, b2)
-                        self._add_pair(v1, a1)
-                        self._add_pair(b1, w)
-                        self._add_region((b1, v1, w))
-        elif k == 3:
-            v1, v2, v3 = anchors_cw
-            if len(x_cw) >= 2:
-                removed.extend(x_cw[1:])
-                x_cw = x_cw[:1]
-            if not x_cw:
-                self._pair_three_anchors(w, anchors_cw, ab, used=None)
+                    self._add_pair(v1, b1)
+                    self._add_pair(a1, x1)
+                    self._add_region((v1, x1, w, a1))
+                self._add_pair(x2, w)
             else:
+                self._pair_anchors(w, anchors_cw, ab)
+                self._add_pair(x1, x2)
+                self._add_region((x1, w, x2))
+        elif 1 <= k <= 3:
+            used: tuple[int, ...] = ()
+            if k >= 2 and x_cw:
+                # The first leaf x takes a leaf of one anchor through an empty
+                # quadrilateral with w; that anchor pairs with its other leaf.
                 x = x_cw[0]
-                removed.append(x)
-                slot = self._slot(w, y, anchors_cw, x)
-                if 0 < slot < 3:
-                    i, j = slot - 1, slot  # between anchors_cw[i] and [j]
-                    vi, vj = anchors_cw[i], anchors_cw[j]
-                    ai, bi = ab[vi]
-                    aj, bj = ab[vj]
-                    if right_of(ai, x):
-                        self._add_pair(x, ai)
-                        self._add_region((x, w, ai, vi))
-                        self._add_pair(vi, bi)
-                        self._pair_three_anchors(w, anchors_cw, ab, used=vi)
-                    else:
-                        self._add_pair(x, bj)
-                        self._add_region((w, x, vj, bj))
-                        self._add_pair(vj, aj)
-                        self._pair_three_anchors(w, anchors_cw, ab, used=vj)
+                slot = order.index(x)  # only anchors come before the first leaf
+                if 0 < slot < k:
+                    # Between v_i and v_j: a_i when it lies right of w->x,
+                    # else b_j.
+                    vi, vj = anchors_cw[slot - 1], anchors_cw[slot]
+                    take_a = orientation(pts, x, w, ab[vi][0]) < 0
+                    u = vi if take_a else vj
                 else:
-                    # Before the first anchor or after the last: mirror case.
-                    if slot == 0:
-                        vi, vj = anchors_cw[0], anchors_cw[1]
-                    else:
-                        vi, vj = anchors_cw[1], anchors_cw[2]
-                    ai, bi = ab[vi]
-                    aj, bj = ab[vj]
-                    if left_of(bi, x):
-                        self._add_pair(x, bi)
-                        self._add_region((w, x, vi, bi))
-                        self._add_pair(vi, ai)
-                        self._pair_three_anchors(w, anchors_cw, ab, used=vi)
-                    else:
-                        self._add_pair(x, aj)
-                        self._add_region((x, w, aj, vj))
-                        self._add_pair(vj, bj)
-                        self._pair_three_anchors(w, anchors_cw, ab, used=vj)
-        elif k == 4:
-            if x_cw:
-                removed.extend(x_cw)
-            self._case_four(w, anchors_cw, ab)
+                    # Before the first anchor or after the last, the mirror
+                    # rule on the two anchors at that end: b_i when it lies
+                    # left of w->x, else a_j.
+                    vi, vj = anchors_cw[:2] if slot == 0 else anchors_cw[-2:]
+                    take_a = orientation(pts, x, w, ab[vi][1]) <= 0
+                    u = vj if take_a else vi
+                a, b = ab[u]
+                if take_a:
+                    self._add_pair(x, a)
+                    self._add_region((x, w, a, u))
+                    self._add_pair(u, b)
+                else:
+                    self._add_pair(x, b)
+                    self._add_region((w, x, u, b))
+                    self._add_pair(u, a)
+                used = (u,)
+            self._pair_anchors(w, anchors_cw, ab, used)
         else:
             raise InvariantViolation(f"hub with {k} anchors")
 
         matched_new = 2 * (len(self.pairs) - pairs_before)
         self._remove(removed, matched_new)
 
-    def _pair_three_anchors(self, w, anchors_cw, ab, used) -> None:
-        """Pair the anchors not consumed by a polygon with their first
-        leaves, and w with the lowest free second leaf."""
-        free_b = []
-        for v in anchors_cw:
-            if v == used:
-                continue
-            a, b = ab[v]
-            self._add_pair(v, a)
-            free_b.append((v, b))
-        v, b = free_b[0]
+    def _pair_anchors(self, w, anchors_cw, ab, used=()) -> None:
+        """Pair the anchors not in ``used`` with their first leaves, and w
+        with the second leaf of the first of them."""
+        free = [v for v in anchors_cw if v not in used]
+        for v in free:
+            self._add_pair(v, ab[v][0])
+        v, b = free[0], ab[free[0]][1]
         self._add_pair(b, w)
         self._add_region((b, v, w))
-
-    def _slot(self, w, y, anchors_cw, x) -> int:
-        """Angular slot of leaf x among the anchors: i means between
-        anchors_cw[i-1] and anchors_cw[i]; 0 means before the first; k means
-        after the last."""
-        order = self._hub_order(w, y)
-        pos = {u: i for i, u in enumerate(order)}
-        px = pos[x]
-        for i, v in enumerate(anchors_cw):
-            if px < pos[v]:
-                return i
-        return len(anchors_cw)
-
-    def _between(self, w, y, anchors_cw, x, v1, v2) -> bool:
-        order = self._hub_order(w, y)
-        pos = {u: i for i, u in enumerate(order)}
-        return pos[v1] < pos[x] < pos[v2]
-
-    def _hub_order(self, w, y) -> list[int]:
-        others = [u for u in self.live.nbrs(w) if u != y]
-        if y is not None:
-            return sort_clockwise(self.pts, w, others, y)
-        ref = min(u for u in others if self.live.deg[u] >= 2)
-        return sort_clockwise(self.pts, w, others, ref)
 
     def _case_four(self, w, anchors_cw, ab) -> None:
         pts = self.pts
         v = anchors_cw
-
-        def left_of(p: int, x: int) -> bool:
-            return orientation(pts, x, w, p) > 0
-
-        spans = []
-        a1, b1 = ab[v[0]]
+        a1 = ab[v[0]][0]
         a2, b2 = ab[v[1]]
-        a3, b3 = ab[v[2]]
-        a4, b4 = ab[v[3]]
-        span_a = (0, 1) if left_of(b2, a1) else (2, 3)
-        span_b = (1, 2) if left_of(b3, a2) else (3, 0)
+        b3 = ab[v[2]][1]
+        span_a = (0, 1) if orientation(pts, a1, w, b2) > 0 else (2, 3)
+        span_b = (1, 2) if orientation(pts, a2, w, b3) > 0 else (3, 0)
         shared = set(span_a) & set(span_b)
         if len(shared) != 1:
             raise InvariantViolation("pentagon spans share no anchor")
@@ -522,18 +410,7 @@ class _TreeMatcher:
         self._add_region((al, vl, vr, br, w))
         self._add_pair(vl, bl)
         self._add_pair(vr, ar)
-        free_b = []
-        for i in range(4):
-            if i in chosen:
-                continue
-            vm = v[i]
-            am, bm = ab[vm]
-            self._add_pair(vm, am)
-            free_b.append((i, vm, bm))
-        free_b.sort()
-        _, vf, bf = free_b[0]
-        self._add_pair(bf, w)
-        self._add_region((bf, vf, w))
+        self._pair_anchors(w, anchors_cw, ab, (vl, vr))
 
     def _step2(self, w: int) -> None:
         y = None
@@ -543,26 +420,17 @@ class _TreeMatcher:
                 break
         if y is None:
             raise InvariantViolation("second-skeleton leaf without neighbour")
-        order = self._hub_order(w, y)
-        anchors_cw = [u for u in order if self.live.deg[u] >= 2]
-        x_cw = [u for u in order if self.live.deg[u] == 1]
-        for v in anchors_cw:
-            if not self._is_anchor(v):
-                raise InvariantViolation(f"hub neighbour {v} is not an anchor")
-        self._resolve_hub(w, y, anchors_cw, x_cw)
+        self._resolve_hub(w, y)
 
     def _base_case_hub(self, w: int) -> None:
         """Single second-level-skeleton vertex: consume the whole tree."""
-        order = self._hub_order(w, None)
-        anchors_cw = [u for u in order if self.live.deg[u] >= 2]
-        x_cw = [u for u in order if self.live.deg[u] == 1]
+        order, anchors_cw, x_cw = self._hub_split(w, None)
         k = len(anchors_cw)
         merge_rounds = 1
         if k < 2:
             raise InvariantViolation("base hub must touch at least two anchors")
         if k == 2 and len(x_cw) == 3:
             # Two cyclically consecutive leaves exist; pair the first such.
-            pos = {u: i for i, u in enumerate(order)}
             m = len(order)
             pair = None
             for i in range(m):
@@ -577,16 +445,16 @@ class _TreeMatcher:
             self._add_pair(*pair)
             self._add_region((pair[0], w, pair[1]))
             self._remove(list(pair), 2)
-            x_cw = [u for u in x_cw if u not in pair]
             merge_rounds = 2
         if k == 5:
             v5 = anchors_cw[4]
             a5, b5 = self._anchor_leaves(v5, w)
             self._add_pair(v5, a5)
             self._remove([v5, a5, b5], 2)
-            anchors_cw = anchors_cw[:4]
             merge_rounds += 1
-        self._resolve_hub(w, None, anchors_cw, x_cw)
+        # The smallest anchor, the clockwise reference, is never removed
+        # above, so the resolver's split keeps the order of this one.
+        self._resolve_hub(w, None)
         self._merge_last_rounds(merge_rounds)
 
     # -- base case: at most six vertices -------------------------------------

@@ -21,7 +21,7 @@ from typing import Optional
 from .blossom import bottleneck_crossing
 from .bottleneck_one import first_approx
 from .bottleneck_two import SecondApproxResult, second_approx, second_approx_detailed
-from .errors import FormatError, PlaneMatchError
+from .errors import BadParameters, FormatError, PlaneMatchError
 from .geometry import SCALE, PointSet
 from .io import format_points, gen_points, parse_points, render_svg
 from .matching import Matching, validate
@@ -268,14 +268,19 @@ def cmd_gen(args) -> int:
 
 
 _BENCH_ALGS = {
-    "approx1": lambda pts: first_approx(pts),
-    "approx2": lambda pts: second_approx(pts),
+    "approx1": first_approx,
+    "approx2": second_approx,
     "udg-match": plane_matching,
 }
 
 
 def cmd_bench(args) -> int:
-    sizes = [int(s) for s in args.sizes.split(",")]
+    try:
+        sizes = [int(s) for s in args.sizes.split(",")]
+    except ValueError:
+        raise BadParameters(
+            f"--sizes must be comma-separated integers, got {args.sizes!r}"
+        ) from None
     rows = []
     for n in sizes:
         pts = gen_points(n, args.seed, args.mode)

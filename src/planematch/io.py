@@ -35,7 +35,12 @@ def parse_coord(token: str) -> int:
     if not m:
         raise FormatError(f"bad coordinate {token!r} (up to 6 decimals allowed)")
     whole, frac = m.group(1, 2)
-    return int(whole + (frac or "").ljust(6, "0"))
+    try:
+        return int(whole + (frac or "").ljust(6, "0"))
+    except ValueError:  # past Python's limit on the digits int() reads
+        raise FormatError(
+            f"coordinate {token[:12]!r}... has too many digits ({len(token)} characters)"
+        ) from None
 
 
 def format_coord(scaled: int) -> str:
@@ -101,18 +106,25 @@ def parse_points(text: str | bytes) -> PointSet:
     head = _HEAD_RE.match(text)
     if head is None:
         raise _format_error(text, 0, None)
-    n = int(head.group(1))
+    count = head.group(1)
+    try:
+        n = int(count)
+    except ValueError:  # past Python's limit on the digits int() reads
+        raise FormatError(f"point count has too many digits ({len(count)})") from None
     pos = head.end()
     xs: list[int] = []
     ys: list[int] = []
-    for m in _ROW_RE.finditer(text, pos):
-        if m.start() != pos:
-            break
-        pos = m.end()
-        wx, fx, wy, fy = m.groups("")
-        if wx:
-            xs.append(int(wx + fx.ljust(6, "0")))
-            ys.append(int(wy + fy.ljust(6, "0")))
+    try:
+        for m in _ROW_RE.finditer(text, pos):
+            if m.start() != pos:
+                break
+            pos = m.end()
+            wx, fx, wy, fy = m.groups("")
+            if wx:
+                xs.append(int(wx + fx.ljust(6, "0")))
+                ys.append(int(wy + fy.ljust(6, "0")))
+    except ValueError:  # a coordinate past the digit limit; parse_coord names it
+        raise _format_error(text, m.start(), n) from None
     if pos != len(text):
         raise _format_error(text, pos, n)
     if len(xs) != n:

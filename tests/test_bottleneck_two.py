@@ -1,6 +1,8 @@
 """Tests for the second bottleneck approximation."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 
@@ -325,33 +327,71 @@ def build_hub_gadget(anchor_slots, leaf_slots, y_slot=None, chain=0):
 
 
 HUB_CASES = [
-    # (name, anchor slots, leaf slots, y slot, chain, first-round signature)
-    ("step2_k4", [0, 70, 140, 210], [], 285, 1, (13, 12)),
-    ("step2_k3_l1", [0, 70, 140], [218], 290, 1, (11, 10)),
-    ("step2_k3_l0", [0, 70, 140], [], 245, 0, (10, 8)),
-    ("step2_k2_l2", [0, 70], [150, 222], 292, 1, (9, 8)),
-    ("step2_k2_l1", [0, 70], [150], 260, 0, (8, 8)),
-    ("step2_k2_l0", [0, 70], [], 210, 1, (7, 6)),
-    ("step2_k1_l3", [0], [76, 144, 212], 280, 1, (7, 6)),
-    ("step2_k1_l2_flat", [0], [130, 218], 292, 0, (6, 6)),
-    ("step2_k1_l2_after", [0], [80, 170], 280, 0, (6, 6)),
-    ("step2_k1_l2_before", [0], [280, 190], 100, 0, (6, 6)),
-    ("step2_k1_l1", [0], [120], 240, 1, (5, 4)),
-    ("hub_base_k5", [0, 72, 144, 216, 288], [], None, 0, (16, 14)),
-    ("hub_base_k4_l1", [0, 70, 140, 210], [285], None, 0, (14, 12)),
-    ("hub_base_k3_l2", [0, 70, 140], [216, 284], None, 0, (12, 10)),
-    ("hub_base_k3_l0", [0, 70, 140], [], None, 0, (10, 8)),
-    ("hub_base_k2_l3", [0, 70], [146, 214, 284], None, 0, (10, 10)),
-    ("hub_base_k2_l1", [0, 70], [150], None, 0, (8, 8)),
+    # (name, anchor slots, leaf slots, y slot, chain, first-round signature,
+    # sha256 of [sorted pairs, rounds, regions] from match_tree_detailed with
+    # validate_regions). The comment names the hub branch the row reaches.
+    # Four anchors: the wedge compare < 0, > 0, and a tie broken by ids.
+    ("step2_k4", [0, 70, 140, 210], [], 285, 1, (13, 12),
+     "be53809ae8f6add1d244dbb1c02260186fbff9a1638d9720337851b91ee9ffe0"),
+    ("step2_k4_wedge_gt", [0, 70, 150, 220], [], 290, 1, (13, 12),
+     "7c7560a369653755d8af82f314ef08956d7a118f0c159aa801058f7a5a05cd70"),
+    ("step2_k4_wedge_tie", [0, 70, 210, 280], [], 140, 1, (13, 12),
+     "11a22e94d1e2f089cf30e057bd86f0f52bb3df09124c19c7f90155a0c2deb811"),
+    # Three anchors, x before the first: x takes b_1.
+    ("step2_k3_l1", [0, 70, 140], [218], 290, 1, (11, 10),
+     "d0d203906d07c85624e56113d0a08bc78c7bdfed84f7b65449980b9c248a0916"),
+    # Three anchors, x after the last: x takes a_3.
+    ("step2_k3_l1_after", [0, 70, 140], [280], 208, 1, (11, 10),
+     "7c632853802c696214d62bc4a9a5e66e01285e1cae9cc83cc93cf031c8ff660e"),
+    ("step2_k3_l0", [0, 70, 140], [], 245, 0, (10, 8),
+     "ad09d7c554d8a11fbf523f1c4e98e6d666f4def1ba6c1aba3e27b6069d8fe086"),
+    # Two anchors, x outside them and left of b_1: x takes b_1 (both rows).
+    ("step2_k2_l2", [0, 70], [150, 222], 292, 1, (9, 8),
+     "5b10529b246745e0877c23483c8d6671656aca852f1605bc73fb05915dbbf9e5"),
+    ("step2_k2_l1", [0, 70], [150], 260, 0, (8, 8),
+     "6e450c940b681a9a3c8ae7340b2b6ad506e6b0acb1ffeffad11f7e5bd29b3e8a"),
+    # Two anchors, x between them and right of a_1: x takes a_1.
+    ("step2_k2_l1_between", [0, 140], [216], 72, 0, (8, 8),
+     "5f9757f84c62da409cd6aa4687c752b48f02ac549d6f55e3d3a570e5ae40607b"),
+    # Two anchors, x outside them and not left of b_1: x takes a_2.
+    ("step2_k2_l1_outside", [0, 70], [248], 136, 0, (8, 8),
+     "5f9757f84c62da409cd6aa4687c752b48f02ac549d6f55e3d3a570e5ae40607b"),
+    ("step2_k2_l0", [0, 70], [], 210, 1, (7, 6),
+     "6b99b287ccf4c0b84d3702d5a8c1e9465fe08c5c6f527453315b58855c83559a"),
+    # One anchor, two or more leaves: the far, after and before sub-branches.
+    ("step2_k1_l3", [0], [76, 144, 212], 280, 1, (7, 6),
+     "cec05b9befba5f1042ca5f89228ec650a2402205e2443841d9edbb8eae93d778"),
+    ("step2_k1_l2_flat", [0], [130, 218], 292, 0, (6, 6),
+     "cd7294620d9531c94e483c1b040f2b4edf3cad0facc4affaea9487b1dcafc197"),
+    ("step2_k1_l2_after", [0], [80, 170], 280, 0, (6, 6),
+     "31de6eb15c37d5eebd95bb0550ee133bb88b8329b025f33eebe9ef2750605f59"),
+    ("step2_k1_l2_before", [0], [280, 190], 100, 0, (6, 6),
+     "7128e1fc90eb20b3ba745f554cf24bb5984b9fcd36a0d43b853367c96ce2a43a"),
+    ("step2_k1_l1", [0], [120], 240, 1, (5, 4),
+     "fd9f2dd3e26ab2d05758b5b050f93194ce635fe4df4c2daa83db63b8e787b07a"),
+    ("hub_base_k5", [0, 72, 144, 216, 288], [], None, 0, (16, 14),
+     "12d33466ee8135fafb3671c17f45ebdf3c0e35027ed4ca7334817c88d1bf069e"),
+    ("hub_base_k4_l1", [0, 70, 140, 210], [285], None, 0, (14, 12),
+     "6097ee9726e31d250029b358b1f098b57551cf41509cf9d3a2640ba04f62d7b6"),
+    # Three anchors, x between the first two and right of a_1: x takes a_1.
+    ("hub_base_k3_l2", [0, 70, 140], [216, 284], None, 0, (12, 10),
+     "5dd6114c225fa3be62790d861be76349567b5013fc3e368270a6c62f0f06ddc8"),
+    ("hub_base_k3_l0", [0, 70, 140], [], None, 0, (10, 8),
+     "6762d8ba329c3843b516dec9a8c62122c0161a2b95721762a9b9735ea85ad7f6"),
+    # Two anchors, x between them and left of a_1: x takes b_2 (both rows).
+    ("hub_base_k2_l3", [0, 70], [146, 214, 284], None, 0, (10, 10),
+     "5c7be8b93298a528f50e839ac41487c3064056aff96f90257fc2b440dd2fe62a"),
+    ("hub_base_k2_l1", [0, 70], [150], None, 0, (8, 8),
+     "4b27979643ee497ee71f3ece80953a88c00a8716dae7ef630996b88d441a72ef"),
 ]
 
 
 @pytest.mark.parametrize(
-    "name,aslots,lslots,yslot,chain,first_round",
+    "name,aslots,lslots,yslot,chain,first_round,digest",
     HUB_CASES,
     ids=[c[0] for c in HUB_CASES],
 )
-def test_hub_gadget_cases(name, aslots, lslots, yslot, chain, first_round):
+def test_hub_gadget_cases(name, aslots, lslots, yslot, chain, first_round, digest):
     pts, expected, anchors = build_hub_gadget(aslots, lslots, yslot, chain)
     n = pts.n
     assert n % 2 == 0
@@ -361,6 +401,8 @@ def test_hub_gadget_cases(name, aslots, lslots, yslot, chain, first_round):
         assert is_anchor(pts, tree, v)
     res = match_tree_detailed(pts, tree, validate_regions=True)
     assert res.rounds[0] == first_round
+    record = [sorted(res.pairs), res.rounds, res.regions]
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
     for removed, matched in res.rounds:
         assert matched >= math.ceil(4 * removed / 5) or removed <= 1
     m = match_tree_second(pts, tree)

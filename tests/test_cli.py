@@ -200,6 +200,14 @@ def test_cli_gen_and_bench(capsys, tmp_path):
     assert all(row["plane"] for row in report["rows"])
 
 
+@pytest.mark.parametrize("sizes", ["10,abc", "", "8,,16"])
+def test_cli_bench_rejects_malformed_sizes(capsys, sizes):
+    code, rep = run_cli(capsys, "bench", "--algorithm", "approx2", "--sizes", sizes)
+    assert code == 2
+    assert rep["error"]["code"] == "bad_parameters"
+    assert repr(sizes) in rep["error"]["message"]
+
+
 def test_cli_error_object(capsys):
     code, rep = run_cli(capsys, "exact", "--n", "7", "--seed", "0")
     assert code == 2

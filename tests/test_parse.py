@@ -7,6 +7,7 @@ import io as stdio
 import json
 import os
 import re
+import sys
 import tempfile
 
 import pytest
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 from planematch.cli import main
 from planematch.errors import FormatError, PlaneMatchError
 from planematch.geometry import SCALE, PointSet
-from planematch.io import parse_points
+from planematch.io import parse_coord, parse_points
 
 # ---------------------------------------------------------------------------
 # Frozen reference: the per-line parser that the one-scan parser replaced,
@@ -218,3 +219,35 @@ def test_parse_keeps_coordinates_past_2_63_exact():
     pts = parse_points(f"2\r\n\t-{big}.000001  +{big}\r\n\n 0.5 -0.000001")
     assert pts.xs == [-(big * SCALE + 1), 500000]
     assert pts.ys == [big * SCALE, -1]
+
+
+
+DIGIT_LIMIT = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads ints of any length")
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("9" * (DIGIT_LIMIT + 1) + "\n0 0\n", f"point count has too many digits ({DIGIT_LIMIT + 1})"),
+        # A scaled coordinate has six digits more than its whole part.
+        ("2\n0 0\n1 " + "7" * (DIGIT_LIMIT - 5) + "\n",
+         f"coordinate '777777777777'... has too many digits ({DIGIT_LIMIT - 5} characters)"),
+        ("2\n-" + "7" * DIGIT_LIMIT + ".5 0\n1 0\n",
+         f"coordinate '-77777777777'... has too many digits ({DIGIT_LIMIT + 3} characters)"),
+    ],
+    ids=["count", "coordinate", "signed-decimal"],
+)
+def test_parse_numbers_past_the_int_digit_limit_are_format_errors(text, message):
+    with pytest.raises(FormatError) as err:
+        parse_points(text)
+    assert str(err.value) == message
+    code, rep = run_approx2(text.encode())
+    assert code == 2
+    assert rep == {"error": {"code": "format_error", "message": message}}
+
+
+@pytest.mark.skipif(not DIGIT_LIMIT, reason="this Python reads ints of any length")
+def test_parse_coord_past_the_int_digit_limit_is_a_format_error():
+    with pytest.raises(FormatError, match="too many digits"):
+        parse_coord("1" * DIGIT_LIMIT)
