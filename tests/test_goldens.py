@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import random
 
 import pytest
@@ -19,7 +20,7 @@ from planematch.bottleneck_one import first_approx
 from planematch.bottleneck_two import even_forest, match_tree_detailed, second_approx
 from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
-from planematch.proximity import emst5
+from planematch.proximity import emst5, even_threshold, forest_leq
 from planematch.udg import plane_matching, run_peeling
 
 GOLDENS = {
@@ -209,3 +210,74 @@ def test_golden_peeling(key):
     tree = emst5(pts)
     assert _digest_json(peel_record(run_peeling(pts, tree))) == plain
     assert _digest_json(peel_record(run_peeling(pts, tree, **peeling_seed(tree)))) == seeded
+
+
+def hexagon_with_centre() -> PointSet:
+    """A regular hexagon of radius SCALE around its centre, rounded to
+    integers, with the centre first so that it leads Kruskal's ties."""
+    coords = [(0, 0)] + [
+        (round(SCALE * math.cos(k * math.pi / 3)), round(SCALE * math.sin(k * math.pi / 3)))
+        for k in range(6)
+    ]
+    return PointSet(coords)
+
+
+def hexagonal_lattice() -> PointSet:
+    """12 x 11 points of a triangular lattice of spacing 2 * SCALE, rounded
+    to integers: every interior point has six near-equal neighbours."""
+    h = round(math.sqrt(3) * SCALE)
+    return PointSet((2 * x * SCALE + (y % 2) * SCALE, y * h) for x in range(12) for y in range(11))
+
+
+def shape_instance(key) -> PointSet:
+    if key == "hexagon":
+        return hexagon_with_centre()
+    if key == "hex-lattice":
+        return hexagonal_lattice()
+    return peeling_instance(key)
+
+
+def tree_shape(tree) -> list:
+    """Every field of a Tree in its own order: the vertices, the adj lists
+    in key order and the edge_sq items in insertion order."""
+    return [
+        list(tree.vertices),
+        [[v, list(nbrs)] for v, nbrs in tree.adj.items()],
+        [[u, v, sq] for (u, v), sq in tree.edge_sq.items()],
+    ]
+
+
+def forest_shapes(pts) -> list:
+    """The shapes of even_forest's trees (n even), of emst5, and of
+    forest_leq on emst5 at its even threshold and at its median length."""
+    mst = emst5(pts)
+    lengths = sorted(set(mst.edge_sq.values()))
+    out = [[tree_shape(mst)]]
+    if pts.n % 2 == 0:
+        out.append([tree_shape(t) for t in even_forest(pts).forest.trees])
+        limits = (even_threshold(mst), lengths[len(lengths) // 2])
+    else:
+        limits = (lengths[len(lengths) // 2],)
+    out.extend([tree_shape(t) for t in forest_leq(mst, sq, pts).trees] for sq in limits)
+    return out
+
+
+# instance -> sha256 of forest_shapes: gen_points(2000, seed, mode), a
+# LATTICE_GOLDENS lattice, the hexagon with its centre, or the hexagonal
+# lattice. No vertex of these trees has degree six: the angle between two
+# integer vectors has a rational tangent and so is never exactly pi/3.
+SHAPE_GOLDENS = {
+    (1, "uniform"): "ce9549f8f4d755de848dba0e79df3c5146f5d4881704cc892de044987d95b997",
+    (1, "clustered"): "cffa25a3f6e1eea892a3d24b022283b14f6c1427f85c80cd2cf5972ef2a5b87f",
+    (2, "uniform"): "d91c32261c91185e541f160cf53068ca9c0b96f3ba9dc8455e54bbe7240ec6e0",
+    (2, "clustered"): "cd5dd5ad54a1974f04510114fbac14cf8565a5713bbbd2e77776fecca3be5484",
+    (1, 0): "563f7911a32cdcfa4090dd57725800519c58232a2c9ec6acaa1a2f56f45e43fc",
+    (5, 2**60): "2581d82d65718327479bdbea96ea376cf740d77c91e154776b74ac1a29766b8b",
+    "hexagon": "47be312ed1e633ca349f49631dfaee1275dbd7ebc570c3a10b12c22051a72f80",
+    "hex-lattice": "2a2386c3f03ae755ee055e42254bca9f0f67c713bf26f03ab110a3c5b1572674",
+}
+
+
+@pytest.mark.parametrize("key", list(SHAPE_GOLDENS), ids=str)
+def test_golden_tree_shapes(key):
+    assert _digest_json(forest_shapes(shape_instance(key))) == SHAPE_GOLDENS[key]
