@@ -21,11 +21,11 @@ from .matching import Matching
 from .proximity import (
     Forest,
     Tree,
-    _component_trees,
     emst5,
     even_threshold,
     forest_leq,
     second_closest_batch,
+    subtrees,
 )
 from .udg import consecutive_leaf_pairs, run_peeling
 
@@ -201,11 +201,7 @@ def match_tree_first(
         return Matching.of(pts, res.pairs)
     # Seed partner is internal: split the tree there, drop the matched leaf,
     # and peel every part while still avoiding the seed segment.
-    removed = (p, pp)
-    parts = _component_trees(
-        pts,
-        {v: [u for u in tree.adj[v] if u not in removed] for v in tree.vertices if v not in removed},
-    )
+    parts = subtrees(pts, tree, drop=(p, pp))
     pairs: list[tuple[int, int]] = [seed_pair]
     for part in parts:
         sub = run_peeling(pts, part, avoid=(p, pp))

@@ -39,10 +39,10 @@ from .matching import Matching
 from .proximity import (
     Forest,
     Tree,
-    _component_trees,
-    _degree_reduce,
     delaunay,
+    indexed,
     kruskal,
+    mst_forest,
     sorted_candidate_edges,
 )
 from .udg import _LiveTree, _peel_state
@@ -79,18 +79,16 @@ def even_forest(pts: PointSet) -> EvenForest:
         raise OddPointCount(f"n must be even, got {n}")
     if n < 2:
         raise TooFewPoints("need at least 2 points")
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
-    # The edges come with u < v.
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
-    for sq, u, v, odd in kruskal(edges, n, n):
-        adj[u].add(v)
-        adj[v].add(u)
+    taken = []
+    for i, u, v, odd in kruskal(indexed(edges), n, n):
+        taken.append(i)
         if odd == 0:
             break
     else:
         raise InvariantViolation("even forest construction did not terminate")
-    _degree_reduce(pts, adj)
-    return EvenForest(forest=Forest(trees=_component_trees(pts, adj)), last_edge=(u, v), last_sq=sq)
+    trees = mst_forest(pts, edges, taken)
+    return EvenForest(forest=Forest(trees=trees), last_edge=(u, v), last_sq=int(edges[0][i]))
 
 
 def is_anchor(pts: PointSet, tree: Tree, v: int) -> bool:

@@ -14,11 +14,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
+
+import numpy as np
 
 from .errors import DegenerateAngle, DegeneratePolygon, DuplicatePoint, UnknownPointId
 
 SCALE = 10**6
+# Coordinates translated by their minimum are kept in int64 below this span,
+# which leaves room for the difference of two of them.
+INT64_SPAN = 2**62
 
 
 @dataclass(frozen=True)
@@ -34,11 +39,12 @@ class PointSet:
     """Immutable indexed set of distinct points.
 
     Ids are dense in [0, n). Coordinate arrays are plain Python ints so all
-    derived predicates stay exact regardless of magnitude. ``_kdtree`` and
-    ``_peel`` (the skeleton-peeling working arrays) are built on first use.
+    derived predicates stay exact regardless of magnitude. ``_kdtree``,
+    ``_peel`` (the skeleton-peeling working arrays) and ``_xy`` (see
+    ``translated``) are built on first use.
     """
 
-    __slots__ = ("xs", "ys", "_kdtree", "_peel")
+    __slots__ = ("xs", "ys", "_kdtree", "_peel", "_xy")
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
         xs: list[int] = []
@@ -55,6 +61,7 @@ class PointSet:
         self.ys = ys
         self._kdtree = None
         self._peel = None
+        self._xy = None
 
     @property
     def n(self) -> int:
@@ -75,6 +82,31 @@ class PointSet:
         dx = self.xs[i] - self.xs[j]
         dy = self.ys[i] - self.ys[j]
         return dx * dx + dy * dy
+
+    def translated(self) -> tuple[int, int, int, Optional[np.ndarray]]:
+        """(x0, y0, span, xy): the least x and y, the largest coordinate
+        range, and the (n, 2) int64 array of the coordinates minus (x0, y0)
+        when the span is below ``INT64_SPAN``, else None. Computed once.
+
+        Differences and comparisons of the translated values are exact in
+        int64; squared lengths are too while 2 * span^2 < 2^63."""
+        if self._xy is None:
+            xs, ys = self.xs, self.ys
+            if not xs:
+                self._xy = (0, 0, 0, np.zeros((0, 2), dtype=np.int64))
+                return self._xy
+            x0, y0 = min(xs), min(ys)
+            x1, y1 = max(xs), max(ys)
+            span = max(x1 - x0, y1 - y0)
+            xy = None
+            if span < INT64_SPAN:
+                if -(2**63) <= min(x0, y0) and max(x1, y1) < 2**63:
+                    xy = np.array((xs, ys), dtype=np.int64).T - np.array((x0, y0), dtype=np.int64)
+                else:
+                    xy = np.array(([x - x0 for x in xs], [y - y0 for y in ys]), dtype=np.int64).T
+                xy = np.ascontiguousarray(xy)
+            self._xy = (x0, y0, span, xy)
+        return self._xy
 
 
 @dataclass(frozen=True)

@@ -22,10 +22,12 @@ from .matching import Matching
 # values of a line; a line ends at "\n", "\r\n" or the end of the text.
 # ``_ROW_RE`` matches one coordinate line or one blank line; the whole part
 # keeps its sign, so int(whole + decimals padded to six) is the scaled value.
-_COORD = r"([+-]?[0-9]+)(?:\.([0-9]{1,6}))?"
+_COUNT = r"[+-]?[0-9]+"
+_COORD = rf"({_COUNT})(?:\.([0-9]{{1,6}}))?"
 _COORD_RE = re.compile(_COORD)
 _ROW_RE = re.compile(rf"[ \t]*(?:{_COORD}[ \t]+{_COORD}[ \t]*)?(?:\r?\n|\Z)")
-_HEAD_RE = re.compile(r"(?:[ \t]*\r?\n)*[ \t]*([+-]?[0-9]+)[ \t]*(?:\r?\n|\Z)")
+_HEAD_RE = re.compile(rf"(?:[ \t]*\r?\n)*[ \t]*({_COUNT})[ \t]*(?:\r?\n|\Z)")
+_COUNT_RE = re.compile(rf"[ \t]*({_COUNT})[ \t]*")
 _BLANKS_RE = re.compile(r"[ \t]+")
 
 
@@ -41,6 +43,18 @@ def parse_coord(token: str) -> int:
         raise FormatError(
             f"coordinate {token[:12]!r}... has too many digits ({len(token)} characters)"
         ) from None
+
+
+def parse_count(token: str) -> int:
+    """Parse a point count as a point file's count line spells it: an
+    optional sign and ASCII digits, with spaces and tabs around them."""
+    m = _COUNT_RE.fullmatch(token)
+    if not m:
+        raise FormatError(f"bad count {token!r}")
+    try:
+        return int(m.group(1))
+    except ValueError:  # past Python's limit on the digits int() reads
+        raise FormatError(f"count has too many digits ({len(m.group(1))})") from None
 
 
 def format_coord(scaled: int) -> str:

@@ -6,6 +6,10 @@ renders them as decimals.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from typing import Optional
+
+import numpy as np
 
 from ._nogc import nogc
 from .errors import FormatError
@@ -24,14 +28,21 @@ class Matching:
         """Normalise the pairs to ``a < b`` and sort them. Raises
         UnknownPointId for an id outside ``pts`` and FormatError for a pair
         of a point with itself."""
+        pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
+        ends = _id_array(pts, pairs)
+        if ends is not None and not (ends[:, 0] == ends[:, 1]).any():
+            lo, hi = ends.min(axis=1), ends.max(axis=1)
+            order = np.lexsort((hi, lo))
+            ends = np.column_stack((lo[order], hi[order]))
+            norm = tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+            return cls(pairs=norm, bottleneck_sq=_bottleneck_sq(pts, norm, ends))
         norm = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
         for a, b in norm:
             pts.check_id(a)
             pts.check_id(b)
             if a == b:
                 raise FormatError(f"pair ({a}, {b}) matches a point with itself")
-        bq = max((pts.sq_dist(a, b) for a, b in norm), default=0)
-        return cls(pairs=norm, bottleneck_sq=bq)
+        return cls(pairs=norm, bottleneck_sq=_bottleneck_sq(pts, norm))
 
     @property
     def size(self) -> int:
@@ -45,6 +56,41 @@ class Matching:
         return out
 
 
+def _pair_array(pairs) -> Optional[np.ndarray]:
+    """The sequence ``pairs`` as an (m, 2) int64 array, or None when an
+    entry is not a pair of integers."""
+    try:
+        if not set(map(len, pairs)) <= {2}:
+            return None
+        flat = np.array(list(chain.from_iterable(pairs)))
+    except (TypeError, OverflowError):
+        return None
+    if flat.dtype != np.int64:
+        return None if len(flat) else np.zeros((0, 2), dtype=np.int64)
+    return flat.reshape(-1, 2)
+
+
+def _id_array(pts: PointSet, pairs) -> Optional[np.ndarray]:
+    """``_pair_array`` of ``pairs`` when every entry is a point id of
+    ``pts``; None otherwise, and the caller goes through the pairs one at a
+    time."""
+    ends = _pair_array(pairs)
+    if ends is None or (len(ends) and (ends.min() < 0 or ends.max() >= pts.n)):
+        return None
+    return ends
+
+
+def _bottleneck_sq(pts: PointSet, pairs, ends: Optional[np.ndarray] = None) -> int:
+    """The largest squared length of the pairs, 0 for none: an int64 max
+    when ``ends`` holds them and every squared length fits, else exact
+    Python ints."""
+    span, xy = pts.translated()[2:]
+    if ends is None or 2 * span * span >= 1 << 63 or not len(ends):
+        return max((pts.sq_dist(a, b) for a, b in pairs), default=0)
+    d = xy[ends[:, 0]] - xy[ends[:, 1]]
+    return int(np.einsum("ij,ij->i", d, d).max())
+
+
 @dataclass(frozen=True)
 class ValidationReport:
     is_matching: bool
@@ -54,8 +100,88 @@ class ValidationReport:
     violations: tuple[tuple[str, tuple[int, int], tuple[int, int]], ...]
 
 
-def _crossing_candidates(pts: PointSet, pairs):
-    """Candidate edge index pairs whose bounding boxes overlap.
+def _crossing_candidates(pts: PointSet, pairs, ends: Optional[np.ndarray] = None) -> list[tuple[int, int]]:
+    """The index pairs (i, j), i < j, of the edges ``pairs`` whose bounding
+    boxes meet, in row-major order: every pair that can cross.
+
+    Below ``INT64_SPAN`` the boxes are paired in int64 arrays
+    (``_box_pairs_int64``; ``ends`` is ``pairs`` as an (m, 2) array when
+    the caller has it); above it, by the Python generator
+    ``_box_pairs_exact``, sorted.
+    """
+    xy = pts.translated()[3]
+    if xy is None:
+        return sorted(_box_pairs_exact(pts, pairs))
+    if ends is None:
+        ends = _pair_array(pairs)
+    return _box_pairs_int64(xy, ends)
+
+
+def _grid(m: int, dims) -> int:
+    """The side of the grid cells for m boxes with the given sorted largest
+    sides: just above the 95th percentile, so most boxes meet few cells."""
+    return max(1, int(dims[(19 * m) // 20]) + 1)
+
+
+def _box_pairs_int64(xy: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
+    """``_crossing_candidates`` on translated int64 coordinates ``xy``.
+
+    Each box is listed once per grid cell it meets (``_grid``'s rule), the
+    list is sorted by cell, and every two boxes that share a cell form a
+    pair; a box meeting more than m cells is compared with every box
+    instead. Boxes that meet share a cell, so the pairs whose boxes meet,
+    deduplicated by the code i * m + j, are all of them, in row-major
+    order.
+    """
+    m = len(ends)
+    if m < 2:
+        return []
+    xs, ys = xy[:, 0], xy[:, 1]
+    xa, xb, ya, yb = xs[ends[:, 0]], xs[ends[:, 1]], ys[ends[:, 0]], ys[ends[:, 1]]
+    box = (np.minimum(xa, xb), np.minimum(ya, yb), np.maximum(xa, xb), np.maximum(ya, yb))
+    cell = _grid(m, np.sort(np.maximum(box[2] - box[0], box[3] - box[1])))
+    cx0, cy0 = box[0] // cell, box[1] // cell
+    # Cells per axis, capped so that their product cannot overflow.
+    wide = np.minimum(box[2] // cell - cx0 + 1, m + 1)
+    high = np.minimum(box[3] // cell - cy0 + 1, m + 1)
+    cells = wide * high
+    big = cells > m
+    cells[big] = 0
+    owner = np.repeat(np.arange(m), cells)
+    step = np.arange(len(owner)) - np.repeat(np.cumsum(cells) - cells, cells)
+    cx = cx0[owner] + step // high[owner]
+    cy = cy0[owner] + step % high[owner]
+    if len(owner) and (int(cx.max()) + 1) * (int(cy.max()) + 1) * m < 1 << 63:
+        order = np.argsort((cx * (int(cy.max()) + 1) + cy) * m + owner)
+    else:
+        order = np.lexsort((owner, cy, cx))
+    cx, cy, owner = cx[order], cy[order], owner[order]
+    # Entry p pairs with the later entries of its cell, up to ``stop``.
+    starts = np.flatnonzero(np.append(True, (cx[1:] != cx[:-1]) | (cy[1:] != cy[:-1])))
+    stop = np.repeat(np.append(starts[1:], len(owner)), np.diff(np.append(starts, len(owner))))
+    later = stop - np.arange(len(owner)) - 1
+    left = np.repeat(np.arange(len(owner)), later)
+    right = left + 1 + np.arange(len(left)) - np.repeat(np.cumsum(later) - later, later)
+    i, j = owner[left], owner[right]
+    ok = _meet(box, i, j)
+    codes = [i[ok] * m + j[ok]]
+    everyone = np.arange(m)
+    for k in np.flatnonzero(big).tolist():
+        others = everyone[_meet(box, k, everyone) & (everyone != k)]
+        codes.append(np.minimum(others, k) * m + np.maximum(others, k))
+    code = np.unique(np.concatenate(codes))
+    return list(zip((code // m).tolist(), (code % m).tolist()))
+
+
+def _meet(box, i, j) -> np.ndarray:
+    """Whether the boxes (x0, y0, x1, y1) with indices i and j meet,
+    elementwise."""
+    x0, y0, x1, y1 = box
+    return (x0[i] <= x1[j]) & (x0[j] <= x1[i]) & (y0[i] <= y1[j]) & (y0[j] <= y1[i])
+
+
+def _box_pairs_exact(pts: PointSet, pairs):
+    """``_crossing_candidates`` in Python ints, unordered.
 
     Exact crossing requires overlapping bounding boxes, so bucketing the
     boxes on a grid sized to the typical edge never misses a crossing pair.
@@ -79,7 +205,7 @@ def _crossing_candidates(pts: PointSet, pairs):
                     yield i, j
         return
     dims.sort()
-    cell = max(1, dims[(19 * m) // 20] + 1)
+    cell = _grid(m, dims)
     buckets: dict[tuple[int, int], list[int]] = {}
     for idx, (x0, y0, x1, y1) in enumerate(boxes):
         for cx in range(x0 // cell, x1 // cell + 1):
@@ -107,25 +233,31 @@ def _crossing_candidates(pts: PointSet, pairs):
 def validate(pts: PointSet, m: Matching) -> ValidationReport:
     """Certify a matching: vertex-disjointness, planarity, size, bottleneck.
 
-    ``violations`` lists every shared-vertex pair and every crossing pair.
+    ``violations`` lists every shared-vertex pair, in the order the pairs
+    and their ends come, then every crossing pair, in row-major order. A
+    point of two pairs takes the pair-by-pair scan; otherwise one bincount
+    proves that no point repeats.
     """
-    for a, b in m.pairs:
-        pts.check_id(a)
-        pts.check_id(b)
+    pairs = m.pairs
+    ends = _id_array(pts, pairs)
+    if ends is None:
+        for a, b in pairs:
+            pts.check_id(a)
+            pts.check_id(b)
     violations: list[tuple[str, tuple[int, int], tuple[int, int]]] = []
-    seen: dict[int, tuple[int, int]] = {}
     is_matching = True
-    for pair in m.pairs:
-        for v in pair:
-            if v in seen:
-                is_matching = False
-                violations.append(("shared_vertex", seen[v], pair))
-            else:
-                seen[v] = pair
+    if ends is None or (len(ends) and np.bincount(ends.ravel()).max() > 1):
+        seen: dict[int, tuple[int, int]] = {}
+        for pair in pairs:
+            for v in pair:
+                if v in seen:
+                    is_matching = False
+                    violations.append(("shared_vertex", seen[v], pair))
+                else:
+                    seen[v] = pair
     xs, ys = pts.xs, pts.ys
     is_plane = True
-    pairs = m.pairs
-    for i, j in _crossing_candidates(pts, pairs):
+    for i, j in _crossing_candidates(pts, pairs, ends):
         a, b = pairs[i]
         c, d = pairs[j]
         if segments_cross_coords(
@@ -133,7 +265,7 @@ def validate(pts: PointSet, m: Matching) -> ValidationReport:
         ):
             is_plane = False
             violations.append(("crossing", pairs[i], pairs[j]))
-    bq = max((pts.sq_dist(a, b) for a, b in pairs), default=0)
+    bq = _bottleneck_sq(pts, pairs, ends)
     return ValidationReport(
         is_matching=is_matching,
         is_plane=is_plane,

@@ -37,7 +37,7 @@ bracket) returns that length.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import chain, islice
 from math import isqrt
 from typing import Optional
@@ -84,15 +84,34 @@ class Triangulation:
         return self._edges
 
 
+class FlatEdges:
+    """What the forest builder (``_build_forest``) keeps of a tree besides
+    its dicts: the edges as int64 arrays ``u`` < ``v`` with their squared
+    lengths ``sq`` (int64, or Python ints in an object array when they may
+    not fit), in ``edge_sq`` order; and ``deg`` and ``int_deg``, lists by
+    point id of every vertex's degree and number of neighbours of degree at
+    least two, shared by the trees of one forest."""
+
+    __slots__ = ("u", "v", "sq", "deg", "int_deg")
+
+    def __init__(self, u, v, sq, deg, int_deg):
+        self.u, self.v, self.sq = u, v, sq
+        self.deg, self.int_deg = deg, int_deg
+
+
 @dataclass
 class Tree:
     """A tree over a subset of point ids with exact squared edge lengths.
 
-    ``adj`` lists each vertex's neighbours in increasing order."""
+    ``adj`` lists each vertex's neighbours in increasing order, with the
+    vertices in increasing order; ``edge_sq`` holds the edges (u, v), u < v,
+    in lexicographic order. ``flat`` is set on the trees of the forest
+    builder."""
 
     vertices: tuple[int, ...]
     adj: dict[int, list[int]]
     edge_sq: dict[tuple[int, int], int]
+    flat: Optional[FlatEdges] = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -164,21 +183,16 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
 
 
-def _span(pts: PointSet) -> tuple[int, int, int]:
-    """(min x, min y, largest coordinate range) of a nonempty point set."""
-    x0, y0 = min(pts.xs), min(pts.ys)
-    return x0, y0, max(max(pts.xs) - x0, max(pts.ys) - y0)
-
-
 def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
     """The coordinates minus their exact integer minimum, as an (n, 2)
     float array, and whether the span is small enough for them to be
     exact."""
-    x0, y0, span = _span(pts)
-    xy = np.column_stack(
-        (np.array([x - x0 for x in pts.xs], dtype=float), np.array([y - y0 for y in pts.ys], dtype=float))
-    )
-    return xy, span < _EXACT_FLOAT_SPAN
+    x0, y0, span, xy = pts.translated()
+    if xy is None:
+        xy = np.column_stack(
+            (np.array([x - x0 for x in pts.xs], dtype=float), np.array([y - y0 for y in pts.ys], dtype=float))
+        )
+    return xy.astype(float), span < _EXACT_FLOAT_SPAN
 
 
 def _coord_edge_key(pts: PointSet, u: int, v: int):
@@ -564,7 +578,8 @@ def kruskal(edges, size: int, odd: int):
 
     ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
     ids below ``size``; ``odd`` is the number of vertices taking part, each
-    an odd singleton at the start. Merging two even or two odd components
+    an odd singleton at the start. ``sq`` is passed through unread, so a
+    caller may put the edge's index in its place. Merging two even or two odd components
     leaves no new odd one, so the count never rises. An edge inside one
     component is skipped, which keeps the count right on graphs with cycles.
     """
@@ -588,18 +603,18 @@ def kruskal(edges, size: int, odd: int):
         yield sq, u, v, odd
 
 
-def sorted_candidate_edges(pts: PointSet, edges) -> list[tuple[int, int, int]]:
-    """Edges as (sq_length, u, v) with u < v, sorted by (length,
-    lexicographic pair).
+def sorted_candidate_edges(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges as arrays (sq, u, v) of squared lengths and int64 ends u < v,
+    sorted by (length, lexicographic pair).
 
     ``edges`` is a Triangulation of ``pts``, whose sorted codes are read
-    as they are, or any iterable of (u, v) pairs. Squared
-    lengths are at most 2 * span^2 for the coordinate span; below 2^63 they
-    are computed and sorted in int64, otherwise in Python ints.
+    as they are, or any iterable of (u, v) pairs. Squared lengths are at
+    most 2 * span^2 for the coordinate span; below 2^63 they are computed
+    and sorted in int64, otherwise as Python ints in an object array.
     """
-    x0, y0, span = _span(pts)
+    span = pts.translated()[2]
     if 2 * span * span < 1 << 63:
-        return _sorted_edges_int64(pts, edges, x0, y0)
+        return _sorted_edges_int64(pts, edges)
     return _sorted_edges_exact(pts, edges)
 
 
@@ -615,24 +630,22 @@ def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
     return u[order], v[order]
 
 
-def _sorted_edges_int64(pts: PointSet, edges, x0: int, y0: int) -> list[tuple[int, int, int]]:
-    # Translating in Python first keeps coordinates above 2^63 convertible.
-    xs = np.array([x - x0 for x in pts.xs], dtype=np.int64)
-    ys = np.array([y - y0 for y in pts.ys], dtype=np.int64)
+def _sorted_edges_int64(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    xy = pts.translated()[3]
     u, v = _edge_ends(edges)
-    dx = xs[u] - xs[v]
-    dy = ys[u] - ys[v]
-    sq = dx * dx + dy * dy
+    d = xy[u] - xy[v]
+    sq = np.einsum("ij,ij->i", d, d)
     # A stable sort by length keeps equal lengths in lexicographic order.
     order = np.argsort(sq, kind="stable")
-    return list(zip(sq[order].tolist(), u[order].tolist(), v[order].tolist()))
+    return sq[order], u[order], v[order]
 
 
-def _sorted_edges_exact(pts: PointSet, edges) -> list[tuple[int, int, int]]:
+def _sorted_edges_exact(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     u, v = _edge_ends(edges)
-    out = [(pts.sq_dist(a, b), a, b) for a, b in zip(u.tolist(), v.tolist())]
-    out.sort()
-    return out
+    rows = sorted((pts.sq_dist(a, b), a, b) for a, b in zip(u.tolist(), v.tolist()))
+    sq = np.empty(len(rows), dtype=object)
+    sq[:] = [row[0] for row in rows]
+    return sq, np.array([row[1] for row in rows], dtype=np.int64), np.array([row[2] for row in rows], dtype=np.int64)
 
 
 def _degree_reduce(pts: PointSet, adj: dict[int, set[int]]) -> None:
@@ -679,15 +692,135 @@ def _degree_reduce(pts: PointSet, adj: dict[int, set[int]]) -> None:
                 over.append(x)
 
 
-def _tree_from_adj(pts: PointSet, vertices, adj) -> Tree:
-    verts = tuple(sorted(vertices))
-    tadj = {v: sorted(adj[v]) for v in verts}
-    edge_sq = {}
-    for v in verts:
-        for u in tadj[v]:
-            if v < u:
-                edge_sq[(v, u)] = pts.sq_dist(v, u)
-    return Tree(vertices=verts, adj=tadj, edge_sq=edge_sq)
+def _reduced(pts: PointSet, u: np.ndarray, v: np.ndarray, sq: np.ndarray):
+    """The edges (u, v, sq) of an MST forest after ``_degree_reduce``: the
+    same arrays unless a vertex has degree six. No point set with integer
+    coordinates reaches six, since the angle between two integer vectors has
+    a rational tangent and is never exactly pi/3; the exchange is kept for
+    the paper's general position."""
+    if not len(u) or np.bincount(np.concatenate((u, v))).max() < 6:
+        return u, v, sq
+    adj: dict[int, set[int]] = {i: set() for i in range(pts.n)}
+    for a, b in zip(u.tolist(), v.tolist()):
+        adj[a].add(b)
+        adj[b].add(a)
+    _degree_reduce(pts, adj)
+    pairs = sorted((a, b) for a, nbrs in adj.items() for b in nbrs if a < b)
+    u, v = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
+    lengths = np.empty(len(pairs), dtype=sq.dtype)
+    lengths[:] = [pts.sq_dist(a, b) for a, b in pairs]
+    return u, v, lengths
+
+
+def _build_forest(
+    pts: PointSet, u: np.ndarray, v: np.ndarray, sq: np.ndarray, vertices: Optional[np.ndarray] = None
+) -> list[Tree]:
+    """The trees of the forest with edges (u[i], v[i]), u < v, of squared
+    length sq[i] over the sorted int64 point ids ``vertices`` (every id by
+    default), ordered by their smallest vertex.
+
+    Every tree of the package comes from here. One sort of the directed
+    edges by (tail, head) gives the sorted ``adj`` lists and, as a CSR
+    matrix, the components: ``connected_components`` numbers them by
+    smallest vertex. The edges with tail < head, stably sorted by
+    component, give each tree its ``edge_sq`` items with the given squared
+    lengths.
+    """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    n = pts.n
+    m = len(u)
+    tail = np.concatenate((u, v))
+    head = np.concatenate((v, u))
+    order = np.argsort(tail * n + head)
+    tail, head = tail[order], head[order]
+    deg = np.bincount(tail, minlength=n)
+    ends = np.cumsum(deg)
+    graph = csr_matrix((np.ones(2 * m, dtype=np.int8), head, np.append(0, ends)), shape=(n, n))
+    label = connected_components(graph, directed=False)[1]
+    if vertices is None:
+        vertices = np.arange(n, dtype=np.int64)
+        comp = label
+    else:
+        # Ids outside ``vertices`` are isolated, so renumbering keeps the
+        # order by smallest vertex.
+        comp = np.full(n, -1, dtype=np.int64)
+        comp[vertices] = np.unique(label[vertices], return_inverse=True)[1]
+    vcomp = comp[vertices]
+    k = int(vcomp.max()) + 1 if len(vertices) else 0
+    members = vertices[np.argsort(vcomp, kind="stable")]
+    vbound = np.cumsum(np.bincount(vcomp, minlength=k)).tolist()
+
+    out = tail < head
+    u, v, sq = tail[out], head[out], sq[order[out]]
+    ecomp = comp[u]
+    if k > 1:
+        by_comp = np.argsort(ecomp, kind="stable")
+        u, v, sq = u[by_comp], v[by_comp], sq[by_comp]
+    ebound = np.cumsum(np.bincount(ecomp, minlength=k)).tolist()
+    keys = list(zip(u.tolist(), v.tolist()))
+    lengths = sq.tolist()
+
+    heads = head.tolist()
+    lists = [heads[a:b] for a, b in zip((ends - deg)[members].tolist(), ends[members].tolist())]
+    int_deg = np.bincount(tail[deg[head] >= 2], minlength=n).tolist()
+    deg = deg.tolist()
+    members = members.tolist()
+
+    trees = []
+    vlo = elo = 0
+    for vhi, ehi in zip(vbound, ebound):
+        verts = members[vlo:vhi]
+        flat = FlatEdges(u[elo:ehi], v[elo:ehi], sq[elo:ehi], deg, int_deg)
+        adj = dict(zip(verts, lists[vlo:vhi]))
+        trees.append(Tree(tuple(verts), adj, dict(zip(keys[elo:ehi], lengths[elo:ehi])), flat))
+        vlo, elo = vhi, ehi
+    return trees
+
+
+def _flat_edges(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The tree's edges as arrays (u, v, sq) in ``edge_sq`` order."""
+    if tree.flat is not None:
+        return tree.flat.u, tree.flat.v, tree.flat.sq
+    keys = list(tree.edge_sq)
+    u = np.array([a for a, _ in keys], dtype=np.int64)
+    v = np.array([b for _, b in keys], dtype=np.int64)
+    sq = np.empty(len(keys), dtype=object)
+    sq[:] = list(tree.edge_sq.values())
+    return u, v, sq
+
+
+def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=()) -> list[Tree]:
+    """The trees ``tree`` falls into when the vertices in ``drop`` leave
+    and, when given, only the edges where ``keep`` (a boolean array in
+    ``edge_sq`` order) holds remain."""
+    u, v, sq = _flat_edges(tree)
+    vertices = np.array(tree.vertices, dtype=np.int64)
+    if drop:
+        drop = np.array(drop, dtype=np.int64)
+        vertices = vertices[~np.isin(vertices, drop)]
+        stay = ~(np.isin(u, drop) | np.isin(v, drop))
+        keep = stay if keep is None else keep & stay
+    vertices.sort()
+    if keep is not None:
+        u, v, sq = u[keep], v[keep], sq[keep]
+    return _build_forest(pts, u, v, sq, vertices)
+
+
+def mst_forest(pts: PointSet, edges, taken: list[int]) -> list[Tree]:
+    """The trees of the MST edges ``taken``, indices into the arrays
+    ``edges`` = (sq, u, v) of ``sorted_candidate_edges``, after the degree
+    exchange (``_reduced``)."""
+    sq, u, v = edges
+    return _build_forest(pts, *_reduced(pts, u[taken], v[taken], sq[taken]))
+
+
+def indexed(edges):
+    """The arrays (sq, u, v) of ``sorted_candidate_edges`` as ``kruskal``
+    input rows (index, u, v), so that the pass hands back indices."""
+    _, u, v = edges
+    return zip(range(len(u)), u.tolist(), v.tolist())
 
 
 def emst5(pts: PointSet) -> Tree:
@@ -695,53 +828,24 @@ def emst5(pts: PointSet) -> Tree:
 
     The first n - 1 edges ``kruskal`` takes from the strict-tie Delaunay
     edges in (length, lexicographic) order, followed by the exact pi/3
-    exchange on any degree-6 vertex. Total weight equals the unconstrained
-    EMST weight.
+    exchange on any degree-6 vertex (``_reduced``). Total weight equals the
+    unconstrained EMST weight.
     """
     n = pts.n
     if n < 1:
         raise TooFewPoints("need at least 1 point")
-    adj: dict[int, set[int]] = {i: set() for i in range(n)}
     if n == 1:
-        return _tree_from_adj(pts, [0], adj)
+        none = np.zeros(0, dtype=np.int64)
+        return _build_forest(pts, none, none, none)[0]
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
-    for _, u, v, _ in islice(kruskal(edges, n, n), n - 1):
-        adj[u].add(v)
-        adj[v].add(u)
-    _degree_reduce(pts, adj)
-    return _tree_from_adj(pts, range(n), adj)
-
-
-def _component_trees(pts: PointSet, adj) -> list[Tree]:
-    """The trees of the connected components of ``adj`` (vertex -> neighbour
-    ids, one key per vertex), ordered by their smallest vertex."""
-    seen: set[int] = set()
-    trees: list[Tree] = []
-    for start in sorted(adj):
-        if start in seen:
-            continue
-        comp = [start]
-        seen.add(start)
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for y in adj[x]:
-                if y not in seen:
-                    seen.add(y)
-                    comp.append(y)
-                    stack.append(y)
-        trees.append(_tree_from_adj(pts, comp, adj))
-    return trees
+    taken = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n), n - 1)]
+    return mst_forest(pts, edges, taken)[0]
 
 
 def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
     """Forest of the tree edges with squared length at most ``sq_limit``."""
-    adj: dict[int, set[int]] = {v: set() for v in tree.vertices}
-    for (u, v), sq in tree.edge_sq.items():
-        if sq <= sq_limit:
-            adj[u].add(v)
-            adj[v].add(u)
-    return Forest(trees=_component_trees(pts, adj))
+    sq = _flat_edges(tree)[2]
+    return Forest(trees=subtrees(pts, tree, keep=np.asarray(sq <= sq_limit, dtype=bool)))
 
 
 def even_prefix_sq(edges, size: int, odd: int) -> int:

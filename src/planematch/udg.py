@@ -254,18 +254,26 @@ class _LiveTree:
         self.size = len(vertices)
         for v in vertices:
             alive[v] = 1
-            deg[v] = len(adj[v])
             in_heap[v] = 0
-        heap = []
-        for v in vertices:
-            d = 0
-            for u in adj[v]:
-                if deg[u] >= 2:
-                    d += 1
-            int_deg[v] = d
-            if d <= 1 and deg[v] >= 2:
-                heap.append(v)
-                in_heap[v] = 1
+        flat = tree.flat
+        if flat is None:
+            for v in vertices:
+                deg[v] = len(adj[v])
+            for v in vertices:
+                d = 0
+                for u in adj[v]:
+                    if deg[u] >= 2:
+                        d += 1
+                int_deg[v] = d
+        else:
+            # The forest builder counted both already.
+            tree_deg, tree_int_deg = flat.deg, flat.int_deg
+            for v in vertices:
+                deg[v] = tree_deg[v]
+                int_deg[v] = tree_int_deg[v]
+        heap = [v for v in vertices if int_deg[v] <= 1 and deg[v] >= 2]
+        for v in heap:
+            in_heap[v] = 1
         heapq.heapify(heap)
         self.heap = heap
 

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from planematch import bottleneck_two
+from planematch import bottleneck_two, cli
 from planematch.cli import main
 from planematch.errors import BadParameters, DuplicatePoint, FormatError
 from planematch.geometry import SCALE
@@ -200,12 +200,35 @@ def test_cli_gen_and_bench(capsys, tmp_path):
     assert all(row["plane"] for row in report["rows"])
 
 
-@pytest.mark.parametrize("sizes", ["10,abc", "", "8,,16"])
+@pytest.mark.parametrize("sizes", ["10,abc", "", "8,,16", "1_0, 8", "8,\uff11\uff10", "8,1e1"])
 def test_cli_bench_rejects_malformed_sizes(capsys, sizes):
+    # Sizes follow the point file's count-line grammar, which has no
+    # underscores, exponents or non-ASCII digits (Python's int() takes them).
     code, rep = run_cli(capsys, "bench", "--algorithm", "approx2", "--sizes", sizes)
     assert code == 2
     assert rep["error"]["code"] == "bad_parameters"
     assert repr(sizes) in rep["error"]["message"]
+
+
+def test_cli_bench_sizes_take_blanks_around_counts(capsys):
+    code = main(["bench", "--algorithm", "approx2", "--sizes", " 8,\t10 ", "--seed", "1"])
+    assert code == 0
+    assert [row["n"] for row in json.loads(capsys.readouterr().out)["rows"]] == [8, 10]
+
+
+def test_cli_bench_solves_once_untimed_before_the_rows(capsys, monkeypatch):
+    calls = []
+
+    def counted(pts):
+        calls.append(pts.n)
+        return bottleneck_two.second_approx(pts)
+
+    monkeypatch.setitem(cli._BENCH_ALGS, "approx2", counted)
+    code = main(["bench", "--algorithm", "approx2", "--sizes", "10,12", "--seed", "1"])
+    assert code == 0
+    assert [row["n"] for row in json.loads(capsys.readouterr().out)["rows"]] == [10, 12]
+    # The warm-up instance (8 points) comes first and gives no row.
+    assert calls == [8, 10, 12]
 
 
 def test_cli_error_object(capsys):

@@ -1,11 +1,15 @@
 """proximity.kruskal and its consumers against reference copies of the
 separate Kruskal loops they replaced: the even-forest loop, the EMST loop
 and the Tutte-barrier sweep that labelled components depth-first before
-merging them with its own union-find."""
+merging them with its own union-find. The trees are compared with the ones
+the depth-first component walk built before the forest builder."""
 from __future__ import annotations
 
+import math
 import random
 from itertools import islice
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -16,10 +20,11 @@ from planematch.bottleneck_two import even_forest
 from planematch.errors import InvariantViolation
 from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
+from planematch import proximity
 from planematch.proximity import (
-    _component_trees,
+    Tree,
     _degree_reduce,
-    _tree_from_adj,
+    _reduced,
     delaunay,
     disk_graph,
     emst5,
@@ -28,6 +33,46 @@ from planematch.proximity import (
 )
 
 S = SCALE
+
+
+def rows(edges) -> list[tuple[int, int, int]]:
+    """The arrays (sq, u, v) of sorted_candidate_edges as rows."""
+    return list(zip(*(a.tolist() for a in edges)))
+
+
+def reference_tree_from_adj(pts: PointSet, vertices, adj) -> Tree:
+    """The Tree of adjacency sets as the depth-first builder made it: sorted
+    vertices and lists, lexicographic edges with recomputed lengths."""
+    verts = tuple(sorted(vertices))
+    tadj = {v: sorted(adj[v]) for v in verts}
+    edge_sq = {}
+    for v in verts:
+        for u in tadj[v]:
+            if v < u:
+                edge_sq[(v, u)] = pts.sq_dist(v, u)
+    return Tree(vertices=verts, adj=tadj, edge_sq=edge_sq)
+
+
+def reference_component_trees(pts: PointSet, adj) -> list[Tree]:
+    """The trees of the components of ``adj`` by depth-first search, ordered
+    by their smallest vertex: the walk the forest builder replaced."""
+    seen: set[int] = set()
+    trees = []
+    for start in sorted(adj):
+        if start in seen:
+            continue
+        comp = [start]
+        seen.add(start)
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for y in adj[x]:
+                if y not in seen:
+                    seen.add(y)
+                    comp.append(y)
+                    stack.append(y)
+        trees.append(reference_tree_from_adj(pts, comp, adj))
+    return trees
 
 
 def reference_even_forest(pts: PointSet):
@@ -45,7 +90,7 @@ def reference_even_forest(pts: PointSet):
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     odd = n
     last_edge = last_sq = None
-    for sq, u, v in sorted_candidate_edges(pts, delaunay(pts).edges):
+    for sq, u, v in rows(sorted_candidate_edges(pts, delaunay(pts).edges)):
         ru, rv = find(u), find(v)
         if ru == rv:
             continue
@@ -62,7 +107,7 @@ def reference_even_forest(pts: PointSet):
         if odd == 0:
             break
     _degree_reduce(pts, adj)
-    return _component_trees(pts, adj), last_edge, last_sq
+    return reference_component_trees(pts, adj), last_edge, last_sq
 
 
 def reference_emst5(pts: PointSet):
@@ -81,7 +126,7 @@ def reference_emst5(pts: PointSet):
 
     adj: dict[int, set[int]] = {i: set() for i in range(n)}
     taken = 0
-    for _, u, v in sorted_candidate_edges(pts, delaunay(pts).edges):
+    for _, u, v in rows(sorted_candidate_edges(pts, delaunay(pts).edges)):
         ra, rb = find(u), find(v)
         if ra == rb:
             continue
@@ -95,7 +140,7 @@ def reference_emst5(pts: PointSet):
         if taken == n - 1:
             break
     _degree_reduce(pts, adj)
-    return _tree_from_adj(pts, range(n), adj)
+    return reference_tree_from_adj(pts, range(n), adj)
 
 
 def reference_barrier_sq(window, adj, sq_from: int, barrier: list[int]) -> int:
@@ -237,3 +282,46 @@ def test_barrier_sq_equals_reference_on_uniform_instances():
 def test_kruskal_yields_joining_edges_with_odd_counts():
     edges = [(1, 0, 1), (1, 2, 3), (2, 0, 1), (2, 1, 2), (3, 0, 3), (4, 4, 5)]
     assert list(kruskal(edges, 6, 6)) == [(1, 0, 1, 4), (1, 2, 3, 2), (2, 1, 2, 2), (4, 4, 5, 0)]
+
+
+def hexagon_star():
+    """A regular hexagon of radius S around its centre 0, rounded to
+    integers, and the six spokes from the centre as (u, v, sq) arrays."""
+    pts = PointSet([(0, 0)] + [(round(S * math.cos(k * math.pi / 3)), round(S * math.sin(k * math.pi / 3))) for k in range(6)])
+    u = np.zeros(6, dtype=np.int64)
+    v = np.arange(1, 7, dtype=np.int64)
+    return pts, u, v, np.array([pts.sq_dist(0, b) for b in range(1, 7)], dtype=np.int64)
+
+
+def test_degree_exchange_fallback_runs_only_at_degree_six():
+    # No point set with integer coordinates has an MST vertex of degree six
+    # (the angle between integer vectors is never exactly pi/3), so the
+    # fallback is fed a six-spoke star directly. Rounded, it has no exact
+    # pi/3 pair left, which _degree_reduce reports.
+    pts, u, v, sq = hexagon_star()
+    five = (u[:5], v[:5], sq[:5])
+    assert all(got is given for got, given in zip(_reduced(pts, *five), five))
+    with pytest.raises(InvariantViolation, match="exact pi/3"):
+        _reduced(pts, u, v, sq)
+
+
+def test_degree_exchange_fallback_rebuilds_the_edge_arrays(monkeypatch):
+    # With the pi/3 test loosened to the rounding of the hexagon, the
+    # exchange happens, and the builder gets the new edges with their exact
+    # lengths in both length representations.
+    def nearly_third_pi(pts, a, v, b):
+        ux, uy = pts.xs[a] - pts.xs[v], pts.ys[a] - pts.ys[v]
+        wx, wy = pts.xs[b] - pts.xs[v], pts.ys[b] - pts.ys[v]
+        dot = ux * wx + uy * wy
+        return dot > 0 and abs(4 * dot * dot - (ux * ux + uy * uy) * (wx * wx + wy * wy)) < 10**-4 * (ux * ux + uy * uy) ** 2
+
+    monkeypatch.setattr(proximity, "angle_exactly_third_pi", nearly_third_pi)
+    pts, u, v, sq = hexagon_star()
+    for lengths in (sq, sq.astype(object)):
+        ru, rv, rsq = _reduced(pts, u, v, lengths)
+        assert rsq.dtype == lengths.dtype and len(ru) == 6
+        assert list(zip(ru.tolist(), rv.tolist())) == sorted(zip(ru.tolist(), rv.tolist()))
+        assert rsq.tolist() == [pts.sq_dist(a, b) for a, b in zip(ru.tolist(), rv.tolist())]
+        (tree,) = proximity._build_forest(pts, ru, rv, rsq)
+        assert max(map(len, tree.adj.values())) == 5
+        assert shape(tree) == shape(reference_tree_from_adj(pts, range(7), tree.adj))

@@ -7,7 +7,7 @@ import pytest
 
 from planematch.errors import FormatError, UnknownPointId
 from planematch.geometry import PointSet, cross_ids
-from planematch.matching import Matching, validate
+from planematch.matching import Matching, _crossing_candidates, validate
 
 S = 10**6
 
@@ -121,3 +121,128 @@ def test_validate_small_matchings_report_crossings_in_row_major_order():
             if cross_ids(pts, *m.pairs[i], *m.pairs[j])
         ]
         assert list(validate(pts, m).violations) == want
+
+
+def random_grid_matching(rng, k: int, side: int, scale: int = 1, shift: int = 0):
+    """k pairs of distinct points of a side x side grid, in random pairing,
+    the grid scaled by ``scale`` and shifted by ``shift``."""
+    coords = set()
+    while len(coords) < 2 * k:
+        coords.add((rng.randrange(0, side), rng.randrange(0, side)))
+    pts = PointSet(sorted((shift + x * scale, shift + y * scale) for x, y in coords))
+    ids = list(range(2 * k))
+    rng.shuffle(ids)
+    return pts, Matching.of(pts, [(ids[2 * i], ids[2 * i + 1]) for i in range(k)])
+
+
+def row_major_crossings(pts, m):
+    return [
+        ("crossing", m.pairs[i], m.pairs[j])
+        for i in range(m.size)
+        for j in range(i + 1, m.size)
+        if cross_ids(pts, *m.pairs[i], *m.pairs[j])
+    ]
+
+
+def row_major_box_pairs(pts, pairs):
+    """The quadratic reference of _crossing_candidates."""
+    xs, ys = pts.xs, pts.ys
+    boxes = [
+        (min(xs[a], xs[b]), min(ys[a], ys[b]), max(xs[a], xs[b]), max(ys[a], ys[b]))
+        for a, b in pairs
+    ]
+    return [
+        (i, j)
+        for i in range(len(boxes))
+        for j in range(i + 1, len(boxes))
+        if boxes[i][0] <= boxes[j][2] and boxes[j][0] <= boxes[i][2]
+        and boxes[i][1] <= boxes[j][3] and boxes[j][1] <= boxes[i][3]
+    ]
+
+
+# (scale, shift): a small span takes the int64 candidate path; a span past
+# 2^62 takes the Python one, even with every coordinate past 2^62.
+SPANS = {"int64": (1, 0), "int64-shifted": (1, 2**70), "python": (2**60, 0), "python-shifted": (2**60, -(2**65))}
+
+
+@pytest.mark.parametrize("span", sorted(SPANS))
+def test_validate_reports_crossings_in_row_major_order_at_every_size(span):
+    # Past 64 edges the candidates come from a grid. On small grids
+    # collinear overlaps and touching endpoints are common.
+    scale, shift = SPANS[span]
+    rng = random.Random(4343)
+    for _ in range(12):
+        k = rng.randrange(65, 301)
+        pts, m = random_grid_matching(rng, k, rng.choice((26, 40)), scale, shift)
+        assert (pts.translated()[3] is None) == span.startswith("python")
+        assert list(validate(pts, m).violations) == row_major_crossings(pts, m)
+
+
+@pytest.mark.parametrize("span", sorted(SPANS))
+def test_crossing_candidates_are_the_meeting_boxes_in_row_major_order(span):
+    scale, shift = SPANS[span]
+    rng = random.Random(77)
+    for _ in range(40):
+        side = rng.choice((8, 20, 60, 1000))
+        k = rng.randrange(0, min(140, side * side // 3))
+        pts, m = random_grid_matching(rng, k, side, scale, shift)
+        assert _crossing_candidates(pts, m.pairs) == row_major_box_pairs(pts, m.pairs)
+
+
+@pytest.mark.parametrize("span", sorted(SPANS))
+def test_crossing_candidates_with_boxes_over_many_cells(span):
+    # Unit edges set the grid cell; long edges then meet more cells than
+    # there are edges, and such boxes are compared with every other box.
+    scale, shift = SPANS[span]
+    rng = random.Random(78)
+    for _ in range(10):
+        cells = rng.sample([(a, b) for a in range(20) for b in range(40)], rng.randrange(70, 200))
+        coords = [(2 * a, b) for a, b in cells] + [(2 * a + 1, b) for a, b in cells]
+        longs = rng.randrange(1, 4)
+        coords += [(-1 - i, -1 - 2 * i) for i in range(longs)] + [(41 + 2 * i, 42 + i) for i in range(longs)]
+        pts = PointSet((shift + x * scale, shift + y * scale) for x, y in coords)
+        k = len(cells)
+        pairs = [(i, k + i) for i in range(k)] + [(2 * k + i, 2 * k + longs + i) for i in range(longs)]
+        rng.shuffle(pairs)
+        assert _crossing_candidates(pts, pairs) == row_major_box_pairs(pts, pairs)
+
+
+def test_validate_shared_vertices_and_bottleneck_equal_the_pairwise_scan():
+    # Shared vertices take the pair-by-pair scan; the bottleneck is an
+    # int64 max below 2^31 of span and exact Python ints above.
+    rng = random.Random(5)
+    for scale in (1, S, 2**40):
+        for _ in range(30):
+            n = rng.randrange(4, 40)
+            coords = set()
+            while len(coords) < n:
+                coords.add((rng.randrange(0, 50) * scale, rng.randrange(0, 50) * scale))
+            pts = PointSet(sorted(coords))
+            pairs = tuple(tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, n)))
+            rep = validate(pts, Matching(pairs=pairs, bottleneck_sq=0))
+            seen, shared = {}, []
+            for pair in pairs:
+                for v in pair:
+                    if v in seen:
+                        shared.append(("shared_vertex", seen[v], pair))
+                    else:
+                        seen[v] = pair
+            assert [v for v in rep.violations if v[0] == "shared_vertex"] == shared
+            assert rep.is_matching == (not shared)
+            assert rep.bottleneck_sq == max(pts.sq_dist(a, b) for a, b in pairs)
+
+
+def test_of_checks_like_the_pairwise_scan():
+    pts = ps((0, 0), (1, 0), (2, 0), (3, 0))
+    m = Matching.of(pts, iter([(3, 2), (1, 0)]))
+    assert m.pairs == ((0, 1), (2, 3)) and m.bottleneck_sq == S * S
+    assert all(type(v) is int for pair in m.pairs for v in pair)
+    with pytest.raises(UnknownPointId):
+        Matching.of(pts, [(0, 1), (2, 4)])
+    with pytest.raises(UnknownPointId):
+        Matching.of(pts, [(0, 1), (-1, 2)])
+    with pytest.raises(UnknownPointId):
+        Matching.of(pts, [(0, 1), (2, 2**70)])
+    with pytest.raises(FormatError):
+        Matching.of(pts, [(2, 2), (0, 1)])
+    assert Matching.of(pts, []) == Matching(pairs=(), bottleneck_sq=0)

@@ -38,6 +38,15 @@ from planematch.udg import plane_matching
 S = 10**6
 
 
+def rows(edges) -> list[tuple[int, int, int]]:
+    """The arrays (sq, u, v) of sorted_candidate_edges as rows of Python
+    ints; the ends must be int64 and the lengths int64 or Python ints."""
+    sq, u, v = edges
+    assert u.dtype == v.dtype == np.int64 and sq.dtype in (np.int64, object)
+    assert all(type(x) is int for x in sq.tolist())
+    return list(zip(sq.tolist(), u.tolist(), v.tolist()))
+
+
 def ps(*coords):
     return PointSet((round(x * S), round(y * S)) for x, y in coords)
 
@@ -289,7 +298,7 @@ def test_strict_ties_give_the_same_kruskal_sequence(name, coords):
     # order from either tie rule.
     pts = PointSet(coords)
     runs = [
-        list(kruskal(sorted_candidate_edges(pts, delaunay(pts, canonical=c).edges), pts.n, pts.n))
+        list(kruskal(rows(sorted_candidate_edges(pts, delaunay(pts, canonical=c).edges)), pts.n, pts.n))
         for c in (True, False)
     ]
     assert runs[0] == runs[1]
@@ -502,9 +511,10 @@ def test_sorted_candidate_edges_int64_equals_python_ints():
             n = rng.randrange(3, 60)
             pts = PointSet(sorted({(rng.randint(0, span), rng.randint(0, span)) for _ in range(n)}))
             edges = random_edges(rng, pts.n, 3 * pts.n)
-            want = _sorted_edges_exact(pts, edges)
-            assert _sorted_edges_int64(pts, edges, min(pts.xs), min(pts.ys)) == want
-            assert sorted_candidate_edges(pts, edges) == want
+            want = rows(_sorted_edges_exact(pts, edges))
+            assert want == sorted((pts.sq_dist(*e), *sorted(e)) for e in edges)
+            assert rows(_sorted_edges_int64(pts, edges)) == want
+            assert rows(sorted_candidate_edges(pts, edges)) == want
 
 
 def test_sorted_candidate_edges_int64_boundary():
@@ -513,8 +523,8 @@ def test_sorted_candidate_edges_int64_boundary():
     for span in (2**31 - 1, 2**31):
         pts = PointSet([(0, 0), (span, span), (span, 0), (1, 5)])
         edges = [(0, 1), (1, 2), (3, 0), (2, 3), (3, 1)]
-        got = sorted_candidate_edges(pts, edges)
-        assert got == _sorted_edges_exact(pts, edges)
+        got = rows(sorted_candidate_edges(pts, edges))
+        assert got == rows(_sorted_edges_exact(pts, edges))
         assert got[-1] == (2 * span * span, 0, 1)
 
 
@@ -523,7 +533,7 @@ def test_sorted_candidate_edges_above_2_63():
     for base, span in ((2**64 + 3, S), (-(2**70), 2**40), (2**63, 2**65)):
         pts = PointSet(sorted({(base + rng.randint(0, span), base - rng.randint(0, span)) for _ in range(40)}))
         edges = random_edges(rng, pts.n, 100)
-        assert sorted_candidate_edges(pts, edges) == _sorted_edges_exact(pts, edges)
+        assert rows(sorted_candidate_edges(pts, edges)) == rows(_sorted_edges_exact(pts, edges))
 
 
 
@@ -537,9 +547,9 @@ def test_sorted_candidate_edges_reads_triangulation_codes(canonical):
             PointSet((k * S, 0) for k in range(9)), PointSet([(0, 0), (S, 3)])]
     for pts in sets:
         tri = delaunay(pts, canonical=canonical)
-        got = sorted_candidate_edges(pts, tri)
+        got = rows(sorted_candidate_edges(pts, tri))
         assert tri._edges is None
-        assert got == sorted_candidate_edges(pts, list(tri.edges)) == _sorted_edges_exact(pts, tri.edges)
+        assert got == rows(sorted_candidate_edges(pts, list(tri.edges))) == rows(_sorted_edges_exact(pts, tri.edges))
         assert type(tri.edges) is tuple and tri.edges is tri.edges
         assert list(tri.edges) == sorted(tri.edges) and all(type(e) is tuple and e[0] < e[1] for e in tri.edges)
         assert np.array_equal(tri.codes, [u * pts.n + v for u, v in tri.edges])
