@@ -80,14 +80,15 @@ def even_forest(pts: PointSet) -> EvenForest:
     if n < 2:
         raise TooFewPoints("need at least 2 points")
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
+    parent = list(range(n))
     taken = []
-    for i, u, v, odd in kruskal(indexed(edges), n, n):
+    for i, u, v, odd in kruskal(indexed(edges), n, n, parent):
         taken.append(i)
         if odd == 0:
             break
     else:
         raise InvariantViolation("even forest construction did not terminate")
-    trees = mst_forest(pts, edges, taken)
+    trees = mst_forest(pts, edges, taken, parent)
     return EvenForest(forest=Forest(trees=trees), last_edge=(u, v), last_sq=int(edges[0][i]))
 
 

@@ -571,7 +571,7 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
     return Triangulation.of_pairs(mesh.live_edges(), n)
 
 
-def kruskal(edges, size: int, odd: int):
+def kruskal(edges, size: int, odd: int, parent: Optional[list[int]] = None):
     """Kruskal's pass over ``edges``: yields (sq, u, v, odd) for each edge
     that joins two components, where ``odd`` is the number of odd
     components after it.
@@ -579,11 +579,15 @@ def kruskal(edges, size: int, odd: int):
     ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
     ids below ``size``; ``odd`` is the number of vertices taking part, each
     an odd singleton at the start. ``sq`` is passed through unread, so a
-    caller may put the edge's index in its place. Merging two even or two odd components
-    leaves no new odd one, so the count never rises. An edge inside one
-    component is skipped, which keeps the count right on graphs with cycles.
+    caller may put the edge's index in its place. Merging two even or two
+    odd components leaves no new odd one, so the count never rises. An edge
+    inside one component is skipped, which keeps the count right on graphs
+    with cycles. ``parent``, when given, must be ``list(range(size))``; the
+    pass runs its union-find in it, so the caller can read the components
+    (``_roots``) where the pass stopped.
     """
-    parent = list(range(size))
+    if parent is None:
+        parent = list(range(size))
     weight = [1] * size
     for sq, u, v in edges:
         ru = u
@@ -712,46 +716,60 @@ def _reduced(pts: PointSet, u: np.ndarray, v: np.ndarray, sq: np.ndarray):
     return u, v, lengths
 
 
+def _roots(parent: list[int]) -> np.ndarray:
+    """The root of every id in a ``kruskal`` union-find ``parent`` list."""
+    root = np.array(parent, dtype=np.int64)
+    while True:
+        up = root[root]
+        if np.array_equal(up, root):
+            return root
+        root = up
+
+
 def _build_forest(
-    pts: PointSet, u: np.ndarray, v: np.ndarray, sq: np.ndarray, vertices: Optional[np.ndarray] = None
+    pts: PointSet,
+    u: np.ndarray,
+    v: np.ndarray,
+    sq: np.ndarray,
+    vertices: Optional[np.ndarray] = None,
+    parent: Optional[list[int]] = None,
 ) -> list[Tree]:
     """The trees of the forest with edges (u[i], v[i]), u < v, of squared
     length sq[i] over the sorted int64 point ids ``vertices`` (every id by
     default), ordered by their smallest vertex.
 
-    Every tree of the package comes from here. One sort of the directed
-    edges by (tail, head) gives the sorted ``adj`` lists and, as a CSR
-    matrix, the components: ``connected_components`` numbers them by
-    smallest vertex. The edges with tail < head, stably sorted by
-    component, give each tree its ``edge_sq`` items with the given squared
-    lengths.
+    Every tree of the package comes from here. The components are the
+    roots of ``kruskal``'s union-find: ``parent`` as the pass that took the
+    edges left it, or a pass over the edges here. One sort of the directed
+    edges by (tail, head) gives the sorted ``adj`` lists; the edges with
+    tail < head, stably sorted by component, give each tree its ``edge_sq``
+    items with the given squared lengths.
     """
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
     n = pts.n
-    m = len(u)
+    if parent is None:
+        parent = list(range(n))
+        for _ in kruskal(indexed((sq, u, v)), n, n, parent):
+            pass
+    if vertices is None:
+        vertices = np.arange(n, dtype=np.int64)
+    # Number the components by their smallest vertex: the first of the
+    # sorted vertices with each root.
+    _, first, inverse = np.unique(_roots(parent)[vertices], return_index=True, return_inverse=True)
+    k = len(first)
+    rank = np.empty(k, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(k)
+    vcomp = rank[inverse]
+    comp = np.full(n, -1, dtype=np.int64)
+    comp[vertices] = vcomp
+    members = vertices[np.argsort(vcomp, kind="stable")]
+    vbound = np.cumsum(np.bincount(vcomp, minlength=k)).tolist()
+
     tail = np.concatenate((u, v))
     head = np.concatenate((v, u))
     order = np.argsort(tail * n + head)
     tail, head = tail[order], head[order]
     deg = np.bincount(tail, minlength=n)
     ends = np.cumsum(deg)
-    graph = csr_matrix((np.ones(2 * m, dtype=np.int8), head, np.append(0, ends)), shape=(n, n))
-    label = connected_components(graph, directed=False)[1]
-    if vertices is None:
-        vertices = np.arange(n, dtype=np.int64)
-        comp = label
-    else:
-        # Ids outside ``vertices`` are isolated, so renumbering keeps the
-        # order by smallest vertex.
-        comp = np.full(n, -1, dtype=np.int64)
-        comp[vertices] = np.unique(label[vertices], return_inverse=True)[1]
-    vcomp = comp[vertices]
-    k = int(vcomp.max()) + 1 if len(vertices) else 0
-    members = vertices[np.argsort(vcomp, kind="stable")]
-    vbound = np.cumsum(np.bincount(vcomp, minlength=k)).tolist()
-
     out = tail < head
     u, v, sq = tail[out], head[out], sq[order[out]]
     ecomp = comp[u]
@@ -808,12 +826,13 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
     return _build_forest(pts, u, v, sq, vertices)
 
 
-def mst_forest(pts: PointSet, edges, taken: list[int]) -> list[Tree]:
+def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> list[Tree]:
     """The trees of the MST edges ``taken``, indices into the arrays
     ``edges`` = (sq, u, v) of ``sorted_candidate_edges``, after the degree
-    exchange (``_reduced``)."""
+    exchange (``_reduced``, which keeps the components); ``parent`` is the
+    union-find of the ``kruskal`` pass that took them."""
     sq, u, v = edges
-    return _build_forest(pts, *_reduced(pts, u[taken], v[taken], sq[taken]))
+    return _build_forest(pts, *_reduced(pts, u[taken], v[taken], sq[taken]), parent=parent)
 
 
 def indexed(edges):
@@ -838,8 +857,9 @@ def emst5(pts: PointSet) -> Tree:
         none = np.zeros(0, dtype=np.int64)
         return _build_forest(pts, none, none, none)[0]
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
-    taken = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n), n - 1)]
-    return mst_forest(pts, edges, taken)[0]
+    parent = list(range(n))
+    taken = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n, parent), n - 1)]
+    return mst_forest(pts, edges, taken, parent)[0]
 
 
 def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
