@@ -33,8 +33,7 @@ class Matching:
         if ends is not None and not (ends[:, 0] == ends[:, 1]).any():
             lo, hi = ends.min(axis=1), ends.max(axis=1)
             order = np.lexsort((hi, lo))
-            ends = np.column_stack((lo[order], hi[order]))
-            norm = tuple(zip(ends[:, 0].tolist(), ends[:, 1].tolist()))
+            norm = tuple(zip(lo[order].tolist(), hi[order].tolist()))
             return cls(pairs=norm, bottleneck_sq=_bottleneck_sq(pts, norm, ends))
         norm = tuple(sorted((a, b) if a < b else (b, a) for a, b in pairs))
         for a, b in norm:
@@ -110,10 +109,10 @@ def _crossing_candidates(pts: PointSet, pairs, ends: Optional[np.ndarray] = None
     ``_box_pairs_exact``, sorted.
     """
     xy = pts.translated()[3]
-    if xy is None:
-        return sorted(_box_pairs_exact(pts, pairs))
-    if ends is None:
+    if xy is not None and ends is None:
         ends = _pair_array(pairs)
+    if xy is None or ends is None:
+        return sorted(_box_pairs_exact(pts, pairs))
     return _box_pairs_int64(xy, ends)
 
 
@@ -169,7 +168,10 @@ def _box_pairs_int64(xy: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
     for k in np.flatnonzero(big).tolist():
         others = everyone[_meet(box, k, everyone) & (everyone != k)]
         codes.append(np.minimum(others, k) * m + np.maximum(others, k))
-    code = np.unique(np.concatenate(codes))
+    # Sorted and deduplicated by hand: np.unique's default path imports
+    # numpy.ma, which would cost more memory than the pairs.
+    code = np.sort(np.concatenate(codes))
+    code = code[np.diff(code, prepend=-1) != 0]
     return list(zip((code // m).tolist(), (code % m).tolist()))
 
 
@@ -181,11 +183,12 @@ def _meet(box, i, j) -> np.ndarray:
 
 
 def _box_pairs_exact(pts: PointSet, pairs):
-    """``_crossing_candidates`` in Python ints, unordered.
+    """``_crossing_candidates`` in Python ints, any span.
 
     Exact crossing requires overlapping bounding boxes, so bucketing the
     boxes on a grid sized to the typical edge never misses a crossing pair.
-    Up to 64 edges every pair of boxes is compared, in row-major order.
+    Up to 64 edges every pair of boxes is compared, in row-major order;
+    past that the pairs come in bucket order.
     """
     m = len(pairs)
     xs, ys = pts.xs, pts.ys
