@@ -34,6 +34,13 @@ components are left. ``emst5`` takes its first n - 1 edges, the even forest
 of the second approximation stops where no odd component is left, and
 ``even_prefix_sq`` (the even threshold of a tree, and L of the crossing
 bracket) returns that length.
+
+Every ``Tree`` comes from one builder, ``_build_forest``, fed flat arrays:
+the int64 ends and squared lengths ``sorted_candidate_edges`` returned, at
+the indices ``kruskal`` took (``emst5``, ``even_forest``), or a masked copy
+of a tree's own arrays (``forest_leq``, ``subtrees``). Components are the
+roots of the pass's union-find, and the trees keep the arrays and their
+degree counts (``Tree.flat``) for the next consumer.
 """
 from __future__ import annotations
 
