@@ -16,6 +16,11 @@ from .errors import FormatError
 from .geometry import PointSet, segments_cross_coords
 
 
+# From this many pairs up, ``Matching.of`` and ``validate`` work on int64
+# arrays; below it Python loops are faster than numpy's per-call overhead.
+_ARRAY_MIN_PAIRS = 256
+
+
 @dataclass(frozen=True)
 class Matching:
     """Vertex-disjoint point-id pairs with a cached exact bottleneck."""
@@ -29,7 +34,7 @@ class Matching:
         UnknownPointId for an id outside ``pts`` and FormatError for a pair
         of a point with itself."""
         pairs = pairs if isinstance(pairs, (list, tuple)) else list(pairs)
-        ends = _id_array(pts, pairs)
+        ends = _id_array(pts, pairs) if len(pairs) >= _ARRAY_MIN_PAIRS else None
         if ends is not None and not (ends[:, 0] == ends[:, 1]).any():
             lo, hi = ends.min(axis=1), ends.max(axis=1)
             order = np.lexsort((hi, lo))
@@ -83,11 +88,12 @@ def _bottleneck_sq(pts: PointSet, pairs, ends: Optional[np.ndarray] = None) -> i
     """The largest squared length of the pairs, 0 for none: an int64 max
     when ``ends`` holds them and every squared length fits, else exact
     Python ints."""
-    span, xy = pts.translated()[2:]
-    if ends is None or 2 * span * span >= 1 << 63 or not len(ends):
-        return max((pts.sq_dist(a, b) for a, b in pairs), default=0)
-    d = xy[ends[:, 0]] - xy[ends[:, 1]]
-    return int(np.einsum("ij,ij->i", d, d).max())
+    if ends is not None and len(ends):
+        span, xy = pts.translated()[2:]
+        if 2 * span * span < 1 << 63:
+            d = xy[ends[:, 0]] - xy[ends[:, 1]]
+            return int(np.einsum("ij,ij->i", d, d).max())
+    return max((pts.sq_dist(a, b) for a, b in pairs), default=0)
 
 
 @dataclass(frozen=True)
@@ -103,12 +109,12 @@ def _crossing_candidates(pts: PointSet, pairs, ends: Optional[np.ndarray] = None
     """The index pairs (i, j), i < j, of the edges ``pairs`` whose bounding
     boxes meet, in row-major order: every pair that can cross.
 
-    Below ``INT64_SPAN`` the boxes are paired in int64 arrays
-    (``_box_pairs_int64``; ``ends`` is ``pairs`` as an (m, 2) array when
-    the caller has it); above it, by the Python generator
-    ``_box_pairs_exact``, sorted.
+    From ``_ARRAY_MIN_PAIRS`` edges up and below ``INT64_SPAN`` the boxes
+    are paired in int64 arrays (``_box_pairs_int64``; ``ends`` is ``pairs``
+    as an (m, 2) array when the caller has it); otherwise by the Python
+    generator ``_box_pairs_exact``, sorted.
     """
-    xy = pts.translated()[3]
+    xy = pts.translated()[3] if len(pairs) >= _ARRAY_MIN_PAIRS else None
     if xy is not None and ends is None:
         ends = _pair_array(pairs)
     if xy is None or ends is None:
@@ -242,7 +248,7 @@ def validate(pts: PointSet, m: Matching) -> ValidationReport:
     proves that no point repeats.
     """
     pairs = m.pairs
-    ends = _id_array(pts, pairs)
+    ends = _id_array(pts, pairs) if len(pairs) >= _ARRAY_MIN_PAIRS else None
     if ends is None:
         for a, b in pairs:
             pts.check_id(a)

@@ -47,7 +47,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import chain, islice
 from math import isqrt
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -91,7 +91,7 @@ class Triangulation:
         return self._edges
 
 
-class FlatEdges:
+class FlatEdges(NamedTuple):
     """What the forest builder (``_build_forest``) keeps of a tree besides
     its dicts: the edges as int64 arrays ``u`` < ``v`` with their squared
     lengths ``sq`` (int64, or Python ints in an object array when they may
@@ -99,11 +99,11 @@ class FlatEdges:
     point id of every vertex's degree and number of neighbours of degree at
     least two, shared by the trees of one forest."""
 
-    __slots__ = ("u", "v", "sq", "deg", "int_deg")
-
-    def __init__(self, u, v, sq, deg, int_deg):
-        self.u, self.v, self.sq = u, v, sq
-        self.deg, self.int_deg = deg, int_deg
+    u: np.ndarray
+    v: np.ndarray
+    sq: np.ndarray
+    deg: list[int]
+    int_deg: list[int]
 
 
 @dataclass
@@ -113,7 +113,7 @@ class Tree:
     ``adj`` lists each vertex's neighbours in increasing order, with the
     vertices in increasing order; ``edge_sq`` holds the edges (u, v), u < v,
     in lexicographic order. ``flat`` is set on the trees of the forest
-    builder."""
+    builder, which are not edited afterwards: it would go stale."""
 
     vertices: tuple[int, ...]
     adj: dict[int, list[int]]

@@ -3,11 +3,13 @@ from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from planematch.errors import FormatError, UnknownPointId
 from planematch.geometry import PointSet, cross_ids
-from planematch.matching import Matching, _crossing_candidates, validate
+from planematch import matching
+from planematch.matching import _ARRAY_MIN_PAIRS, Matching, _box_pairs_int64, _crossing_candidates, validate
 
 S = 10**6
 
@@ -165,14 +167,25 @@ def row_major_box_pairs(pts, pairs):
 SPANS = {"int64": (1, 0), "int64-shifted": (1, 2**70), "python": (2**60, 0), "python-shifted": (2**60, -(2**65))}
 
 
+def check_candidates(pts, pairs) -> None:
+    """_crossing_candidates, and its int64 path at any size, against the
+    quadratic reference."""
+    want = row_major_box_pairs(pts, pairs)
+    assert _crossing_candidates(pts, pairs) == want
+    xy = pts.translated()[3]
+    if xy is not None:
+        assert _box_pairs_int64(xy, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == want
+
+
 @pytest.mark.parametrize("span", sorted(SPANS))
 def test_validate_reports_crossings_in_row_major_order_at_every_size(span):
-    # Past 64 edges the candidates come from a grid. On small grids
-    # collinear overlaps and touching endpoints are common.
+    # Past 64 edges the candidates come from a grid, and from
+    # _ARRAY_MIN_PAIRS edges on from int64 arrays when the span allows. On
+    # small grids collinear overlaps and touching endpoints are common.
     scale, shift = SPANS[span]
     rng = random.Random(4343)
-    for _ in range(12):
-        k = rng.randrange(65, 301)
+    sizes = [65, _ARRAY_MIN_PAIRS - 1, _ARRAY_MIN_PAIRS, 300] + [rng.randrange(65, 301) for _ in range(8)]
+    for k in sizes:
         pts, m = random_grid_matching(rng, k, rng.choice((26, 40)), scale, shift)
         assert (pts.translated()[3] is None) == span.startswith("python")
         assert list(validate(pts, m).violations) == row_major_crossings(pts, m)
@@ -184,9 +197,9 @@ def test_crossing_candidates_are_the_meeting_boxes_in_row_major_order(span):
     rng = random.Random(77)
     for _ in range(40):
         side = rng.choice((8, 20, 60, 1000))
-        k = rng.randrange(0, min(140, side * side // 3))
+        k = rng.randrange(0, min(400, side * side // 3))
         pts, m = random_grid_matching(rng, k, side, scale, shift)
-        assert _crossing_candidates(pts, m.pairs) == row_major_box_pairs(pts, m.pairs)
+        check_candidates(pts, m.pairs)
 
 
 @pytest.mark.parametrize("span", sorted(SPANS))
@@ -196,7 +209,7 @@ def test_crossing_candidates_with_boxes_over_many_cells(span):
     scale, shift = SPANS[span]
     rng = random.Random(78)
     for _ in range(10):
-        cells = rng.sample([(a, b) for a in range(20) for b in range(40)], rng.randrange(70, 200))
+        cells = rng.sample([(a, b) for a in range(20) for b in range(40)], rng.randrange(70, 300))
         coords = [(2 * a, b) for a, b in cells] + [(2 * a + 1, b) for a, b in cells]
         longs = rng.randrange(1, 4)
         coords += [(-1 - i, -1 - 2 * i) for i in range(longs)] + [(41 + 2 * i, 42 + i) for i in range(longs)]
@@ -204,21 +217,34 @@ def test_crossing_candidates_with_boxes_over_many_cells(span):
         k = len(cells)
         pairs = [(i, k + i) for i in range(k)] + [(2 * k + i, 2 * k + longs + i) for i in range(longs)]
         rng.shuffle(pairs)
-        assert _crossing_candidates(pts, pairs) == row_major_box_pairs(pts, pairs)
+        check_candidates(pts, pairs)
+
+
+def random_pairs(rng, scale: int, n: int, m: int):
+    """n points of a 50 x 50 grid scaled by ``scale`` and m random pairs
+    of them, which may share points."""
+    coords = set()
+    while len(coords) < n:
+        coords.add((rng.randrange(0, 50) * scale, rng.randrange(0, 50) * scale))
+    pts = PointSet(sorted(coords))
+    return pts, tuple(tuple(sorted(rng.sample(range(n), 2))) for _ in range(m))
 
 
 def test_validate_shared_vertices_and_bottleneck_equal_the_pairwise_scan():
-    # Shared vertices take the pair-by-pair scan; the bottleneck is an
-    # int64 max below 2^31 of span and exact Python ints above.
+    # With a shared vertex, or below _ARRAY_MIN_PAIRS pairs, the pairs are
+    # scanned one by one; otherwise a bincount shows that no point repeats.
+    # The bottleneck is an int64 max below 2^31 of span, exact Python ints
+    # above.
     rng = random.Random(5)
     for scale in (1, S, 2**40):
         for _ in range(30):
-            n = rng.randrange(4, 40)
-            coords = set()
-            while len(coords) < n:
-                coords.add((rng.randrange(0, 50) * scale, rng.randrange(0, 50) * scale))
-            pts = PointSet(sorted(coords))
-            pairs = tuple(tuple(sorted(rng.sample(range(n), 2))) for _ in range(rng.randrange(1, n)))
+            n = rng.choice((rng.randrange(4, 40), 600))
+            m = rng.randrange(1, n) if n < 600 else rng.randrange(_ARRAY_MIN_PAIRS, 300)
+            pts, pairs = random_pairs(rng, scale, n, m)
+            if rng.random() < 0.3:
+                # A matching: no shared vertex, so the bincount decides.
+                ids = rng.sample(range(n), 2 * min(m, n // 2))
+                pairs = tuple(tuple(sorted(ids[i : i + 2])) for i in range(0, len(ids), 2))
             rep = validate(pts, Matching(pairs=pairs, bottleneck_sq=0))
             seen, shared = {}, []
             for pair in pairs:
@@ -246,3 +272,28 @@ def test_of_checks_like_the_pairwise_scan():
     with pytest.raises(FormatError):
         Matching.of(pts, [(2, 2), (0, 1)])
     assert Matching.of(pts, []) == Matching(pairs=(), bottleneck_sq=0)
+
+
+def test_of_array_path_equals_the_pairwise_path(monkeypatch):
+    rng = random.Random(6)
+    cases = []
+    for scale in (1, S, 2**40):
+        pts = random_pairs(rng, scale, 1200, 0)[0]
+        ids = list(range(pts.n))
+        for _ in range(5):
+            rng.shuffle(ids)
+            k = rng.randrange(_ARRAY_MIN_PAIRS, 500)
+            cases.append((pts, [(ids[2 * i], ids[2 * i + 1]) for i in range(k)]))
+    got = [Matching.of(pts, pairs) for pts, pairs in cases]
+    monkeypatch.setattr(matching, "_ARRAY_MIN_PAIRS", 10**9)
+    assert got == [Matching.of(pts, pairs) for pts, pairs in cases]
+    pts, pairs = cases[0]
+    monkeypatch.undo()
+    # Bad entries leave the array path and raise as the scan does.
+    for bad, error in (((0, pts.n), UnknownPointId), ((-1, 2), UnknownPointId), ((7, 7), FormatError)):
+        with pytest.raises(error):
+            Matching.of(pts, pairs[:-1] + [bad])
+    with pytest.raises(UnknownPointId):
+        validate(pts, Matching(pairs=tuple(pairs[:-1]) + ((0, pts.n),), bottleneck_sq=0))
+    with pytest.raises(TypeError):
+        Matching.of(pts, [(float(a), float(b)) for a, b in pairs])
