@@ -241,10 +241,13 @@ def test_validate_shared_vertices_and_bottleneck_equal_the_pairwise_scan():
             n = rng.choice((rng.randrange(4, 40), 600))
             m = rng.randrange(1, n) if n < 600 else rng.randrange(_ARRAY_MIN_PAIRS, 300)
             pts, pairs = random_pairs(rng, scale, n, m)
-            if rng.random() < 0.3:
-                # A matching: no shared vertex, so the bincount decides.
+            if rng.random() < 0.5:
+                # A matching, so the bincount decides, or one with a single
+                # point in two pairs.
                 ids = rng.sample(range(n), 2 * min(m, n // 2))
                 pairs = tuple(tuple(sorted(ids[i : i + 2])) for i in range(0, len(ids), 2))
+                if len(ids) >= 4 and rng.random() < 0.5:
+                    pairs += ((ids[0], ids[3]) if ids[0] < ids[3] else (ids[3], ids[0]),)
             rep = validate(pts, Matching(pairs=pairs, bottleneck_sq=0))
             seen, shared = {}, []
             for pair in pairs:
