@@ -240,7 +240,8 @@ class _LiveTree:
     vertices with deg >= 2 and int_deg <= 1) and is lazy; ``remove`` pushes
     every vertex whose counts change, so ``pop_leaf`` returns the smallest
     skeleton leaf. ``size`` is the number of live vertices. Set-up writes
-    only the tree's own vertices, in O(|tree|).
+    only the tree's own vertices, in O(|tree|), and takes their counts from
+    the forest builder (``Tree.flat``) when the tree has them.
     """
 
     def __init__(self, tree: Tree, state: _PeelState):

@@ -300,3 +300,21 @@ def test_of_array_path_equals_the_pairwise_path(monkeypatch):
         validate(pts, Matching(pairs=tuple(pairs[:-1]) + ((0, pts.n),), bottleneck_sq=0))
     with pytest.raises(TypeError):
         Matching.of(pts, [(float(a), float(b)) for a, b in pairs])
+
+
+def test_crossing_candidates_on_a_grid_too_wide_for_one_sort_code():
+    # Short edges far apart make a grid of about 2^60 cells a side, whose
+    # cell codes overflow int64, so the cells are sorted by (x, y) keys.
+    rng = random.Random(79)
+    for _ in range(5):
+        coords = set()
+        for _ in range(rng.randrange(130, 300)):
+            x, y = rng.randrange(0, 2**61), rng.randrange(0, 2**61)
+            coords.update(((x, y), (x + 1, y + 1), (x + 1, y), (x, y + 1)))
+        pts = PointSet(sorted(coords))
+        ids = list(range(pts.n))
+        pairs = [(ids[i], ids[i + 1]) for i in range(0, pts.n - 1, 2)]
+        ends = np.array(pairs, dtype=np.int64)
+        xy = pts.translated()[3]
+        assert xy is not None and int(xy.max()) // 2 * int(xy.max()) // 2 * len(pairs) >= 2**63
+        assert _box_pairs_int64(xy, ends) == row_major_box_pairs(pts, pairs)
