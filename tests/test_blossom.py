@@ -1,7 +1,10 @@
 """Tests for the blossom matcher and the crossing bottleneck search."""
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from itertools import combinations
 
@@ -9,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import planematch
 from planematch import blossom
 from planematch.blossom import (
     AbstractGraph,
@@ -378,3 +382,24 @@ def test_barrier_sq_is_the_first_length_leaving_few_odd_components(name):
 
     below = max(d for d in sq.values() if d < got)
     assert odd_at(got) <= len(barrier) < odd_at(below)
+
+
+def test_crossing_path_imports_no_scipy():
+    # The crossing search, one-third and validate run on numpy alone; a scipy
+    # import would add its modules to every such run's memory.
+    code = (
+        "import sys\n"
+        "from planematch.blossom import bottleneck_crossing\n"
+        "from planematch.io import gen_points\n"
+        "from planematch.matching import validate\n"
+        "from planematch.udg import one_third\n"
+        "pts = gen_points(300, 1, 'uniform')\n"
+        "m = one_third(pts, bottleneck_crossing(pts).matching)[0]\n"
+        "report = validate(pts, m)\n"
+        "assert report.is_matching and report.is_plane\n"
+        "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    )
+    src = os.path.dirname(os.path.dirname(planematch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.strip() == "[]"

@@ -21,7 +21,7 @@ from planematch.bottleneck_two import even_forest, match_tree_detailed, second_a
 from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
 from planematch.proximity import emst5, even_threshold, forest_leq
-from planematch.udg import plane_matching, run_peeling
+from planematch.udg import one_third, plane_matching, run_peeling
 
 GOLDENS = {
     (1, "uniform"): (
@@ -73,6 +73,24 @@ HOLED_GOLDENS = {
 CROSSING_GOLDENS = {
     1: (6855197014046025, 6243558952033901, "9332b05782446e5e5561630f23ebbd8e5ad50eee9b8622d9a8f96905b001a8bc"),
     57: (7209324813924584, 6485465866640245, "1f04e0aa9f757126d3e2106955173c0132df4590f6815789da17d7330c5131a4"),
+}
+
+# seed -> (bottleneck_sq, lower_sq, witness digest, one_third digest) on
+# gen_points(2000, seed, "clustered"). The first scan radius lies far below
+# L on these, so the bracket lists the short pairs at several radii.
+CLUSTERED_CROSSING_GOLDENS = {
+    1: (
+        7629114607299805,
+        7629114607299805,
+        "67dd91b537ad6ffa6dab90476e7d71c70447d4b4cebb6574c286bfb174065294",
+        "79bb996b4700956f463310fc2c78aa8e5b1bc8ae1c376447e47d7a3e26c80597",
+    ),
+    2: (
+        7376148867658925,
+        7376148867658925,
+        "488819b95e488e8cbf8a3a10b8eaa58a438b0354aca628092cba859c9454ce2f",
+        "d5a5d9a5e734ec05bda78ddcc95900d995799a93b538325cdaf3ef1546265ba3",
+    ),
 }
 
 # instance -> (match_tree_detailed digest over the even forest's trees,
@@ -199,6 +217,15 @@ def test_golden_crossing_bottleneck(seed):
     bottleneck_sq, lower_sq, witness = CROSSING_GOLDENS[seed]
     assert (res.bottleneck_sq, res.lower_sq) == (bottleneck_sq, lower_sq)
     assert _digest(res.matching) == witness
+
+
+@pytest.mark.parametrize("seed", sorted(CLUSTERED_CROSSING_GOLDENS))
+def test_golden_crossing_bottleneck_clustered(seed):
+    res = bottleneck_crossing(gen_points(2000, seed, "clustered"))
+    bottleneck_sq, lower_sq, witness, plane = CLUSTERED_CROSSING_GOLDENS[seed]
+    assert (res.bottleneck_sq, res.lower_sq) == (bottleneck_sq, lower_sq)
+    assert _digest(res.matching) == witness
+    assert _digest(one_third(gen_points(2000, seed, "clustered"), res.matching)[0]) == plane
 
 
 @pytest.mark.parametrize("key", list(PEELING_GOLDENS), ids=str)

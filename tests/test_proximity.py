@@ -28,6 +28,7 @@ from planematch.proximity import (
     even_threshold,
     forest_leq,
     kruskal,
+    pairs_within,
     second_closest,
     second_closest_batch,
     skeleton,
@@ -688,6 +689,81 @@ def test_disk_graph_matches_brute_force_random():
             if pts.sq_dist(i, j) <= r * r
         )
         assert g.edges() == want
+
+
+def near_rows(pts: PointSet, sq_radius: int) -> list[tuple[int, int, int]]:
+    """(sq, u, v) of every pair u < v at squared distance at most
+    ``sq_radius``, sorted: the exact O(n^2) scan."""
+    pairs = ((pts.sq_dist(u, v), u, v) for u, v in combinations(range(pts.n), 2))
+    return sorted(row for row in pairs if row[0] <= sq_radius)
+
+
+def assert_near_pairs(pts: PointSet, sq_radius: int) -> None:
+    """pairs_within and disk_graph against the exact scan."""
+    want = near_rows(pts, sq_radius)
+    got = pairs_within(pts, sq_radius)
+    assert (got if isinstance(got, list) else rows(got)) == want
+    adj = [[] for _ in range(pts.n)]
+    for _, u, v in want:
+        adj[u].append(v)
+        adj[v].append(u)
+    g = disk_graph(pts, sq_radius)
+    assert g.adj == [sorted(a) for a in adj]
+    assert g.sq_radius == sq_radius
+
+
+def collinear_row(xs, step) -> set:
+    return {(x * step[0], x * step[1]) for x in xs}
+
+
+def unit_grid(w, h) -> set:
+    return {(x, y) for x in range(w) for y in range(h)}
+
+
+NEAR_SHAPES = st.one_of(
+    st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=24),
+    st.builds(collinear_row, st.sets(st.integers(-15, 15), max_size=16), st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)])),
+    st.builds(unit_grid, st.integers(1, 6), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    NEAR_SHAPES,
+    # 2^52 + 1 takes the span past 2^53 and 2^61 + 3 past 2^62.
+    st.sampled_from([1, 7, S, 2**24 + 1, 2**52 + 1, 2**61 + 3]),
+    st.sampled_from([0, -(2**70), 2**63]),
+    # A lone far point stretches the grid far past the radius.
+    st.sampled_from([None, 2**31 + 7, 2**55 + 3, 2**70 + 5]),
+    st.data(),
+)
+def test_pairs_within_and_disk_graph_equal_the_exact_scan(coords, scale, shift, far, data):
+    pts = [(shift + x * scale, shift + y * scale) for x, y in sorted(coords)]
+    if far is not None:
+        pts.append((shift - far, shift + far))
+    pts = PointSet(pts)
+    lengths = sorted({pts.sq_dist(u, v) for u, v in combinations(range(pts.n), 2)})
+    kind = data.draw(st.sampled_from(["pair", "below", "above", "zero", "negative", "past 2^63"]))
+    if kind in ("pair", "below", "above") and lengths:
+        # The bound is inclusive: a pair at exactly the radius is in.
+        sq_radius = data.draw(st.sampled_from(lengths)) + {"pair": 0, "below": -1, "above": 1}[kind]
+    else:
+        sq_radius = {"negative": -data.draw(st.integers(1, 2**80)), "past 2^63": 2**63 + data.draw(st.integers(0, 2**80))}.get(kind, 0)
+    assert_near_pairs(pts, sq_radius)
+
+
+@pytest.mark.parametrize("sq_radius", [-(2**64), -1, 0, 1, S * S, 2**63 - 1, 2**63, 2**200])
+@pytest.mark.parametrize("coords", [[], [(5, -3)], [(0, 0), (S, 0)], [(-(2**90), 0), (2**90, 1)]], ids=len)
+def test_pairs_within_at_most_two_points(coords, sq_radius):
+    assert_near_pairs(PointSet(coords), sq_radius)
+
+
+@pytest.mark.parametrize("mode", ["uniform", "clustered"])
+def test_pairs_within_equals_the_exact_scan_on_generated_points(mode):
+    pts = gen_points(200, 3, mode)
+    lengths = sorted(pts.sq_dist(0, v) for v in range(1, pts.n))
+    for sq_radius in lengths[:: len(lengths) // 5]:
+        assert_near_pairs(pts, sq_radius)
 
 
 def test_crossing_disk_edges_share_component():
