@@ -11,11 +11,11 @@ a perfect matching can exist, and the search jumps there.
 """
 from __future__ import annotations
 
-from bisect import bisect_right, insort
+from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import islice
-from operator import itemgetter
+
+import numpy as np
 
 from ._nogc import nogc
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
@@ -207,16 +207,31 @@ class BottleneckCrossingResult:
     lower_sq: int
 
 
-class _Window:
-    """The pairs (sq, u, v), u < v, of a point set at squared distance at
-    most ``sq_radius``, sorted; the radius grows on demand up to 4 L^2,
-    beyond which no probe goes."""
+# Rows per step when window arrays become Python rows for a Kruskal pass,
+# which often stops long before the end.
+_ROW_CHUNK = 4096
 
-    def __init__(self, pts: PointSet, pairs: list, sq_radius: int, top_sq: int):
+
+def _rows(sq, u, v):
+    """The arrays (sq, u, v) as rows of Python ints, converted a chunk at a
+    time as the consumer reaches them."""
+    for lo in range(0, len(u), _ROW_CHUNK):
+        part = slice(lo, lo + _ROW_CHUNK)
+        yield from zip(sq[part].tolist(), u[part].tolist(), v[part].tolist())
+
+
+class _Window:
+    """The pairs of a point set at squared distance at most ``sq_radius``,
+    held as the arrays (sq, u, v) of ``pairs_within`` (sorted by (sq, u,
+    v)); the radius grows on demand up to 4 L^2, beyond which no probe goes.
+    Python rows are made only for the Kruskal pass of ``barrier_sq`` and
+    the edges ``extend`` adds."""
+
+    def __init__(self, pts: PointSet, pairs: tuple, sq_radius: int, top_sq: int):
         self.pts, self.pairs, self.sq_radius, self.top_sq = pts, pairs, sq_radius, top_sq
 
     def _after(self, sq: int) -> int:
-        return bisect_right(self.pairs, sq, key=itemgetter(0))
+        return int(np.searchsorted(self.pairs[0], sq, side="right"))
 
     def _grow(self) -> bool:
         if self.sq_radius >= self.top_sq:
@@ -229,18 +244,20 @@ class _Window:
         """Grow the sorted adjacency lists ``adj`` of the disk graph at
         squared radius ``sq_from`` in place to those of the one at ``sq_to``,
         which is within the window."""
-        for _, a, b in self.pairs[self._after(sq_from):self._after(sq_to)]:
+        _, u, v = self.pairs
+        part = slice(self._after(sq_from), self._after(sq_to))
+        for a, b in zip(u[part].tolist(), v[part].tolist()):
             insort(adj[a], b)
             insort(adj[b], a)
 
-    def _pairs_avoiding(self, cut: set[int]):
-        """The window's pairs with no end in ``cut``, in order, growing the
-        window when they run out."""
+    def _pairs_avoiding(self, cut: list[int]):
+        """The window's pairs with no end in ``cut``, as rows in order,
+        growing the window when they run out."""
         start = 0
         while True:
-            for pair in islice(self.pairs, start, None):
-                if pair[1] not in cut and pair[2] not in cut:
-                    yield pair
+            sq, u, v = (col[start:] for col in self.pairs)
+            keep = ~(np.isin(u, cut) | np.isin(v, cut))
+            yield from _rows(sq[keep], u[keep], v[keep])
             swept = self.sq_radius
             if not self._grow():
                 return
@@ -257,9 +274,9 @@ class _Window:
         rises, so the first edge that brings it to |barrier| has the
         answer's length.
         """
-        cut, n = set(barrier), self.pts.n
-        for sq, _, _, odd in kruskal(self._pairs_avoiding(cut), n, n - len(cut)):
-            if odd <= len(cut):
+        n, spare = self.pts.n, len(barrier)
+        for sq, _, _, odd in kruskal(self._pairs_avoiding(barrier), n, n - spare):
+            if odd <= spare:
                 return sq
         raise InvariantViolation("no perfect matching at twice the even-prefix length")
 
@@ -273,9 +290,11 @@ def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
     the triangle inequality its edges are at most 2L, so the crossing
     bottleneck is one of the distances in [L, 2L].
 
-    Only short pairs are listed: the scan starts at a radius of 2.5 times
-    the mean point spacing, which covers L on uniform inputs, and doubles
-    the squared radius until the prefix turns even.
+    Only short pairs are listed, as the arrays of ``pairs_within``: the
+    scan starts at a radius of 2.5 times the mean point spacing, which
+    covers L on uniform inputs, and doubles the squared radius until the
+    prefix turns even. The Kruskal pass reads the arrays as rows a chunk at
+    a time, so it converts only the prefix it needs.
     """
     n = pts.n
     width = max(pts.xs) - min(pts.xs)
@@ -284,7 +303,7 @@ def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
     while True:
         pairs = pairs_within(pts, sq_radius)
         try:
-            lower_sq = even_prefix_sq(pairs, n, n)
+            lower_sq = even_prefix_sq(_rows(*pairs), n, n)
         except TooFewPoints:
             sq_radius *= 2
             continue

@@ -733,6 +733,17 @@ def _roots(parent: list[int]) -> np.ndarray:
         root = up
 
 
+def _directed(u: np.ndarray, v: np.ndarray, n: int):
+    """(order, tail, head, deg): the edges (u[i], v[i]) over ids below n in
+    both directions, sorted by (tail, head); ``order`` maps them back to the
+    index into ``concatenate((u, v))``, and ``deg`` counts each id's tails."""
+    tail = np.concatenate((u, v))
+    head = np.concatenate((v, u))
+    order = np.argsort(tail * n + head)
+    tail, head = tail[order], head[order]
+    return order, tail, head, np.bincount(tail, minlength=n)
+
+
 def _build_forest(
     pts: PointSet,
     u: np.ndarray,
@@ -771,11 +782,7 @@ def _build_forest(
     members = vertices[np.argsort(vcomp, kind="stable")]
     vbound = np.cumsum(np.bincount(vcomp, minlength=k)).tolist()
 
-    tail = np.concatenate((u, v))
-    head = np.concatenate((v, u))
-    order = np.argsort(tail * n + head)
-    tail, head = tail[order], head[order]
-    deg = np.bincount(tail, minlength=n)
+    order, tail, head, deg = _directed(u, v, n)
     ends = np.cumsum(deg)
     out = tail < head
     u, v, sq = tail[out], head[out], sq[order[out]]
@@ -906,72 +913,102 @@ def even_threshold(tree: Tree) -> int:
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
     """Graph joining point pairs at squared distance <= sq_radius.
 
-    Built by grid bucketing with cells of side about the radius, so the
-    construction cost is proportional to the output for dispersed inputs.
+    Its edges come from the fixed-radius kernel ``_near_pairs``; one sort
+    of the directed edges by (tail, head), the one ``_build_forest`` makes,
+    gives every vertex its sorted neighbour list.
     """
-    import math as _math
+    _, _, head, deg = _directed(*_near_pairs(pts, sq_radius)[1:], pts.n)
+    ends = np.cumsum(deg)
+    heads = head.tolist()
+    return DiskGraph(adj=[heads[a:b] for a, b in zip((ends - deg).tolist(), ends.tolist())], sq_radius=sq_radius)
 
-    n = pts.n
-    adj: list[list[int]] = [[] for _ in range(n)]
-    if n == 0 or sq_radius < 0:
-        return DiskGraph(adj=adj, sq_radius=sq_radius)
-    xs, ys = pts.xs, pts.ys
-    cell = max(1, _math.isqrt(sq_radius) + 1)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(n):
-        buckets.setdefault((xs[i] // cell, ys[i] // cell), []).append(i)
-    for (cx, cy), members in buckets.items():
-        neighborhood = []
-        for dx in (-1, 0, 1):
-            for dy in (-1, 0, 1):
-                neighborhood.extend(buckets.get((cx + dx, cy + dy), ()))
-        for i in members:
-            xi, yi = xs[i], ys[i]
-            for j in neighborhood:
-                if j <= i:
-                    continue
-                dx = xi - xs[j]
-                dy = yi - ys[j]
-                if dx * dx + dy * dy <= sq_radius:
-                    adj[i].append(j)
-                    adj[j].append(i)
-    for lst in adj:
-        lst.sort()
-    return DiskGraph(adj=adj, sq_radius=sq_radius)
 
+def pairs_within(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every pair u < v at squared distance at most ``sq_radius``, as the
+    arrays (sq, u, v) of ``sorted_candidate_edges``: exact squared lengths
+    (int64 or Python ints, see ``_near_pairs``) and int64 ends, sorted by
+    (sq, u, v)."""
+    sq, u, v = _near_pairs(pts, sq_radius)
+    by = np.argsort(u * pts.n + v)
+    by = by[np.argsort(sq[by], kind="stable")]
+    # One column at a time, so that a single old column is alive with it.
+    sq = sq[by]
+    u = u[by]
+    return sq, u, v[by]
 
 
 # With the cell itself, these offsets meet every pair of cells at most two
 # apart once.
 _HALF_NEIGHBOURS = tuple((dx, dy) for dx in range(3) for dy in range(-2, 3) if dx > 0 or dy > 0)
+# Candidate pairs ``_near_pairs`` measures per step, which bounds its
+# temporaries to a few MB.
+_JOIN_CHUNK = 1 << 16
 
 
-def pairs_within(pts: PointSet, sq_radius: int) -> list[tuple[int, int, int]]:
-    """(sq_length, u, v) for every pair u < v at squared distance at most
-    ``sq_radius``, sorted.
+def _near_pairs(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(sq, u, v): every pair of point ids u < v at squared distance sq at
+    most ``sq_radius``, in no particular order.
 
-    Grid bucketing with cells of side just over half the radius, so a pair
-    within it lies at most two cells apart; Python ints throughout, so every
-    length is exact at any coordinate size.
+    The one fixed-radius kernel of the package, under ``pairs_within`` and
+    ``disk_graph``: the cell method of Bentley, Stanat and Williams (IPL
+    1977) in numpy. Cells have side c = isqrt(sq_radius) // 2 + 1, so a
+    pair within the radius lies at most two cells apart on each axis. The
+    points are sorted by the code cx * side + cy + 2 of their cell (cx, cy)
+    of the translated coordinates, with ``side`` large enough that a code
+    plus an offset never reaches the next column. ``searchsorted`` on the
+    sorted codes joins each point to the later points of its own cell and
+    to the points of each of its ``_HALF_NEIGHBOURS``. The candidates are
+    then taken ``_JOIN_CHUNK`` at a time and filtered by their exact
+    squared length before the next chunk, which bounds the temporaries.
+
+    The arithmetic is int64 when every intermediate provably fits: the
+    translated coordinates (span below 2^62), the codes (side^2 < 2^63),
+    ``sq_radius`` and every candidate's squared length, which is below
+    2 * min(span, 3c)^2. Otherwise the same steps run on object arrays of
+    Python ints, so ``sq`` is exact at any coordinate size.
     """
-    xs, ys = pts.xs, pts.ys
-    cell = isqrt(max(sq_radius, 0)) // 2 + 1
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for i in range(pts.n):
-        buckets.setdefault((xs[i] // cell, ys[i] // cell), []).append(i)
-    out = []
-    for (cx, cy), members in buckets.items():
-        near = [b for dx, dy in _HALF_NEIGHBOURS for b in buckets.get((cx + dx, cy + dy), ())]
-        for k, a in enumerate(members):
-            xa, ya = xs[a], ys[a]
-            for b in chain(members[k + 1:], near):
-                dx = xa - xs[b]
-                dy = ya - ys[b]
-                sq = dx * dx + dy * dy
-                if sq <= sq_radius:
-                    out.append((sq, a, b) if a < b else (sq, b, a))
-    out.sort()
-    return out
+    n = pts.n
+    if n < 2 or sq_radius < 0:
+        none = np.zeros(0, dtype=np.int64)
+        return none, none, none
+    x0, y0, span, xy = pts.translated()
+    cell = isqrt(sq_radius) // 2 + 1
+    side = span // cell + 5
+    if xy is None or max(sq_radius, 2 * min(span, 3 * cell) ** 2, side * side) >= 1 << 63:
+        xy = np.empty((n, 2), dtype=object)
+        xy[:, 0] = [x - x0 for x in pts.xs]
+        xy[:, 1] = [y - y0 for y in pts.ys]
+    cxy = xy // cell
+    code = cxy[:, 0] * side + cxy[:, 1] + 2
+    order = np.argsort(code, kind="stable")
+    code, xs, ys = code[order], xy[order, 0], xy[order, 1]
+    # Row k * n + p joins sorted position p to the positions [lo, hi): the
+    # later ones of its own cell for k = 0, those of the cell at
+    # _HALF_NEIGHBOURS[k - 1] otherwise.
+    shifts = np.array([dx * side + dy for dx, dy in _HALF_NEIGHBOURS], dtype=code.dtype)
+    target = (code + shifts[:, None]).ravel()
+    lo = np.concatenate((np.arange(1, n + 1), np.searchsorted(code, target)))
+    hi = np.concatenate((np.searchsorted(code, code, side="right"), np.searchsorted(code, target, side="right")))
+    ends = np.cumsum(hi - lo)
+    bounds = [0, *np.searchsorted(ends, np.arange(_JOIN_CHUNK, ends[-1], _JOIN_CHUNK), side="right").tolist(), len(lo)]
+    parts = [_joined(order, xs, ys, a, lo[a:b], hi[a:b], sq_radius) for a, b in zip(bounds, bounds[1:])]
+    return tuple(np.concatenate(col) for col in zip(*parts))
+
+
+def _joined(order, xs, ys, first: int, lo, hi, sq_radius):
+    """(sq, u, v) of the pairs of sorted positions p and q in [lo[k],
+    hi[k]), where p is (first + k) mod n, at squared distance at most
+    ``sq_radius``; ``xs`` and ``ys`` are the sorted coordinates, and u < v
+    the point ids ``order`` gives the positions."""
+    count = hi - lo
+    p = np.repeat(np.arange(first, first + len(lo)) % len(order), count)
+    q = np.arange(len(p)) + np.repeat(lo - (np.cumsum(count) - count), count)
+    dx, dy = xs[p] - xs[q], ys[p] - ys[q]
+    sq = dx * dx + dy * dy
+    near = sq <= sq_radius
+    p, q = order[p[near]], order[q[near]]
+    return sq[near], np.minimum(p, q), np.maximum(p, q)
+
 
 def _kdtree(pts: PointSet):
     """A cKDTree over the translated coordinates, built once and kept on the

@@ -311,7 +311,7 @@ def test_window_extend_gives_the_disk_graph(name):
         pass
     assert window.sq_radius >= 4 * lower_sq
     adj = disk_graph(pts, lower_sq).adj
-    radii = sorted({sq for sq, _, _ in window.pairs if lower_sq < sq <= 4 * lower_sq})
+    radii = sorted({sq for sq in window.pairs[0].tolist() if lower_sq < sq <= 4 * lower_sq})
     assert radii
     sq = lower_sq
     for r in radii[:: max(1, len(radii) // 6)] + radii[-1:]:

@@ -176,7 +176,7 @@ def reference_barrier_sq(window, adj, sq_from: int, barrier: list[int]) -> int:
 
     start = window._after(sq_from)
     while True:
-        for sq, a, b in islice(window.pairs, start, None):
+        for sq, a, b in islice(zip(*(col.tolist() for col in window.pairs)), start, None):
             if cut[a] or cut[b]:
                 continue
             ra, rb = find(comp[a]), find(comp[b])

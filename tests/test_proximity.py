@@ -702,7 +702,7 @@ def assert_near_pairs(pts: PointSet, sq_radius: int) -> None:
     """pairs_within and disk_graph against the exact scan."""
     want = near_rows(pts, sq_radius)
     got = pairs_within(pts, sq_radius)
-    assert (got if isinstance(got, list) else rows(got)) == want
+    assert rows(got) == want
     adj = [[] for _ in range(pts.n)]
     for _, u, v in want:
         adj[u].append(v)
