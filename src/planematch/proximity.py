@@ -35,6 +35,15 @@ of the second approximation stops where no odd component is left, and
 ``even_prefix_sq`` (the even threshold of a tree, and L of the crossing
 bracket) returns that length.
 
+The fixed-radius queries, ``disk_graph`` and ``pairs_within``, share one
+numpy kernel, ``_near_pairs``: the points are sorted by the code of their
+grid cell, each cell is joined to its half-neighbourhood by
+``searchsorted``, and the candidates are kept by their exact squared
+length. It runs in int64 where every intermediate provably fits, and the
+same steps on object arrays of Python ints otherwise. ``pairs_within``
+returns the pairs as arrays (sq, u, v) sorted by (sq, u, v), the shape of
+``sorted_candidate_edges``; ``disk_graph`` sorts them into neighbour lists.
+
 Every ``Tree`` comes from one builder, ``_build_forest``, fed flat arrays:
 the int64 ends and squared lengths ``sorted_candidate_edges`` returned, at
 the indices ``kruskal`` took (``emst5``, ``even_forest``), or a masked copy
@@ -990,7 +999,8 @@ def _near_pairs(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray, 
     lo = np.concatenate((np.arange(1, n + 1), np.searchsorted(code, target)))
     hi = np.concatenate((np.searchsorted(code, code, side="right"), np.searchsorted(code, target, side="right")))
     ends = np.cumsum(hi - lo)
-    bounds = [0, *np.searchsorted(ends, np.arange(_JOIN_CHUNK, ends[-1], _JOIN_CHUNK), side="right").tolist(), len(lo)]
+    cuts = np.searchsorted(ends, np.arange(_JOIN_CHUNK, ends[-1], _JOIN_CHUNK), side="right")
+    bounds = [0, *cuts.tolist(), len(lo)]
     parts = [_joined(order, xs, ys, a, lo[a:b], hi[a:b], sq_radius) for a, b in zip(bounds, bounds[1:])]
     return tuple(np.concatenate(col) for col in zip(*parts))
 

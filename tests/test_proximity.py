@@ -722,7 +722,9 @@ def unit_grid(w, h) -> set:
 
 NEAR_SHAPES = st.one_of(
     st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), max_size=24),
-    st.builds(collinear_row, st.sets(st.integers(-15, 15), max_size=16), st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)])),
+    st.builds(
+        collinear_row, st.sets(st.integers(-15, 15), max_size=16), st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)])
+    ),
     st.builds(unit_grid, st.integers(1, 6), st.integers(1, 6)),
 )
 
@@ -747,8 +749,12 @@ def test_pairs_within_and_disk_graph_equal_the_exact_scan(coords, scale, shift, 
     if kind in ("pair", "below", "above") and lengths:
         # The bound is inclusive: a pair at exactly the radius is in.
         sq_radius = data.draw(st.sampled_from(lengths)) + {"pair": 0, "below": -1, "above": 1}[kind]
+    elif kind == "negative":
+        sq_radius = -data.draw(st.integers(1, 2**80))
+    elif kind == "past 2^63":
+        sq_radius = 2**63 + data.draw(st.integers(0, 2**80))
     else:
-        sq_radius = {"negative": -data.draw(st.integers(1, 2**80)), "past 2^63": 2**63 + data.draw(st.integers(0, 2**80))}.get(kind, 0)
+        sq_radius = 0
     assert_near_pairs(pts, sq_radius)
 
 
