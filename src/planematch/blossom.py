@@ -14,11 +14,12 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from ._nogc import nogc
-from .errors import InvariantViolation, OddPointCount, TooFewPoints
+from .errors import InvariantViolation, OddPointCount
 from .geometry import PointSet
 from .matching import Matching
 from .proximity import disk_graph, even_prefix_sq, kruskal, pairs_within
@@ -215,17 +216,19 @@ _ROW_CHUNK = 4096
 def _rows(sq, u, v):
     """The arrays (sq, u, v) as rows of Python ints, converted a chunk at a
     time as the consumer reaches them."""
-    for lo in range(0, len(u), _ROW_CHUNK):
-        part = slice(lo, lo + _ROW_CHUNK)
-        yield from zip(sq[part].tolist(), u[part].tolist(), v[part].tolist())
+    return chain.from_iterable(
+        zip(sq[lo : lo + _ROW_CHUNK].tolist(), u[lo : lo + _ROW_CHUNK].tolist(), v[lo : lo + _ROW_CHUNK].tolist())
+        for lo in range(0, len(u), _ROW_CHUNK)
+    )
 
 
 class _Window:
     """The pairs of a point set at squared distance at most ``sq_radius``,
     held as the arrays (sq, u, v) of ``pairs_within`` (sorted by (sq, u,
-    v)); the radius grows on demand up to 4 L^2, beyond which no probe goes.
-    Python rows are made only for the Kruskal pass of ``barrier_sq`` and
-    the edges ``extend`` adds."""
+    v)); the radius grows on demand up to ``top_sq``: the whole span while
+    ``_crossing_bracket`` looks for L, then 4 L^2, beyond which no probe
+    goes. Python rows are made only for the Kruskal passes of the bracket
+    and ``barrier_sq`` and the edges ``extend`` adds."""
 
     def __init__(self, pts: PointSet, pairs: tuple, sq_radius: int, top_sq: int):
         self.pts, self.pairs, self.sq_radius, self.top_sq = pts, pairs, sq_radius, top_sq
@@ -253,15 +256,21 @@ class _Window:
     def _pairs_avoiding(self, cut: list[int]):
         """The window's pairs with no end in ``cut``, as rows in order,
         growing the window when they run out."""
-        start = 0
-        while True:
-            sq, u, v = (col[start:] for col in self.pairs)
-            keep = ~(np.isin(u, cut) | np.isin(v, cut))
-            yield from _rows(sq[keep], u[keep], v[keep])
-            swept = self.sq_radius
-            if not self._grow():
-                return
-            start = self._after(swept)
+
+        def listings():
+            start = 0
+            while True:
+                sq, u, v = (col[start:] for col in self.pairs)
+                if cut:
+                    keep = ~(np.isin(u, cut) | np.isin(v, cut))
+                    sq, u, v = sq[keep], u[keep], v[keep]
+                yield _rows(sq, u, v)
+                swept = self.sq_radius
+                if not self._grow():
+                    return
+                start = self._after(swept)
+
+        return chain.from_iterable(listings())
 
     def barrier_sq(self, barrier: list[int]) -> int:
         """The first squared length at which removing ``barrier`` from the
@@ -292,22 +301,21 @@ def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
 
     Only short pairs are listed, as the arrays of ``pairs_within``: the
     scan starts at a radius of 2.5 times the mean point spacing, which
-    covers L on uniform inputs, and doubles the squared radius until the
-    prefix turns even. The Kruskal pass reads the arrays as rows a chunk at
-    a time, so it converts only the prefix it needs.
+    covers L on uniform inputs. One Kruskal pass reads the window's pairs
+    as rows a chunk at a time; when they run out before the prefix turns
+    even, the window doubles its squared radius and the pass goes on with
+    the pairs beyond the radius already read (``_Window._pairs_avoiding``),
+    until the radius covers the whole span.
     """
     n = pts.n
     width = max(pts.xs) - min(pts.xs)
     height = max(pts.ys) - min(pts.ys)
     sq_radius = 25 * max(width * height // n, (max(width, height) // n) ** 2, 1) // 4
-    while True:
-        pairs = pairs_within(pts, sq_radius)
-        try:
-            lower_sq = even_prefix_sq(_rows(*pairs), n, n)
-        except TooFewPoints:
-            sq_radius *= 2
-            continue
-        return lower_sq, _Window(pts, pairs, sq_radius, 4 * lower_sq)
+    span_sq = width * width + height * height
+    window = _Window(pts, pairs_within(pts, sq_radius), sq_radius, span_sq)
+    lower_sq = even_prefix_sq(window._pairs_avoiding([]), n, n)
+    window.top_sq = 4 * lower_sq
+    return lower_sq, window
 
 
 def _mates(n: int, pairs) -> list[int]:

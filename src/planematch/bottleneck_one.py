@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from ._nogc import nogc
 from .errors import InvariantViolation, OddPointCount, SeedRequired
 from .geometry import PointSet, angle_exactly_third_pi
@@ -21,6 +23,7 @@ from .matching import Matching
 from .proximity import (
     Forest,
     Tree,
+    _flat_edges,
     emst5,
     even_threshold,
     forest_leq,
@@ -64,19 +67,10 @@ def compare_to_opt(
         raise OddPointCount(f"n must be even, got {pts.n}")
     if forest is None:
         forest = forest_leq(mst, sq_lambda, pts)
-    owner = forest.tree_of()
-    checks: list[tuple[int, int, int, int]] = []  # (tree_idx, v, p, q)
-    for idx, tree in enumerate(forest.trees):
-        if tree.n % 2 != 0:
-            return None
-        found = None
-        for v in tree.vertices:
-            leaf_nbrs = [u for u in tree.adj[v] if len(tree.adj[u]) == 1]
-            if len(leaf_nbrs) >= 2:
-                found = (idx, v, leaf_nbrs[0], leaf_nbrs[1])
-                break
-        if found is not None:
-            checks.append(found)
+    trees = forest.trees
+    if any(tree.n % 2 for tree in trees):
+        return None
+    checks = _two_leaf_hubs(trees)
     if not checks:
         return []
     queries = []
@@ -92,10 +86,38 @@ def compare_to_opt(
             leaf, other = p, pp
         else:
             leaf, other = q, qq
-        if owner.get(other) != idx:
+        if other not in trees[idx].adj:
             return None
         seeds.append(SeedTriple(p=leaf, p_prime=other, tree=idx))
     return seeds
+
+
+def _two_leaf_hubs(trees: list[Tree]) -> list[tuple[int, int, int, int]]:
+    """(tree index, v, p, q) for each tree with a vertex that has two leaf
+    neighbours: its smallest such vertex v and v's two smallest leaf
+    neighbours p < q, in tree order.
+
+    Read off the trees' edge arrays: the (vertex, leaf neighbour) pairs
+    sorted by vertex, then leaf; a vertex qualifies when its run of pairs
+    goes on past the first.
+    """
+    flats = [_flat_edges(tree) for tree in trees]
+    u = np.concatenate([f[0] for f in flats])
+    v = np.concatenate([f[1] for f in flats])
+    label = np.repeat(np.arange(len(trees)), [len(f[0]) for f in flats])
+    deg = np.bincount(np.concatenate((u, v)))
+    to_leaf, from_leaf = deg[v] == 1, deg[u] == 1
+    hub = np.concatenate((u[to_leaf], v[from_leaf]))
+    leaf = np.concatenate((v[to_leaf], u[from_leaf]))
+    tree = np.concatenate((label[to_leaf], label[from_leaf]))
+    by = np.lexsort((leaf, hub))
+    hub, leaf, tree = hub[by], leaf[by], tree[by]
+    run = np.r_[True, hub[1:] != hub[:-1]]
+    two = np.flatnonzero(run[:-1] & ~run[1:])
+    # The smallest such vertex of a tree is its first in vertex order.
+    _, first = np.unique(tree[two], return_index=True)
+    two = two[first]
+    return list(zip(tree[two].tolist(), hub[two].tolist(), leaf[two].tolist(), leaf[two + 1].tolist()))
 
 
 def critical_edge(pts: PointSet) -> CriticalEdgeResult:
@@ -104,12 +126,15 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
 
     The full MST always survives, so the binary search over the sorted
     distinct edge lengths is well defined and ends at most at the optimal
-    bottleneck. One Kruskal pass (``even_threshold``) first finds the
-    shortest length whose forest has no odd tree; every probe below it is
-    refuted without building a forest, exactly as ``compare_to_opt`` would
-    refute it, and every other probe calls ``compare_to_opt``. The probe
-    answers, and hence the search, are those of probing every length. The
-    forest returned is the one the probe at the answer built.
+    bottleneck. The even threshold (``even_threshold``, the longest edge
+    with an odd subtree below it in the rooted MST) is the shortest length
+    whose forest has no odd tree; every probe below it is refuted without
+    building a forest, exactly as ``compare_to_opt`` would refute it, and
+    every other probe calls ``compare_to_opt`` on ``forest_leq``'s forest,
+    which is labelled from the same rooting. The probe answers, and hence
+    the search, are those of probing every length. The forest returned is
+    the one the probe at the answer built, and the edge is the
+    lexicographically first MST edge of the answer's length.
     """
     n = pts.n
     if n % 2 != 0:
@@ -117,7 +142,7 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     if n < 2:
         raise OddPointCount("need at least 2 points")
     mst = emst5(pts)
-    lengths = sorted(set(mst.edge_sq.values()))
+    lengths = np.unique(mst.flat.sq).tolist()
     even_sq = even_threshold(mst)
     # (seeds, forest) per probed index; forest is None when no forest was built.
     results: dict[int, tuple[Optional[list[SeedTriple]], Optional[Forest]]] = {}
@@ -146,7 +171,9 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
                 hi = mid
     seeds, forest = probe(hi)
     sq = lengths[hi]
-    edge = min(e for e, d in mst.edge_sq.items() if d == sq)
+    # The flat edges are in lexicographic order.
+    at = int(np.argmax(mst.flat.sq == sq))
+    edge = (int(mst.flat.u[at]), int(mst.flat.v[at]))
     return CriticalEdgeResult(edge=edge, sq_length=sq, forest=forest, seeds=seeds)
 
 

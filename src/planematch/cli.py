@@ -21,7 +21,7 @@ from typing import Optional
 from .blossom import bottleneck_crossing
 from .bottleneck_one import first_approx
 from .bottleneck_two import SecondApproxResult, second_approx, second_approx_detailed
-from .errors import BadParameters, FormatError, PlaneMatchError
+from .errors import BadParameters, FormatError, PlaneMatchError, UnknownPointId
 from .geometry import SCALE, PointSet
 from .io import format_points, gen_points, parse_count, parse_points, render_svg
 from .matching import Matching, validate
@@ -49,7 +49,8 @@ def _load_pairs(path: str) -> list[tuple[int, int]]:
     """The ``edges`` list of a matching JSON object, as id pairs."""
     try:
         payload = json.loads(_read(path))
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
+        # RecursionError: arrays or objects nested too deep for the decoder.
         raise FormatError(f"{path} is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
         raise FormatError(f"{path} must hold a JSON object with an 'edges' list")
@@ -233,7 +234,10 @@ def cmd_crossing(args) -> int:
 
 def cmd_validate(args) -> int:
     pts = _load_points(args)
-    m = Matching.of(pts, _load_pairs(args.matching))
+    try:
+        m = Matching.of(pts, _load_pairs(args.matching))
+    except UnknownPointId as exc:
+        raise UnknownPointId(f"{args.matching}: {exc}") from exc
     rep = validate(pts, m)
     report = {
         "algorithm": "validate",

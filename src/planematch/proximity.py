@@ -32,8 +32,13 @@ Every Kruskal pass of the package is ``kruskal``: one union-find over edges
 in length order that reports, with each edge it takes, how many odd
 components are left. ``emst5`` takes its first n - 1 edges, the even forest
 of the second approximation stops where no odd component is left, and
-``even_prefix_sq`` (the even threshold of a tree, and L of the crossing
-bracket) returns that length.
+``even_prefix_sq`` (L of the crossing bracket) returns that length. A tree
+needs no pass: ``Tree.rooted`` hangs it from its smallest vertex once, by
+an Euler tour ranked by pointer jumping (``_hang``), and keeps each
+vertex's parent and subtree size. Its even threshold is the longest edge
+with an odd subtree below it (``even_threshold``), and the parts of any
+subset of its edges are labelled by the parent array with every removed
+edge's lower end made a root (``subtrees``, ``forest_leq``).
 
 The fixed-radius queries, ``disk_graph`` and ``pairs_within``, share one
 numpy kernel, ``_near_pairs``: the points are sorted by the code of their
@@ -48,8 +53,9 @@ Every ``Tree`` comes from one builder, ``_build_forest``, fed flat arrays:
 the int64 ends and squared lengths ``sorted_candidate_edges`` returned, at
 the indices ``kruskal`` took (``emst5``, ``even_forest``), or a masked copy
 of a tree's own arrays (``forest_leq``, ``subtrees``). Components are the
-roots of the pass's union-find, and the trees keep the arrays and their
-degree counts (``Tree.flat``) for the next consumer.
+roots (``_roots``) of a parent array: the union-find of the pass that took
+the edges, or the cut parent array of the rooted tree. The trees keep the
+arrays and their degree counts (``Tree.flat``) for the next consumer.
 """
 from __future__ import annotations
 
@@ -115,6 +121,18 @@ class FlatEdges(NamedTuple):
     int_deg: list[int]
 
 
+class Rooting(NamedTuple):
+    """A tree hung from its smallest vertex, as int64 arrays: ``parent`` and
+    ``size`` by point id up to the largest vertex (the root, and every id
+    outside the tree, is its own parent; ``size`` counts the vertices of
+    each subtree), and ``below``, the lower end of every edge in
+    ``edge_sq`` order."""
+
+    parent: np.ndarray
+    size: np.ndarray
+    below: np.ndarray
+
+
 @dataclass
 class Tree:
     """A tree over a subset of point ids with exact squared edge lengths.
@@ -122,16 +140,27 @@ class Tree:
     ``adj`` lists each vertex's neighbours in increasing order, with the
     vertices in increasing order; ``edge_sq`` holds the edges (u, v), u < v,
     in lexicographic order. ``flat`` is set on the trees of the forest
-    builder, which are not edited afterwards: it would go stale."""
+    builder, which are not edited afterwards: it would go stale, as would
+    the rooting that ``rooted`` keeps."""
 
     vertices: tuple[int, ...]
     adj: dict[int, list[int]]
     edge_sq: dict[tuple[int, int], int]
     flat: Optional[FlatEdges] = field(default=None, repr=False, compare=False)
+    _rooting: Optional[Rooting] = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
+
+    def rooted(self) -> Rooting:
+        """The tree hung from its smallest vertex (``_hang``), computed on
+        first use and kept."""
+        if self._rooting is None:
+            u, v, _ = _flat_edges(self)
+            size = self.vertices[-1] + 1 if self.vertices else 0
+            self._rooting = _hang(u, v, size, self.vertices[0] if self.vertices else 0)
+        return self._rooting
 
     def edges(self) -> list[tuple[int, int]]:
         return list(self.edge_sq.keys())
@@ -732,8 +761,10 @@ def _reduced(pts: PointSet, u: np.ndarray, v: np.ndarray, sq: np.ndarray):
     return u, v, lengths
 
 
-def _roots(parent: list[int]) -> np.ndarray:
-    """The root of every id in a ``kruskal`` union-find ``parent`` list."""
+def _roots(parent) -> np.ndarray:
+    """The root of every id in a parent list or array, such as the
+    union-find that ``kruskal`` leaves or a ``Rooting``'s ``parent``, by
+    pointer jumping."""
     root = np.array(parent, dtype=np.int64)
     while True:
         up = root[root]
@@ -753,30 +784,70 @@ def _directed(u: np.ndarray, v: np.ndarray, n: int):
     return order, tail, head, np.bincount(tail, minlength=n)
 
 
+def _hang(u: np.ndarray, v: np.ndarray, size: int, root: int) -> Rooting:
+    """The ``Rooting`` from ``root`` of the tree with edges (u[i], v[i])
+    over ids below ``size``.
+
+    The Euler tour (Tarjan & Vishkin 1985): after the directed edge a -> b
+    the tour leaves b by the edge that follows b -> a in b's list, cyclically,
+    on the sort of ``_directed``. Cut open before the root's first edge and
+    ranked by pointer jumping (Wyllie 1979), it enters each subtree by the
+    edge from the parent and leaves it by the reverse edge, so of an edge's
+    two directions the earlier points down, and the two are 2 (s - 1) + 1
+    places apart for the s vertices below.
+    """
+    m = len(u)
+    parent = np.arange(size, dtype=np.int64)
+    count = np.ones(size, dtype=np.int64)
+    if m == 0:
+        return Rooting(parent, count, u)
+    order, _, head, deg = _directed(u, v, size)
+    # at[i]: the place in the sort of direction i of concatenate((u, v)).
+    at = np.empty(2 * m, dtype=np.int64)
+    at[order] = np.arange(2 * m)
+    nxt = at[np.where(order < m, order + m, order - m)] + 1
+    ends = np.cumsum(deg)
+    wrap = nxt == ends[head]
+    nxt[wrap] = (ends - deg)[head[wrap]]
+    last = int(np.flatnonzero(nxt == ends[root] - deg[root])[0])
+    nxt[last] = last
+    # Steps to the end of the tour: after k rounds each pointer spans 2^k
+    # steps or reaches the end, and no place is more than 2m - 1 from it.
+    rank = np.ones(2 * m, dtype=np.int64)
+    rank[last] = 0
+    for _ in range((2 * m - 1).bit_length()):
+        rank += rank[nxt]
+        nxt = nxt[nxt]
+    forward, backward = rank[at[:m]], rank[at[m:]]
+    down = forward > backward
+    below = np.where(down, v, u)
+    parent[below] = np.where(down, u, v)
+    count[below] = (np.abs(forward - backward) + 1) // 2
+    count[root] = m + 1
+    return Rooting(parent, count, below)
+
+
 def _build_forest(
     pts: PointSet,
     u: np.ndarray,
     v: np.ndarray,
     sq: np.ndarray,
-    vertices: Optional[np.ndarray] = None,
-    parent: Optional[list[int]] = None,
+    vertices: Optional[np.ndarray],
+    parent,
 ) -> list[Tree]:
     """The trees of the forest with edges (u[i], v[i]), u < v, of squared
-    length sq[i] over the sorted int64 point ids ``vertices`` (every id by
-    default), ordered by their smallest vertex.
+    length sq[i] over the sorted int64 point ids ``vertices`` (every id when
+    None), ordered by their smallest vertex.
 
     Every tree of the package comes from here. The components are the
-    roots of ``kruskal``'s union-find: ``parent`` as the pass that took the
-    edges left it, or a pass over the edges here. One sort of the directed
+    roots (``_roots``) of ``parent``: the union-find of the ``kruskal`` pass
+    that took the edges, or a rooted tree's parent array with the lower end
+    of every edge left out pointing to itself. One sort of the directed
     edges by (tail, head) gives the sorted ``adj`` lists; the edges with
     tail < head, stably sorted by component, give each tree its ``edge_sq``
     items with the given squared lengths.
     """
     n = pts.n
-    if parent is None:
-        parent = list(range(n))
-        for _ in kruskal(indexed((sq, u, v)), n, n, parent):
-            pass
     if vertices is None:
         vertices = np.arange(n, dtype=np.int64)
     # Number the components by their smallest vertex: the first of the
@@ -835,7 +906,12 @@ def _flat_edges(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=()) -> list[Tree]:
     """The trees ``tree`` falls into when the vertices in ``drop`` leave
     and, when given, only the edges where ``keep`` (a boolean array in
-    ``edge_sq`` order) holds remain."""
+    ``edge_sq`` order) holds remain.
+
+    Each part hangs from the top of the rooted tree (``Tree.rooted``) that
+    it keeps: the lower end of every edge that goes is a root of its own,
+    and no kept vertex reaches a dropped one, whose edges all go.
+    """
     u, v, sq = _flat_edges(tree)
     vertices = np.array(tree.vertices, dtype=np.int64)
     if drop:
@@ -844,9 +920,13 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
         stay = ~(np.isin(u, drop) | np.isin(v, drop))
         keep = stay if keep is None else keep & stay
     vertices.sort()
+    parent, _, below = tree.rooted()
     if keep is not None:
         u, v, sq = u[keep], v[keep], sq[keep]
-    return _build_forest(pts, u, v, sq, vertices)
+        cut = below[~keep]
+        parent = parent.copy()
+        parent[cut] = cut
+    return _build_forest(pts, u, v, sq, vertices, parent)
 
 
 def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> list[Tree]:
@@ -855,7 +935,7 @@ def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> lis
     exchange (``_reduced``, which keeps the components); ``parent`` is the
     union-find of the ``kruskal`` pass that took them."""
     sq, u, v = edges
-    return _build_forest(pts, *_reduced(pts, u[taken], v[taken], sq[taken]), parent=parent)
+    return _build_forest(pts, *_reduced(pts, u[taken], v[taken], sq[taken]), None, parent)
 
 
 def indexed(edges):
@@ -878,7 +958,7 @@ def emst5(pts: PointSet) -> Tree:
         raise TooFewPoints("need at least 1 point")
     if n == 1:
         none = np.zeros(0, dtype=np.int64)
-        return _build_forest(pts, none, none, none)[0]
+        return _build_forest(pts, none, none, none, None, [0])[0]
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
     parent = list(range(n))
     taken = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n, parent), n - 1)]
@@ -886,9 +966,19 @@ def emst5(pts: PointSet) -> Tree:
 
 
 def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
-    """Forest of the tree edges with squared length at most ``sq_limit``."""
-    sq = _flat_edges(tree)[2]
-    return Forest(trees=subtrees(pts, tree, keep=np.asarray(sq <= sq_limit, dtype=bool)))
+    """Forest of the tree edges with squared length at most ``sq_limit``.
+
+    Its trees are labelled off the rooted tree (``Tree.rooted``), with no
+    Kruskal pass: the lower end of each edge longer than ``sq_limit`` is
+    made a root (``subtrees``). Every tree is even exactly when each such
+    edge has an even subtree below it, the rule ``even_threshold`` proves
+    and reads. At or above the longest edge the forest is a tree of the
+    forest builder itself, already in the form ``subtrees`` would rebuild.
+    """
+    keep = np.asarray(_flat_edges(tree)[2] <= sq_limit, dtype=bool)
+    if tree.flat is not None and keep.all():
+        return Forest(trees=[tree])
+    return Forest(trees=subtrees(pts, tree, keep=keep))
 
 
 def even_prefix_sq(edges, size: int, odd: int) -> int:
@@ -910,13 +1000,24 @@ def even_threshold(tree: Tree) -> int:
     """The smallest squared edge length L of ``tree`` at which every tree of
     ``forest_leq(tree, L)`` has an even number of vertices.
 
-    One Kruskal pass over the edges in length order (``even_prefix_sq``). A
-    tree with an even number of vertices always has L.
+    L is the longest edge with an odd number of vertices below it in the
+    rooted tree (``Tree.rooted``). Cutting a set of edges of an even tree
+    leaves only even parts exactly when every cut edge has an even subtree
+    below it: the part hanging from a cut edge is its subtree less the
+    subtrees of the cut edges under it, and the top part is the whole tree
+    less those of the highest cut edges, so even subtrees leave even parts;
+    and the parts inside an odd subtree add up to an odd count, so one is
+    odd. ``forest_leq(tree, L)`` cuts the edges longer than L. A tree with
+    an even number of vertices always has L: a leaf other than the root has
+    an odd subtree.
     """
     if tree.n % 2 != 0:
         raise OddPointCount(f"tree has an odd number of vertices: {tree.n}")
-    edges = sorted((sq, u, v) for (u, v), sq in tree.edge_sq.items())
-    return even_prefix_sq(edges, max(tree.vertices, default=-1) + 1, tree.n)
+    _, size, below = tree.rooted()
+    odd = size[below] % 2 == 1
+    if not odd.any():
+        raise TooFewPoints("no edge length leaves every component even")
+    return int(_flat_edges(tree)[2][odd].max())
 
 
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:

@@ -337,6 +337,38 @@ def test_crossing_window_grows_past_the_first_radius(monkeypatch):
     assert grown and max(grown) < res.bottleneck_sq
 
 
+@pytest.mark.parametrize("mode", ["uniform", "clustered"])
+def test_crossing_bracket_reads_each_pair_once(mode, monkeypatch):
+    # One Kruskal pass reads the pairs in (sq, u, v) order across the
+    # window's doublings, each pair once; on clustered input the first
+    # radius lies far below L, so the window doubles on the way.
+    passes = []
+    real = blossom.even_prefix_sq
+
+    def recorded(edges, size, odd):
+        rows = []
+        passes.append(rows)
+
+        def tee():
+            for row in edges:
+                rows.append(row)
+                yield row
+
+        return real(tee(), size, odd)
+
+    listings = []
+    listed = blossom.pairs_within
+    monkeypatch.setattr(blossom, "even_prefix_sq", recorded)
+    monkeypatch.setattr(blossom, "pairs_within", lambda pts, r: listings.append(r) or listed(pts, r))
+    pts = gen_points(2000, 1, mode)
+    lower_sq, window = _crossing_bracket(pts)
+    assert len(passes) == 1
+    (rows,) = passes
+    assert rows == list(zip(*(col.tolist() for col in listed(pts, window.sq_radius))))[: len(rows)]
+    assert rows[-1][0] == lower_sq
+    assert len(listings) == (1 if mode == "uniform" else 3)
+
+
 def scaled(pts: PointSet, factor: int, shift: int) -> PointSet:
     return PointSet((shift + x * factor, shift + y * factor) for x, y in zip(pts.xs, pts.ys))
 

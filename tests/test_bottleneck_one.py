@@ -1,11 +1,17 @@
 """Tests for the first bottleneck approximation."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import planematch
 import planematch.bottleneck_one as bottleneck_one
 from planematch.bottleneck_one import (
     CriticalEdgeResult,
@@ -20,7 +26,7 @@ from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
 from planematch.matching import validate
 from planematch.oracle import exact_bottleneck_plane
-from planematch.proximity import Tree, emst5, forest_leq, second_closest
+from planematch.proximity import Tree, emst5, even_threshold, forest_leq, second_closest
 
 S = SCALE
 
@@ -70,6 +76,22 @@ def test_compare_to_opt_star_stores_triple():
     assert triple.p_prime != 0
 
 
+def two_trees_sharing_a_second_closest():
+    """A star on 0 with leaves 1, 2 and 3 and a pair 4-5 at 1.3 from leaf
+    1: at threshold 1 both trees are even, and leaf 1's second-closest
+    point, 4, is in the other tree."""
+    return ps((0, 0), (1, 0), (-1, 0), (0, 1), (2.3, 0), (3.3, 0))
+
+
+def test_compare_to_opt_refutes_a_second_closest_in_another_tree():
+    pts = two_trees_sharing_a_second_closest()
+    mst = emst5(pts)
+    assert sorted(t.n for t in forest_leq(mst, S * S, pts).trees) == [2, 4]
+    assert second_closest(pts, 1, 0) == 4
+    assert compare_to_opt(pts, mst, S * S) is None
+    assert compare_to_opt(pts, mst, (13 * S // 10) ** 2) == [SeedTriple(p=2, p_prime=3, tree=0)]
+
+
 def test_compare_to_opt_odd_raises():
     pts = ps((0, 0), (1, 0), (2, 0))
     with pytest.raises(OddPointCount):
@@ -105,6 +127,75 @@ def test_critical_edge_at_most_oracle_random():
         ce = critical_edge(pts)
         opt = exact_bottleneck_plane(pts)
         assert ce.sq_length <= opt.bottleneck_sq
+
+
+def curved_arc(n, seed):
+    """n points along a gently curved arc with seeded gaps of half to twice
+    SCALE: a path-like MST as deep as it gets, with varied lengths."""
+    rng = random.Random(seed)
+    x, coords = 0, []
+    for _ in range(n):
+        x += rng.randrange(S // 2, 2 * S)
+        coords.append((x, x * x // (4000 * S)))
+    return PointSet(coords)
+
+
+def _digest_json(obj) -> str:
+    return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+
+def forest_shape(forest) -> list:
+    """Every field of every tree of a forest in its own order."""
+    return [
+        [list(t.vertices), [[v, list(nbrs)] for v, nbrs in t.adj.items()], [[u, v, sq] for (u, v), sq in t.edge_sq.items()]]
+        for t in forest.trees
+    ]
+
+
+# instance -> (edge, sq_length, seeds as [p, p_prime, tree], digest of the
+# forest's shape) of critical_edge; the instance is gen_points(5000, seed,
+# "clustered") or curved_arc(4000, seed).
+CRITICAL_GOLDENS = {
+    ("clustered", 1): ((4580, 4798), 2839984293845009, [[57, 89, 0]], "09e3364977428c70f96af7e78b34038f4625bb92f765aa9c7554ea4d5ca9e2be"),
+    ("clustered", 2): (
+        (4074, 4306),
+        4340552773412817,
+        [[15, 37, 0], [4974, 4999, 1]],
+        "6fbd5a63d20f1e88df9f961e7bc97b11ab4b4b0be22ed17aedb1a2dac85c74b0",
+    ),
+    ("clustered", 3): ((2668, 2712), 3876028497866772, [[14, 37, 0]], "e3beef4bed3f7694108c1b97de2623d903a14594965cddd5eed6a6a0e69027a0"),
+    ("arc", 1): ((3858, 3859), 27207385464960, [], "e64a04cf6ec1faab79fbd35143039821a4b98eec3d8f74c0ca8c11bf164af0a8"),
+    ("arc", 2): ((3934, 3935), 27380790125092, [], "3fde5123c5b6b9c3b7f9dea4fdfec7899e7d3aaf93a1267ba9c5ecec0786fa0d"),
+}
+
+
+@pytest.mark.parametrize("kind,seed", list(CRITICAL_GOLDENS), ids=str)
+def test_golden_critical_edge(kind, seed):
+    pts = gen_points(5000, seed, "clustered") if kind == "clustered" else curved_arc(4000, seed)
+    ce = critical_edge(pts)
+    seeds = [[s.p, s.p_prime, s.tree] for s in ce.seeds]
+    assert (ce.edge, ce.sq_length, seeds, _digest_json(forest_shape(ce.forest))) == CRITICAL_GOLDENS[(kind, seed)]
+
+
+def test_first_approx_imports_no_more_scipy_than_spatial():
+    # approx1 needs scipy.spatial (Qhull and the kd-tree) and nothing else of
+    # scipy: scipy.sparse.csgraph alone would add about 3 MB to its memory.
+    src = os.path.dirname(os.path.dirname(planematch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    listing = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"
+    solve = (
+        "import sys\n"
+        "from planematch.bottleneck_one import first_approx\n"
+        "from planematch.io import gen_points\n"
+        "for mode in ('uniform', 'clustered'):\n"
+        "    first_approx(gen_points(600, 1, mode))\n"
+    )
+    loaded = {}
+    for name, code in (("solve", solve), ("spatial", "import sys\nimport scipy.spatial\n")):
+        out = subprocess.run([sys.executable, "-c", code + listing], env=env, capture_output=True, text=True, timeout=120, check=True)
+        loaded[name] = set(json.loads(out.stdout.strip().replace("'", '"')))
+    assert "scipy.spatial" in loaded["solve"]
+    assert loaded["solve"] <= loaded["spatial"]
 
 
 def reference_critical_edge(pts):
@@ -147,6 +238,46 @@ def critical_edge_cases():
         for mode in ("uniform", "clustered"):
             yield gen_points(600, seed, mode)
         yield gen_points(598, seed, "star-chain")
+    yield two_trees_sharing_a_second_closest()
+    # Deep, path-like MSTs.
+    yield curved_arc(4000, 1)
+    yield curved_arc(1000, 3)
+
+
+def reference_compare_to_opt(pts, mst, sq_lambda):
+    """compare_to_opt with each tree's first vertex with two leaf neighbours
+    found by a scan of its vertices, and owners from a dict."""
+    forest = forest_leq(mst, sq_lambda, pts)
+    owner = forest.tree_of()
+    checks = []
+    for idx, tree in enumerate(forest.trees):
+        if tree.n % 2 != 0:
+            return None
+        for v in tree.vertices:
+            leaf_nbrs = [u for u in tree.adj[v] if len(tree.adj[u]) == 1]
+            if len(leaf_nbrs) >= 2:
+                checks.append((idx, v, leaf_nbrs[0], leaf_nbrs[1]))
+                break
+    seeds = []
+    for idx, v, p, q in checks:
+        pp, qq = second_closest(pts, p, v), second_closest(pts, q, v)
+        leaf, other = (p, pp) if (pts.sq_dist(p, pp), 0) <= (pts.sq_dist(q, qq), 1) else (q, qq)
+        if owner.get(other) != idx:
+            return None
+        seeds.append(SeedTriple(p=leaf, p_prime=other, tree=idx))
+    return seeds
+
+
+def test_compare_to_opt_equals_vertex_scan():
+    for k, pts in enumerate(critical_edge_cases()):
+        mst = emst5(pts)
+        lengths = sorted(set(mst.edge_sq.values()))
+        # The lengths below the even threshold are refuted by parity alone:
+        # one of them, then every other length of the small cases and about
+        # 40 of each large one.
+        even = [sq for sq in lengths if sq >= even_threshold(mst)]
+        for sq in lengths[:1] + even[:: max(1, len(even) // 40)] + even[-1:]:
+            assert compare_to_opt(pts, mst, sq) == reference_compare_to_opt(pts, mst, sq), (k, sq)
 
 
 def test_critical_edge_equals_search_probing_every_length():

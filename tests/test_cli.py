@@ -1,12 +1,16 @@
 """Tests for parsing, generation, SVG rendering and the CLI commands."""
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import math
 import runpy
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from planematch import bottleneck_two, cli
 from planematch.cli import main
@@ -305,6 +309,55 @@ def test_cli_error_on_malformed_matching(capsys, tmp_path, text):
     assert code == 2
     assert rep["error"]["code"] == "format_error"
     assert str(bad) in rep["error"]["message"]
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-(2**70), 2**70) | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=24,
+)
+# Edge lists near the expected shape, long enough to reach the array path
+# of Matching.of (256 pairs), with ids in and out of range and odd lengths.
+EDGE_LISTS = st.lists(
+    st.lists(st.one_of(st.integers(-2, 9), st.sampled_from([2**63, -(2**63) - 1, 10**30])), min_size=1, max_size=3),
+    max_size=300,
+)
+MATCHING_FILES = st.one_of(
+    JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+    st.builds(lambda edges, extra: json.dumps({"edges": edges, **extra}).encode(), EDGE_LISTS, st.dictionaries(st.text(max_size=4), JSON_VALUES, max_size=2)),
+    st.binary(max_size=64),
+)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    (d / "pts.txt").write_text("8\n" + "".join(f"{i} {i * i % 5}\n" for i in range(8)))
+    return d
+
+
+@settings(max_examples=300, deadline=None)
+@given(MATCHING_FILES)
+@example(b"[" * 100_000)
+@example(b'{"edges": ' + b"[" * 100_000 + b"]" * 100_000 + b"}")
+@example(json.dumps({"edges": [[2 * i % 8, (2 * i + 1) % 8] for i in range(300)] + [[0, 10**30]]}).encode())
+@example(json.dumps({"edges": [[0, 1], [2, 3], [4, 5], [6, 7]]}).encode())
+@example("\ufeff{}".encode())
+def test_cli_validate_fuzzed_matching_files(fuzz_dir, data):
+    # Any bytes as the matching file give a report (exit 0 or 1) or a
+    # documented JSON error naming the file with exit 2, never a traceback:
+    # format_error, or unknown_point_id for an id outside the point set.
+    path = fuzz_dir / "m.json"
+    path.write_bytes(data)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["validate", "--input", str(fuzz_dir / "pts.txt"), "--matching", str(path)])
+    rep = json.loads(out.getvalue())
+    if code == 2:
+        assert rep["error"]["code"] in ("format_error", "unknown_point_id")
+        assert str(path) in rep["error"]["message"]
+    else:
+        assert rep["algorithm"] == "validate" and code == (0 if rep["plane"] and rep["matching"] else 1)
 
 
 def test_cli_error_on_self_pair_in_matching(capsys, tmp_path):

@@ -322,6 +322,9 @@ def test_degree_exchange_fallback_rebuilds_the_edge_arrays(monkeypatch):
         assert rsq.dtype == lengths.dtype and len(ru) == 6
         assert list(zip(ru.tolist(), rv.tolist())) == sorted(zip(ru.tolist(), rv.tolist()))
         assert rsq.tolist() == [pts.sq_dist(a, b) for a, b in zip(ru.tolist(), rv.tolist())]
-        (tree,) = proximity._build_forest(pts, ru, rv, rsq)
+        parent = list(range(pts.n))
+        for _ in kruskal(zip(rsq.tolist(), ru.tolist(), rv.tolist()), pts.n, pts.n, parent):
+            pass
+        (tree,) = proximity._build_forest(pts, ru, rv, rsq, None, parent)
         assert max(map(len, tree.adj.values())) == 5
         assert shape(tree) == shape(reference_tree_from_adj(pts, range(7), tree.adj))

@@ -1,6 +1,7 @@
 """Tests for proximity structures, with brute-force oracles."""
 from __future__ import annotations
 
+import functools
 import math
 import random
 from itertools import combinations
@@ -14,9 +15,11 @@ from planematch.errors import OddPointCount, TooFewPoints
 from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, orient, point_in_triangle_closed
 from planematch.io import gen_points
 from planematch.proximity import (
+    _build_forest,
     _ccw,
     _canonicalize,
     _certified_delaunay,
+    _flat_edges,
     _FlipMesh,
     _incircle_det_int,
     _sorted_edges_exact,
@@ -27,12 +30,14 @@ from planematch.proximity import (
     even_prefix_sq,
     even_threshold,
     forest_leq,
+    indexed,
     kruskal,
     pairs_within,
     second_closest,
     second_closest_batch,
     skeleton,
     sorted_candidate_edges,
+    subtrees,
 )
 from planematch.udg import plane_matching
 
@@ -646,6 +651,122 @@ def test_even_threshold_matches_forest_parity_small(coords):
 )
 def test_even_threshold_matches_forest_parity_degenerate(name, coords):
     assert_even_threshold_matches_forests(PointSet(coords[: len(coords) // 2 * 2]))
+
+
+def reference_even_threshold(tree) -> int:
+    """The even threshold by a Kruskal pass over the sorted (sq, u, v)
+    tuples, from odd singletons."""
+    edges = sorted((sq, u, v) for (u, v), sq in tree.edge_sq.items())
+    return even_prefix_sq(edges, max(tree.vertices) + 1, tree.n)
+
+
+def reference_subtrees(pts, tree, keep=None, drop=()):
+    """``subtrees`` with the components labelled by a Kruskal pass over the
+    edges that stay."""
+    u, v, sq = _flat_edges(tree)
+    stay = ~(np.isin(u, drop) | np.isin(v, drop)) if drop else np.ones(len(u), dtype=bool)
+    if keep is not None:
+        stay &= keep
+    u, v, sq = u[stay], v[stay], sq[stay]
+    parent = list(range(pts.n))
+    for _ in kruskal(indexed((sq, u, v)), pts.n, pts.n, parent):
+        pass
+    vertices = np.array(sorted(set(tree.vertices) - set(drop)), dtype=np.int64)
+    return _build_forest(pts, u, v, sq, vertices, parent)
+
+
+def reference_rooting(tree):
+    """Parent and subtree size of every vertex of ``tree`` hung from its
+    smallest vertex, by a walk over ``adj``."""
+    root = tree.vertices[0]
+    parent, walk = {root: root}, [root]
+    for x in walk:
+        for y in tree.adj[x]:
+            if y not in parent:
+                parent[y] = x
+                walk.append(y)
+    size = dict.fromkeys(walk, 1)
+    for x in reversed(walk[1:]):
+        size[parent[x]] += size[x]
+    return parent, size
+
+
+def assert_rooting_equals_reference_passes(pts: PointSet, drop_at: int) -> None:
+    mst = emst5(pts)
+    for tree in (mst, skeleton(mst).tree):
+        if not tree.vertices:
+            continue
+        rooting = tree.rooted()
+        parent, size = reference_rooting(tree)
+        assert {x: int(rooting.parent[x]) for x in tree.vertices} == parent
+        assert {x: int(rooting.size[x]) for x in tree.vertices} == size
+        if tree.n % 2 == 0:
+            assert even_threshold(tree) == reference_even_threshold(tree)
+        sq = _flat_edges(tree)[2]
+        for limit in sorted(set(tree.edge_sq.values())) + [-1]:
+            keep = np.asarray(sq <= limit, dtype=bool)
+            assert forest_leq(tree, limit, pts).trees == reference_subtrees(pts, tree, keep)
+        x = tree.vertices[drop_at % tree.n]
+        for drop in ((x,), (x, tree.adj[x][0]) if tree.adj[x] else (x,)):
+            assert subtrees(pts, tree, drop=drop) == reference_subtrees(pts, tree, drop=drop)
+
+
+circle_points = functools.cache(pythagorean_circle)
+
+
+def cocircular(r: int, keep: list[bool], centre: bool) -> list[tuple[int, int]]:
+    """The lattice points of the circle of radius r that ``keep`` selects
+    (cyclically), with the centre when asked."""
+    circle = circle_points(r)
+    return [p for i, p in enumerate(circle) if keep[i % len(keep)]] + [(0, 0)] * centre
+
+
+def path_like(gaps: list[int], wobble: list[int]) -> list[tuple[int, int]]:
+    """Points along the x-axis at the given gaps, each moved up or down a
+    little: the MST is a path or nearly one, with repeated lengths."""
+    coords, x = [], 0
+    for i, gap in enumerate(gaps):
+        x += gap
+        coords.append((x, wobble[i % len(wobble)]))
+    return coords
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=2, max_size=48).map(sorted),
+        st.builds(
+            cocircular,
+            st.sampled_from([5, 25, 65, 325]),
+            st.lists(st.booleans(), min_size=1, max_size=12),
+            st.booleans(),
+        ),
+        st.builds(
+            path_like,
+            st.lists(st.integers(4, 9), min_size=2, max_size=60),
+            st.lists(st.integers(-1, 1), min_size=1, max_size=5),
+        ),
+    ),
+    st.integers(0, 10**6),
+)
+def test_rooting_equals_kruskal_passes_on_ties_and_paths(coords, drop_at):
+    # The rooted tree, and the even threshold and forests read off it, equal
+    # the Kruskal passes they replace: even_prefix_sq over the sorted tuples,
+    # and a union-find labelling of the kept edges.
+    assume(len(coords) >= 2)
+    assert_rooting_equals_reference_passes(PointSet(coords), drop_at)
+
+
+@pytest.mark.parametrize("seed", [1, 2])
+def test_rooting_equals_kruskal_passes_on_a_deep_arc(seed):
+    # A path-like MST of 240 points: the Euler tour is as long and the
+    # parent chains as deep as they get.
+    rng = random.Random(seed)
+    x, coords = 0, []
+    for _ in range(240):
+        x += rng.randrange(S // 2, 2 * S)
+        coords.append((x, x * x // (240 * S)))
+    assert_rooting_equals_reference_passes(PointSet(coords), seed)
 
 
 def test_even_threshold_examples():
