@@ -4,10 +4,11 @@ whose edges are no longer than the optimal plane-perfect-matching bottleneck.
 The driver binary-searches the sorted MST edge lengths for the shortest
 threshold the decision procedure cannot refute, which yields a forest of
 even trees plus one stored seed pair per tree that has two leaves on a
-common node. Each tree is then matched by skeleton peeling with three
-upgrades: a degree-four iteration already meets the bound, an exact pi/3
-leaf pair is rewired into the leaf-leaf edge plus a spare spoke, and
-otherwise the run restarts from the stored seed pair.
+common node. Each tree is then matched by skeleton peeling: a round that
+sees degree at most four already meets the bound, and otherwise the run
+restarts from the stored seed pair. The paper's third case, two leaves at
+exactly pi/3 rewired into their equilateral edge, needs an exact pi/3
+angle, which no two integer vectors make (see ``proximity.emst5``).
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from ._nogc import nogc
 from .errors import InvariantViolation, OddPointCount, SeedRequired
-from .geometry import PointSet, angle_exactly_third_pi
+from .geometry import PointSet
 from .matching import Matching
 from .proximity import (
     Forest,
@@ -30,7 +31,7 @@ from .proximity import (
     second_closest_batch,
     subtrees,
 )
-from .udg import consecutive_leaf_pairs, run_peeling
+from .udg import run_peeling
 
 
 @dataclass(frozen=True)
@@ -181,12 +182,9 @@ def match_tree_first(
     pts: PointSet, tree: Tree, seed: Optional[SeedTriple] = None
 ) -> Matching:
     """Plane matching of one even tree with at least n/5 of its vertices'
-    pairs, every edge bounded by the tree's longest edge, the seed pair, or
-    an equilateral side.
+    pairs, every edge bounded by the tree's longest edge or the seed pair.
 
-    Plain peeling suffices whenever some iteration sees degree at most four.
-    Failing that, an iteration with two consecutive leaves at exactly pi/3
-    trades its spoke for the equilateral leaf-leaf edge plus a spare spoke.
+    Plain peeling suffices whenever some round sees degree at most four.
     Otherwise the peeling restarts pre-matched with the seed pair, either
     avoiding edges that cross it (seed partner is a leaf) or splitting the
     tree at the seed partner and peeling the parts.
@@ -194,27 +192,10 @@ def match_tree_first(
     if tree.n == 0:
         return Matching.of(pts, [])
     base = run_peeling(pts, tree)
-    if tree.n <= 2 or any(it.deg <= 4 for it in base.iterations):
+    if tree.n <= 2 or base.min_degree <= 4:
         return Matching.of(pts, base.pairs)
-
-    for it in base.iterations:
-        for uj, uk in consecutive_leaf_pairs(pts, it):
-            if not angle_exactly_third_pi(pts, uj, it.v, uk):
-                continue
-            spare = [u for u in it.leaves if u not in (uj, uk)]
-            if not spare or it.matched is None:
-                continue
-            pairs = [pr for pr in base.pairs if pr != it.matched]
-            pairs.append((min(uj, uk), max(uj, uk)))
-            s = spare[0]
-            pairs.append((min(it.v, s), max(it.v, s)))
-            return Matching.of(pts, pairs)
-
     if seed is None:
-        raise SeedRequired(
-            "every iteration had degree five and no exact pi/3 leaf pair; "
-            "a seed pair is required"
-        )
+        raise SeedRequired("every peeling round had degree five; a seed pair is required")
     p, pp = seed.p, seed.p_prime
     seed_pair = (min(p, pp), max(p, pp))
     if len(tree.adj[pp]) == 1:

@@ -71,8 +71,8 @@ def even_forest(pts: PointSet) -> EvenForest:
     ``last_edge`` and ``last_sq``.
 
     The pass stops there even inside a run of equal lengths. Each tree is
-    the exact MST of its vertex set; the degree-five exchange is applied so
-    downstream degree and angle assumptions hold.
+    the exact MST of its vertex set, so its degrees are at most five and
+    its edges at a vertex meet at more than pi/3 (see ``emst5``).
     """
     n = pts.n
     if n % 2 != 0:

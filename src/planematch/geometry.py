@@ -260,21 +260,6 @@ def dot_sign(pts: PointSet, a: int, v: int, b: int) -> int:
     return (d > 0) - (d < 0)
 
 
-def angle_exactly_third_pi(pts: PointSet, a: int, v: int, b: int) -> bool:
-    """Exact test: the unsigned angle a-v-b equals pi/3.
-
-    Uses the identity cos(pi/3) = 1/2, i.e. 4*dot^2 == |va|^2 * |vb|^2 with
-    a positive dot product.
-    """
-    xs, ys = pts.xs, pts.ys
-    ux, uy = xs[a] - xs[v], ys[a] - ys[v]
-    wx, wy = xs[b] - xs[v], ys[b] - ys[v]
-    dot = ux * wx + uy * wy
-    if dot <= 0:
-        return False
-    return 4 * dot * dot == (ux * ux + uy * uy) * (wx * wx + wy * wy)
-
-
 def angle_lt_third_pi(pts: PointSet, a: int, v: int, b: int) -> bool:
     """Exact test: the unsigned angle a-v-b is strictly below pi/3."""
     xs, ys = pts.xs, pts.ys

@@ -67,14 +67,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
-from .geometry import (
-    PointSet,
-    angle_exactly_third_pi,
-    orient,
-    orientation,
-    point_in_triangle_closed,
-    sort_clockwise,
-)
+from .geometry import PointSet, orient, orientation, point_in_triangle_closed
 
 
 class Triangulation:
@@ -697,70 +690,6 @@ def _sorted_edges_exact(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, n
     return sq, np.array([row[1] for row in rows], dtype=np.int64), np.array([row[2] for row in rows], dtype=np.int64)
 
 
-def _degree_reduce(pts: PointSet, adj: dict[int, set[int]]) -> None:
-    """Reduce every degree-6 vertex by the exact pi/3 local exchange.
-
-    In a Euclidean MST a degree-6 vertex forces six equal-length edges at
-    exactly pi/3 apart; replacing one of a consecutive pair by the leaf-leaf
-    edge keeps total weight and lowers the degree. The exchange endpoint is
-    chosen to avoid creating new degree-6 vertices whenever possible.
-    """
-    over = [v for v, nb in adj.items() if len(nb) >= 6]
-    guard = 0
-    while over:
-        guard += 1
-        if guard > 10 * len(adj) + 100:
-            raise InvariantViolation("degree reduction did not converge")
-        v = over.pop()
-        if len(adj[v]) < 6:
-            continue
-        nbrs = sort_clockwise(pts, v, sorted(adj[v]), sorted(adj[v])[0])
-        k = len(nbrs)
-        candidates = []
-        for i in range(k):
-            u, w = nbrs[i], nbrs[(i + 1) % k]
-            if angle_exactly_third_pi(pts, u, v, w):
-                candidates.append((u, w))
-        if not candidates:
-            raise InvariantViolation("degree-6 vertex without an exact pi/3 pair")
-        # Keep the edge to the endpoint of lowest degree; the kept endpoint
-        # gains the new leaf-leaf edge.
-        best = None
-        for u, w in candidates:
-            for keep, drop in ((u, w), (w, u)):
-                key = (len(adj[keep]), keep, drop)
-                if best is None or key < best[0]:
-                    best = (key, keep, drop)
-        _, keep, drop = best
-        adj[v].remove(drop)
-        adj[drop].remove(v)
-        adj[keep].add(drop)
-        adj[drop].add(keep)
-        for x in (keep, drop, v):
-            if len(adj[x]) >= 6:
-                over.append(x)
-
-
-def _reduced(pts: PointSet, u: np.ndarray, v: np.ndarray, sq: np.ndarray):
-    """The edges (u, v, sq) of an MST forest after ``_degree_reduce``: the
-    same arrays unless a vertex has degree six. No point set with integer
-    coordinates reaches six, since the angle between two integer vectors has
-    a rational tangent and is never exactly pi/3; the exchange is kept for
-    the paper's general position."""
-    if not len(u) or np.bincount(np.concatenate((u, v))).max() < 6:
-        return u, v, sq
-    adj: dict[int, set[int]] = {i: set() for i in range(pts.n)}
-    for a, b in zip(u.tolist(), v.tolist()):
-        adj[a].add(b)
-        adj[b].add(a)
-    _degree_reduce(pts, adj)
-    pairs = sorted((a, b) for a, nbrs in adj.items() for b in nbrs if a < b)
-    u, v = (np.array(ends, dtype=np.int64) for ends in zip(*pairs))
-    lengths = np.empty(len(pairs), dtype=sq.dtype)
-    lengths[:] = [pts.sq_dist(a, b) for a, b in pairs]
-    return u, v, lengths
-
-
 def _roots(parent) -> np.ndarray:
     """The root of every id in a parent list or array, such as the
     union-find that ``kruskal`` leaves or a ``Rooting``'s ``parent``, by
@@ -931,11 +860,10 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
 
 def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> list[Tree]:
     """The trees of the MST edges ``taken``, indices into the arrays
-    ``edges`` = (sq, u, v) of ``sorted_candidate_edges``, after the degree
-    exchange (``_reduced``, which keeps the components); ``parent`` is the
+    ``edges`` = (sq, u, v) of ``sorted_candidate_edges``; ``parent`` is the
     union-find of the ``kruskal`` pass that took them."""
     sq, u, v = edges
-    return _build_forest(pts, *_reduced(pts, u[taken], v[taken], sq[taken]), None, parent)
+    return _build_forest(pts, u[taken], v[taken], sq[taken], None, parent)
 
 
 def indexed(edges):
@@ -949,9 +877,17 @@ def emst5(pts: PointSet) -> Tree:
     """Euclidean minimum spanning tree with maximum degree at most five.
 
     The first n - 1 edges ``kruskal`` takes from the strict-tie Delaunay
-    edges in (length, lexicographic) order, followed by the exact pi/3
-    exchange on any degree-6 vertex (``_reduced``). Total weight equals the
-    unconstrained EMST weight.
+    edges in (length, lexicographic) order.
+
+    No vertex of it, or of any MST forest on integer coordinates, has
+    degree six. Two MST edges vu, vw meet at an angle of at least pi/3:
+    below it the third side uw is shorter than the longer of the two, which
+    then is not in the MST. Exactly pi/3 needs 4 dot^2 = |vu|^2 |vw|^2 with
+    dot > 0, that is cross^2 = 3 dot^2 by Lagrange's identity, and since
+    sqrt(3) is irrational no two integer vectors satisfy it. So every angle
+    at a vertex exceeds pi/3, and six of them do not fit in 2 pi. The
+    degree-six exchange that real coordinates need (Monma & Suri, DCG 1992)
+    never applies.
     """
     n = pts.n
     if n < 1:

@@ -10,21 +10,23 @@ degrees, internal degrees and a heap of skeleton leaves. Its per-vertex
 state sits in flat arrays indexed by point id (``_PeelState``), allocated
 once per point set and set up per tree in O(|tree|), so a forest costs O(n)
 to allocate however many trees it has; adjacency is read from the tree's
-own lists. ``run_peeling`` is a thin loop over it, which the first
-bottleneck approximation reruns with a pre-matched seed pair, forbidden
-vertices and a segment that matched edges must avoid crossing; the second
-approximation's tree matcher builds on the same core.
+own lists. ``run_peeling`` is a thin loop over it that keeps no record of
+its rounds: it returns the pairs and the smallest degree a round saw, which
+is all the first bottleneck approximation reads before it reruns the loop
+with a pre-matched seed pair, forbidden vertices and a segment that matched
+edges must avoid crossing. The second approximation's tree matcher builds
+on the same core.
 """
 from __future__ import annotations
 
 import heapq
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional, Sequence
+from typing import Optional, Sequence
 
 from ._nogc import nogc
 from .errors import DisconnectedInput, InvariantViolation
-from .geometry import SCALE, PointSet, cross_ids, sort_clockwise
+from .geometry import SCALE, PointSet, cross_ids
 from .matching import Matching, _crossing_candidates
 from .proximity import Tree, disk_graph, emst5
 
@@ -176,25 +178,13 @@ def one_third(
     return Matching.of(pts, chosen), trace
 
 
-class PeelIteration(NamedTuple):
-    """One round of skeleton peeling: the picked skeleton leaf, its degree,
-    its internal neighbour, and its leaf neighbours at that moment. A named
-    tuple, since a peeling builds one per round."""
-
-    v: int
-    deg: int
-    internal_nbr: Optional[int]
-    leaves: tuple[int, ...]
-    matched: Optional[tuple[int, int]]
-
-
 @dataclass
 class PeelResult:
+    """The pairs of a peeling, and the smallest degree a round's skeleton
+    leaf had when it was picked (None when no round ran)."""
+
     pairs: list[tuple[int, int]]
-    iterations: list[PeelIteration]
-    final_edge: Optional[tuple[int, int]]
-    final_edge_skipped: bool
-    skipped: int
+    min_degree: Optional[int]
 
 
 class _PeelState:
@@ -366,56 +356,36 @@ def run_peeling(
     single edge is appended when present.
     """
     live = _LiveTree(tree, _peel_state(pts))
+    deg = live.deg
     pairs = list(init_pairs)
-    iterations: list[PeelIteration] = []
-    skipped = 0
+    min_degree: Optional[int] = None
 
     while (v := live.pop_leaf()) is not None:
-        leaves = tuple(live.leaves_of(v))
-        w = live.internal_nbr(v)
-        matched = None
-        for u in leaves:
-            if u in forbidden or v in forbidden:
-                continue
-            if avoid is not None and cross_ids(pts, v, u, avoid[0], avoid[1]):
-                continue
-            matched = (v, u) if v < u else (u, v)
-            break
-        if matched is not None:
-            pairs.append(matched)
-        else:
-            skipped += 1
-        iterations.append(
-            PeelIteration(
-                v=v, deg=live.deg[v], internal_nbr=w, leaves=leaves, matched=matched
-            )
-        )
+        leaves = live.leaves_of(v)
+        if min_degree is None or deg[v] < min_degree:
+            min_degree = deg[v]
+        if v not in forbidden:
+            for u in leaves:
+                if u in forbidden:
+                    continue
+                if avoid is not None and cross_ids(pts, v, u, avoid[0], avoid[1]):
+                    continue
+                pairs.append((v, u) if v < u else (u, v))
+                break
         live.remove((v, *leaves))
 
-    final_edge = None
-    final_skipped = False
     if live.size == 2:
         a, b = sorted(live.live_vertices())
         if b not in live.adj[a]:
             raise InvariantViolation("leftover vertices are not adjacent")
-        ok = a not in forbidden and b not in forbidden
-        if ok and avoid is not None and cross_ids(pts, a, b, avoid[0], avoid[1]):
-            ok = False
-        if ok:
-            final_edge = (a, b)
-            pairs.append(final_edge)
-        else:
-            final_skipped = True
+        if a not in forbidden and b not in forbidden and (
+            avoid is None or not cross_ids(pts, a, b, avoid[0], avoid[1])
+        ):
+            pairs.append((a, b))
     elif live.size > 2:
         raise InvariantViolation(f"peeling left {live.size} vertices")
 
-    return PeelResult(
-        pairs=pairs,
-        iterations=iterations,
-        final_edge=final_edge,
-        final_edge_skipped=final_skipped,
-        skipped=skipped,
-    )
+    return PeelResult(pairs=pairs, min_degree=min_degree)
 
 
 def _connected(adj: list[list[int]]) -> bool:
@@ -447,24 +417,3 @@ def plane_matching(pts: PointSet) -> Matching:
     tree = emst5(pts)
     res = run_peeling(pts, tree)
     return Matching.of(pts, res.pairs)
-
-
-def consecutive_leaf_pairs(
-    pts: PointSet, it: PeelIteration
-) -> list[tuple[int, int]]:
-    """Leaf pairs consecutive in clockwise order around the peeled vertex.
-
-    With an internal neighbour the order starts just after it and does not
-    wrap; for a pure star every cyclic pair is consecutive.
-    """
-    v = it.v
-    if it.internal_nbr is not None:
-        order = sort_clockwise(pts, v, list(it.leaves), it.internal_nbr)
-        return [(order[i], order[i + 1]) for i in range(len(order) - 1)]
-    if len(it.leaves) < 2:
-        return []
-    anchor = it.leaves[0]
-    rest = [u for u in it.leaves if u != anchor]
-    order = [anchor] + sort_clockwise(pts, v, rest, anchor)
-    k = len(order)
-    return [(order[i], order[(i + 1) % k]) for i in range(k)]

@@ -10,6 +10,8 @@ import random
 import time
 from itertools import combinations
 
+import pytest
+
 from planematch.blossom import AbstractGraph, bottleneck_crossing, max_matching
 from planematch.bottleneck_one import compare_to_opt, first_approx
 from planematch.bottleneck_two import even_forest, second_approx
@@ -19,6 +21,7 @@ from planematch.matching import validate
 from planematch.oracle import exact_bottleneck_plane
 from planematch.proximity import disk_graph, emst5, forest_leq
 from planematch.udg import one_third, plane_matching
+from test_kruskal import degenerate_corpus
 
 S = SCALE
 # Rational upper bound for (sqrt(2)+sqrt(3))^2 = 5 + 2*sqrt(6).
@@ -204,6 +207,35 @@ def test_criterion_4_one_third():
         elapsed < 30,
         f"({elapsed:.1f}s)",
     )
+
+
+@pytest.mark.parametrize(
+    "name,coords",
+    [(name, coords) for name, coords in degenerate_corpus() if len(coords) % 2 == 0],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_degenerate_corpus_meets_every_bound(name, coords):
+    # Grids, Pythagorean circles with and without their centre, collinear
+    # plus one point and spans past 2^63: ties everywhere, exact paths only.
+    pts = PointSet(coords)
+    n = pts.n
+    m1 = first_approx(pts)
+    rep = validate(pts, m1)
+    assert rep.is_matching and rep.is_plane
+    assert m1.size >= math.ceil(n / 5)
+    m2 = second_approx(pts)
+    rep = validate(pts, m2)
+    assert rep.is_matching and rep.is_plane
+    assert m2.size >= math.ceil(2 * n / 5)
+    # The even forest's last edge L is a lower bound on the optimum.
+    assert m2.bottleneck_sq * FACTOR2_DEN <= FACTOR2_NUM * even_forest(pts).last_sq
+    cross = bottleneck_crossing(pts)
+    m3, trace = one_third(pts, cross.matching)
+    assert not trace.capped
+    rep = validate(pts, m3)
+    assert rep.is_matching and rep.is_plane
+    assert m3.size >= math.ceil(cross.matching.size / 3)
+    assert m3.bottleneck_sq <= cross.bottleneck_sq
 
 
 def test_criterion_5_structure_suites():

@@ -377,16 +377,9 @@ def test_match_tree_first_degree_four_case():
 
 
 def test_match_tree_first_equilateral_rewrite():
-    # A degree-five star whose first two spokes meet at exactly pi/3:
-    # placing two spokes on lattice-exact equal lengths with a 60-degree
-    # angle needs a symmetric layout; use (5,0) and a rotation by 60 deg of
-    # it around the center scaled to keep integer coordinates exact.
-    # (10,0) and (5, 5*sqrt(3)) is irrational, so instead use the classic
-    # exact-60 construction: vectors (8,0)ága(4, 4*sqrt3) are out; fall back
-    # to verifying the rewrite path on a synthetic tree where the pi/3 test
-    # is exact: vectors u=(2,0), w=(1,y) satisfy the identity only with
-    # y^2=3. Integer grids admit no exact 60-degree pair, so the rewrite
-    # path is exercised via direct peel-record surgery in unit form here:
+    # The only peeling round of a degree-five star sees degree five, so
+    # plain peeling does not meet the bound; the seeded restart, from leaf 1
+    # and its nearest point other than the centre, matches ceil(n/5) pairs.
     pts = unit_star()
     tree = emst5(pts)
     base_bound = math.ceil(tree.n / 5)

@@ -13,7 +13,6 @@ from planematch.errors import DegenerateAngle, DegeneratePolygon, UnknownPointId
 from planematch.geometry import (
     PointSet,
     Segment,
-    angle_exactly_third_pi,
     cmp_cw_angle,
     cmp_unsigned_angle,
     convex_empty,
@@ -221,21 +220,6 @@ def test_convex_empty_collinear_raises():
     pts = ps((0, 0), (1, 0), (2, 0), (2, 2))
     with pytest.raises(DegeneratePolygon):
         convex_empty(pts, [0, 1, 2, 3])
-
-
-def test_angle_exactly_sixty():
-    # Equilateral triangle on integer coordinates does not exist, but the
-    # predicate also covers scaled near-lattice witnesses with equal dots.
-    pts = PointSet([(0, 0), (2, 0), (1, 0)])
-    assert angle_exactly_third_pi(pts, 1, 0, 2) is False
-    # Construct an exact 60-degree configuration: rotate (4, 0) by 60 deg
-    # gives (2, 2*sqrt(3)) which is irrational; instead verify via the dot
-    # identity on a triple where it holds: v=(0,0), a=(2,0), b=(1, y) with
-    # 4*(2*1)^2 == (4)*(1+y^2) -> 16 = 4 + 4 y^2 -> y^2 = 3, irrational.
-    # So on the integer grid the predicate can only hold for dot identities
-    # arising from symmetric layouts; check a false near-miss:
-    pts2 = PointSet([(0, 0), (1000000, 0), (500000, 866025)])
-    assert angle_exactly_third_pi(pts2, 1, 0, 2) is False
 
 
 def test_cmp_angles_against_float():

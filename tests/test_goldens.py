@@ -94,43 +94,44 @@ CLUSTERED_CROSSING_GOLDENS = {
 }
 
 # instance -> (match_tree_detailed digest over the even forest's trees,
-# run_peeling digest on emst5, the same with a seed). The instance is
-# gen_points(2000, seed, mode) or a LATTICE_GOLDENS lattice.
+# run_peeling digest on emst5, the same with a seed). A run_peeling digest
+# is of its pairs and the smallest degree a peeling round saw. The instance
+# is gen_points(2000, seed, mode) or a LATTICE_GOLDENS lattice.
 PEELING_GOLDENS = {
     (1, "uniform"): (
         "aca5f719c8049444c44f29251d3757aaabe0f15684036c16435985323e283d6e",
-        "fe833958db12822ed32309ad7fb51de9e6bd7b814537954e6e437f319904feeb",
-        "6cf38835d7b09329d75fbf8821794c3040b22c8ce8c97d6050394fdee715c91c",
+        "15661db98d5eef774d1b84a940f161d8bd8b8d8e385bc6b27de2ac5fe202ed59",
+        "c79ffb79ad037733e91217e426e308a4d7de8c4dd4e89b4d514bb548c0b06e6f",
     ),
     (1, "clustered"): (
         "8722bc04a2d6307c7d296e5aa6ace123a1923120e3c91fe480853e935ae52362",
-        "e873b3afb8f0abd79ee57bc5f11ea767638a0b6f6be81698742864885ae6e187",
-        "db50c7c3a483e0b40ecd7fe1f11eccb30cfa9a10de2c8c8a15702a7a3baa15d5",
+        "20c972f2780e6eeabf04b1c1dba3ddd8743855f0ea7a99ad0c502822baf8478e",
+        "ba7179619b2f064cafc2c0eaa3cf729cd72e776bc8b0961016fba4b0edf77283",
     ),
     (2, "uniform"): (
         "76fa136cdd47608769cdbcb1e37c0ceb9ba2a2c876ad7d502dec8a310df4d6ee",
-        "4bd462f9ad171886821b38510e4c4f2404b5ea6f4fd2391fe05c13e5a7f8089a",
-        "712b9f19d2547ab2b515ab9bb321688f0d084342701668eb5db3590ac2d8afac",
+        "9f91ea47d090fa4d813aa60a8139c1e29d767a8da0337c444b3834bb2638d016",
+        "b0d22ad16edbbfccb97b581ee6f06056f6454bc78dd873f2fad0e85559cabc92",
     ),
     (2, "clustered"): (
         "271ac6f51e15c85f2bb495e36f046fadf7b5f2a25bf12c853dcfe0bc4d6162a6",
-        "ba739019e94237c45937d6f5370002809dce5a359d263bc1fdd0079e1092b421",
-        "c70f7def28cf6189726dbe2714c022277d7dab240c893001d764ad28bafdb83b",
+        "fb9222c11586b59781cad84f5090bc6d6330b5b8e1a23d462aaef35938428461",
+        "fb9c40fd91d7fd43684d2ad982dbf51652cd70b6967e425425cbcc44231e34d6",
     ),
     (1, 0): (
         "255207eb27ba3414808c0eba5bb8e93b804790510f3b1f2095cee8882053ddab",
-        "d3ad4f837bd42db9f9586b1881df6d1398c1a761ff2b2fe62adb0f1e03677a2d",
-        "2dae4196ccb8ba64f2b69099a6e28e44dd07e8340d9d98bef326b1d9613d063c",
+        "61734401a9f64dc893f98e146686408626f00f82e885a35783bafc8e1d0e709f",
+        "f59812d4c8f6e76c4021f11859b25ca20c8e4bbb4f3ccadad5bf034bbc2ebdab",
     ),
     (2, 0): (
         "6327a16e36120b07b0682eeaa9a1ed70766cc1cc51d2499a6d0a2ad00902d139",
-        "4136734e085a5678ee3d4cb34bf1247cbf7267b2963c2c966cfc8aec92d26edf",
-        "c130b52595296e2fc36fc3d6c5257f267c5628a061f5dc0d46e705a6c5ed806f",
+        "ce347949c4cccf88072acb6796bf2228c3f71b6db9fc716e1e30c003be1334aa",
+        "264f292e3a7fed4b5b9a067e8e66964f8f22108cf6e66847645e06f058e30a73",
     ),
     (5, 2**60): (
         "50ed7ce69dbdc5ee05082c3d6ecaad8a654cb017d7fdad1a5897c9f26d0cb470",
-        "792713d648b24d34fc3eed1d9d3d287f65fa42b192c5dce59c9e4dc79b0bc469",
-        "5a7f995b58689941465e5d39389cc971e469a6c6f3d0544821a52d3348e640a7",
+        "77d1ca764e90fb523db50a6dfb0ec4b9380f15ec55fbde71daff142ad71fe482",
+        "57a994079be59efb32f55df1829a47ed376f48a3ab064194ee2d0b5f18e71131",
     ),
 }
 
@@ -180,8 +181,7 @@ def peeling_seed(tree) -> dict:
 
 def peel_record(res) -> list:
     """Every field of a PeelResult, as JSON-ready lists."""
-    its = [[it.v, it.deg, it.internal_nbr, list(it.leaves), it.matched] for it in res.iterations]
-    return [res.pairs, its, res.final_edge, res.final_edge_skipped, res.skipped]
+    return [res.pairs, res.min_degree]
 
 
 def forest_digest(ef) -> str:
@@ -291,8 +291,8 @@ def forest_shapes(pts) -> list:
 
 # instance -> sha256 of forest_shapes: gen_points(2000, seed, mode), a
 # LATTICE_GOLDENS lattice, the hexagon with its centre, or the hexagonal
-# lattice. No vertex of these trees has degree six: the angle between two
-# integer vectors has a rational tangent and so is never exactly pi/3.
+# lattice. No vertex of these trees has degree six: two integer vectors
+# never meet at exactly pi/3 (see the ``proximity.emst5`` docstring).
 SHAPE_GOLDENS = {
     (1, "uniform"): "ce9549f8f4d755de848dba0e79df3c5146f5d4881704cc892de044987d95b997",
     (1, "clustered"): "cffa25a3f6e1eea892a3d24b022283b14f6c1427f85c80cd2cf5972ef2a5b87f",

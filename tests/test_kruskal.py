@@ -5,11 +5,8 @@ merging them with its own union-find. The trees are compared with the ones
 the depth-first component walk built before the forest builder."""
 from __future__ import annotations
 
-import math
 import random
 from itertools import islice
-
-import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -20,11 +17,8 @@ from planematch.bottleneck_two import even_forest
 from planematch.errors import InvariantViolation
 from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
-from planematch import proximity
 from planematch.proximity import (
     Tree,
-    _degree_reduce,
-    _reduced,
     delaunay,
     disk_graph,
     emst5,
@@ -106,7 +100,7 @@ def reference_even_forest(pts: PointSet):
         last_sq = sq
         if odd == 0:
             break
-    _degree_reduce(pts, adj)
+    assert all(len(nbrs) <= 5 for nbrs in adj.values())
     return reference_component_trees(pts, adj), last_edge, last_sq
 
 
@@ -139,7 +133,7 @@ def reference_emst5(pts: PointSet):
         taken += 1
         if taken == n - 1:
             break
-    _degree_reduce(pts, adj)
+    assert all(len(nbrs) <= 5 for nbrs in adj.values())
     return reference_tree_from_adj(pts, range(n), adj)
 
 
@@ -282,49 +276,3 @@ def test_barrier_sq_equals_reference_on_uniform_instances():
 def test_kruskal_yields_joining_edges_with_odd_counts():
     edges = [(1, 0, 1), (1, 2, 3), (2, 0, 1), (2, 1, 2), (3, 0, 3), (4, 4, 5)]
     assert list(kruskal(edges, 6, 6)) == [(1, 0, 1, 4), (1, 2, 3, 2), (2, 1, 2, 2), (4, 4, 5, 0)]
-
-
-def hexagon_star():
-    """A regular hexagon of radius S around its centre 0, rounded to
-    integers, and the six spokes from the centre as (u, v, sq) arrays."""
-    pts = PointSet([(0, 0)] + [(round(S * math.cos(k * math.pi / 3)), round(S * math.sin(k * math.pi / 3))) for k in range(6)])
-    u = np.zeros(6, dtype=np.int64)
-    v = np.arange(1, 7, dtype=np.int64)
-    return pts, u, v, np.array([pts.sq_dist(0, b) for b in range(1, 7)], dtype=np.int64)
-
-
-def test_degree_exchange_fallback_runs_only_at_degree_six():
-    # No point set with integer coordinates has an MST vertex of degree six
-    # (the angle between integer vectors is never exactly pi/3), so the
-    # fallback is fed a six-spoke star directly. Rounded, it has no exact
-    # pi/3 pair left, which _degree_reduce reports.
-    pts, u, v, sq = hexagon_star()
-    five = (u[:5], v[:5], sq[:5])
-    assert all(got is given for got, given in zip(_reduced(pts, *five), five))
-    with pytest.raises(InvariantViolation, match="exact pi/3"):
-        _reduced(pts, u, v, sq)
-
-
-def test_degree_exchange_fallback_rebuilds_the_edge_arrays(monkeypatch):
-    # With the pi/3 test loosened to the rounding of the hexagon, the
-    # exchange happens, and the builder gets the new edges with their exact
-    # lengths in both length representations.
-    def nearly_third_pi(pts, a, v, b):
-        ux, uy = pts.xs[a] - pts.xs[v], pts.ys[a] - pts.ys[v]
-        wx, wy = pts.xs[b] - pts.xs[v], pts.ys[b] - pts.ys[v]
-        dot = ux * wx + uy * wy
-        return dot > 0 and abs(4 * dot * dot - (ux * ux + uy * uy) * (wx * wx + wy * wy)) < 10**-4 * (ux * ux + uy * uy) ** 2
-
-    monkeypatch.setattr(proximity, "angle_exactly_third_pi", nearly_third_pi)
-    pts, u, v, sq = hexagon_star()
-    for lengths in (sq, sq.astype(object)):
-        ru, rv, rsq = _reduced(pts, u, v, lengths)
-        assert rsq.dtype == lengths.dtype and len(ru) == 6
-        assert list(zip(ru.tolist(), rv.tolist())) == sorted(zip(ru.tolist(), rv.tolist()))
-        assert rsq.tolist() == [pts.sq_dist(a, b) for a, b in zip(ru.tolist(), rv.tolist())]
-        parent = list(range(pts.n))
-        for _ in kruskal(zip(rsq.tolist(), ru.tolist(), rv.tolist()), pts.n, pts.n, parent):
-            pass
-        (tree,) = proximity._build_forest(pts, ru, rv, rsq, None, parent)
-        assert max(map(len, tree.adj.values())) == 5
-        assert shape(tree) == shape(reference_tree_from_adj(pts, range(7), tree.adj))

@@ -19,7 +19,7 @@ from planematch.errors import InvariantViolation
 from planematch.geometry import SCALE, PointSet, cross_ids
 from planematch.matching import Matching
 from planematch.proximity import Tree, emst5, skeleton
-from planematch.udg import PeelIteration, PeelResult, _LiveTree, _PeelState, run_peeling
+from planematch.udg import PeelResult, _LiveTree, _PeelState, run_peeling
 from test_kruskal import degenerate_corpus
 
 S = SCALE
@@ -52,9 +52,7 @@ def reference_run_peeling(
             in_heap.add(v)
 
     pairs = list(init_pairs)
-    iterations: list[PeelIteration] = []
-    skipped = 0
-    xs, ys = pts.xs, pts.ys
+    degrees: list[int] = []
 
     while heap:
         v = heapq.heappop(heap)
@@ -77,13 +75,7 @@ def reference_run_peeling(
             break
         if matched is not None:
             pairs.append(matched)
-        else:
-            skipped += 1
-        iterations.append(
-            PeelIteration(
-                v=v, deg=deg[v], internal_nbr=w, leaves=leaves, matched=matched
-            )
-        )
+        degrees.append(deg[v])
         for r in leaves:
             alive.discard(r)
             adj[r].clear()
@@ -99,8 +91,6 @@ def reference_run_peeling(
             push(w)
         adj[v].clear()
 
-    final_edge = None
-    final_skipped = False
     if len(alive) == 2:
         a, b = sorted(alive)
         if b not in adj[a]:
@@ -109,20 +99,11 @@ def reference_run_peeling(
         if ok and avoid is not None and cross_ids(pts, a, b, avoid[0], avoid[1]):
             ok = False
         if ok:
-            final_edge = (a, b)
-            pairs.append(final_edge)
-        else:
-            final_skipped = True
+            pairs.append((a, b))
     elif len(alive) > 2:
         raise InvariantViolation(f"peeling left {len(alive)} vertices")
 
-    return PeelResult(
-        pairs=pairs,
-        iterations=iterations,
-        final_edge=final_edge,
-        final_edge_skipped=final_skipped,
-        skipped=skipped,
-    )
+    return PeelResult(pairs=pairs, min_degree=min(degrees, default=None))
 
 
 def seeds(tree: Tree, picks: Sequence[int]) -> list[dict]:
@@ -159,7 +140,7 @@ def test_run_peeling_equals_reference_on_degenerate_corpus(name, coords):
 )
 def test_run_peeling_equals_reference_on_grid_subsets(cells, picks):
     # Equal lengths everywhere: many skeleton leaves tie in degree, so the
-    # smallest-id pop order decides the iterations.
+    # smallest-id pop order decides the rounds.
     check_against_reference([(x * S, y * S) for x, y in cells], picks)
 
 

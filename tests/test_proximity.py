@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planematch.bottleneck_two import even_forest
 from planematch.errors import OddPointCount, TooFewPoints
 from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, orient, point_in_triangle_closed
 from planematch.io import gen_points
@@ -128,10 +129,7 @@ def test_delaunay_contains_mst_random():
         # total: compare sorted squared length multisets.
         tree = emst5(pts)
         assert sorted(tree.edge_sq.values()) == mst_sq
-        for e in tree.edges():
-            if e not in tri_edges:
-                # Degree reduction may introduce equilateral exchanges.
-                pass
+        assert set(tree.edges()) <= tri_edges
 
 
 def test_delaunay_planar_random():
@@ -325,7 +323,6 @@ def test_strict_lattice_never_builds_the_flip_mesh(monkeypatch, coords):
     # so the strict rule, which the EMST and the even forest use, returns
     # Qhull's triangulation as is.
     from planematch import proximity
-    from planematch.bottleneck_two import even_forest
 
     pts = PointSet(coords)
 
@@ -575,7 +572,8 @@ def test_emst5_square_weight():
 
 def test_emst5_hexagon_center_degree_reduction():
     # Regular hexagon of radius 1 plus the center: weight 6, max degree <= 5.
-    # Center placed first so the Kruskal tie order builds the degree-6 star.
+    # Center placed first so that it leads Kruskal's ties; rounded to
+    # integers no two spokes meet at exactly pi/3, so no exchange is needed.
     coords = [(0.0, 0.0)]
     for k in range(6):
         coords.append((math.cos(k * math.pi / 3), math.sin(k * math.pi / 3)))
@@ -588,6 +586,15 @@ def test_emst5_hexagon_center_degree_reduction():
     assert len(got) == 6
 
 
+def assert_degree_five_and_wide_angles(pts: PointSet, tree) -> None:
+    """Every vertex of ``tree`` has degree at most five, and no two of its
+    tree edges meet below pi/3."""
+    assert max(len(tree.adj[v]) for v in tree.vertices) <= 5
+    for v in tree.vertices:
+        for a, b in combinations(tree.adj[v], 2):
+            assert not angle_lt_third_pi(pts, a, v, b)
+
+
 def test_emst5_weight_and_degree_random():
     rng = random.Random(2024)
     for _ in range(100):
@@ -595,11 +602,44 @@ def test_emst5_weight_and_degree_random():
         pts = random_pointset(rng, n)
         tree = emst5(pts)
         assert sorted(tree.edge_sq.values()) == brute_mst_sq_lengths(pts)
-        assert max(len(tree.adj[v]) for v in tree.vertices) <= 5
-        for v in tree.vertices:
-            nbrs = tree.adj[v]
-            for a, b in combinations(nbrs, 2):
-                assert not angle_lt_third_pi(pts, a, v, b)
+        assert_degree_five_and_wide_angles(pts, tree)
+
+
+@st.composite
+def near_equilateral_sets(draw) -> list[tuple[int, int]]:
+    """Integer points as close to exact pi/3 angles as rounding allows: a
+    regular hexagon with its centre first (so that the centre leads
+    Kruskal's ties) at random radius, rotation and offset, or a patch of
+    the triangular lattice at random scale and offset."""
+    ox, oy = draw(st.integers(-(2**40), 2**40)), draw(st.integers(-(2**40), 2**40))
+    if draw(st.booleans()):
+        r = draw(st.integers(2, 10**12))
+        turn = draw(st.floats(0, math.pi / 3))
+        ring = [
+            (ox + round(r * math.cos(turn + k * math.pi / 3)), oy + round(r * math.sin(turn + k * math.pi / 3)))
+            for k in range(6)
+        ]
+        coords = [(ox, oy)] + ring
+    else:
+        s = draw(st.integers(1, 10**9))
+        w, h = draw(st.integers(2, 7)), draw(st.integers(2, 7))
+        dy = round(math.sqrt(3) * s)
+        coords = [(ox + 2 * x * s + (y % 2) * s, oy + y * dy) for y in range(h) for x in range(w)]
+    return list(dict.fromkeys(coords))
+
+
+@settings(max_examples=200, deadline=None)
+@given(near_equilateral_sets())
+def test_emst5_and_even_forest_stay_below_degree_six_near_equilateral(coords):
+    # No two integer vectors meet at exactly pi/3, so no MST vertex reaches
+    # degree six even where rounding leaves every angle next to pi/3.
+    pts = PointSet(coords)
+    tree = emst5(pts)
+    assert sorted(tree.edge_sq.values()) == brute_mst_sq_lengths(pts)
+    assert_degree_five_and_wide_angles(pts, tree)
+    even = PointSet(coords[: len(coords) - len(coords) % 2])
+    for t in even_forest(even).forest.trees:
+        assert_degree_five_and_wide_angles(even, t)
 
 
 def test_empty_triangle_property_random():
