@@ -24,7 +24,6 @@ from .matching import Matching
 from .proximity import (
     Forest,
     Tree,
-    _flat_edges,
     emst5,
     even_threshold,
     forest_leq,
@@ -102,10 +101,9 @@ def _two_leaf_hubs(trees: list[Tree]) -> list[tuple[int, int, int, int]]:
     sorted by vertex, then leaf; a vertex qualifies when its run of pairs
     goes on past the first.
     """
-    flats = [_flat_edges(tree) for tree in trees]
-    u = np.concatenate([f[0] for f in flats])
-    v = np.concatenate([f[1] for f in flats])
-    label = np.repeat(np.arange(len(trees)), [len(f[0]) for f in flats])
+    u = np.concatenate([tree.u for tree in trees])
+    v = np.concatenate([tree.v for tree in trees])
+    label = np.repeat(np.arange(len(trees)), [len(tree.u) for tree in trees])
     deg = np.bincount(np.concatenate((u, v)))
     to_leaf, from_leaf = deg[v] == 1, deg[u] == 1
     hub = np.concatenate((u[to_leaf], v[from_leaf]))
@@ -143,7 +141,7 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     if n < 2:
         raise OddPointCount("need at least 2 points")
     mst = emst5(pts)
-    lengths = np.unique(mst.flat.sq).tolist()
+    lengths = np.unique(mst.sq).tolist()
     even_sq = even_threshold(mst)
     # (seeds, forest) per probed index; forest is None when no forest was built.
     results: dict[int, tuple[Optional[list[SeedTriple]], Optional[Forest]]] = {}
@@ -172,9 +170,9 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
                 hi = mid
     seeds, forest = probe(hi)
     sq = lengths[hi]
-    # The flat edges are in lexicographic order.
-    at = int(np.argmax(mst.flat.sq == sq))
-    edge = (int(mst.flat.u[at]), int(mst.flat.v[at]))
+    # The edge arrays are in lexicographic order.
+    at = int(np.argmax(mst.sq == sq))
+    edge = (int(mst.u[at]), int(mst.v[at]))
     return CriticalEdgeResult(edge=edge, sq_length=sq, forest=forest, seeds=seeds)
 
 

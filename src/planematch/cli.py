@@ -34,7 +34,8 @@ FACTOR2_SQ_DEN = 10**9
 
 
 def _sq_to_decimal(sq: int) -> float:
-    return math.sqrt(sq) / SCALE
+    # math.sqrt converts sq to a float first, which fails at 2^1024.
+    return (math.isqrt(sq) if sq >= 2**1023 else math.sqrt(sq)) / SCALE
 
 
 def _read(path: str) -> bytes:

@@ -7,8 +7,8 @@ angle-threshold comparisons below are therefore exact; only angle magnitudes
 the Delaunay triangulation in ``proximity``.
 
 Angle conventions: ``cw_angle(a, v, b)`` is the clockwise rotation in
-[0, 2*pi) taking ray v->a onto ray v->b. Threshold tests against pi/3, pi/2
-and pi are separate exact predicates and never go through floating point.
+[0, 2*pi) taking ray v->a onto ray v->b. Threshold tests against pi/2 and
+pi are separate exact predicates and never go through floating point.
 """
 from __future__ import annotations
 
@@ -258,17 +258,6 @@ def dot_sign(pts: PointSet, a: int, v: int, b: int) -> int:
     xs, ys = pts.xs, pts.ys
     d = (xs[a] - xs[v]) * (xs[b] - xs[v]) + (ys[a] - ys[v]) * (ys[b] - ys[v])
     return (d > 0) - (d < 0)
-
-
-def angle_lt_third_pi(pts: PointSet, a: int, v: int, b: int) -> bool:
-    """Exact test: the unsigned angle a-v-b is strictly below pi/3."""
-    xs, ys = pts.xs, pts.ys
-    ux, uy = xs[a] - xs[v], ys[a] - ys[v]
-    wx, wy = xs[b] - xs[v], ys[b] - ys[v]
-    dot = ux * wx + uy * wy
-    if dot <= 0:
-        return False
-    return 4 * dot * dot > (ux * ux + uy * uy) * (wx * wx + wy * wy)
 
 
 def cmp_unsigned_angle(

@@ -24,8 +24,10 @@ Delaunay. Every edge the filter cannot decide gets the exact integer test.
 When no edge must flip, Qhull's triangulation is returned as is; otherwise a
 Lawson flip pass repairs it, testing exactly every edge whose certificate
 does not hold. A span of 2^53 or more, or Qhull's joggled fallback, sends
-every edge to the exact test. Points Qhull leaves out (near-collinear input
-can lose some) are inserted exactly before the flip pass. Exactness
+every edge to the exact test; past that span Qhull gets the translated
+coordinates shifted right to 53 bits, which keeps its arithmetic in the
+float range at any coordinate size. Points Qhull leaves out (near-collinear
+input can lose some) are inserted exactly before the flip pass. Exactness
 therefore depends on the span of the coordinates, not on their magnitude.
 
 Every Kruskal pass of the package is ``kruskal``: one union-find over edges
@@ -49,13 +51,15 @@ same steps on object arrays of Python ints otherwise. ``pairs_within``
 returns the pairs as arrays (sq, u, v) sorted by (sq, u, v), the shape of
 ``sorted_candidate_edges``; ``disk_graph`` sorts them into neighbour lists.
 
-Every ``Tree`` comes from one builder, ``_build_forest``, fed flat arrays:
-the int64 ends and squared lengths ``sorted_candidate_edges`` returned, at
-the indices ``kruskal`` took (``emst5``, ``even_forest``), or a masked copy
-of a tree's own arrays (``forest_leq``, ``subtrees``). Components are the
-roots (``_roots``) of a parent array: the union-find of the pass that took
-the edges, or the cut parent array of the rooted tree. The trees keep the
-arrays and their degree counts (``Tree.flat``) for the next consumer.
+Every ``Tree`` comes from one builder, ``_build_forest``, and is its edge
+arrays: the int64 ends and squared lengths ``sorted_candidate_edges``
+returned, at the indices ``kruskal`` took (``emst5``, ``even_forest``), or a
+masked copy of a tree's own arrays (``forest_leq``, ``subtrees``,
+``skeleton``). Components are the roots (``_roots``) of a parent array: the
+union-find of the pass that took the edges, or the cut parent array of the
+rooted tree. Besides the arrays a tree holds the sorted ``adj`` lists that
+the peeling reads and its forest's degree counts; its ``edge_sq`` dict is
+built only when something reads it.
 """
 from __future__ import annotations
 
@@ -99,60 +103,65 @@ class Triangulation:
         return self._edges
 
 
-class FlatEdges(NamedTuple):
-    """What the forest builder (``_build_forest``) keeps of a tree besides
-    its dicts: the edges as int64 arrays ``u`` < ``v`` with their squared
-    lengths ``sq`` (int64, or Python ints in an object array when they may
-    not fit), in ``edge_sq`` order; and ``deg`` and ``int_deg``, lists by
-    point id of every vertex's degree and number of neighbours of degree at
-    least two, shared by the trees of one forest."""
-
-    u: np.ndarray
-    v: np.ndarray
-    sq: np.ndarray
-    deg: list[int]
-    int_deg: list[int]
-
-
 class Rooting(NamedTuple):
     """A tree hung from its smallest vertex, as int64 arrays: ``parent`` and
     ``size`` by point id up to the largest vertex (the root, and every id
     outside the tree, is its own parent; ``size`` counts the vertices of
-    each subtree), and ``below``, the lower end of every edge in
-    ``edge_sq`` order."""
+    each subtree), and ``below``, the lower end of every edge in the order
+    of the tree's edge arrays."""
 
     parent: np.ndarray
     size: np.ndarray
     below: np.ndarray
 
 
-@dataclass
+@dataclass(eq=False)
 class Tree:
-    """A tree over a subset of point ids with exact squared edge lengths.
+    """A tree over a subset of point ids with exact squared edge lengths, as
+    the forest builder (``_build_forest``) made it; it is not edited
+    afterwards, since the views and the rooting it keeps would go stale.
 
     ``adj`` lists each vertex's neighbours in increasing order, with the
-    vertices in increasing order; ``edge_sq`` holds the edges (u, v), u < v,
-    in lexicographic order. ``flat`` is set on the trees of the forest
-    builder, which are not edited afterwards: it would go stale, as would
-    the rooting that ``rooted`` keeps."""
+    vertices in increasing order. The edges (u[i], v[i]), u < v, are int64
+    arrays in lexicographic order, with their squared lengths ``sq`` (int64,
+    or Python ints in an object array when they may not fit). ``deg`` and
+    ``int_deg`` are lists by point id of every vertex's degree and number of
+    neighbours of degree at least two, shared by the trees of one forest.
+    ``edge_sq`` maps each (u, v) to its squared length, in the same order;
+    it is built from the arrays on first read and kept. Two trees are equal
+    when their vertices, ``adj`` and ``edge_sq`` are."""
 
     vertices: tuple[int, ...]
     adj: dict[int, list[int]]
-    edge_sq: dict[tuple[int, int], int]
-    flat: Optional[FlatEdges] = field(default=None, repr=False, compare=False)
-    _rooting: Optional[Rooting] = field(default=None, init=False, repr=False, compare=False)
+    u: np.ndarray = field(repr=False)
+    v: np.ndarray = field(repr=False)
+    sq: np.ndarray = field(repr=False)
+    deg: list[int] = field(repr=False)
+    int_deg: list[int] = field(repr=False)
+    _edge_sq: Optional[dict[tuple[int, int], int]] = field(default=None, init=False, repr=False)
+    _rooting: Optional[Rooting] = field(default=None, init=False, repr=False)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Tree):
+            return NotImplemented
+        return (self.vertices, self.adj, self.edge_sq) == (other.vertices, other.adj, other.edge_sq)
 
     @property
     def n(self) -> int:
         return len(self.vertices)
 
+    @property
+    def edge_sq(self) -> dict[tuple[int, int], int]:
+        if self._edge_sq is None:
+            self._edge_sq = dict(zip(zip(self.u.tolist(), self.v.tolist()), self.sq.tolist()))
+        return self._edge_sq
+
     def rooted(self) -> Rooting:
         """The tree hung from its smallest vertex (``_hang``), computed on
         first use and kept."""
         if self._rooting is None:
-            u, v, _ = _flat_edges(self)
             size = self.vertices[-1] + 1 if self.vertices else 0
-            self._rooting = _hang(u, v, size, self.vertices[0] if self.vertices else 0)
+            self._rooting = _hang(self.u, self.v, size, self.vertices[0] if self.vertices else 0)
         return self._rooting
 
     def edges(self) -> list[tuple[int, int]]:
@@ -222,15 +231,16 @@ def _edge_key(u: int, v: int) -> tuple[int, int]:
 
 
 def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
-    """The coordinates minus their exact integer minimum, as an (n, 2)
-    float array, and whether the span is small enough for them to be
-    exact."""
+    """The coordinates minus their exact integer minimum, shifted right to
+    53 bits when the span is 2^53 or more, as an (n, 2) float array; and
+    whether the span is below 2^53, so that they are exact."""
     x0, y0, span, xy = pts.translated()
+    shift = max(0, span.bit_length() - 53)
     if xy is None:
-        xy = np.column_stack(
-            (np.array([x - x0 for x in pts.xs], dtype=float), np.array([y - y0 for y in pts.ys], dtype=float))
-        )
-    return xy.astype(float), span < _EXACT_FLOAT_SPAN
+        xy = np.array([[(x - x0) >> shift, (y - y0) >> shift] for x, y in zip(pts.xs, pts.ys)], dtype=np.int64)
+    else:
+        xy = xy >> shift
+    return xy.astype(float), shift == 0
 
 
 def _coord_edge_key(pts: PointSet, u: int, v: int):
@@ -757,7 +767,7 @@ def _hang(u: np.ndarray, v: np.ndarray, size: int, root: int) -> Rooting:
 
 
 def _build_forest(
-    pts: PointSet,
+    n: int,
     u: np.ndarray,
     v: np.ndarray,
     sq: np.ndarray,
@@ -765,27 +775,27 @@ def _build_forest(
     parent,
 ) -> list[Tree]:
     """The trees of the forest with edges (u[i], v[i]), u < v, of squared
-    length sq[i] over the sorted int64 point ids ``vertices`` (every id when
-    None), ordered by their smallest vertex.
+    length sq[i] over the sorted int64 point ids ``vertices`` below ``n``
+    (every id when None), ordered by their smallest vertex.
 
     Every tree of the package comes from here. The components are the
     roots (``_roots``) of ``parent``: the union-find of the ``kruskal`` pass
     that took the edges, or a rooted tree's parent array with the lower end
     of every edge left out pointing to itself. One sort of the directed
     edges by (tail, head) gives the sorted ``adj`` lists; the edges with
-    tail < head, stably sorted by component, give each tree its ``edge_sq``
-    items with the given squared lengths.
+    tail < head, stably sorted by component, are slices of one array per
+    tree in lexicographic order, with the given squared lengths. No
+    vertices make one empty tree.
     """
-    n = pts.n
     if vertices is None:
         vertices = np.arange(n, dtype=np.int64)
     # Number the components by their smallest vertex: the first of the
     # sorted vertices with each root.
     _, first, inverse = np.unique(_roots(parent)[vertices], return_index=True, return_inverse=True)
-    k = len(first)
-    rank = np.empty(k, dtype=np.int64)
-    rank[np.argsort(first)] = np.arange(k)
+    rank = np.empty(len(first), dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(len(first))
     vcomp = rank[inverse]
+    k = max(len(first), 1)
     comp = np.full(n, -1, dtype=np.int64)
     comp[vertices] = vcomp
     members = vertices[np.argsort(vcomp, kind="stable")]
@@ -800,8 +810,6 @@ def _build_forest(
         by_comp = np.argsort(ecomp, kind="stable")
         u, v, sq = u[by_comp], v[by_comp], sq[by_comp]
     ebound = np.cumsum(np.bincount(ecomp, minlength=k)).tolist()
-    keys = list(zip(u.tolist(), v.tolist()))
-    lengths = sq.tolist()
 
     heads = head.tolist()
     lists = [heads[a:b] for a, b in zip((ends - deg)[members].tolist(), ends[members].tolist())]
@@ -813,35 +821,22 @@ def _build_forest(
     vlo = elo = 0
     for vhi, ehi in zip(vbound, ebound):
         verts = members[vlo:vhi]
-        flat = FlatEdges(u[elo:ehi], v[elo:ehi], sq[elo:ehi], deg, int_deg)
         adj = dict(zip(verts, lists[vlo:vhi]))
-        trees.append(Tree(tuple(verts), adj, dict(zip(keys[elo:ehi], lengths[elo:ehi])), flat))
+        trees.append(Tree(tuple(verts), adj, u[elo:ehi], v[elo:ehi], sq[elo:ehi], deg, int_deg))
         vlo, elo = vhi, ehi
     return trees
 
 
-def _flat_edges(tree: Tree) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The tree's edges as arrays (u, v, sq) in ``edge_sq`` order."""
-    if tree.flat is not None:
-        return tree.flat.u, tree.flat.v, tree.flat.sq
-    keys = list(tree.edge_sq)
-    u = np.array([a for a, _ in keys], dtype=np.int64)
-    v = np.array([b for _, b in keys], dtype=np.int64)
-    sq = np.empty(len(keys), dtype=object)
-    sq[:] = list(tree.edge_sq.values())
-    return u, v, sq
-
-
 def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=()) -> list[Tree]:
     """The trees ``tree`` falls into when the vertices in ``drop`` leave
-    and, when given, only the edges where ``keep`` (a boolean array in
-    ``edge_sq`` order) holds remain.
+    and, when given, only the edges where ``keep`` (a boolean array in the
+    order of the tree's edge arrays) holds remain.
 
     Each part hangs from the top of the rooted tree (``Tree.rooted``) that
     it keeps: the lower end of every edge that goes is a root of its own,
     and no kept vertex reaches a dropped one, whose edges all go.
     """
-    u, v, sq = _flat_edges(tree)
+    u, v, sq = tree.u, tree.v, tree.sq
     vertices = np.array(tree.vertices, dtype=np.int64)
     if drop:
         drop = np.array(drop, dtype=np.int64)
@@ -855,7 +850,7 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
         cut = below[~keep]
         parent = parent.copy()
         parent[cut] = cut
-    return _build_forest(pts, u, v, sq, vertices, parent)
+    return _build_forest(pts.n, u, v, sq, vertices, parent)
 
 
 def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> list[Tree]:
@@ -863,7 +858,7 @@ def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> lis
     ``edges`` = (sq, u, v) of ``sorted_candidate_edges``; ``parent`` is the
     union-find of the ``kruskal`` pass that took them."""
     sq, u, v = edges
-    return _build_forest(pts, u[taken], v[taken], sq[taken], None, parent)
+    return _build_forest(pts.n, u[taken], v[taken], sq[taken], None, parent)
 
 
 def indexed(edges):
@@ -894,7 +889,7 @@ def emst5(pts: PointSet) -> Tree:
         raise TooFewPoints("need at least 1 point")
     if n == 1:
         none = np.zeros(0, dtype=np.int64)
-        return _build_forest(pts, none, none, none, None, [0])[0]
+        return _build_forest(n, none, none, none, None, [0])[0]
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
     parent = list(range(n))
     taken = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n, parent), n - 1)]
@@ -911,8 +906,8 @@ def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
     and reads. At or above the longest edge the forest is a tree of the
     forest builder itself, already in the form ``subtrees`` would rebuild.
     """
-    keep = np.asarray(_flat_edges(tree)[2] <= sq_limit, dtype=bool)
-    if tree.flat is not None and keep.all():
+    keep = np.asarray(tree.sq <= sq_limit, dtype=bool)
+    if keep.all():
         return Forest(trees=[tree])
     return Forest(trees=subtrees(pts, tree, keep=keep))
 
@@ -953,7 +948,7 @@ def even_threshold(tree: Tree) -> int:
     odd = size[below] % 2 == 1
     if not odd.any():
         raise TooFewPoints("no edge length leaves every component even")
-    return int(_flat_edges(tree)[2][odd].max())
+    return int(tree.sq[odd].max())
 
 
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
@@ -1061,12 +1056,11 @@ def _kdtree(pts: PointSet):
     """A cKDTree over the translated coordinates, built once and kept on the
     PointSet; None when the span is 2^53 or more and they are not exact."""
     if pts._kdtree is None:
-        xy, exact = _translated_floats(pts)
-        if not exact:
+        if pts.translated()[2] >= _EXACT_FLOAT_SPAN:
             return None
         from scipy.spatial import cKDTree
 
-        pts._kdtree = cKDTree(xy)
+        pts._kdtree = cKDTree(_translated_floats(pts)[0])
     return pts._kdtree
 
 
@@ -1124,15 +1118,11 @@ def skeleton(tree: Tree) -> SkeletonTree:
     """The induced subtree on vertices of degree >= 2.
 
     Empty for trees with at most two vertices; an isolated vertex also
-    yields an empty skeleton.
+    yields an empty skeleton. A tree less its leaves is connected, so the
+    builder gets one component: every parent is 0.
     """
-    internal = [v for v in tree.vertices if len(tree.adj[v]) >= 2]
-    internal_set = set(internal)
-    adj = {v: [u for u in tree.adj[v] if u in internal_set] for v in internal}
-    edge_sq = {}
-    for v in internal:
-        for u in adj[v]:
-            if v < u:
-                edge_sq[(v, u)] = tree.edge_sq[_edge_key(v, u)]
-    sk = Tree(vertices=tuple(internal), adj=adj, edge_sq=edge_sq)
-    return SkeletonTree(tree=sk, back_map=tuple(internal))
+    internal = np.array([v for v in tree.vertices if len(tree.adj[v]) >= 2], dtype=np.int64)
+    keep = np.isin(tree.u, internal) & np.isin(tree.v, internal)
+    n = tree.vertices[-1] + 1 if tree.vertices else 0
+    (sk,) = _build_forest(n, tree.u[keep], tree.v[keep], tree.sq[keep], internal, np.zeros(n, dtype=np.int64))
+    return SkeletonTree(tree=sk, back_map=sk.vertices)

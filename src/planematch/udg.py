@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from ._nogc import nogc
-from .errors import DisconnectedInput, InvariantViolation
+from .errors import BadParameters, DisconnectedInput, InvariantViolation
 from .geometry import SCALE, PointSet, cross_ids
 from .matching import Matching, _crossing_candidates
 from .proximity import Tree, disk_graph, emst5
@@ -95,9 +95,11 @@ def one_third(
 
     Crossing pairs meeting at an angle of at most pi/3 are re-paired (which
     strictly shrinks total length), then the fixpoint is partitioned into
-    three direction classes and the largest class is returned. If the
-    rotation cap fires, the trace is flagged and the largest class is
-    greedily planarized instead, preserving planarity but not the bound.
+    three direction classes and the largest class is returned. At most
+    ``cap`` rotations are made; if rotatable pairs are left after them, the
+    trace is flagged and the largest class is greedily planarized instead,
+    preserving planarity but not the bound. A negative cap raises
+    ``BadParameters``.
 
     The rotatable pairs (e, f), e < f, are kept in a table filled once from
     the grid of ``_crossing_candidates``. Each rotation takes the smallest,
@@ -110,6 +112,8 @@ def one_third(
         raise InvariantViolation("input pairs share vertices")
     if cap is None:
         cap = 10 * pts.n**3
+    if cap < 0:
+        raise BadParameters(f"the rotation cap must be at least 0, got {cap}")
     pairs = sorted(m.pairs)
     trace = RotationTrace()
     xs, ys = pts.xs, pts.ys
@@ -132,6 +136,9 @@ def one_third(
         record(pairs[i], pairs[j])
     total = _total_length(pts, pairs)
     while table:
+        if len(trace.steps) >= cap:
+            trace.capped = True
+            break
         e, f = min(table)
         repl = table[e, f]
         before = total
@@ -148,9 +155,6 @@ def one_third(
         trace.steps.append(
             RotationStep(removed=(e, f), added=(new1, new2), total_before=before, total_after=total)
         )
-        if len(trace.steps) >= cap:
-            trace.capped = True
-            break
         for key in [k for k in table if e in k or f in k]:
             del table[key]
         # The new edges lie in opposite cones at the old crossing point, so
@@ -231,37 +235,24 @@ class _LiveTree:
     every vertex whose counts change, so ``pop_leaf`` returns the smallest
     skeleton leaf. ``size`` is the number of live vertices. Set-up writes
     only the tree's own vertices, in O(|tree|), and takes their counts from
-    the forest builder (``Tree.flat``) when the tree has them.
+    the forest builder (``Tree.deg``, ``Tree.int_deg``).
     """
 
     def __init__(self, tree: Tree, state: _PeelState):
         self.tree = tree
-        self.adj = adj = tree.adj
+        self.adj = tree.adj
         alive = self.alive = state.alive
         deg = self.deg = state.deg
         int_deg = self.int_deg = state.int_deg
         in_heap = self.in_heap = state.in_heap
         vertices = tree.vertices
         self.size = len(vertices)
+        tree_deg, tree_int_deg = tree.deg, tree.int_deg
         for v in vertices:
             alive[v] = 1
             in_heap[v] = 0
-        flat = tree.flat
-        if flat is None:
-            for v in vertices:
-                deg[v] = len(adj[v])
-            for v in vertices:
-                d = 0
-                for u in adj[v]:
-                    if deg[u] >= 2:
-                        d += 1
-                int_deg[v] = d
-        else:
-            # The forest builder counted both already.
-            tree_deg, tree_int_deg = flat.deg, flat.int_deg
-            for v in vertices:
-                deg[v] = tree_deg[v]
-                int_deg[v] = tree_int_deg[v]
+            deg[v] = tree_deg[v]
+            int_deg[v] = tree_int_deg[v]
         heap = [v for v in vertices if int_deg[v] <= 1 and deg[v] >= 2]
         for v in heap:
             in_heap[v] = 1

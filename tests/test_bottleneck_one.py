@@ -26,7 +26,8 @@ from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
 from planematch.matching import validate
 from planematch.oracle import exact_bottleneck_plane
-from planematch.proximity import Tree, emst5, even_threshold, forest_leq, second_closest
+from planematch.proximity import emst5, even_threshold, forest_leq, second_closest
+from test_kruskal import built_tree
 
 S = SCALE
 
@@ -352,25 +353,7 @@ def test_match_tree_first_degree_four_case():
     # Center with four spokes plus one extended arm: some iteration sees
     # degree four, so plain peeling already meets the bound.
     pts = ps((0, 0), (0, 1), (0, -1), (1, 0), (-1, 0), (0, 2))
-    adj = {
-        0: [1, 2, 3, 4],
-        1: [0, 5],
-        2: [0],
-        3: [0],
-        4: [0],
-        5: [1],
-    }
-    tree = Tree(
-        vertices=(0, 1, 2, 3, 4, 5),
-        adj=adj,
-        edge_sq={
-            (0, 1): pts.sq_dist(0, 1),
-            (0, 2): pts.sq_dist(0, 2),
-            (0, 3): pts.sq_dist(0, 3),
-            (0, 4): pts.sq_dist(0, 4),
-            (1, 5): pts.sq_dist(1, 5),
-        },
-    )
+    tree = built_tree(pts, [(0, 1), (0, 2), (0, 3), (0, 4), (1, 5)])
     m = match_tree_first(pts, tree)
     assert m.size >= 2
     assert validate(pts, m).is_plane

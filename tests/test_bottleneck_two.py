@@ -19,7 +19,8 @@ from planematch.errors import NotSkeletonLeaf, OddPointCount
 from planematch.geometry import SCALE, PointSet, convex_empty
 from planematch.matching import validate
 from planematch.oracle import exact_bottleneck_plane
-from planematch.proximity import Tree, emst5
+from planematch.proximity import emst5
+from test_kruskal import built_tree
 
 S = SCALE
 # (sqrt(2)+sqrt(3))^2 = 5 + 2*sqrt(6), bounded above by this rational.
@@ -29,21 +30,6 @@ FACTOR_SQ_DEN = 10**9
 
 def ps(*coords):
     return PointSet((round(x * S), round(y * S)) for x, y in coords)
-
-
-def tree_of(pts, edges):
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, []).append(v)
-        adj.setdefault(v, []).append(u)
-    verts = tuple(sorted(adj))
-    return Tree(
-        vertices=verts,
-        adj={v: sorted(us) for v, us in adj.items()},
-        edge_sq={
-            (min(u, v), max(u, v)): pts.sq_dist(u, v) for u, v in edges
-        },
-    )
 
 
 def random_even_pointset(rng, n, span=30):
@@ -99,29 +85,29 @@ def test_even_forest_last_edge_at_most_optimum():
 
 def test_is_anchor_boundary_pi():
     pts = ps((0, 0), (0, 1), (1, 0), (-1, 0))
-    tree = tree_of(pts, [(0, 1), (0, 2), (0, 3), (1, 4)] if False else [(0, 1), (0, 2), (0, 3)])
+    tree = built_tree(pts, [(0, 1), (0, 2), (0, 3), (1, 4)] if False else [(0, 1), (0, 2), (0, 3)])
     # v=0 with internal neighbour 1 requires 1 to be internal: extend.
     pts = ps((0, 0), (0, 1), (1, 0), (-1, 0), (0, 2))
-    tree = tree_of(pts, [(0, 1), (0, 2), (0, 3), (1, 4)])
+    tree = built_tree(pts, [(0, 1), (0, 2), (0, 3), (1, 4)])
     assert is_anchor(pts, tree, 0) is True
 
 
 def test_is_anchor_quarter_turn_false():
     pts = ps((0, 0), (0, 1), (1, 0), (0, -1), (0, 2))
-    tree = tree_of(pts, [(0, 1), (0, 2), (0, 3), (1, 4)])
+    tree = built_tree(pts, [(0, 1), (0, 2), (0, 3), (1, 4)])
     # Clockwise from (1,0) to (0,-1) is pi/2 < pi.
     assert is_anchor(pts, tree, 0) is False
 
 
 def test_is_anchor_one_leaf_false():
     pts = ps((0, 0), (0, 1), (1, 0), (0, 2))
-    tree = tree_of(pts, [(0, 1), (0, 2), (1, 3)])
+    tree = built_tree(pts, [(0, 1), (0, 2), (1, 3)])
     assert is_anchor(pts, tree, 0) is False
 
 
 def test_is_anchor_not_skeleton_leaf_raises():
     pts = ps((0, 0), (1, 0), (2, 0), (3, 0))
-    tree = tree_of(pts, [(0, 1), (1, 2), (2, 3)])
+    tree = built_tree(pts, [(0, 1), (1, 2), (2, 3)])
     with pytest.raises(NotSkeletonLeaf):
         is_anchor(pts, tree, 0)  # a leaf of the tree, not of the skeleton
 
@@ -161,7 +147,7 @@ def test_match_tree_case1_eight_vertices():
         (-1, 2.8), # 6 = u1 (leaf of z)
         (1, 2.8),  # 7 = u2 (leaf of z)
     )
-    tree = tree_of(pts, [(2, 0), (2, 1), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)])
+    tree = built_tree(pts, [(2, 0), (2, 1), (2, 3), (3, 4), (4, 5), (5, 6), (5, 7)])
     assert is_anchor(pts, tree, 2) is True
     assert is_anchor(pts, tree, 5) is True
     res = match_tree_detailed(pts, tree, validate_regions=True)

@@ -5,6 +5,7 @@ import contextlib
 import io
 import json
 import math
+import random
 import runpy
 import sys
 
@@ -15,7 +16,7 @@ from hypothesis import strategies as st
 from planematch import bottleneck_two, cli
 from planematch.cli import main
 from planematch.errors import BadParameters, DuplicatePoint, FormatError
-from planematch.geometry import SCALE
+from planematch.geometry import SCALE, PointSet
 from planematch.io import format_points, gen_points, parse_points, render_svg
 from planematch.matching import Matching, validate
 
@@ -147,6 +148,19 @@ def test_cli_one_third(capsys):
     assert 0 < rep["lambda_lower_bound"]
 
 
+def test_cli_one_third_cap_counts_rotations(capsys):
+    # This instance reaches its fixpoint after three rotations.
+    caps = {}
+    for cap in ("0", "2", "3", "4"):
+        code, rep = run_cli(capsys, "one-third", "--n", "400", "--seed", "2", "--cap", cap)
+        assert code == 0
+        caps[cap] = rep["rotations"], rep["cap_exceeded"]
+    assert caps == {"0": (0, True), "2": (2, True), "3": (3, False), "4": (3, False)}
+    code, rep = run_cli(capsys, "one-third", "--n", "400", "--seed", "2", "--cap", "-1")
+    assert code == 2
+    assert rep["error"]["code"] == "bad_parameters"
+
+
 def test_cli_udg_match_star_chain(capsys):
     code, rep = run_cli(capsys, "udg-match", "--n", "16", "--mode", "star-chain")
     assert code == 0
@@ -258,6 +272,24 @@ def test_cli_matches_points_qhull_drops(capsys, tmp_path, algorithm):
         m = Matching.of(pts, [tuple(e) for e in rep["edges"]])
         report = validate(pts, m)
         assert report.is_plane and report.is_matching
+
+
+@pytest.mark.parametrize("exponent", [80, 150, 300])
+@pytest.mark.parametrize("algorithm", ["approx1", "approx2"])
+def test_cli_matches_points_with_wide_spans(capsys, tmp_path, algorithm, exponent):
+    # Qhull fails on coordinates this large, even joggled, unless it gets
+    # them shifted down to 53 bits; the bottleneck and lower bound pass
+    # 2^1024 when squared.
+    rng = random.Random(exponent)
+    coords = set()
+    while len(coords) < 200:
+        coords.add((rng.randrange(10**exponent * SCALE), rng.randrange(10**exponent * SCALE)))
+    f = tmp_path / "pts.txt"
+    f.write_text(format_points(PointSet(sorted(coords))))
+    code, rep = run_cli(capsys, algorithm, "--input", str(f))
+    assert code == 0
+    assert rep["plane"] and all(rep["checks"].values())
+    assert 10 ** (exponent - 3) < rep["bottleneck"] < 10 ** (exponent + 1)
 
 
 def test_python_m_planematch(capsys, monkeypatch):

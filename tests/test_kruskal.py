@@ -8,6 +8,7 @@ from __future__ import annotations
 import random
 from itertools import islice
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,11 +20,15 @@ from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
 from planematch.proximity import (
     Tree,
+    _build_forest,
     delaunay,
     disk_graph,
     emst5,
+    forest_leq,
     kruskal,
+    skeleton,
     sorted_candidate_edges,
+    subtrees,
 )
 
 S = SCALE
@@ -34,9 +39,26 @@ def rows(edges) -> list[tuple[int, int, int]]:
     return list(zip(*(a.tolist() for a in edges)))
 
 
-def reference_tree_from_adj(pts: PointSet, vertices, adj) -> Tree:
-    """The Tree of adjacency sets as the depth-first builder made it: sorted
-    vertices and lists, lexicographic edges with recomputed lengths."""
+def built_tree(pts: PointSet, edges, vertices=None) -> Tree:
+    """The Tree the forest builder makes of the (u, v) pairs ``edges``, with
+    their exact squared lengths, as one component over ``vertices`` (the
+    ends of the edges when None)."""
+    ends = sorted((min(e), max(e)) for e in edges)
+    u = np.array([a for a, _ in ends], dtype=np.int64)
+    v = np.array([b for _, b in ends], dtype=np.int64)
+    sq = np.empty(len(ends), dtype=object)
+    sq[:] = [pts.sq_dist(a, b) for a, b in ends]
+    if vertices is None:
+        vertices = {x for e in ends for x in e}
+    verts = np.array(sorted(vertices), dtype=np.int64)
+    (tree,) = _build_forest(pts.n, u, v, sq, verts, np.zeros(pts.n, dtype=np.int64))
+    return tree
+
+
+def reference_shape_from_adj(pts: PointSet, vertices, adj):
+    """The ``shape`` of the Tree the depth-first builder made of adjacency
+    sets: sorted vertices and lists, lexicographic edges with recomputed
+    lengths."""
     verts = tuple(sorted(vertices))
     tadj = {v: sorted(adj[v]) for v in verts}
     edge_sq = {}
@@ -44,12 +66,13 @@ def reference_tree_from_adj(pts: PointSet, vertices, adj) -> Tree:
         for u in tadj[v]:
             if v < u:
                 edge_sq[(v, u)] = pts.sq_dist(v, u)
-    return Tree(vertices=verts, adj=tadj, edge_sq=edge_sq)
+    return verts, tadj, edge_sq
 
 
-def reference_component_trees(pts: PointSet, adj) -> list[Tree]:
-    """The trees of the components of ``adj`` by depth-first search, ordered
-    by their smallest vertex: the walk the forest builder replaced."""
+def reference_component_trees(pts: PointSet, adj) -> list:
+    """The shapes of the trees of the components of ``adj`` by depth-first
+    search, ordered by their smallest vertex: the walk the forest builder
+    replaced."""
     seen: set[int] = set()
     trees = []
     for start in sorted(adj):
@@ -65,12 +88,13 @@ def reference_component_trees(pts: PointSet, adj) -> list[Tree]:
                     seen.add(y)
                     comp.append(y)
                     stack.append(y)
-        trees.append(reference_tree_from_adj(pts, comp, adj))
+        trees.append(reference_shape_from_adj(pts, comp, adj))
     return trees
 
 
 def reference_even_forest(pts: PointSet):
-    """(trees, last_edge, last_sq) by the loop even_forest used to run."""
+    """(tree shapes, last_edge, last_sq) by the loop even_forest used to
+    run."""
     n = pts.n
     parent = list(range(n))
     size = [1] * n
@@ -105,7 +129,8 @@ def reference_even_forest(pts: PointSet):
 
 
 def reference_emst5(pts: PointSet):
-    """The tree emst5 used to build with its own union-find class."""
+    """The shape of the tree emst5 used to build with its own union-find
+    class."""
     n = pts.n
     parent = list(range(n))
     size = [1] * n
@@ -134,7 +159,7 @@ def reference_emst5(pts: PointSet):
         if taken == n - 1:
             break
     assert all(len(nbrs) <= 5 for nbrs in adj.values())
-    return reference_tree_from_adj(pts, range(n), adj)
+    return reference_shape_from_adj(pts, range(n), adj)
 
 
 def reference_barrier_sq(window, adj, sq_from: int, barrier: list[int]) -> int:
@@ -244,14 +269,14 @@ def even(coords):
 
 def check_consumers(coords) -> None:
     pts = PointSet(coords)
-    assert shape(emst5(pts)) == shape(reference_emst5(pts))
+    assert shape(emst5(pts)) == reference_emst5(pts)
     pts = PointSet(even(coords))
     if pts.n < 2:
         return
     ef = even_forest(pts)
     trees, last_edge, last_sq = reference_even_forest(pts)
     assert (ef.last_edge, ef.last_sq) == (last_edge, last_sq)
-    assert list(map(shape, ef.forest.trees)) == list(map(shape, trees))
+    assert list(map(shape, ef.forest.trees)) == trees
     barrier_steps(pts)
 
 
@@ -266,6 +291,57 @@ def test_consumers_equal_reference_loops_on_grid_subsets(cells):
     # A 7x7 grid: lengths tie everywhere, so the order in which Kruskal
     # takes equal edges decides the trees.
     check_consumers([(x * S, y * S) for x, y in cells])
+
+
+def assert_built_tree(pts: PointSet, tree: Tree) -> None:
+    """The views of a tree the forest builder made agree with its edge
+    arrays: ``edge_sq`` is the arrays' items in lexicographic order, ``adj``
+    is exactly the adjacency of those edges, and the forest's ``deg`` and
+    ``int_deg`` count it."""
+    u, v, sq = tree.u.tolist(), tree.v.tolist(), tree.sq.tolist()
+    edges = list(zip(u, v))
+    assert edges == sorted(edges) and all(a < b for a, b in edges)
+    assert sq == [pts.sq_dist(a, b) for a, b in edges]
+    assert list(tree.edge_sq.items()) == list(zip(edges, sq))
+    assert list(tree.vertices) == sorted(tree.vertices) == list(tree.adj)
+    nbrs = {x: [] for x in tree.vertices}
+    for a, b in edges:
+        nbrs[a].append(b)
+        nbrs[b].append(a)
+    assert tree.adj == {x: sorted(ys) for x, ys in nbrs.items()}
+    assert len(edges) == max(tree.n - 1, 0)
+    for x in tree.vertices:
+        assert tree.deg[x] == len(tree.adj[x])
+        assert tree.int_deg[x] == sum(len(tree.adj[y]) >= 2 for y in tree.adj[x])
+
+
+def check_builder(coords, seed: int) -> None:
+    """``assert_built_tree`` on every tree of emst5, skeleton, forest_leq,
+    subtrees and even_forest."""
+    pts = PointSet(coords)
+    mst = emst5(pts)
+    trees = [mst, skeleton(mst).tree]
+    for limit in sorted(set(mst.sq.tolist())) + [-1]:
+        trees += forest_leq(mst, limit, pts).trees
+    rng = random.Random(seed)
+    keep = np.array([rng.random() < 0.7 for _ in range(len(mst.u))], dtype=bool)
+    drop = tuple(rng.sample(mst.vertices, min(2, mst.n)))
+    trees += subtrees(pts, mst, keep=keep) + subtrees(pts, mst, drop=drop)
+    if pts.n % 2 == 0:
+        trees += even_forest(pts).forest.trees
+    for tree in trees:
+        assert_built_tree(pts, tree)
+
+
+@pytest.mark.parametrize("name,coords", list(degenerate_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_built_trees_agree_with_their_arrays(name, coords):
+    check_builder(coords, len(coords))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sets(st.tuples(st.integers(0, 10**4), st.integers(0, 10**4)), min_size=1, max_size=40), st.integers(0, 2**32))
+def test_built_trees_agree_with_their_arrays_on_random_sets(cells, seed):
+    check_builder([(x * 997, y * 991) for x, y in cells], seed)
 
 
 def test_barrier_sq_equals_reference_on_uniform_instances():

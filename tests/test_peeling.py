@@ -20,7 +20,7 @@ from planematch.geometry import SCALE, PointSet, cross_ids
 from planematch.matching import Matching
 from planematch.proximity import Tree, emst5, skeleton
 from planematch.udg import PeelResult, _LiveTree, _PeelState, run_peeling
-from test_kruskal import degenerate_corpus
+from test_kruskal import built_tree, degenerate_corpus
 
 S = SCALE
 
@@ -271,12 +271,10 @@ def test_first_approx_equals_fresh_per_tree_runs(make, constructions):
     assert got == Matching.of(pts, pairs)
 
 
-def with_chord(tree: Tree) -> Tree:
+def with_chord(pts: PointSet, tree: Tree) -> Tree:
     """The tree plus an edge between its smallest and largest vertex: a
     cycle that peeling can never consume."""
-    a, b = tree.vertices[0], tree.vertices[-1]
-    adj = {v: sorted(tree.adj[v] + [b] * (v == a) + [a] * (v == b)) for v in tree.vertices}
-    return Tree(vertices=tree.vertices, adj=adj, edge_sq=dict(tree.edge_sq))
+    return built_tree(pts, tree.edges() + [(tree.vertices[0], tree.vertices[-1])])
 
 
 def test_failed_tree_leaves_later_trees_unchanged():
@@ -290,11 +288,11 @@ def test_failed_tree_leaves_later_trees_unchanged():
             continue
         # Both peelings stop part way, leaving the tree's vertices half removed.
         with pytest.raises(InvariantViolation):
-            match_tree_detailed(pts, with_chord(tree))
+            match_tree_detailed(pts, with_chord(pts, tree))
         assert 0 < sum(not pts._peel.alive[v] for v in tree.vertices) < tree.n
         assert match_tree_detailed(pts, tree) == expected[i]
         with pytest.raises(InvariantViolation):
-            run_peeling(pts, with_chord(tree))
+            run_peeling(pts, with_chord(pts, tree))
         assert run_peeling(pts, tree) == expected_peel[i]
     assert [match_tree_detailed(pts, t) for t in trees] == expected
 

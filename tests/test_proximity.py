@@ -13,14 +13,13 @@ from hypothesis import strategies as st
 
 from planematch.bottleneck_two import even_forest
 from planematch.errors import OddPointCount, TooFewPoints
-from planematch.geometry import PointSet, angle_lt_third_pi, cross_ids, orient, point_in_triangle_closed
+from planematch.geometry import PointSet, cross_ids, orient, point_in_triangle_closed
 from planematch.io import gen_points
 from planematch.proximity import (
     _build_forest,
     _ccw,
     _canonicalize,
     _certified_delaunay,
-    _flat_edges,
     _FlipMesh,
     _incircle_det_int,
     _sorted_edges_exact,
@@ -41,6 +40,7 @@ from planematch.proximity import (
     subtrees,
 )
 from planematch.udg import plane_matching
+from test_kruskal import built_tree
 
 S = 10**6
 
@@ -586,6 +586,17 @@ def test_emst5_hexagon_center_degree_reduction():
     assert len(got) == 6
 
 
+def angle_lt_third_pi(pts: PointSet, a: int, v: int, b: int) -> bool:
+    """Exact test: the unsigned angle a-v-b is strictly below pi/3."""
+    xs, ys = pts.xs, pts.ys
+    ux, uy = xs[a] - xs[v], ys[a] - ys[v]
+    wx, wy = xs[b] - xs[v], ys[b] - ys[v]
+    dot = ux * wx + uy * wy
+    if dot <= 0:
+        return False
+    return 4 * dot * dot > (ux * ux + uy * uy) * (wx * wx + wy * wy)
+
+
 def assert_degree_five_and_wide_angles(pts: PointSet, tree) -> None:
     """Every vertex of ``tree`` has degree at most five, and no two of its
     tree edges meet below pi/3."""
@@ -703,7 +714,7 @@ def reference_even_threshold(tree) -> int:
 def reference_subtrees(pts, tree, keep=None, drop=()):
     """``subtrees`` with the components labelled by a Kruskal pass over the
     edges that stay."""
-    u, v, sq = _flat_edges(tree)
+    u, v, sq = tree.u, tree.v, tree.sq
     stay = ~(np.isin(u, drop) | np.isin(v, drop)) if drop else np.ones(len(u), dtype=bool)
     if keep is not None:
         stay &= keep
@@ -712,7 +723,7 @@ def reference_subtrees(pts, tree, keep=None, drop=()):
     for _ in kruskal(indexed((sq, u, v)), pts.n, pts.n, parent):
         pass
     vertices = np.array(sorted(set(tree.vertices) - set(drop)), dtype=np.int64)
-    return _build_forest(pts, u, v, sq, vertices, parent)
+    return _build_forest(pts.n, u, v, sq, vertices, parent)
 
 
 def reference_rooting(tree):
@@ -742,9 +753,8 @@ def assert_rooting_equals_reference_passes(pts: PointSet, drop_at: int) -> None:
         assert {x: int(rooting.size[x]) for x in tree.vertices} == size
         if tree.n % 2 == 0:
             assert even_threshold(tree) == reference_even_threshold(tree)
-        sq = _flat_edges(tree)[2]
         for limit in sorted(set(tree.edge_sq.values())) + [-1]:
-            keep = np.asarray(sq <= limit, dtype=bool)
+            keep = np.asarray(tree.sq <= limit, dtype=bool)
             assert forest_leq(tree, limit, pts).trees == reference_subtrees(pts, tree, keep)
         x = tree.vertices[drop_at % tree.n]
         for drop in ((x,), (x, tree.adj[x][0]) if tree.adj[x] else (x,)):
@@ -1075,15 +1085,7 @@ def test_skeleton_path_and_star():
     star = ps((0, 0), (1, 0), (0, 1), (-1, 0), (0, -1), (0.7, 0.8))
     st_tree = emst5(star)
     # Not necessarily a star; build one explicitly instead.
-    from planematch.proximity import Tree
-
-    adj = {0: [1, 2, 3, 4, 5], 1: [0], 2: [0], 3: [0], 4: [0], 5: [0]}
-    t = Tree(
-        vertices=(0, 1, 2, 3, 4, 5),
-        adj=adj,
-        edge_sq={(0, i): star.sq_dist(0, i) for i in range(1, 6)},
-    )
-    sk2 = skeleton(t)
+    sk2 = skeleton(built_tree(star, [(0, i) for i in range(1, 6)]))
     assert sk2.back_map == (0,)
     assert sk2.tree.edges() == []
 

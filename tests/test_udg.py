@@ -242,6 +242,9 @@ def reference_one_third(pts, m, cap=None):
                     break
         if found is None:
             break
+        if len(trace.steps) >= cap:
+            trace.capped = True
+            break
         i, j, repl = found
         before = _total_length(pts, pairs)
         removed = (pairs[i], pairs[j])
@@ -250,9 +253,6 @@ def reference_one_third(pts, m, cap=None):
         del pairs[i]
         pairs = sorted(pairs + [new1, new2])
         trace.steps.append(RotationStep(removed, (new1, new2), before, _total_length(pts, pairs)))
-        if len(trace.steps) >= cap:
-            trace.capped = True
-            break
     classes = [[], [], []]
     for pair in pairs:
         classes[_direction_class(pts, *pair)].append(pair)
@@ -268,11 +268,15 @@ def reference_one_third(pts, m, cap=None):
 
 
 def assert_one_third_equals_reference(pts, m):
-    for cap in (None, 0, 1):
+    rotations = len(one_third(pts, m)[1].steps)
+    for cap in (None, 0, 1, rotations):
         out, trace = one_third(pts, m, cap=cap)
         ref_out, ref_trace = reference_one_third(pts, m, cap=cap)
         assert out.pairs == ref_out.pairs
         assert trace == ref_trace
+        # The cap fires only when rotatable pairs are left after it.
+        assert trace.capped == (cap is not None and cap < rotations)
+        assert len(trace.steps) == (rotations if cap is None else min(cap, rotations))
 
 
 def shuffled_matching(pts, seed):
