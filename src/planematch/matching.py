@@ -16,8 +16,10 @@ from .errors import FormatError
 from .geometry import PointSet, segments_cross_coords
 
 
-# From this many pairs up, ``Matching.of`` and ``validate`` work on int64
-# arrays; below it Python loops are faster than numpy's per-call overhead.
+# From this many pairs up, ``Matching.of`` normalises the pairs in an int64
+# id array and ``validate`` proves them vertex-disjoint with one bincount;
+# below it Python loops are faster than numpy's per-call overhead. Crossing
+# candidates take the box kernel at every size.
 _ARRAY_MIN_PAIRS = 256
 
 
@@ -107,19 +109,31 @@ class ValidationReport:
 
 def _crossing_candidates(pts: PointSet, pairs, ends: Optional[np.ndarray] = None) -> list[tuple[int, int]]:
     """The index pairs (i, j), i < j, of the edges ``pairs`` whose bounding
-    boxes meet, in row-major order: every pair that can cross.
-
-    From ``_ARRAY_MIN_PAIRS`` edges up and below ``INT64_SPAN`` the boxes
-    are paired in int64 arrays (``_box_pairs_int64``; ``ends`` is ``pairs``
-    as an (m, 2) array when the caller has it); otherwise by the Python
-    generator ``_box_pairs_exact``, sorted.
-    """
-    xy = pts.translated()[3] if len(pairs) >= _ARRAY_MIN_PAIRS else None
-    if xy is not None and ends is None:
+    boxes meet, in row-major order: every pair that can cross. ``ends`` is
+    ``pairs`` as an (m, 2) array when the caller has it."""
+    if ends is None:
         ends = _pair_array(pairs)
-    if xy is None or ends is None:
-        return sorted(_box_pairs_exact(pts, pairs))
-    return _box_pairs_int64(xy, ends)
+    return _box_pairs(_boxes(_translated_xy(pts), ends))
+
+
+def _translated_xy(pts: PointSet) -> np.ndarray:
+    """The (n, 2) coordinates less the least x and y: ``PointSet.translated``'s
+    int64 array below ``INT64_SPAN``, the same values as Python ints in an
+    object array past it, so boxes are exact at any span."""
+    x0, y0, _, xy = pts.translated()
+    if xy is None:
+        xy = np.empty((pts.n, 2), dtype=object)
+        xy[:, 0] = [x - x0 for x in pts.xs]
+        xy[:, 1] = [y - y0 for y in pts.ys]
+    return xy
+
+
+def _boxes(xy: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The bounding boxes (x0, y0, x1, y1) of the edges ``ends``, one array
+    per side, over the translated coordinates ``xy``."""
+    xs, ys = xy[:, 0], xy[:, 1]
+    xa, xb, ya, yb = xs[ends[:, 0]], xs[ends[:, 1]], ys[ends[:, 0]], ys[ends[:, 1]]
+    return np.minimum(xa, xb), np.minimum(ya, yb), np.maximum(xa, xb), np.maximum(ya, yb)
 
 
 def _grid(m: int, dims) -> int:
@@ -128,27 +142,26 @@ def _grid(m: int, dims) -> int:
     return max(1, int(dims[(19 * m) // 20]) + 1)
 
 
-def _box_pairs_int64(xy: np.ndarray, ends: np.ndarray) -> list[tuple[int, int]]:
-    """``_crossing_candidates`` on translated int64 coordinates ``xy``.
+def _box_pairs(box) -> list[tuple[int, int]]:
+    """The index pairs (i, j), i < j, of the boxes ``box`` (``_boxes``) that
+    meet, in row-major order.
 
     Each box is listed once per grid cell it meets (``_grid``'s rule), the
     list is sorted by cell, and every two boxes that share a cell form a
     pair; a box meeting more than m cells is compared with every box
     instead. Boxes that meet share a cell, so the pairs whose boxes meet,
     deduplicated by the code i * m + j, are all of them, in row-major
-    order.
+    order. Past ``INT64_SPAN`` the boxes and cell coordinates are Python
+    ints in object arrays; the cell counts are capped, so they are int64.
     """
-    m = len(ends)
+    m = len(box[0])
     if m < 2:
         return []
-    xs, ys = xy[:, 0], xy[:, 1]
-    xa, xb, ya, yb = xs[ends[:, 0]], xs[ends[:, 1]], ys[ends[:, 0]], ys[ends[:, 1]]
-    box = (np.minimum(xa, xb), np.minimum(ya, yb), np.maximum(xa, xb), np.maximum(ya, yb))
     cell = _grid(m, np.sort(np.maximum(box[2] - box[0], box[3] - box[1])))
     cx0, cy0 = box[0] // cell, box[1] // cell
     # Cells per axis, capped so that their product cannot overflow.
-    wide = np.minimum(box[2] // cell - cx0 + 1, m + 1)
-    high = np.minimum(box[3] // cell - cy0 + 1, m + 1)
+    wide = np.minimum(box[2] // cell - cx0 + 1, m + 1).astype(np.int64)
+    high = np.minimum(box[3] // cell - cy0 + 1, m + 1).astype(np.int64)
     cells = wide * high
     big = cells > m
     cells[big] = 0
@@ -186,56 +199,6 @@ def _meet(box, i, j) -> np.ndarray:
     elementwise."""
     x0, y0, x1, y1 = box
     return (x0[i] <= x1[j]) & (x0[j] <= x1[i]) & (y0[i] <= y1[j]) & (y0[j] <= y1[i])
-
-
-def _box_pairs_exact(pts: PointSet, pairs):
-    """``_crossing_candidates`` in Python ints, any span.
-
-    Exact crossing requires overlapping bounding boxes, so bucketing the
-    boxes on a grid sized to the typical edge never misses a crossing pair.
-    Up to 64 edges every pair of boxes is compared, in row-major order;
-    past that the pairs come in bucket order.
-    """
-    m = len(pairs)
-    xs, ys = pts.xs, pts.ys
-    boxes = []
-    dims = []
-    for a, b in pairs:
-        x0, x1 = (xs[a], xs[b]) if xs[a] <= xs[b] else (xs[b], xs[a])
-        y0, y1 = (ys[a], ys[b]) if ys[a] <= ys[b] else (ys[b], ys[a])
-        boxes.append((x0, y0, x1, y1))
-        dims.append(max(x1 - x0, y1 - y0))
-    if m <= 64:
-        for i in range(m):
-            bx = boxes[i]
-            for j in range(i + 1, m):
-                by = boxes[j]
-                if not (bx[0] > by[2] or by[0] > bx[2] or bx[1] > by[3] or by[1] > bx[3]):
-                    yield i, j
-        return
-    dims.sort()
-    cell = _grid(m, dims)
-    buckets: dict[tuple[int, int], list[int]] = {}
-    for idx, (x0, y0, x1, y1) in enumerate(boxes):
-        for cx in range(x0 // cell, x1 // cell + 1):
-            for cy in range(y0 // cell, y1 // cell + 1):
-                buckets.setdefault((cx, cy), []).append(idx)
-    seen: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        k = len(members)
-        for ii in range(k):
-            i = members[ii]
-            bx = boxes[i]
-            for jj in range(ii + 1, k):
-                j = members[jj]
-                key = (i, j) if i < j else (j, i)
-                if key in seen:
-                    continue
-                seen.add(key)
-                by = boxes[j]
-                if bx[0] > by[2] or by[0] > bx[2] or bx[1] > by[3] or by[1] > bx[3]:
-                    continue
-                yield key
 
 
 @nogc

@@ -20,14 +20,15 @@ on the same core.
 from __future__ import annotations
 
 import heapq
-import math
 from dataclasses import dataclass, field
 from typing import Optional, Sequence
+
+import numpy as np
 
 from ._nogc import nogc
 from .errors import BadParameters, DisconnectedInput, InvariantViolation
 from .geometry import SCALE, PointSet, cross_ids
-from .matching import Matching, _crossing_candidates
+from .matching import Matching, _box_pairs, _boxes, _meet, _translated_xy
 from .proximity import Tree, disk_graph, emst5
 
 
@@ -35,8 +36,6 @@ from .proximity import Tree, disk_graph, emst5
 class RotationStep:
     removed: tuple[tuple[int, int], tuple[int, int]]
     added: tuple[tuple[int, int], tuple[int, int]]
-    total_before: float
-    total_after: float
 
 
 @dataclass
@@ -82,10 +81,6 @@ def _rotation_pairing(pts: PointSet, e1, e2):
     return (p, s), (q, r)
 
 
-def _total_length(pts: PointSet, pairs) -> float:
-    return sum(math.sqrt(pts.sq_dist(a, b)) for a, b in pairs) / SCALE
-
-
 @nogc
 def one_third(
     pts: PointSet, m: Matching, cap: Optional[int] = None
@@ -101,11 +96,14 @@ def one_third(
     preserving planarity but not the bound. A negative cap raises
     ``BadParameters``.
 
-    The rotatable pairs (e, f), e < f, are kept in a table filled once from
-    the grid of ``_crossing_candidates``. Each rotation takes the smallest,
-    which is the first pair a row-major rescan of the sorted edges would
-    find; afterwards only the two new edges are tested against the others
-    whose bounding boxes meet theirs.
+    The edges sit in slots of one list, with their bounding boxes in the
+    arrays of ``_boxes``. The rotatable pairs (e, f), e < f, are kept
+    in a table filled once from the meeting boxes (``_box_pairs``, the
+    kernel ``validate`` uses). Each rotation takes the smallest, which is
+    the first pair a row-major rescan of the sorted edges would find. The
+    two new edges take the slots of the pair they replace, and only the
+    edges whose boxes meet theirs (``_meet`` over every slot) are tested
+    against them. The edges are sorted once, at the fixpoint.
     """
     covered = m.covered()
     if len(covered) != 2 * m.size:
@@ -116,13 +114,9 @@ def one_third(
         raise BadParameters(f"the rotation cap must be at least 0, got {cap}")
     pairs = sorted(m.pairs)
     trace = RotationTrace()
-    xs, ys = pts.xs, pts.ys
-
-    def box(e) -> tuple[int, int, int, int]:
-        (xa, xb), (ya, yb) = sorted((xs[e[0]], xs[e[1]])), sorted((ys[e[0]], ys[e[1]]))
-        return xa, ya, xb, yb
-
-    boxes = {e: box(e) for e in pairs}
+    xy = _translated_xy(pts)
+    box = _boxes(xy, np.array(pairs, dtype=np.int64).reshape(-1, 2))
+    slot = {e: k for k, e in enumerate(pairs)}
     table: dict = {}
 
     def record(e, f) -> None:
@@ -132,41 +126,30 @@ def one_third(
             if repl is not None:
                 table[e, f] = repl
 
-    for i, j in _crossing_candidates(pts, pairs):
+    for i, j in _box_pairs(box):
         record(pairs[i], pairs[j])
-    total = _total_length(pts, pairs)
     while table:
         if len(trace.steps) >= cap:
             trace.capped = True
             break
         e, f = min(table)
-        repl = table[e, f]
-        before = total
-        new1 = tuple(sorted(repl[0]))
-        new2 = tuple(sorted(repl[1]))
-        pairs.remove(f)
-        pairs.remove(e)
-        pairs.append(new1)
-        pairs.append(new2)
-        pairs.sort()
-        # Re-summed in pair order, so each step's floats are what summing
-        # that matching gives; the next step starts from the same sum.
-        total = _total_length(pts, pairs)
-        trace.steps.append(
-            RotationStep(removed=(e, f), added=(new1, new2), total_before=before, total_after=total)
-        )
+        new1, new2 = (tuple(sorted(pair)) for pair in table[e, f])
+        trace.steps.append(RotationStep(removed=(e, f), added=(new1, new2)))
         for key in [k for k in table if e in k or f in k]:
             del table[key]
+        i, j = slot.pop(e), slot.pop(f)
+        pairs[i], pairs[j] = new1, new2
+        slot[new1], slot[new2] = i, j
+        for side, part in zip(box, _boxes(xy, np.array((new1, new2)))):
+            side[[i, j]] = part
         # The new edges lie in opposite cones at the old crossing point, so
         # they cannot cross each other. Crossing edges have meeting boxes.
-        boxes[new1], boxes[new2] = box(new1), box(new2)
-        for new in (new1, new2):
-            x0, y0, x1, y1 = boxes[new]
-            for g in pairs:
-                gx0, gy0, gx1, gy1 = boxes[g]
-                if gx0 <= x1 and x0 <= gx1 and gy0 <= y1 and y0 <= gy1 and g != new1 and g != new2:
-                    record(min(new, g), max(new, g))
+        for k, new in ((i, new1), (j, new2)):
+            for g in np.flatnonzero(_meet(box, k, slice(None))).tolist():
+                if g != i and g != j:
+                    record(min(new, pairs[g]), max(new, pairs[g]))
 
+    pairs.sort()
     classes: list[list[tuple[int, int]]] = [[], [], []]
     for pair in pairs:
         classes[_direction_class(pts, *pair)].append(pair)

@@ -275,7 +275,7 @@ def test_cli_matches_points_qhull_drops(capsys, tmp_path, algorithm):
 
 
 @pytest.mark.parametrize("exponent", [80, 150, 300])
-@pytest.mark.parametrize("algorithm", ["approx1", "approx2"])
+@pytest.mark.parametrize("algorithm", ["approx1", "approx2", "one-third"])
 def test_cli_matches_points_with_wide_spans(capsys, tmp_path, algorithm, exponent):
     # Qhull fails on coordinates this large, even joggled, unless it gets
     # them shifted down to 53 bits; the bottleneck and lower bound pass

@@ -9,7 +9,7 @@ import pytest
 from planematch.errors import FormatError, UnknownPointId
 from planematch.geometry import PointSet, cross_ids
 from planematch import matching
-from planematch.matching import _ARRAY_MIN_PAIRS, Matching, _box_pairs_int64, _crossing_candidates, validate
+from planematch.matching import _ARRAY_MIN_PAIRS, Matching, _box_pairs, _boxes, _crossing_candidates, _translated_xy, validate
 
 S = 10**6
 
@@ -162,32 +162,29 @@ def row_major_box_pairs(pts, pairs):
     ]
 
 
-# (scale, shift): a small span takes the int64 candidate path; a span past
-# 2^62 takes the Python one, even with every coordinate past 2^62.
+# (scale, shift): the boxes of a small span are int64 arrays, even with
+# every coordinate past 2^62; past a span of 2^62 ("python") they are object
+# arrays of Python ints.
 SPANS = {"int64": (1, 0), "int64-shifted": (1, 2**70), "python": (2**60, 0), "python-shifted": (2**60, -(2**65))}
 
 
 def check_candidates(pts, pairs) -> None:
-    """_crossing_candidates, and its int64 path at any size, against the
-    quadratic reference."""
-    want = row_major_box_pairs(pts, pairs)
-    assert _crossing_candidates(pts, pairs) == want
-    xy = pts.translated()[3]
-    if xy is not None:
-        assert _box_pairs_int64(xy, np.array(pairs, dtype=np.int64).reshape(-1, 2)) == want
+    """_crossing_candidates against the quadratic reference."""
+    assert _crossing_candidates(pts, pairs) == row_major_box_pairs(pts, pairs)
 
 
 @pytest.mark.parametrize("span", sorted(SPANS))
 def test_validate_reports_crossings_in_row_major_order_at_every_size(span):
-    # Past 64 edges the candidates come from a grid, and from
-    # _ARRAY_MIN_PAIRS edges on from int64 arrays when the span allows. On
-    # small grids collinear overlaps and touching endpoints are common.
+    # Every size and span takes the one numpy box kernel; _ARRAY_MIN_PAIRS
+    # only decides how shared points are looked for. On small grids
+    # collinear overlaps and touching endpoints are common.
     scale, shift = SPANS[span]
     rng = random.Random(4343)
     sizes = [65, _ARRAY_MIN_PAIRS - 1, _ARRAY_MIN_PAIRS, 300] + [rng.randrange(65, 301) for _ in range(8)]
-    for k in sizes:
+    for k in sizes + [0, 1, 2, 3, 17, 64]:
         pts, m = random_grid_matching(rng, k, rng.choice((26, 40)), scale, shift)
-        assert (pts.translated()[3] is None) == span.startswith("python")
+        if k >= 17:
+            assert (_translated_xy(pts).dtype == object) == span.startswith("python")
         assert list(validate(pts, m).violations) == row_major_crossings(pts, m)
 
 
@@ -303,18 +300,19 @@ def test_of_array_path_equals_the_pairwise_path(monkeypatch):
 
 
 def test_crossing_candidates_on_a_grid_too_wide_for_one_sort_code():
-    # Short edges far apart make a grid of about 2^60 cells a side, whose
-    # cell codes overflow int64, so the cells are sorted by (x, y) keys.
+    # Short edges far apart make a grid of about span / 2 cells a side,
+    # whose cell codes overflow int64, so the cells are sorted by (x, y)
+    # keys: in int64 arrays below a span of 2^62, in object arrays past it.
     rng = random.Random(79)
-    for _ in range(5):
+    for span in [2**61] * 5 + [2**64] * 3:
         coords = set()
         for _ in range(rng.randrange(130, 300)):
-            x, y = rng.randrange(0, 2**61), rng.randrange(0, 2**61)
+            x, y = rng.randrange(0, span), rng.randrange(0, span)
             coords.update(((x, y), (x + 1, y + 1), (x + 1, y), (x, y + 1)))
         pts = PointSet(sorted(coords))
         ids = list(range(pts.n))
         pairs = [(ids[i], ids[i + 1]) for i in range(0, pts.n - 1, 2)]
-        ends = np.array(pairs, dtype=np.int64)
-        xy = pts.translated()[3]
-        assert xy is not None and int(xy.max()) // 2 * int(xy.max()) // 2 * len(pairs) >= 2**63
-        assert _box_pairs_int64(xy, ends) == row_major_box_pairs(pts, pairs)
+        xy = _translated_xy(pts)
+        assert (xy.dtype == object) == (span > 2**62)
+        assert int(xy.max()) // 2 * int(xy.max()) // 2 * len(pairs) >= 2**63
+        assert _box_pairs(_boxes(xy, np.array(pairs, dtype=np.int64))) == row_major_box_pairs(pts, pairs)

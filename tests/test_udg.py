@@ -1,6 +1,8 @@
 """Tests for the unit-disk-graph matching algorithms."""
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 import random
 from decimal import Decimal, getcontext
@@ -36,6 +38,15 @@ def test_one_third_single_edge():
     out, trace = one_third(pts, m)
     assert out.pairs == ((0, 1),)
     assert trace.steps == []
+
+
+def test_one_third_empty_matching():
+    from planematch.udg import RotationTrace
+
+    for pts in (PointSet([]), ps((0, 0), (1, 0), (0, 1))):
+        out, trace = one_third(pts, Matching.of(pts, []))
+        assert out == Matching(pairs=(), bottleneck_sq=0)
+        assert trace == RotationTrace()
 
 
 def test_one_third_perpendicular_no_rotation():
@@ -226,7 +237,7 @@ def test_tree_and_cycle_udg_maximum():
 def reference_one_third(pts, m, cap=None):
     """The rescan: after every rotation, scan the sorted edges again from
     the start for the first pair crossing at an angle <= pi/3."""
-    from planematch.udg import RotationStep, RotationTrace, _direction_class, _rotation_pairing, _total_length
+    from planematch.udg import RotationStep, RotationTrace, _direction_class, _rotation_pairing
 
     if cap is None:
         cap = 10 * pts.n**3
@@ -246,13 +257,12 @@ def reference_one_third(pts, m, cap=None):
             trace.capped = True
             break
         i, j, repl = found
-        before = _total_length(pts, pairs)
         removed = (pairs[i], pairs[j])
         new1, new2 = tuple(sorted(repl[0])), tuple(sorted(repl[1]))
         del pairs[j]
         del pairs[i]
         pairs = sorted(pairs + [new1, new2])
-        trace.steps.append(RotationStep(removed, (new1, new2), before, _total_length(pts, pairs)))
+        trace.steps.append(RotationStep(removed, (new1, new2)))
     classes = [[], [], []]
     for pair in pairs:
         classes[_direction_class(pts, *pair)].append(pair)
@@ -341,3 +351,30 @@ def test_one_third_crossing_tests_few(monkeypatch):
         one_third(pts, m)
         # The rescan made 14k-73k tests here.
         assert len(calls) <= 3000, (seed, len(calls))
+
+
+def test_one_third_steps_on_20k_uniform_are_pinned(monkeypatch):
+    # The crossing matching of 20k uniform points rotates 84 times. The
+    # digests of the steps (removed, then added edges) and of the output,
+    # and the number of crossing tests, are those of the per-rotation
+    # Python box scan this loop replaced.
+    from planematch import udg
+
+    def digest(obj) -> str:
+        return hashlib.sha256(json.dumps(obj).encode()).hexdigest()
+
+    calls = []
+    real = udg.cross_ids
+
+    def counted(*args):
+        calls.append(1)
+        return real(*args)
+
+    pts = gen_points(20000, 1, "uniform")
+    m = bottleneck_crossing(pts).matching
+    monkeypatch.setattr(udg, "cross_ids", counted)
+    out, trace = one_third(pts, m)
+    assert (len(trace.steps), trace.class_sizes, trace.capped, len(calls)) == (84, (1605, 6740, 1655), False, 450)
+    steps = [[list(e) for e in step.removed + step.added] for step in trace.steps]
+    assert digest(steps) == "1a39ce4053d5e44a7c501898a67027681d11472fd26b66fe2cb8134262a2f8d2"
+    assert digest([list(p) for p in out.pairs]) == "c4d93af9dee02ff94acc38781a2102f3716438ed553ffef64e1fdbfc24ff5138"
