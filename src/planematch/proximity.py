@@ -20,15 +20,20 @@ scipy (Qhull) proposes a triangulation of the coordinates translated by
 their exact integer minimum. Floats then serve only as a certified filter:
 when the coordinate span is below 2^53 the translated doubles are exact, and
 Shewchuk's static error bounds prove most internal edges strictly locally
-Delaunay. Every edge the filter cannot decide gets the exact integer test.
-When no edge must flip, Qhull's triangulation is returned as is; otherwise a
-Lawson flip pass repairs it, testing exactly every edge whose certificate
-does not hold. A span of 2^53 or more, or Qhull's joggled fallback, sends
-every edge to the exact test; past that span Qhull gets the translated
-coordinates shifted right to 53 bits, which keeps its arithmetic in the
-float range at any coordinate size. Points Qhull leaves out (near-collinear
-input can lose some) are inserted exactly before the flip pass. Exactness
-therefore depends on the span of the coordinates, not on their magnitude.
+Delaunay. The edges the filter cannot decide, such as the co-circular
+diagonals of every lattice square, get the exact integer test in one numpy
+pass (``_incircle_signs``): int64 on the coordinates divided by their gcd
+where every intermediate provably fits, object arrays of Python ints
+otherwise, and the scalar canonical tie rule only where the determinant is
+zero. When no edge must flip, Qhull's triangulation is returned as is;
+otherwise a Lawson flip pass repairs it, testing exactly every edge whose
+certificate does not hold. A span of 2^53 or more, or Qhull's joggled
+fallback, sends every edge to the exact test; past that span Qhull gets the
+translated coordinates shifted right to 53 bits, which keeps its arithmetic
+in the float range at any coordinate size. Points Qhull leaves out
+(near-collinear input can lose some) are inserted exactly before the flip
+pass. Exactness therefore depends on the span of the coordinates, not on
+their magnitude.
 
 Every Kruskal pass of the package is ``kruskal``: one union-find over edges
 in length order that reports, with each edge it takes, how many odd
@@ -184,10 +189,15 @@ class Forest:
 
 @dataclass
 class DiskGraph:
-    """Adjacency of all point pairs at squared distance <= sq_radius."""
+    """All point pairs at squared distance <= sq_radius: ``adj`` lists each
+    point's neighbours in increasing order, and ``u``, ``v`` are the int64
+    ends u < v of every pair, in the order ``_near_pairs`` found them
+    (``_component_labels`` reads them)."""
 
     adj: list[list[int]]
     sq_radius: int
+    u: np.ndarray = field(repr=False, compare=False)
+    v: np.ndarray = field(repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -254,14 +264,11 @@ def _collinear_chain(pts: PointSet) -> Triangulation:
     return Triangulation.of_pairs((_edge_key(order[i], order[i + 1]) for i in range(pts.n - 1)), pts.n)
 
 
-def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
-    xs, ys = pts.xs, pts.ys
-    adx = xs[a] - xs[d]
-    ady = ys[a] - ys[d]
-    bdx = xs[b] - xs[d]
-    bdy = ys[b] - ys[d]
-    cdx = xs[c] - xs[d]
-    cdy = ys[c] - ys[d]
+def _incircle(adx, ady, bdx, bdy, cdx, cdy):
+    """The incircle determinant of triangle abc and point d from the
+    differences a - d, b - d and c - d: positive when d lies strictly inside
+    the circumcircle of ccw abc, zero on it. One expression for Python ints,
+    int64 arrays and object arrays of Python ints."""
     ad2 = adx * adx + ady * ady
     bd2 = bdx * bdx + bdy * bdy
     cd2 = cdx * cdx + cdy * cdy
@@ -270,6 +277,48 @@ def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
         - ady * (bdx * cd2 - cdx * bd2)
         + ad2 * (bdx * cdy - cdx * bdy)
     )
+
+
+def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
+    xs, ys = pts.xs, pts.ys
+    return _incircle(xs[a] - xs[d], ys[a] - ys[d], xs[b] - xs[d], ys[b] - ys[d], xs[c] - xs[d], ys[c] - ys[d])
+
+
+def _incircle_signs(pts: PointSet, a, b, c, d) -> np.ndarray:
+    """The sign (int8) of the exact incircle determinant of each triangle
+    (a[i], b[i], c[i]), put in ccw order as ``_ccw`` does, and point d[i]:
+    the sign of ``_incircle_det_int(pts, *_ccw(pts, a, b, c), d)``, for a
+    point set of span below 2^62, where ``PointSet.translated`` gives int64
+    coordinates.
+
+    The translated coordinates are divided by their gcd g, which changes
+    neither sign: both determinants are homogeneous in the differences, and
+    g > 0. With S the reduced span, every difference is at most S in
+    absolute value, every lift dx^2 + dy^2 at most 2 S^2, each of the three
+    terms of ``_incircle`` at most S * 4 S^3 or 2 S^2 * 2 S^2, that is
+    4 S^4, and so every partial sum at most 12 S^4; the orientation is at
+    most 2 S^2. The arithmetic is therefore int64 when 12 S^4 < 2^63, and
+    the same expression runs on object arrays of Python ints otherwise.
+    Rows are taken ``_CERTIFY_CHUNK`` at a time, which bounds the
+    temporaries.
+    """
+    _, _, span, xy = pts.translated()
+    g = max(int(np.gcd.reduce(xy, axis=None)), 1)
+    xy = xy // g
+    wide = 12 * (span // g) ** 4 >= 1 << 63
+    out = np.empty(len(d), dtype=np.int8)
+    for lo in range(0, len(d), _CERTIFY_CHUNK):
+        part = slice(lo, lo + _CERTIFY_CHUNK)
+        p = xy[np.stack((a[part], b[part], c[part], d[part]))]
+        if wide:
+            p = p.astype(object)
+        ad, bd, cd = p[0] - p[3], p[1] - p[3], p[2] - p[3]
+        det = _incircle(ad[:, 0], ad[:, 1], bd[:, 0], bd[:, 1], cd[:, 0], cd[:, 1])
+        ba, ca = p[1] - p[0], p[2] - p[0]
+        cw = ba[:, 0] * ca[:, 1] - ba[:, 1] * ca[:, 0] < 0
+        sign = (det > 0).astype(np.int8) - (det < 0)
+        out[part] = np.where(cw, -sign, sign)
+    return out
 
 
 def _ccw(pts: PointSet, a: int, b: int, c: int) -> list[int]:
@@ -533,7 +582,10 @@ def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri, canonical: bool) -> Opt
     scan.
 
     Edges the filter cannot decide get the exact test that the flip pass
-    would apply to them, so None means that pass would flip nothing.
+    would apply to them, so None means that pass would flip nothing: one
+    vectorised evaluation of their incircle signs (``_incircle_signs``),
+    and the scalar ``_should_flip`` only for the exact ties the canonical
+    rule may flip.
     """
     simplices = tri.simplices
     i, k, q = _internal_edges(simplices, tri.neighbors)
@@ -542,13 +594,21 @@ def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri, canonical: bool) -> Opt
         part = slice(lo, lo + _CERTIFY_CHUNK)
         t = simplices[i[part]]
         ok[part] = _certified_delaunay(xy, t[:, 0], t[:, 1], t[:, 2], q[part])
-    for e in np.flatnonzero(~ok).tolist():
-        t = simplices[i[e]].tolist()
-        kk = int(k[e])
-        p, u, v = t[kk], t[(kk + 1) % 3], t[(kk + 2) % 3]
-        if _should_flip(pts, _ccw(pts, *t), p, int(q[e]), _edge_key(u, v), canonical):
-            break
-    else:
+    undecided = np.flatnonzero(~ok)
+    if len(undecided) == 0:
+        return None
+    t = simplices[i[undecided]]
+    sign = _incircle_signs(pts, t[:, 0], t[:, 1], t[:, 2], q[undecided])
+    flips = bool((sign > 0).any())
+    if canonical and not flips:
+        for e in undecided[sign == 0].tolist():
+            t = simplices[i[e]].tolist()
+            kk = int(k[e])
+            p, u, v = t[kk], t[(kk + 1) % 3], t[(kk + 2) % 3]
+            if _should_flip(pts, _ccw(pts, *t), p, int(q[e]), _edge_key(u, v), canonical):
+                flips = True
+                break
+    if not flips:
         return None
     u = simplices[i, (k + 1) % 3][ok].astype(np.int64)
     v = simplices[i, (k + 2) % 3][ok].astype(np.int64)
@@ -710,6 +770,32 @@ def _roots(parent) -> np.ndarray:
         if np.array_equal(up, root):
             return root
         root = up
+
+
+def _component_labels(n: int, u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The smallest vertex of the component of every id below n in the
+    graph with edges (u[i], v[i]), by hook-and-shortcut (Shiloach & Vishkin
+    1982).
+
+    Each round every root hooks to the smallest label across its edges
+    that leave its component, when that label is smaller (``np.minimum.at``),
+    and ``_roots`` compresses the labels; only the edges still between
+    components are kept. Labels only fall, so they stay ids of the
+    component and end at its smallest. A root that hooks nowhere and that
+    no root hooks to has only larger neighbours, and they all hook to
+    smaller labels, so it has a smaller neighbour in the next round: every
+    component merges within two rounds, and there are O(log n) rounds.
+    """
+    label = np.arange(n, dtype=np.int64)
+    while True:
+        lu, lv = label[u], label[v]
+        between = lu != lv
+        if not between.any():
+            return label
+        u, v, lu, lv = u[between], v[between], lu[between], lv[between]
+        np.minimum.at(label, lu, lv)
+        np.minimum.at(label, lv, lu)
+        label = _roots(label)
 
 
 def _directed(u: np.ndarray, v: np.ndarray, n: int):
@@ -958,10 +1044,12 @@ def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
     of the directed edges by (tail, head), the one ``_build_forest`` makes,
     gives every vertex its sorted neighbour list.
     """
-    _, _, head, deg = _directed(*_near_pairs(pts, sq_radius)[1:], pts.n)
+    _, u, v = _near_pairs(pts, sq_radius)
+    _, _, head, deg = _directed(u, v, pts.n)
     ends = np.cumsum(deg)
     heads = head.tolist()
-    return DiskGraph(adj=[heads[a:b] for a, b in zip((ends - deg).tolist(), ends.tolist())], sq_radius=sq_radius)
+    adj = [heads[a:b] for a, b in zip((ends - deg).tolist(), ends.tolist())]
+    return DiskGraph(adj=adj, sq_radius=sq_radius, u=u, v=v)
 
 
 def pairs_within(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -29,7 +29,7 @@ from ._nogc import nogc
 from .errors import BadParameters, DisconnectedInput, InvariantViolation
 from .geometry import SCALE, PointSet, cross_ids
 from .matching import Matching, _box_pairs, _boxes, _meet, _translated_xy
-from .proximity import Tree, disk_graph, emst5
+from .proximity import Tree, _component_labels, disk_graph, emst5
 
 
 @dataclass(frozen=True)
@@ -362,31 +362,19 @@ def run_peeling(
     return PeelResult(pairs=pairs, min_degree=min_degree)
 
 
-def _connected(adj: list[list[int]]) -> bool:
-    n = len(adj)
-    if n == 0:
-        return True
-    seen = {0}
-    stack = [0]
-    while stack:
-        u = stack.pop()
-        for w in adj[u]:
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
-
-
 @nogc
 def plane_matching(pts: PointSet) -> Matching:
     """Plane matching of the degree-bounded MST of a connected unit disk
     graph, of size at least (n-1)/5.
 
     Requires every point within unit distance of some other point such that
-    the whole unit disk graph is connected.
+    the whole unit disk graph is connected. Connectivity is read off the
+    component labels that hook-and-shortcut gives the disk graph's edge
+    arrays (``_component_labels``): every label is the smallest id of its
+    component, so the graph is connected exactly when all are 0.
     """
     g = disk_graph(pts, SCALE * SCALE)
-    if not _connected(g.adj):
+    if _component_labels(pts.n, g.u, g.v).any():
         raise DisconnectedInput("unit disk graph is not connected")
     tree = emst5(pts)
     res = run_peeling(pts, tree)

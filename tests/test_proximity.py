@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import random
 from itertools import combinations
@@ -20,10 +21,14 @@ from planematch.proximity import (
     _ccw,
     _canonicalize,
     _certified_delaunay,
+    _component_labels,
     _FlipMesh,
     _incircle_det_int,
+    _incircle_signs,
+    _internal_edges,
     _sorted_edges_exact,
     _sorted_edges_int64,
+    _translated_floats,
     delaunay,
     disk_graph,
     emst5,
@@ -480,6 +485,172 @@ def test_filter_certifies_clear_cases():
     assert certified.tolist() == exact
 
 
+def reduced_span(pts: PointSet) -> int:
+    """The span of the translated coordinates over their gcd, which decides
+    the arithmetic of ``_incircle_signs``."""
+    _, _, span, xy = pts.translated()
+    return span // max(math.gcd(*xy.ravel().tolist()), 1)
+
+
+def wide(pts: PointSet) -> bool:
+    """Whether ``_incircle_signs`` takes object arrays for ``pts``."""
+    return 12 * reduced_span(pts) ** 4 >= 2**63
+
+
+def assert_stage_signs_on_undecided_edges(pts: PointSet) -> int:
+    """On every internal edge of Qhull's triangulation that the float filter
+    cannot decide, the vectorised stage's sign equals the scalar determinant
+    after ``_ccw``; returns how many there were."""
+    from scipy.spatial import Delaunay
+
+    xy, exact = _translated_floats(pts)
+    assert exact
+    tri = Delaunay(xy)
+    i, _, q = _internal_edges(tri.simplices, tri.neighbors)
+    t = tri.simplices[i]
+    undecided = ~_certified_delaunay(xy, t[:, 0], t[:, 1], t[:, 2], q)
+    a, b, c, d = (col[undecided] for col in (t[:, 0], t[:, 1], t[:, 2], q))
+    got = _incircle_signs(pts, a, b, c, d)
+    assert got.dtype == np.int8
+    want = [
+        (det > 0) - (det < 0)
+        for det in (_incircle_det_int(pts, *_ccw(pts, *abc), dd) for *abc, dd in zip(a.tolist(), b.tolist(), c.tolist(), d.tolist()))
+    ]
+    assert got.tolist() == want
+    return len(want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(2, 9),
+    st.integers(2, 9),
+    st.sampled_from([1, 7, S, 3 * 2**40]),
+    st.sampled_from([0, -(2**61), 2**70 + 3]),
+    st.sampled_from([None, (31_000, 4), (2**20 + 1, -3)]),
+)
+def test_incircle_stage_equals_the_scalar_test_on_lattices(w, h, scale, shift, far):
+    # A scaled lattice has gcd ``scale`` and reduces to a unit lattice: int64.
+    # One far point takes the reduced span past 29,600, where 12 S^4 passes
+    # 2^63: object arrays.
+    coords = [(shift + x * scale, shift + y * scale) for x in range(w) for y in range(h)]
+    if far is not None:
+        coords.append((shift + far[0] * scale, shift + far[1] * scale))
+    pts = PointSet(coords)
+    assume(reduced_span(pts) * scale < 2**53)
+    assert wide(pts) == (far is not None)
+    assert assert_stage_signs_on_undecided_edges(pts) > 0
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([5, 25, 65]),
+    st.booleans(),
+    st.sampled_from([1, S, 2**40 + 1]),
+    st.dictionaries(st.integers(0, 36), st.sampled_from([(1, 0), (0, -1), (1, 1), (-1, 1)]), max_size=3),
+)
+def test_incircle_stage_equals_the_scalar_test_on_circles(r, centre, scale, nudges):
+    # Scaled Pythagorean points are exactly co-circular and reduce to the
+    # unit circle's integers: int64. Spread to a span near 2^52 with one to
+    # three points moved by one unit, they are near co-circular with gcd 1:
+    # object arrays.
+    circle = pythagorean_circle(r) + ([(0, 0)] if centre else [])
+    k = 2**51 // r if nudges else scale
+    nudge = {j % len(circle): d for j, d in nudges.items()}
+    pts = PointSet((x * k + dx, y * k + dy) for j, (x, y) in enumerate(circle) for dx, dy in [nudge.get(j, (0, 0))])
+    assert wide(pts) == bool(nudges)
+    assert_stage_signs_on_undecided_edges(pts)
+
+
+def test_incircle_stage_on_any_ordered_or_degenerate_triangle():
+    # Clockwise triangles take the ccw sign fix of ``_ccw``; degenerate ones
+    # keep their given order, as the scalar test does. Both arithmetic
+    # branches, with more rows than one chunk.
+    rng = random.Random(17)
+    for coords in (
+        [(x * 3, y * 3) for x in range(9) for y in range(9)],
+        [(x, y) for x in range(9) for y in range(9)] + [(2**49 + 1, 3)],
+    ):
+        pts = PointSet(coords)
+        quads = np.array([rng.sample(range(pts.n), 4) for _ in range(5000)], dtype=np.int64)
+        quads[::7, 2] = quads[::7, 1]  # two equal corners: a degenerate triangle
+        got = _incircle_signs(pts, *quads.T)
+        want = []
+        for a, b, c, d in quads.tolist():
+            det = _incircle_det_int(pts, *_ccw(pts, a, b, c), d)
+            want.append((det > 0) - (det < 0))
+        assert got.tolist() == want
+        assert {-1, 0, 1} <= set(want)
+
+
+def codes_digest(tri) -> str:
+    return hashlib.sha256(tri.codes.tobytes()).hexdigest()[:16]
+
+
+def pinned_triangulation_corpus():
+    yield from strict_corpus()
+    yield "lattice40x30", [(x * S, y * S) for x in range(40) for y in range(30)]
+    yield "unit-lattice+far", [(x, y) for x in range(20) for y in range(15)] + [(40_000, 7)]
+    yield "scaled-lattice+far", [(x * 7, y * 7) for x in range(20) for y in range(15)] + [(7 * 31_000, 7 * 3)]
+
+
+# sha256 (first 16 hex digits) of delaunay(pts, canonical=c).codes for the
+# canonical and the strict rule, recorded before the exact stage of
+# ``_certify_or_flip`` was vectorised.
+TRIANGULATION_PINS = {
+    "grid5": ("768701ffe87183cd", "ca37c1aa0861481c"),
+    "grid12x9": ("52a4eefc43579ccc", "3bfda9a36084cfdd"),
+    "grid-unscaled": ("1f75957ad4fe17cd", "2ea0698e8e31c84f"),
+    "circle5": ("c6760c98b44e7c61", "0b1edfd77776fee4"),
+    "circle5+centre": ("7879720edb00cde5", "7879720edb00cde5"),
+    "circle5-scaled": ("c6760c98b44e7c61", "5727a0d457e9079c"),
+    "circle25": ("a6be4edc9f3783e1", "45b0c79779084858"),
+    "circle25+centre": ("3dd66c4b0c008258", "3dd66c4b0c008258"),
+    "circle25-scaled": ("a6be4edc9f3783e1", "45b0c79779084858"),
+    "circle65": ("735eb85714d174cf", "0ee88fb18e1ea547"),
+    "circle65+centre": ("e50d928a3d38fbb0", "e50d928a3d38fbb0"),
+    "circle65-scaled": ("735eb85714d174cf", "6a3c93d9882965b3"),
+    "collinear+1": ("afcad9c8ea88b23b", "afcad9c8ea88b23b"),
+    "1e21-40": ("80b79c3af4e312e5", "80b79c3af4e312e5"),
+    "1e21-400": ("581c550e82e71bf1", "581c550e82e71bf1"),
+    "uniform": ("918d79234d245458", "918d79234d245458"),
+    "clustered": ("1dd61eeb4e6ba311", "1dd61eeb4e6ba311"),
+    "line10+2": ("b8b0e467f4adf507", "b8b0e467f4adf507"),
+    "line20+2": ("8ebf43276d7494d3", "8ebf43276d7494d3"),
+    "line20+2-left": ("f41d06c01005a587", "f41d06c01005a587"),
+    "line10+3": ("bc477086d86e9e75", "bc477086d86e9e75"),
+    "lattice-offset": ("1cd0aca6a661a175", "a253c7b138057e8e"),
+    "lattice-unscaled-offset": ("8499d13e3f6d07d8", "c1ad302eba44b373"),
+    "circle5x12-scaled": ("c6760c98b44e7c61", "5727a0d457e9079c"),
+    "lattice40x30": ("8499d13e3f6d07d8", "2aca693159c0affb"),
+    "unit-lattice+far": ("4c0f48b96131338e", "18adf51a178f3e93"),
+    "scaled-lattice+far": ("4c0f48b96131338e", "11dcd053f1a5fc9b"),
+}
+
+
+@pytest.mark.parametrize("name,coords", list(pinned_triangulation_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_triangulation_codes_are_pinned_for_both_tie_rules(name, coords):
+    pts = PointSet(coords)
+    got = tuple(codes_digest(delaunay(pts, canonical=c)) for c in (True, False))
+    assert got == TRIANGULATION_PINS[name]
+
+
+def test_strict_lattice_makes_no_scalar_exact_test(monkeypatch):
+    # Every square of a 40 x 30 lattice is a co-circular tie the float filter
+    # cannot decide; the strict rule decides all of them in the vectorised
+    # stage, so a return to a per-edge loop fails here on any machine.
+    from planematch import proximity
+
+    pts = PointSet((x * S, y * S) for x in range(40) for y in range(30))
+
+    def no_scalar(*args):
+        raise AssertionError("scalar _should_flip")
+
+    monkeypatch.setattr(proximity, "_should_flip", no_scalar)
+    assert codes_digest(delaunay(pts, canonical=False)) == TRIANGULATION_PINS["lattice40x30"][1]
+    with pytest.raises(AssertionError, match="scalar"):
+        delaunay(pts)
+
+
 def shifted(coords, dx, dy):
     return PointSet((x + dx, y + dy) for x, y in coords)
 
@@ -881,6 +1052,8 @@ def assert_near_pairs(pts: PointSet, sq_radius: int) -> None:
     g = disk_graph(pts, sq_radius)
     assert g.adj == [sorted(a) for a in adj]
     assert g.sq_radius == sq_radius
+    assert g.u.dtype == g.v.dtype == np.int64
+    assert sorted(zip(g.u.tolist(), g.v.tolist())) == sorted((u, v) for _, u, v in want)
 
 
 def collinear_row(xs, step) -> set:
@@ -943,6 +1116,22 @@ def test_pairs_within_equals_the_exact_scan_on_generated_points(mode):
         assert_near_pairs(pts, sq_radius)
 
 
+def dfs_labels(adj) -> list[int]:
+    """The smallest vertex of every vertex's component, by depth-first
+    search from each unlabelled vertex in increasing order."""
+    label = [-1] * len(adj)
+    for s in range(len(adj)):
+        if label[s] == -1:
+            label[s] = s
+            stack = [s]
+            while stack:
+                for w in adj[stack.pop()]:
+                    if label[w] == -1:
+                        label[w] = s
+                        stack.append(w)
+    return label
+
+
 def test_crossing_disk_edges_share_component():
     # Any two crossing disk-graph edges have all four endpoints in one
     # connected component.
@@ -951,24 +1140,61 @@ def test_crossing_disk_edges_share_component():
         pts = random_pointset(rng, rng.randrange(6, 30), span=6)
         r = rng.randrange(S, 3 * S)
         g = disk_graph(pts, r * r)
-        comp = [-1] * pts.n
-        c = 0
-        for s in range(pts.n):
-            if comp[s] != -1:
-                continue
-            stack = [s]
-            comp[s] = c
-            while stack:
-                x = stack.pop()
-                for y in g.adj[x]:
-                    if comp[y] == -1:
-                        comp[y] = c
-                        stack.append(y)
-            c += 1
+        comp = dfs_labels(g.adj)
         edges = g.edges()
         for (a, b), (u, v) in combinations(edges, 2):
             if cross_ids(pts, a, b, u, v):
                 assert comp[a] == comp[b] == comp[u] == comp[v]
+
+
+def assert_labels_equal_dfs(n, edges, monkeypatch) -> None:
+    """``_component_labels`` equals the DFS, with at most 2 log2(n) + 1
+    hooking rounds (one ``_roots`` call each): every component merges
+    within two rounds."""
+    from planematch import proximity
+
+    adj = [[] for _ in range(n)]
+    for a, b in edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    rounds = []
+    real = proximity._roots
+    monkeypatch.setattr(proximity, "_roots", lambda parent: rounds.append(1) or real(parent))
+    ends = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    got = _component_labels(n, ends[:, 0], ends[:, 1])
+    monkeypatch.setattr(proximity, "_roots", real)
+    assert got.dtype == np.int64
+    assert got.tolist() == dfs_labels(adj)
+    assert len(rounds) <= 2 * max(n, 1).bit_length() + 1
+
+
+def test_component_labels_equal_dfs_on_random_disk_graphs(monkeypatch):
+    # Radii from well below to above the connectivity threshold, so many
+    # graphs are disconnected; the ends come as _near_pairs finds them.
+    rng = random.Random(41)
+    for _ in range(60):
+        pts = random_pointset(rng, rng.randrange(1, 80), span=rng.choice((4, 10, 30)))
+        g = disk_graph(pts, rng.randrange(0, 3 * S) ** 2)
+        edges = list(zip(g.u.tolist(), g.v.tolist()))
+        assert sorted(edges) == g.edges()
+        assert_labels_equal_dfs(pts.n, edges, monkeypatch)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_component_labels_equal_dfs_on_paths_stars_and_chains(seed, monkeypatch):
+    rng = random.Random(seed)
+    n = 500
+    ids = list(range(n))
+    rng.shuffle(ids)
+    path = [(ids[k], ids[k + 1]) for k in range(n - 1)]
+    assert_labels_equal_dfs(n, path, monkeypatch)
+    assert_labels_equal_dfs(n, path[: n // 2] + path[n // 2 + 1 :], monkeypatch)
+    # Stars of 9 leaves whose centres form a chain, ids shuffled.
+    star_chain = [(ids[c], ids[c + k]) for c in range(0, n - 9, 10) for k in range(1, 10)]
+    star_chain += [(ids[c], ids[c + 10]) for c in range(0, n - 19, 10)]
+    assert_labels_equal_dfs(n, star_chain, monkeypatch)
+    assert_labels_equal_dfs(n, [], monkeypatch)
+    assert_labels_equal_dfs(0, [], monkeypatch)
 
 
 def test_mst_equals_udg_mst_when_connected():
@@ -988,16 +1214,7 @@ def test_mst_equals_udg_mst_when_connected():
             x += step * math.cos(ang)
             y += step * math.sin(ang)
         pts = PointSet(sorted(coords))
-        g = disk_graph(pts, S * S)
-        seen = {0}
-        stack = [0]
-        while stack:
-            u = stack.pop()
-            for w in g.adj[u]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if len(seen) != pts.n:
+        if any(dfs_labels(disk_graph(pts, S * S).adj)):
             continue
         trials += 1
         tree = emst5(pts)

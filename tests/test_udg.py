@@ -151,8 +151,14 @@ def test_plane_matching_two_points():
 
 def test_plane_matching_disconnected_raises():
     pts = ps((0, 0), (10, 0))
-    with pytest.raises(DisconnectedInput):
+    with pytest.raises(DisconnectedInput, match="^unit disk graph is not connected$"):
         plane_matching(pts)
+    # Two unit lattices a little more than one unit apart.
+    left = [(x * SCALE, y * SCALE) for x in range(4) for y in range(3)]
+    right = [(x + 4 * SCALE + 1, y) for x, y in left]
+    with pytest.raises(DisconnectedInput, match="^unit disk graph is not connected$"):
+        plane_matching(PointSet(left + right))
+    assert plane_matching(PointSet(left + [(x - 1, y) for x, y in right])).size == 12
 
 
 def connected_udg_points(rng, n):
