@@ -33,9 +33,15 @@ FACTOR2_SQ_NUM = 9_898_979_486
 FACTOR2_SQ_DEN = 10**9
 
 
-def _sq_to_decimal(sq: int) -> float:
+def _sq_to_decimal(sq: int) -> float | int:
+    """The length whose scaled square is ``sq``; past the double range, the
+    integer part of its exact root, which JSON prints as a number too."""
     # math.sqrt converts sq to a float first, which fails at 2^1024.
-    return (math.isqrt(sq) if sq >= 2**1023 else math.sqrt(sq)) / SCALE
+    root = math.isqrt(sq) if sq >= 2**1023 else math.sqrt(sq)
+    try:
+        return root / SCALE
+    except OverflowError:
+        return root // SCALE
 
 
 def _read(path: str) -> bytes:
@@ -101,14 +107,18 @@ def _load_points(args) -> PointSet:
 
 
 def _emit(args, report: dict, pts: Optional[PointSet], m: Optional[Matching]) -> None:
+    # The drawing first: a point set it refuses prints only the error.
+    svg = None
+    if args.svg and pts is not None:
+        svg = render_svg(pts, m if m is not None else Matching.of(pts, []))
     text = json.dumps(report, indent=2, sort_keys=True)
     print(text)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
-    if args.svg and pts is not None:
+    if svg is not None:
         with open(args.svg, "wb") as fh:
-            fh.write(render_svg(pts, m if m is not None else Matching.of(pts, [])))
+            fh.write(svg)
 
 
 def _base_report(algorithm: str, pts: PointSet, m: Matching, ms: float) -> dict:

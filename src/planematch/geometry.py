@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -38,10 +38,11 @@ class Point:
 class PointSet:
     """Immutable indexed set of distinct points.
 
-    Ids are dense in [0, n). Coordinate arrays are plain Python ints so all
-    derived predicates stay exact regardless of magnitude. ``_kdtree``,
-    ``_peel`` (the skeleton-peeling working arrays) and ``_xy`` (see
-    ``translated``) are built on first use.
+    Ids are dense in [0, n). Coordinate lists are plain Python ints so all
+    derived predicates stay exact regardless of magnitude. ``_xy`` (see
+    ``translated``) is their one numpy copy, exact at every span, which
+    every array kernel reads; it, ``_kdtree`` and ``_peel`` (the
+    skeleton-peeling working arrays) are built on first use.
     """
 
     __slots__ = ("xs", "ys", "_kdtree", "_peel", "_xy")
@@ -83,13 +84,14 @@ class PointSet:
         dy = self.ys[i] - self.ys[j]
         return dx * dx + dy * dy
 
-    def translated(self) -> tuple[int, int, int, Optional[np.ndarray]]:
+    def translated(self) -> tuple[int, int, int, np.ndarray]:
         """(x0, y0, span, xy): the least x and y, the largest coordinate
-        range, and the (n, 2) int64 array of the coordinates minus (x0, y0)
-        when the span is below ``INT64_SPAN``, else None. Computed once.
+        range, and the (n, 2) array of the coordinates minus (x0, y0): int64
+        when the span is below ``INT64_SPAN``, Python ints in an object
+        array otherwise. Computed once.
 
         Differences and comparisons of the translated values are exact in
-        int64; squared lengths are too while 2 * span^2 < 2^63."""
+        either; ``sq_lengths`` squares them."""
         if self._xy is None:
             xs, ys = self.xs, self.ys
             if not xs:
@@ -98,15 +100,25 @@ class PointSet:
             x0, y0 = min(xs), min(ys)
             x1, y1 = max(xs), max(ys)
             span = max(x1 - x0, y1 - y0)
-            xy = None
-            if span < INT64_SPAN:
-                if -(2**63) <= min(x0, y0) and max(x1, y1) < 2**63:
-                    xy = np.array((xs, ys), dtype=np.int64).T - np.array((x0, y0), dtype=np.int64)
-                else:
-                    xy = np.array(([x - x0 for x in xs], [y - y0 for y in ys]), dtype=np.int64).T
-                xy = np.ascontiguousarray(xy)
-            self._xy = (x0, y0, span, xy)
+            if span < INT64_SPAN and -(2**63) <= min(x0, y0) and max(x1, y1) < 2**63:
+                xy = np.array((xs, ys), dtype=np.int64).T - np.array((x0, y0), dtype=np.int64)
+            else:
+                dtype = np.int64 if span < INT64_SPAN else object
+                xy = np.array(([x - x0 for x in xs], [y - y0 for y in ys]), dtype=dtype).T
+            self._xy = (x0, y0, span, np.ascontiguousarray(xy))
         return self._xy
+
+
+def sq_lengths(pts: PointSet, u, v) -> np.ndarray:
+    """The exact squared lengths of the point-id pairs (u[i], v[i]) over
+    ``PointSet.translated``: int64 while 2 * span^2 < 2^63, which bounds
+    every one of them, and Python ints in an object array otherwise."""
+    span, xy = pts.translated()[2:]
+    d = xy[u] - xy[v]
+    if 2 * span * span >= 1 << 63:
+        d = d.astype(object)
+    dx, dy = d[:, 0], d[:, 1]
+    return dx * dx + dy * dy
 
 
 @dataclass(frozen=True)

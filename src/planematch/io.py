@@ -245,16 +245,22 @@ def gen_points(n: int, seed: int, mode: str) -> PointSet:
 
 def render_svg(pts: PointSet, m: Matching) -> bytes:
     """Deterministic SVG: one circle per point, one line per matched edge,
-    viewBox set to the bounding box plus a five percent margin."""
+    viewBox set to the bounding box plus a five percent margin. Raises
+    BadParameters for a coordinate or a viewBox past the double range."""
     if pts.n == 0:
         return b'<svg xmlns="http://www.w3.org/2000/svg" viewBox="0 0 1 1"/>\n'
-    xs = [x / SCALE for x in pts.xs]
-    ys = [y / SCALE for y in pts.ys]
+    try:
+        xs = [x / SCALE for x in pts.xs]
+        ys = [y / SCALE for y in pts.ys]
+    except OverflowError:
+        raise BadParameters("cannot draw coordinates past the double range") from None
     x0, x1 = min(xs), max(xs)
     y0, y1 = min(ys), max(ys)
     span = max(x1 - x0, y1 - y0, 1e-6)
     margin = 0.05 * span
     vb = (x0 - margin, y0 - margin, (x1 - x0) + 2 * margin, (y1 - y0) + 2 * margin)
+    if not all(map(math.isfinite, vb)):
+        raise BadParameters("cannot draw a viewBox past the double range")
     r = span / 200 + 1e-9
     out = [
         '<?xml version="1.0" encoding="UTF-8"?>',

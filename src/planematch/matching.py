@@ -13,7 +13,7 @@ import numpy as np
 
 from ._nogc import nogc
 from .errors import FormatError
-from .geometry import PointSet, segments_cross_coords
+from .geometry import PointSet, segments_cross_coords, sq_lengths
 
 
 # From this many pairs up, ``Matching.of`` normalises the pairs in an int64
@@ -87,14 +87,10 @@ def _id_array(pts: PointSet, pairs) -> Optional[np.ndarray]:
 
 
 def _bottleneck_sq(pts: PointSet, pairs, ends: Optional[np.ndarray] = None) -> int:
-    """The largest squared length of the pairs, 0 for none: an int64 max
-    when ``ends`` holds them and every squared length fits, else exact
-    Python ints."""
+    """The largest squared length of the pairs, 0 for none: the max of
+    ``sq_lengths`` when ``ends`` holds them, else of ``sq_dist``."""
     if ends is not None and len(ends):
-        span, xy = pts.translated()[2:]
-        if 2 * span * span < 1 << 63:
-            d = xy[ends[:, 0]] - xy[ends[:, 1]]
-            return int(np.einsum("ij,ij->i", d, d).max())
+        return int(sq_lengths(pts, ends[:, 0], ends[:, 1]).max())
     return max((pts.sq_dist(a, b) for a, b in pairs), default=0)
 
 
@@ -113,19 +109,7 @@ def _crossing_candidates(pts: PointSet, pairs, ends: Optional[np.ndarray] = None
     ``pairs`` as an (m, 2) array when the caller has it."""
     if ends is None:
         ends = _pair_array(pairs)
-    return _box_pairs(_boxes(_translated_xy(pts), ends))
-
-
-def _translated_xy(pts: PointSet) -> np.ndarray:
-    """The (n, 2) coordinates less the least x and y: ``PointSet.translated``'s
-    int64 array below ``INT64_SPAN``, the same values as Python ints in an
-    object array past it, so boxes are exact at any span."""
-    x0, y0, _, xy = pts.translated()
-    if xy is None:
-        xy = np.empty((pts.n, 2), dtype=object)
-        xy[:, 0] = [x - x0 for x in pts.xs]
-        xy[:, 1] = [y - y0 for y in pts.ys]
-    return xy
+    return _box_pairs(_boxes(pts.translated()[3], ends))
 
 
 def _boxes(xy: np.ndarray, ends: np.ndarray) -> tuple[np.ndarray, ...]:
@@ -151,8 +135,9 @@ def _box_pairs(box) -> list[tuple[int, int]]:
     pair; a box meeting more than m cells is compared with every box
     instead. Boxes that meet share a cell, so the pairs whose boxes meet,
     deduplicated by the code i * m + j, are all of them, in row-major
-    order. Past ``INT64_SPAN`` the boxes and cell coordinates are Python
-    ints in object arrays; the cell counts are capped, so they are int64.
+    order. The boxes and cell coordinates have the dtype of
+    ``PointSet.translated``'s array, Python ints past ``INT64_SPAN``; the
+    cell counts are capped, so they are int64.
     """
     m = len(box[0])
     if m < 2:

@@ -33,7 +33,10 @@ translated coordinates shifted right to 53 bits, which keeps its arithmetic
 in the float range at any coordinate size. Points Qhull leaves out
 (near-collinear input can lose some) are inserted exactly before the flip
 pass. Exactness therefore depends on the span of the coordinates, not on
-their magnitude.
+their magnitude. Every array kernel reads one exact copy of them,
+``PointSet.translated`` (int64 or Python ints), and squared lengths come
+from ``geometry.sq_lengths``, which ``sorted_candidate_edges`` orders by
+one stable argsort.
 
 Every Kruskal pass of the package is ``kruskal``: one union-find over edges
 in length order that reports, with each edge it takes, how many odd
@@ -76,7 +79,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
-from .geometry import PointSet, orient, orientation, point_in_triangle_closed
+from .geometry import PointSet, orient, orientation, point_in_triangle_closed, sq_lengths
 
 
 class Triangulation:
@@ -244,13 +247,9 @@ def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
     """The coordinates minus their exact integer minimum, shifted right to
     53 bits when the span is 2^53 or more, as an (n, 2) float array; and
     whether the span is below 2^53, so that they are exact."""
-    x0, y0, span, xy = pts.translated()
+    _, _, span, xy = pts.translated()
     shift = max(0, span.bit_length() - 53)
-    if xy is None:
-        xy = np.array([[(x - x0) >> shift, (y - y0) >> shift] for x, y in zip(pts.xs, pts.ys)], dtype=np.int64)
-    else:
-        xy = xy >> shift
-    return xy.astype(float), shift == 0
+    return (xy >> shift).astype(float), shift == 0
 
 
 def _coord_edge_key(pts: PointSet, u: int, v: int):
@@ -287,9 +286,9 @@ def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
 def _incircle_signs(pts: PointSet, a, b, c, d) -> np.ndarray:
     """The sign (int8) of the exact incircle determinant of each triangle
     (a[i], b[i], c[i]), put in ccw order as ``_ccw`` does, and point d[i]:
-    the sign of ``_incircle_det_int(pts, *_ccw(pts, a, b, c), d)``, for a
-    point set of span below 2^62, where ``PointSet.translated`` gives int64
-    coordinates.
+    the sign of ``_incircle_det_int(pts, *_ccw(pts, a, b, c), d)``, over
+    the translated coordinates of ``PointSet.translated`` (int64 below a
+    span of 2^62, Python ints past it).
 
     The translated coordinates are divided by their gcd g, which changes
     neither sign: both determinants are homogeneous in the differences, and
@@ -720,14 +719,15 @@ def sorted_candidate_edges(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray
     sorted by (length, lexicographic pair).
 
     ``edges`` is a Triangulation of ``pts``, whose sorted codes are read
-    as they are, or any iterable of (u, v) pairs. Squared lengths are at
-    most 2 * span^2 for the coordinate span; below 2^63 they are computed
-    and sorted in int64, otherwise as Python ints in an object array.
+    as they are, or any iterable of (u, v) pairs. The squared lengths come
+    from ``sq_lengths``: int64, or Python ints in an object array past
+    2 * span^2 >= 2^63, which numpy sorts all the same.
     """
-    span = pts.translated()[2]
-    if 2 * span * span < 1 << 63:
-        return _sorted_edges_int64(pts, edges)
-    return _sorted_edges_exact(pts, edges)
+    u, v = _edge_ends(edges)
+    sq = sq_lengths(pts, u, v)
+    # A stable sort by length keeps equal lengths in lexicographic order.
+    order = np.argsort(sq, kind="stable")
+    return sq[order], u[order], v[order]
 
 
 def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
@@ -740,24 +740,6 @@ def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
     v = np.maximum(ends[0::2], ends[1::2])
     order = np.lexsort((v, u))
     return u[order], v[order]
-
-
-def _sorted_edges_int64(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    xy = pts.translated()[3]
-    u, v = _edge_ends(edges)
-    d = xy[u] - xy[v]
-    sq = np.einsum("ij,ij->i", d, d)
-    # A stable sort by length keeps equal lengths in lexicographic order.
-    order = np.argsort(sq, kind="stable")
-    return sq[order], u[order], v[order]
-
-
-def _sorted_edges_exact(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    u, v = _edge_ends(edges)
-    rows = sorted((pts.sq_dist(a, b), a, b) for a, b in zip(u.tolist(), v.tolist()))
-    sq = np.empty(len(rows), dtype=object)
-    sq[:] = [row[0] for row in rows]
-    return sq, np.array([row[1] for row in rows], dtype=np.int64), np.array([row[2] for row in rows], dtype=np.int64)
 
 
 def _roots(parent) -> np.ndarray:
@@ -1100,13 +1082,11 @@ def _near_pairs(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray, 
     if n < 2 or sq_radius < 0:
         none = np.zeros(0, dtype=np.int64)
         return none, none, none
-    x0, y0, span, xy = pts.translated()
+    _, _, span, xy = pts.translated()
     cell = isqrt(sq_radius) // 2 + 1
     side = span // cell + 5
-    if xy is None or max(sq_radius, 2 * min(span, 3 * cell) ** 2, side * side) >= 1 << 63:
-        xy = np.empty((n, 2), dtype=object)
-        xy[:, 0] = [x - x0 for x in pts.xs]
-        xy[:, 1] = [y - y0 for y in pts.ys]
+    if max(sq_radius, 2 * min(span, 3 * cell) ** 2, side * side) >= 1 << 63:
+        xy = xy.astype(object)
     cxy = xy // cell
     code = cxy[:, 0] * side + cxy[:, 1] + 2
     order = np.argsort(code, kind="stable")

@@ -28,7 +28,7 @@ import numpy as np
 from ._nogc import nogc
 from .errors import BadParameters, DisconnectedInput, InvariantViolation
 from .geometry import SCALE, PointSet, cross_ids
-from .matching import Matching, _box_pairs, _boxes, _meet, _translated_xy
+from .matching import Matching, _box_pairs, _boxes, _meet
 from .proximity import Tree, _component_labels, disk_graph, emst5
 
 
@@ -114,7 +114,7 @@ def one_third(
         raise BadParameters(f"the rotation cap must be at least 0, got {cap}")
     pairs = sorted(m.pairs)
     trace = RotationTrace()
-    xy = _translated_xy(pts)
+    xy = pts.translated()[3]
     box = _boxes(xy, np.array(pairs, dtype=np.int64).reshape(-1, 2))
     slot = {e: k for k, e in enumerate(pairs)}
     table: dict = {}

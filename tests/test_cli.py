@@ -274,22 +274,65 @@ def test_cli_matches_points_qhull_drops(capsys, tmp_path, algorithm):
         assert report.is_plane and report.is_matching
 
 
-@pytest.mark.parametrize("exponent", [80, 150, 300])
+def wide_point_file(tmp_path, exponent: int, n: int):
+    """A file of n points uniform in [0, 10^exponent)^2."""
+    rng = random.Random(exponent)
+    coords = set()
+    while len(coords) < n:
+        coords.add((rng.randrange(10**exponent * SCALE), rng.randrange(10**exponent * SCALE)))
+    f = tmp_path / "pts.txt"
+    f.write_text(format_points(PointSet(sorted(coords))))
+    return f
+
+
+@pytest.mark.parametrize("exponent", [80, 150, 300, 400])
 @pytest.mark.parametrize("algorithm", ["approx1", "approx2", "one-third"])
 def test_cli_matches_points_with_wide_spans(capsys, tmp_path, algorithm, exponent):
     # Qhull fails on coordinates this large, even joggled, unless it gets
     # them shifted down to 53 bits; the bottleneck and lower bound pass
-    # 2^1024 when squared.
-    rng = random.Random(exponent)
-    coords = set()
-    while len(coords) < 200:
-        coords.add((rng.randrange(10**exponent * SCALE), rng.randrange(10**exponent * SCALE)))
-    f = tmp_path / "pts.txt"
-    f.write_text(format_points(PointSet(sorted(coords))))
+    # 2^1024 when squared, and at 10^400 they pass the double range.
+    f = wide_point_file(tmp_path, exponent, 200)
     code, rep = run_cli(capsys, algorithm, "--input", str(f))
     assert code == 0
     assert rep["plane"] and all(rep["checks"].values())
     assert 10 ** (exponent - 3) < rep["bottleneck"] < 10 ** (exponent + 1)
+
+
+def test_cli_reports_lengths_past_the_double_range(capsys, tmp_path):
+    # Lengths past the double range are the integer part of the exact root;
+    # a drawing of such points is refused with the JSON error alone.
+    f = wide_point_file(tmp_path, 400, 20)
+    js = tmp_path / "m.json"
+    code, rep = run_cli(capsys, "crossing-bottleneck", "--input", str(f), "--json", str(js))
+    assert code == 0 and rep["plane"] and all(rep["checks"].values())
+    pts = parse_points(f.read_text())
+    m = Matching.of(pts, rep["edges"])
+    assert rep["bottleneck"] == math.isqrt(m.bottleneck_sq) // SCALE
+    assert type(rep["lambda_lower_bound"]) is int
+    code, rep = run_cli(capsys, "validate", "--input", str(f), "--matching", str(js))
+    assert code == 0 and rep["plane"] and rep["matching"] and all(rep["checks"].values())
+    assert rep["bottleneck"] == math.isqrt(m.bottleneck_sq) // SCALE
+    svg = tmp_path / "m.svg"
+    code, rep = run_cli(capsys, "approx2", "--input", str(f), "--svg", str(svg), "--json", str(js))
+    assert code == 2 and rep["error"]["code"] == "bad_parameters"
+    assert not svg.exists()
+    with pytest.raises(BadParameters):
+        render_svg(pts, m)
+    # Coordinates that are doubles can still span more than the largest one.
+    f.write_text(f"2\n-{10**308} 0\n{10**308} 0\n")
+    code, rep = run_cli(capsys, "approx1", "--input", str(f), "--svg", str(svg))
+    assert code == 2 and rep["error"]["code"] == "bad_parameters"
+    assert not svg.exists()
+
+
+def test_sq_to_decimal_is_a_float_in_the_double_range():
+    # The bytes of every report whose lengths are doubles stay as they were.
+    for sq in (0, 1, SCALE**2 * 2, 2**1023 - 1, 2**1023, (SCALE * 2**1000) ** 2, (SCALE * 2**1023) ** 2):
+        got = cli._sq_to_decimal(sq)
+        assert type(got) is float
+        assert got == (math.isqrt(sq) if sq >= 2**1023 else math.sqrt(sq)) / SCALE
+    for sq in ((SCALE * 2**1024) ** 2, 10**900 + 7):
+        assert cli._sq_to_decimal(sq) == math.isqrt(sq) // SCALE
 
 
 def test_python_m_planematch(capsys, monkeypatch):

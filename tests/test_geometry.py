@@ -5,12 +5,14 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from planematch.errors import DegenerateAngle, DegeneratePolygon, UnknownPointId
 from planematch.geometry import (
+    INT64_SPAN,
     PointSet,
     Segment,
     cmp_cw_angle,
@@ -21,6 +23,7 @@ from planematch.geometry import (
     segments_cross,
     segments_cross_coords,
     sort_clockwise,
+    sq_lengths,
 )
 
 S = 10**6
@@ -278,3 +281,45 @@ def test_cross_symmetric_property(coords):
     assert segments_cross(pts, s1, s2) == reference_cross(
         coords[0], coords[1], coords[2], coords[3]
     )
+
+
+@given(
+    st.integers(-(2**90), 2**90),
+    st.integers(-(2**90), 2**90),
+    st.sampled_from((1, 2**31, INT64_SPAN - 1, INT64_SPAN, 2**70)),
+    st.lists(st.tuples(st.integers(0, 2**70), st.integers(0, 2**70)), max_size=10),
+)
+@settings(max_examples=300, deadline=None)
+def test_translated_is_the_python_int_differences(x0, y0, span, offsets):
+    # Both sides of INT64_SPAN, with coordinates inside and far outside
+    # int64 at every span, the small ones included.
+    coords = {(x0, y0), (x0 + span, y0)}
+    coords.update((x0 + a % (span + 1), y0 + b % (span + 1)) for a, b in offsets)
+    pts = PointSet(sorted(coords))
+    got_x0, got_y0, got_span, xy = pts.translated()
+    assert (got_x0, got_y0, got_span) == (x0, y0, span)
+    assert xy.dtype == (np.int64 if span < INT64_SPAN else object)
+    assert xy.shape == (pts.n, 2)
+    assert all(type(c) is int for c in xy.ravel().tolist())
+    assert xy.tolist() == [[x - x0, y - y0] for x, y in zip(pts.xs, pts.ys)]
+    assert pts.translated() is pts.translated()
+
+
+@pytest.mark.parametrize("span", [2**31 - 1, 2**31, INT64_SPAN - 1, INT64_SPAN, 10**80])
+@pytest.mark.parametrize("base", [0, -(2**63), 2**64 + 3])
+def test_sq_lengths_equal_sq_dist(span, base):
+    # 2 * span^2 < 2^63 exactly when span < 2^31: int64 below, Python ints
+    # above; the diagonal (0, 1) is the longest possible pair.
+    rng = random.Random(span + base)
+    coords = {(base, base), (base + span, base + span)}
+    while len(coords) < 40:
+        coords.add((base + rng.randrange(span + 1), base + rng.randrange(span + 1)))
+    pts = PointSet([(base, base), (base + span, base + span)] + sorted(coords - {(base, base), (base + span, base + span)}))
+    u = np.array([0] + [rng.randrange(pts.n) for _ in range(99)], dtype=np.int64)
+    v = np.array([1] + [rng.randrange(pts.n) for _ in range(99)], dtype=np.int64)
+    got = sq_lengths(pts, u, v)
+    assert got.dtype == (np.int64 if 2 * span * span < 2**63 else object)
+    assert all(type(sq) is int for sq in got.tolist())
+    assert got.tolist() == [pts.sq_dist(a, b) for a, b in zip(u.tolist(), v.tolist())]
+    assert got[0] == 2 * span * span
+    assert len(sq_lengths(pts, u[:0], v[:0])) == 0

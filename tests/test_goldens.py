@@ -20,6 +20,7 @@ from planematch.bottleneck_one import first_approx
 from planematch.bottleneck_two import even_forest, match_tree_detailed, second_approx
 from planematch.geometry import SCALE, PointSet
 from planematch.io import gen_points
+from planematch.matching import validate
 from planematch.proximity import emst5, even_threshold, forest_leq
 from planematch.udg import one_third, plane_matching, run_peeling
 
@@ -308,3 +309,87 @@ SHAPE_GOLDENS = {
 @pytest.mark.parametrize("key", list(SHAPE_GOLDENS), ids=str)
 def test_golden_tree_shapes(key):
     assert _digest_json(forest_shapes(shape_instance(key))) == SHAPE_GOLDENS[key]
+
+
+def uniform_at_span(span: int) -> PointSet:
+    """600 distinct points uniform in [0, span)^2, from a fixed seed."""
+    rng = random.Random(7)
+    coords: set = set()
+    while len(coords) < 600:
+        coords.add((rng.randrange(span), rng.randrange(span)))
+    return PointSet(sorted(coords))
+
+
+def wide_record(pts, m) -> list:
+    """A matching's pairs and bottleneck, and every field of its
+    validation report."""
+    rep = validate(pts, m)
+    return [_digest(m), m.bottleneck_sq, rep.is_matching, rep.is_plane, rep.size, rep.bottleneck_sq, list(rep.violations)]
+
+
+# span label -> (span, digests of the approx1, approx2, crossing-bottleneck
+# (with its lower bound) and one-third records, ``wide_record``, on
+# uniform_at_span). Squared lengths pass int64 at every one of these spans,
+# and past 2^62 the translated coordinates do too. The crossing witness has
+# 300 pairs, so Matching.of and validate read them as id arrays.
+WIDE_SPAN_GOLDENS = {
+    "2^40": (
+        2**40,
+        (
+            "99edf0ec3546a83b315ef4b629c7865fdbb849a322f694e9e76dc544b368d0a0",
+            "7a7f5828ae4e0052eafb32aee4cce5c02ac57833d3a615346f6f6d0cac1e10bb",
+            "eed54cbeb4f23456ac10b5324b1b5808ebcc949335d17047125e0cde8b1dafbe",
+            "4f1fafc6b3984e5085aa608308f32767994fbd5ef815bc296637b812bf719203",
+        ),
+    ),
+    "2^61": (
+        2**61,
+        (
+            "817eee56c2dd1c6ef4d4328e278435f76b624c632b136d3515a5457d0c15860f",
+            "ac86669ea61ffc02081192919aef959478c3a4c7e299a2a2a6a436683c6dc0b5",
+            "ce360427453fd5954aa25212a583e795a584aede13fdc0d32474e0344daa768c",
+            "ace6bda32fd70232138fbb8b774114439fee2f6850d6d46f7ec84ad9986b2db1",
+        ),
+    ),
+    "2^63": (
+        2**63,
+        (
+            "651b4d5be3972fa297cefdec18ff4d364b3b451f5d7ee13e9bd39b2942a1c6df",
+            "479e44be2e065532d762e7973786c10d52f9756f49e6a2604be1d8d6cbe680ff",
+            "ec05d30a4047921f68966cfd9e10dcc8cd65024ea76eed30d01875c7fc85d47a",
+            "221db36698e0200a238a7b0a2f7ab7e88d735299e1895580d3dd40d568b45dec",
+        ),
+    ),
+    "10^80": (
+        10**80,
+        (
+            "be254332aaf2beccfc08414c8c20eec4ee9e6cf6c00ba3369920e067cb260689",
+            "e5d0c108d4d54ef5788830ded0ebea5320a1f1a470480bf8f00c1058404416bf",
+            "71aa109ed79a396d36af7fc44af38cd2f95966d6f3bcb0e19b4e9c72a9a0459a",
+            "117ffaf4e29a8a8b1e8b2ee66723b7f1beff94b59c72f007ebb817d0371d90ff",
+        ),
+    ),
+    "10^300": (
+        10**300,
+        (
+            "1a7de6481d3da4d92659f2708cfa426a2cf8641d963351e00b90c1c1391af230",
+            "e7f1fe2310a9d73c87651d3a8a0705f7a28925883bf77d5c32aebedda337191b",
+            "66d124915428d3e9ba5b47588a96a142b620dd7cb23c2c315d2416cd9bc2cc7b",
+            "924313c8b4c155fcc7c5c7a3357832fca4a287fc5ab7d2cd50c9d9aae6e00c95",
+        ),
+    ),
+}
+
+
+@pytest.mark.parametrize("label", list(WIDE_SPAN_GOLDENS))
+def test_golden_wide_spans(label):
+    span, digests = WIDE_SPAN_GOLDENS[label]
+    pts = uniform_at_span(span)
+    cross = bottleneck_crossing(pts)
+    got = (
+        _digest_json(wide_record(pts, first_approx(pts))),
+        _digest_json(wide_record(pts, second_approx(pts))),
+        _digest_json(wide_record(pts, cross.matching) + [cross.lower_sq]),
+        _digest_json(wide_record(pts, one_third(pts, cross.matching)[0])),
+    )
+    assert got == digests

@@ -9,7 +9,7 @@ import pytest
 from planematch.errors import FormatError, UnknownPointId
 from planematch.geometry import PointSet, cross_ids
 from planematch import matching
-from planematch.matching import _ARRAY_MIN_PAIRS, Matching, _box_pairs, _boxes, _crossing_candidates, _translated_xy, validate
+from planematch.matching import _ARRAY_MIN_PAIRS, Matching, _box_pairs, _boxes, _crossing_candidates, validate
 
 S = 10**6
 
@@ -184,7 +184,7 @@ def test_validate_reports_crossings_in_row_major_order_at_every_size(span):
     for k in sizes + [0, 1, 2, 3, 17, 64]:
         pts, m = random_grid_matching(rng, k, rng.choice((26, 40)), scale, shift)
         if k >= 17:
-            assert (_translated_xy(pts).dtype == object) == span.startswith("python")
+            assert (pts.translated()[3].dtype == object) == span.startswith("python")
         assert list(validate(pts, m).violations) == row_major_crossings(pts, m)
 
 
@@ -230,10 +230,11 @@ def random_pairs(rng, scale: int, n: int, m: int):
 def test_validate_shared_vertices_and_bottleneck_equal_the_pairwise_scan():
     # With a shared vertex, or below _ARRAY_MIN_PAIRS pairs, the pairs are
     # scanned one by one; otherwise a bincount shows that no point repeats.
-    # The bottleneck is an int64 max below 2^31 of span, exact Python ints
-    # above.
+    # With _ARRAY_MIN_PAIRS pairs or more the bottleneck is the max of
+    # sq_lengths: int64 below 2^31 of span, Python ints in object arrays
+    # above (and object coordinates past 2^62).
     rng = random.Random(5)
-    for scale in (1, S, 2**40):
+    for scale in (1, S, 2**40, 2**70):
         for _ in range(30):
             n = rng.choice((rng.randrange(4, 40), 600))
             m = rng.randrange(1, n) if n < 600 else rng.randrange(_ARRAY_MIN_PAIRS, 300)
@@ -277,7 +278,7 @@ def test_of_checks_like_the_pairwise_scan():
 def test_of_array_path_equals_the_pairwise_path(monkeypatch):
     rng = random.Random(6)
     cases = []
-    for scale in (1, S, 2**40):
+    for scale in (1, S, 2**40, 2**70):
         pts = random_pairs(rng, scale, 1200, 0)[0]
         ids = list(range(pts.n))
         for _ in range(5):
@@ -312,7 +313,7 @@ def test_crossing_candidates_on_a_grid_too_wide_for_one_sort_code():
         pts = PointSet(sorted(coords))
         ids = list(range(pts.n))
         pairs = [(ids[i], ids[i + 1]) for i in range(0, pts.n - 1, 2)]
-        xy = _translated_xy(pts)
+        xy = pts.translated()[3]
         assert (xy.dtype == object) == (span > 2**62)
         assert int(xy.max()) // 2 * int(xy.max()) // 2 * len(pairs) >= 2**63
         assert _box_pairs(_boxes(xy, np.array(pairs, dtype=np.int64))) == row_major_box_pairs(pts, pairs)

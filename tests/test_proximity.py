@@ -26,8 +26,6 @@ from planematch.proximity import (
     _incircle_det_int,
     _incircle_signs,
     _internal_edges,
-    _sorted_edges_exact,
-    _sorted_edges_int64,
     _translated_floats,
     delaunay,
     disk_graph,
@@ -678,6 +676,15 @@ def random_edges(rng, n, m):
     return [tuple(rng.sample(range(n), 2)) for _ in range(m)]
 
 
+def _sorted_edges_exact(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The reference for sorted_candidate_edges: a Python sort of the rows
+    (sq_dist, u, v), u < v, of the pairs ``edges``, as its three arrays."""
+    table = sorted((pts.sq_dist(a, b), min(a, b), max(a, b)) for a, b in edges)
+    sq = np.empty(len(table), dtype=object)
+    sq[:] = [row[0] for row in table]
+    return sq, np.array([row[1] for row in table], dtype=np.int64), np.array([row[2] for row in table], dtype=np.int64)
+
+
 def test_sorted_candidate_edges_int64_equals_python_ints():
     rng = random.Random(17)
     for span in (10, S, 2**31 - 1):
@@ -687,8 +694,9 @@ def test_sorted_candidate_edges_int64_equals_python_ints():
             edges = random_edges(rng, pts.n, 3 * pts.n)
             want = rows(_sorted_edges_exact(pts, edges))
             assert want == sorted((pts.sq_dist(*e), *sorted(e)) for e in edges)
-            assert rows(_sorted_edges_int64(pts, edges)) == want
-            assert rows(sorted_candidate_edges(pts, edges)) == want
+            got = sorted_candidate_edges(pts, edges)
+            assert got[0].dtype == np.int64
+            assert rows(got) == want
 
 
 def test_sorted_candidate_edges_int64_boundary():
@@ -697,7 +705,9 @@ def test_sorted_candidate_edges_int64_boundary():
     for span in (2**31 - 1, 2**31):
         pts = PointSet([(0, 0), (span, span), (span, 0), (1, 5)])
         edges = [(0, 1), (1, 2), (3, 0), (2, 3), (3, 1)]
-        got = rows(sorted_candidate_edges(pts, edges))
+        out = sorted_candidate_edges(pts, edges)
+        assert out[0].dtype == (np.int64 if span < 2**31 else object)
+        got = rows(out)
         assert got == rows(_sorted_edges_exact(pts, edges))
         assert got[-1] == (2 * span * span, 0, 1)
 
