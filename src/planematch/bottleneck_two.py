@@ -118,7 +118,10 @@ class _TreeMatcher:
     adds the second-level skeleton (vertices with at least two internal
     neighbours: the ``tdp`` flags of the shared ``_PeelState``, counted in
     ``tdp_size``) and a heap of its candidate leaves with membership flags
-    ``in2``, all updated from the vertices each removal batch changes.
+    ``in2``, all updated from the vertices each removal changes. A Step-1
+    round at a skeleton leaf with one leaf, most rounds on random input, is
+    one ``_LiveTree.peel`` and an update over the at most two vertices it
+    changes; every other round removes its batch with ``_LiveTree.remove``.
     """
 
     def __init__(self, pts: PointSet, tree: Tree, validate_regions: bool = False):
@@ -146,30 +149,41 @@ class _TreeMatcher:
 
     def _remove(self, removed: list[int], matched: int) -> None:
         self.rounds.append((len(removed), matched))
-        live, tdp, in2, heap2 = self.live, self.tdp, self.in2, self.heap2
-        changed = live.remove(removed)
-        deg, int_deg, adj = live.deg, live.int_deg, live.adj
-        size = self.tdp_size
+        changed = self.live.remove(removed)
+        tdp = self.tdp
         for r in removed:
             if tdp[r]:
                 tdp[r] = 0
-                size -= 1
-        # Counts only fall, so a vertex can leave tdp but never join it.
+                self.tdp_size -= 1
+        self._update_second(changed)
+
+    def _update_second(self, changed) -> None:
+        """Bring ``tdp`` and ``heap2`` up to date with the live vertices
+        whose counts a removal changed; by then no removed vertex carries
+        the flag.
+
+        A live vertex's second-skeleton degree changes only when a removed
+        neighbour carried the flag, which puts the vertex in ``changed``, or
+        when a neighbour in ``changed`` leaves tdp. Both are pushed, so every
+        tdp vertex of second-skeleton degree one is in ``heap2``; an extra
+        entry is skipped when popped.
+        """
+        live, tdp, in2, heap2 = self.live, self.tdp, self.in2, self.heap2
+        deg, int_deg, adj = live.deg, live.int_deg, live.adj
         for x in changed:
-            if tdp[x] and (deg[x] < 2 or int_deg[x] < 2):
+            if not tdp[x]:
+                continue
+            # Counts only fall, so a vertex can leave tdp but never join it.
+            if deg[x] < 2 or int_deg[x] < 2:
                 tdp[x] = 0
-                size -= 1
-        self.tdp_size = size
-        # A second-skeleton degree changes when a neighbour leaves tdp. Only
-        # live vertices carry the flag.
-        for x in changed:
-            if tdp[x] and not in2[x]:
+                self.tdp_size -= 1
+                for u in adj[x]:
+                    if tdp[u] and not in2[u]:
+                        heapq.heappush(heap2, u)
+                        in2[u] = 1
+            elif not in2[x]:
                 heapq.heappush(heap2, x)
                 in2[x] = 1
-            for u in adj[x]:
-                if tdp[u] and not in2[u]:
-                    heapq.heappush(heap2, u)
-                    in2[u] = 1
 
     # -- local predicates --------------------------------------------------
 
@@ -188,28 +202,20 @@ class _TreeMatcher:
         u1, u2 = sort_clockwise(self.pts, v, leaves, w)
         return u1, u2
 
-    def _tdp_degree(self, v: int) -> int:
-        tdp = self.tdp
-        return sum(1 for u in self.live.adj[v] if tdp[u])
-
-    def _pop_step1(self) -> Optional[int]:
-        """The smallest skeleton leaf that is not an anchor. An anchor stays
-        out of the heap until a removal changes its counts."""
-        while (v := self.live.pop_leaf()) is not None:
-            if not self._is_anchor(v):
-                return v
-        return None
-
     def _pop_step2(self) -> Optional[int]:
-        heap2, tdp, in2 = self.heap2, self.tdp, self.in2
+        """The smallest vertex of the second-level skeleton with exactly one
+        neighbour in it."""
+        heap2, tdp, in2, adj = self.heap2, self.tdp, self.in2, self.live.adj
         while heap2:
             v = heapq.heappop(heap2)
             in2[v] = 0
-            if not tdp[v]:
-                continue
-            if self._tdp_degree(v) != 1:
-                continue
-            return v
+            if tdp[v]:
+                k = 0
+                for u in adj[v]:
+                    if tdp[u]:
+                        k += 1
+                if k == 1:
+                    return v
         return None
 
     def _add_pair(self, a: int, b: int) -> None:
@@ -233,18 +239,13 @@ class _TreeMatcher:
 
     # -- step 1 -------------------------------------------------------------
 
-    def _step1(self, v: int) -> None:
-        w = self.live.internal_nbr(v)
-        if w is None:
-            raise InvariantViolation("skeleton-isolated vertex in a large tree")
+    def _step1_pair(self, v: int, w: int) -> None:
+        """Step 1 at a non-anchor skeleton leaf ``v`` with internal
+        neighbour ``w`` and at least two leaves: match the first clockwise
+        pair of consecutive leaves below pi and remove it."""
         leaves = self.live.leaves_of(v)
-        k = len(leaves)
-        if k == 1:
-            self._add_pair(v, leaves[0])
-            self._remove([v, leaves[0]], 2)
-            return
         order = sort_clockwise(self.pts, v, leaves, w)
-        for i in range(k - 1):
+        for i in range(len(leaves) - 1):
             u1, u2 = order[i], order[i + 1]
             if not cw_ge_pi(self.pts, u1, v, u2):
                 self._add_pair(u1, u2)
@@ -631,10 +632,38 @@ class _TreeMatcher:
         live = self.live
         if live.size % 2 != 0:
             raise OddPointCount(f"tree has odd size {live.size}")
+        heap, in_heap, adj, deg, int_deg = live.heap, live.in_heap, live.adj, live.deg, live.int_deg
+        pairs, rounds = self.pairs, self.rounds
         while live.size > 6:
-            v = self._pop_step1()
+            # Step 1 at the smallest skeleton leaf that is not an anchor. An
+            # anchor stays out of the heap until a removal changes its counts.
+            v = None
+            while heap:
+                x = heapq.heappop(heap)
+                in_heap[x] = 0
+                d, i = deg[x], int_deg[x]
+                if d >= 2 and i <= 1 and not (d == 3 and i == 1 and self._is_anchor(x)):
+                    v = x
+                    break
             if v is not None:
-                self._step1(v)
+                w = leaf = None
+                k = 0
+                for u in adj[v]:
+                    du = deg[u]
+                    if du == 1:
+                        leaf = u
+                        k += 1
+                    elif du:
+                        w = u
+                if w is None:
+                    raise InvariantViolation("skeleton-isolated vertex in a large tree")
+                if k == 1:
+                    # v pairs with its one leaf, and both leave in one round.
+                    pairs.append((v, leaf) if v < leaf else (leaf, v))
+                    rounds.append((2, 2))
+                    self._update_second(live.peel(v, w, (leaf,)))
+                else:
+                    self._step1_pair(v, w)
                 continue
             if self.tdp_size == 1:
                 (hub,) = (u for u in live.live_vertices() if self.tdp[u])

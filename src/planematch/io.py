@@ -205,9 +205,18 @@ def gen_points(n: int, seed: int, mode: str) -> PointSet:
     star-chain: the chained five-spoke-star family whose unit disk graph is
     a tree with maximum matching (n-1)/5; requires n = 5k+1, or an even n
     with n-2 = 5k+1, which is padded with one far-away close pair.
+
+    The seed must be at least 0. Uniform and clustered points are distinct
+    points of the grid, so n above its (1000 * SCALE + 1)^2 points is
+    rejected before anything is drawn.
     """
     if n < 2:
         raise BadParameters(f"n must be at least 2, got {n}")
+    if seed < 0:
+        raise BadParameters(f"seed must be at least 0, got {seed}")
+    grid = (1000 * SCALE + 1) ** 2
+    if mode in ("uniform", "clustered") and n > grid:
+        raise BadParameters(f"n = {n} exceeds the {grid} grid points {mode} mode draws from")
     rng = np.random.Generator(np.random.PCG64(seed))
     if mode == "uniform":
         coords: set[tuple[int, int]] = set()

@@ -6,16 +6,18 @@ its bottleneck, and a skeleton-peeling matching of the degree-bounded MST of
 a connected unit disk graph with at least (n-1)/5 edges.
 
 One removal core, ``_LiveTree``, tracks the live tree under vertex removal:
-degrees, internal degrees and a heap of skeleton leaves. Its per-vertex
+degrees, internal degrees and a heap of skeleton leaves. A peeling round,
+a skeleton leaf removed with its leaves, changes the counts of at most two
+live vertices and costs O(1) updates apart from the heap. Its per-vertex
 state sits in flat arrays indexed by point id (``_PeelState``), allocated
 once per point set and set up per tree in O(|tree|), so a forest costs O(n)
 to allocate however many trees it has; adjacency is read from the tree's
-own lists. ``run_peeling`` is a thin loop over it that keeps no record of
-its rounds: it returns the pairs and the smallest degree a round saw, which
-is all the first bottleneck approximation reads before it reruns the loop
-with a pre-matched seed pair, forbidden vertices and a segment that matched
-edges must avoid crossing. The second approximation's tree matcher builds
-on the same core.
+own lists. ``run_peeling`` is a thin loop of such rounds that keeps no
+record of them: it returns the pairs and the smallest degree a round saw,
+which is all the first bottleneck approximation reads before it reruns the
+loop with a pre-matched seed pair, forbidden vertices and a segment that
+matched edges must avoid crossing. The second approximation's tree matcher
+builds on the same core.
 """
 from __future__ import annotations
 
@@ -214,11 +216,15 @@ class _LiveTree:
     removed vertex gets ``deg`` 0, so a tree neighbour of a live vertex is
     live exactly when its ``deg`` is nonzero. ``int_deg`` counts the live
     neighbours that are not leaves. The min-heap holds skeleton leaves (live
-    vertices with deg >= 2 and int_deg <= 1) and is lazy; ``remove`` pushes
-    every vertex whose counts change, so ``pop_leaf`` returns the smallest
-    skeleton leaf. ``size`` is the number of live vertices. Set-up writes
-    only the tree's own vertices, in O(|tree|), and takes their counts from
-    the forest builder (``Tree.deg``, ``Tree.int_deg``).
+    vertices with deg >= 2 and int_deg <= 1) and is lazy: the peeling loops
+    pop it themselves and skip an entry that no longer qualifies, and both
+    removal routines push every live vertex whose counts change that has
+    become a skeleton leaf. ``peel`` is one peeling round, O(1) apart from
+    the heap: it removes a skeleton leaf with all its leaves. ``remove``
+    deletes any batch one vertex at a time. ``size`` is the number of live
+    vertices. Set-up writes only the tree's own vertices, in O(|tree|), and
+    takes their counts from the forest builder (``Tree.deg``,
+    ``Tree.int_deg``).
     """
 
     def __init__(self, tree: Tree, state: _PeelState):
@@ -252,16 +258,6 @@ class _LiveTree:
         deg = self.deg
         return [u for u in self.adj[v] if deg[u]]
 
-    def pop_leaf(self) -> Optional[int]:
-        """Pop the smallest live skeleton leaf, or None when there is none."""
-        heap, in_heap, deg, int_deg = self.heap, self.in_heap, self.deg, self.int_deg
-        while heap:
-            v = heapq.heappop(heap)
-            in_heap[v] = 0
-            if deg[v] >= 2 and int_deg[v] <= 1:
-                return v
-        return None
-
     def leaves_of(self, v: int) -> list[int]:
         deg = self.deg
         return [u for u in self.adj[v] if deg[u] == 1]
@@ -272,6 +268,45 @@ class _LiveTree:
             if deg[u] >= 2:
                 return u
         return None
+
+    def peel(self, v: int, w: Optional[int], leaves: Sequence[int]) -> tuple[int, ...]:
+        """Remove skeleton leaf ``v`` with ``leaves``, all of its live
+        leaves, and return the live vertices whose counts changed, after
+        pushing those that became skeleton leaves. ``w`` is v's internal
+        neighbour, None when v and its leaves are all that is live.
+
+        Only w changes: it loses v from ``deg`` and ``int_deg``, and when
+        it drops to one neighbour, that neighbour t loses w from its
+        ``int_deg``. The result is (), (w,) or (w, t). The caller read v,
+        w and the leaves off v's live neighbours and vouches for them.
+        """
+        alive, deg = self.alive, self.deg
+        alive[v] = 0
+        deg[v] = 0
+        for u in leaves:
+            alive[u] = 0
+            deg[u] = 0
+        self.size -= 1 + len(leaves)
+        if w is None:
+            return ()
+        int_deg, in_heap = self.int_deg, self.in_heap
+        d = deg[w] - 1
+        deg[w] = d
+        int_deg[w] -= 1
+        if d >= 2:
+            if not in_heap[w] and int_deg[w] <= 1:
+                heapq.heappush(self.heap, w)
+                in_heap[w] = 1
+            return (w,)
+        # w became a leaf, so its last neighbour lost an internal one.
+        for t in self.adj[w]:
+            if deg[t]:
+                break
+        int_deg[t] -= 1
+        if not in_heap[t] and deg[t] >= 2 and int_deg[t] <= 1:
+            heapq.heappush(self.heap, t)
+            in_heap[t] = 1
+        return (w, t)
 
     def remove(self, batch: Sequence[int]) -> set[int]:
         """Delete the vertices one at a time and return the live vertices
@@ -328,16 +363,32 @@ def run_peeling(
     vertex together with all its adjacent leaves. ``forbidden`` vertices are
     never matched; candidate edges crossing ``avoid`` are skipped. A leftover
     single edge is appended when present.
+
+    Each round pops the live tree's heap, reads the leaves and the internal
+    neighbour off one scan of the vertex's tree neighbours, and ends in one
+    ``_LiveTree.peel``.
     """
     live = _LiveTree(tree, _peel_state(pts))
-    deg = live.deg
+    heap, in_heap, adj, deg, int_deg = live.heap, live.in_heap, live.adj, live.deg, live.int_deg
     pairs = list(init_pairs)
     min_degree: Optional[int] = None
 
-    while (v := live.pop_leaf()) is not None:
-        leaves = live.leaves_of(v)
-        if min_degree is None or deg[v] < min_degree:
-            min_degree = deg[v]
+    while heap:
+        v = heapq.heappop(heap)
+        in_heap[v] = 0
+        d = deg[v]
+        if d < 2 or int_deg[v] > 1:
+            continue
+        leaves = []
+        w = None
+        for u in adj[v]:
+            du = deg[u]
+            if du == 1:
+                leaves.append(u)
+            elif du:
+                w = u
+        if min_degree is None or d < min_degree:
+            min_degree = d
         if v not in forbidden:
             for u in leaves:
                 if u in forbidden:
@@ -346,7 +397,7 @@ def run_peeling(
                     continue
                 pairs.append((v, u) if v < u else (u, v))
                 break
-        live.remove((v, *leaves))
+        live.peel(v, w, leaves)
 
     if live.size == 2:
         a, b = sorted(live.live_vertices())
@@ -371,8 +422,11 @@ def plane_matching(pts: PointSet) -> Matching:
     the whole unit disk graph is connected. Connectivity is read off the
     component labels that hook-and-shortcut gives the disk graph's edge
     arrays (``_component_labels``): every label is the smallest id of its
-    component, so the graph is connected exactly when all are 0.
+    component, so the graph is connected exactly when all are 0. No points
+    give the empty matching.
     """
+    if pts.n == 0:
+        return Matching.of(pts, [])
     g = disk_graph(pts, SCALE * SCALE)
     if _component_labels(pts.n, g.u, g.v).any():
         raise DisconnectedInput("unit disk graph is not connected")

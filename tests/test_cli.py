@@ -74,6 +74,22 @@ def test_gen_bad_parameters():
         gen_points(4, 0, "nonsense")
 
 
+@pytest.mark.parametrize("mode", ["uniform", "clustered", "star-chain"])
+def test_gen_rejects_a_negative_seed(mode):
+    with pytest.raises(BadParameters, match="seed"):
+        gen_points(6, -1, mode)
+    assert gen_points(6, 10**29, mode).n == 6
+
+
+@pytest.mark.parametrize("mode", ["uniform", "clustered"])
+def test_gen_rejects_more_points_than_the_grid_holds(mode):
+    # Only counts above the bound: they are rejected before any allocation.
+    grid = (1000 * SCALE + 1) ** 2
+    for n in (grid + 1, 10**20):
+        with pytest.raises(BadParameters, match="grid"):
+            gen_points(n, 0, mode)
+
+
 def test_gen_star_chain_is_tight_family():
     from planematch.blossom import AbstractGraph, max_matching
     from planematch.proximity import disk_graph, emst5
@@ -444,6 +460,32 @@ def test_cli_error_on_self_pair_in_matching(capsys, tmp_path):
     assert code == 2
     assert rep["error"]["code"] == "format_error"
     assert str(bad) in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("approx2", "--n", "4", "--seed", "-1"),
+        ("gen", "--n", "4", "--seed", "-3"),
+        ("bench", "--algorithm", "approx2", "--sizes", "8", "--seed", "-2"),
+        ("approx2", "--n", "100000000000000000000"),
+        ("approx1", "--n", "100000000000000000000", "--mode", "clustered"),
+        ("gen", "--n", str((1000 * SCALE + 1) ** 2 + 1)),
+    ],
+)
+def test_cli_rejects_a_negative_seed_and_an_impossible_count(capsys, argv):
+    code, rep = run_cli(capsys, *argv)
+    assert code == 2
+    assert rep["error"]["code"] == "bad_parameters"
+
+
+def test_cli_udg_match_without_points(capsys, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("0\n")
+    code, rep = run_cli(capsys, "udg-match", "--input", str(f))
+    assert code == 0
+    assert rep["size"] == 0
+    assert rep["checks"] == {"size_bound": True, "length_bound": True}
 
 
 def test_cli_error_on_oversize(capsys):

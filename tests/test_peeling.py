@@ -1,7 +1,8 @@
 """The removal core ``udg._LiveTree`` and ``run_peeling`` over it, against
 a reference copy of the peeling loop that kept its own removal state, and
-against counts recomputed on the live subtree; and the point set's shared
-``_PeelState`` against a fresh state per tree."""
+against counts recomputed on the live subtree; its peeling round against
+the general ``remove``; and the point set's shared ``_PeelState`` against a
+fresh state per tree."""
 from __future__ import annotations
 
 import heapq
@@ -158,7 +159,7 @@ def test_initial_skeleton_leaves_are_the_skeleton_reference():
         tree = emst5(pts)
         sk = skeleton(tree).tree
         expected = sorted(v for v in sk.vertices if len(sk.adj[v]) <= 1)
-        assert list(iter(_LiveTree(tree, _PeelState(pts.n)).pop_leaf, None)) == expected
+        assert sorted(_LiveTree(tree, _PeelState(pts.n)).heap) == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -184,6 +185,47 @@ def test_remove_keeps_counts_of_the_live_subtree(cells, data):
         assert changed == {v for v in alive if before[v] != (deg[v], int_deg[v])}
         in_heap = {v for v in tree.vertices if live.in_heap[v]}
         assert {v for v in alive if deg[v] >= 2 and int_deg[v] <= 1} <= in_heap
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=2, max_size=40),
+    st.data(),
+)
+def test_peel_equals_remove_of_the_leaf_and_its_leaves(cells, data):
+    # Two live copies of one tree: each round removes a drawn skeleton leaf v
+    # with its leaves, by ``peel`` from one and by ``remove`` from the other.
+    pts = PointSet([(x * S, y * S) for x, y in cells])
+    tree = emst5(pts)
+    peeled = _LiveTree(tree, _PeelState(pts.n))
+    removed = _LiveTree(tree, _PeelState(pts.n))
+    vs = tree.vertices
+    while True:
+        deg, int_deg = peeled.deg, peeled.int_deg
+        candidates = [v for v in peeled.live_vertices() if deg[v] >= 2 and int_deg[v] <= 1]
+        if not candidates:
+            break
+        v = data.draw(st.sampled_from(candidates))
+        leaves = [u for u in tree.adj[v] if deg[u] == 1]
+        internal = [u for u in tree.adj[v] if deg[u] >= 2]
+        assert len(internal) <= 1
+        before = {u: (deg[u], int_deg[u]) for u in peeled.live_vertices()}
+        changed = peeled.peel(v, internal[0] if internal else None, leaves)
+        assert set(changed) == removed.remove((v, *leaves))
+        assert len(changed) == len(set(changed))
+        alive = set(peeled.live_vertices())
+        assert alive == set(removed.live_vertices())
+        assert peeled.size == removed.size == len(alive)
+        assert [peeled.deg[u] for u in vs] == [removed.deg[u] for u in vs]
+        # A removed vertex's int_deg is never read again.
+        assert {u: peeled.int_deg[u] for u in alive} == {u: removed.int_deg[u] for u in alive}
+        assert [peeled.in_heap[u] for u in vs] == [removed.in_heap[u] for u in vs]
+        assert sorted(peeled.heap) == sorted(removed.heap)
+        _, ref_deg, ref_int_deg = live_counts(tree, alive)
+        assert set(changed) == {
+            u for u in alive if before[u] != (ref_deg[u], ref_int_deg[u])
+        }
+    assert peeled.size <= 2
 
 
 def test_remove_rejects_duplicated_and_removed_vertices():
