@@ -285,6 +285,8 @@ def cmd_gen(args) -> int:
 _BENCH_ALGS = {
     "approx1": first_approx,
     "approx2": second_approx,
+    "crossing-bottleneck": lambda pts: bottleneck_crossing(pts).matching,
+    "one-third": lambda pts: one_third(pts, bottleneck_crossing(pts).matching)[0],
     "udg-match": plane_matching,
 }
 

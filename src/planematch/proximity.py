@@ -52,8 +52,9 @@ edge's lower end made a root (``subtrees``, ``forest_leq``).
 
 The fixed-radius queries, ``disk_graph`` and ``pairs_within``, share one
 numpy kernel, ``_near_pairs``: the points are sorted by the code of their
-grid cell, each cell is joined to its half-neighbourhood by
-``searchsorted``, and the candidates are kept by their exact squared
+grid cell, cells as wide as the radius, and each is joined to its
+half-neighbourhood in a 3 x 3 block of cells by two runs of the sorted
+codes (``searchsorted``); the candidates are kept by their exact squared
 length. It runs in int64 where every intermediate provably fits, and the
 same steps on object arrays of Python ints otherwise. ``pairs_within``
 returns the pairs as arrays (sq, u, v) sorted by (sq, u, v), the shape of
@@ -1048,9 +1049,6 @@ def pairs_within(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray,
     return sq, u, v[by]
 
 
-# With the cell itself, these offsets meet every pair of cells at most two
-# apart once.
-_HALF_NEIGHBOURS = tuple((dx, dy) for dx in range(3) for dy in range(-2, 3) if dx > 0 or dy > 0)
 # Candidate pairs ``_near_pairs`` measures per step, which bounds its
 # temporaries to a few MB.
 _JOIN_CHUNK = 1 << 16
@@ -1062,42 +1060,42 @@ def _near_pairs(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray, 
 
     The one fixed-radius kernel of the package, under ``pairs_within`` and
     ``disk_graph``: the cell method of Bentley, Stanat and Williams (IPL
-    1977) in numpy. Cells have side c = isqrt(sq_radius) // 2 + 1, so a
-    pair within the radius lies at most two cells apart on each axis. The
-    points are sorted by the code cx * side + cy + 2 of their cell (cx, cy)
-    of the translated coordinates, with ``side`` large enough that a code
-    plus an offset never reaches the next column. ``searchsorted`` on the
-    sorted codes joins each point to the later points of its own cell and
-    to the points of each of its ``_HALF_NEIGHBOURS``. The candidates are
-    then taken ``_JOIN_CHUNK`` at a time and filtered by their exact
-    squared length before the next chunk, which bounds the temporaries.
+    1977) in numpy. Cells have side c = isqrt(sq_radius) + 1, so a pair
+    within the radius lies at most one cell apart on each axis. The points
+    are sorted by the code cx * side + cy + 1 of their cell (cx, cy) of the
+    translated coordinates, and ``searchsorted`` joins each point to two
+    runs of the sorted codes: the later points of its own cell and the cell
+    above, up to code + 1, and the next column's lower, same and upper
+    cells, codes code + side - 1 to code + side + 1; the other three
+    neighbours reach it through their own runs. With side = span // c + 3,
+    column cx holds the codes cx * side + 1 to cx * side + side - 2, so
+    code + 1 and code + side +- 1 stay inside the point's own and the next
+    column: every candidate lies in one of the five cells. The candidates
+    are taken ``_JOIN_CHUNK`` at a time and filtered by their exact squared
+    length before the next chunk, which bounds the temporaries.
 
     The arithmetic is int64 when every intermediate provably fits: the
-    translated coordinates (span below 2^62), the codes (side^2 < 2^63),
-    ``sq_radius`` and every candidate's squared length, which is below
-    2 * min(span, 3c)^2. Otherwise the same steps run on object arrays of
-    Python ints, so ``sq`` is exact at any coordinate size.
+    translated coordinates (span below 2^62), ``sq_radius``, every
+    candidate's squared length, which is below 2 * min(span, 2c)^2, and the
+    codes, with code + side + 1 below side^2. So the test is max(sq_radius,
+    2 * min(span, 2c)^2, side^2) < 2^63. Otherwise the same steps run on
+    object arrays of Python ints, so ``sq`` is exact at any coordinate size.
     """
     n = pts.n
     if n < 2 or sq_radius < 0:
         none = np.zeros(0, dtype=np.int64)
         return none, none, none
     _, _, span, xy = pts.translated()
-    cell = isqrt(sq_radius) // 2 + 1
-    side = span // cell + 5
-    if max(sq_radius, 2 * min(span, 3 * cell) ** 2, side * side) >= 1 << 63:
+    cell = isqrt(sq_radius) + 1
+    side = span // cell + 3
+    if max(sq_radius, 2 * min(span, 2 * cell) ** 2, side * side) >= 1 << 63:
         xy = xy.astype(object)
     cxy = xy // cell
-    code = cxy[:, 0] * side + cxy[:, 1] + 2
+    code = cxy[:, 0] * side + cxy[:, 1] + 1
     order = np.argsort(code, kind="stable")
     code, xs, ys = code[order], xy[order, 0], xy[order, 1]
-    # Row k * n + p joins sorted position p to the positions [lo, hi): the
-    # later ones of its own cell for k = 0, those of the cell at
-    # _HALF_NEIGHBOURS[k - 1] otherwise.
-    shifts = np.array([dx * side + dy for dx, dy in _HALF_NEIGHBOURS], dtype=code.dtype)
-    target = (code + shifts[:, None]).ravel()
-    lo = np.concatenate((np.arange(1, n + 1), np.searchsorted(code, target)))
-    hi = np.concatenate((np.searchsorted(code, code, side="right"), np.searchsorted(code, target, side="right")))
+    lo = np.concatenate((np.arange(1, n + 1), np.searchsorted(code, code + (side - 1))))
+    hi = np.searchsorted(code, np.concatenate((code + 1, code + (side + 1))), side="right")
     ends = np.cumsum(hi - lo)
     cuts = np.searchsorted(ends, np.arange(_JOIN_CHUNK, ends[-1], _JOIN_CHUNK), side="right")
     bounds = [0, *cuts.tolist(), len(lo)]

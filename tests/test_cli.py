@@ -265,6 +265,19 @@ def test_cli_bench_solves_once_untimed_before_the_rows(capsys, monkeypatch):
     assert calls == [8, 10, 12]
 
 
+@pytest.mark.parametrize("algorithm", ["crossing-bottleneck", "one-third"])
+def test_cli_bench_times_the_crossing_commands(capsys, algorithm):
+    # Each row is the matching the command itself returns on the instance.
+    code, report = run_cli(capsys, "bench", "--algorithm", algorithm, "--sizes", "8,16", "--seed", "1")
+    assert code == 0
+    assert report["algorithm"] == algorithm
+    assert [row["n"] for row in report["rows"]] == [8, 16]
+    for row in report["rows"]:
+        _, rep = run_cli(capsys, algorithm, "--n", str(row["n"]), "--seed", "1")
+        assert row["plane"] and rep["plane"]
+        assert (row["size"], row["bottleneck"]) == (rep["size"], rep["bottleneck"])
+
+
 def test_cli_error_object(capsys):
     code, rep = run_cli(capsys, "exact", "--n", "7", "--seed", "0")
     assert code == 2

@@ -1126,6 +1126,71 @@ def test_pairs_within_equals_the_exact_scan_on_generated_points(mode):
         assert_near_pairs(pts, sq_radius)
 
 
+# The five cells _near_pairs joins a point to, as the cell offset of q from
+# p, with p's place in its cell and q - p for a pair at squared distance
+# k^2 + 1, where the cells have side k + 1: p on a corner of its cell and q
+# on the edge of its own, on a corner too when k = 1.
+NEAR_JOINS = {
+    "own cell": ((0, 0), lambda k: ((0, 0), (k, 1))),
+    "cell above": ((0, 1), lambda k: ((0, k), (k, 1))),
+    "next column, lower cell": ((1, -1), lambda k: ((k, 0), (1, -k))),
+    "next column, same cell": ((1, 0), lambda k: ((k, 0), (1, k))),
+    "next column, upper cell": ((1, 1), lambda k: ((k, k), (1, k))),
+}
+
+
+@pytest.mark.parametrize("row", ["bottom", "top"])
+@pytest.mark.parametrize("k", [1, 5, S])
+@pytest.mark.parametrize("join", sorted(NEAR_JOINS))
+@pytest.mark.parametrize("shift", [0, -(2**40) + 7])
+def test_near_pairs_join_each_cell_of_the_half_neighbourhood(join, k, row, shift):
+    # A pair at exactly the radius is found, and the same pair one unit
+    # farther apart is not, in the bottom row (cy = 0) and the top row of
+    # the grid, where code +- 1 and code + side +- 1 border the codes of
+    # another column. A point at the origin fixes the translation.
+    offset, place = NEAR_JOINS[join]
+    sq_radius = k * k + 1
+    cell = math.isqrt(sq_radius) + 1
+    (px, py), (dx, dy) = place(k)
+    # Column 1, in rows 0 and 1 or 4 and 5, the pair's upper row the top.
+    px, py = px + cell, py + (0 if row == "bottom" else 4) * cell + (cell if offset[1] < 0 else 0)
+    cp, cq = (px // cell, py // cell), ((px + dx) // cell, (py + dy) // cell)
+    assert (cq[0] - cp[0], cq[1] - cp[1]) == offset
+    rows_of_pair = {cp[1], cq[1]}
+    for far in (0, 1):
+        pts = PointSet([(shift, shift), (shift + px, shift + py), (shift + px + dx + far, shift + py + dy)])
+        if row == "bottom":
+            assert min(rows_of_pair) == 0
+        else:
+            assert max(rows_of_pair) == pts.translated()[2] // cell
+        assert ((sq_radius, 1, 2) in rows(pairs_within(pts, sq_radius))) == (far == 0)
+        assert_near_pairs(pts, sq_radius)
+
+
+@pytest.mark.parametrize(
+    "coords, sq_radius, dtype",
+    [
+        # sq_radius reaches 2^63.
+        ([(0, 0), (1, 0), (0, 3)], 2**63 - 1, np.int64),
+        ([(0, 0), (1, 0), (0, 3)], 2**63, object),
+        # 2 * span^2 reaches 2^63; c = 2^31 + 1 is past the span.
+        ([(0, 0), (2**31 - 1, 0), (0, 2**31 - 1)], 2**62, np.int64),
+        ([(0, 0), (2**31, 0), (0, 2**31)], 2**62, object),
+        # 2 * (2c)^2 reaches 2^63 at c = 2^30; the span 2^40 is past 2c.
+        ([(0, 0), (2**30 - 2, 0), (2**30 - 1, 0), (2**40, 2**40)], (2**30 - 2) ** 2, np.int64),
+        ([(0, 0), (2**30 - 1, 0), (2**30, 0), (2**40, 2**40)], (2**30 - 1) ** 2, object),
+        # side^2 reaches 2^63: c = 2, side = span // 2 + 3 = 3037000499 and
+        # 3037000500, the integers around 2^31.5.
+        ([(0, 0), (1, 0), (6074000991, 6074000992), (6074000992, 6074000992)], 1, np.int64),
+        ([(0, 0), (1, 0), (6074000993, 6074000994), (6074000994, 6074000994)], 1, object),
+    ],
+)
+def test_near_pairs_take_python_ints_from_the_int64_bound(coords, sq_radius, dtype):
+    pts = PointSet(coords)
+    assert pairs_within(pts, sq_radius)[0].dtype == dtype
+    assert_near_pairs(pts, sq_radius)
+
+
 def dfs_labels(adj) -> list[int]:
     """The smallest vertex of every vertex's component, by depth-first
     search from each unlabelled vertex in increasing order."""
