@@ -141,7 +141,8 @@ def critical_edge(pts: PointSet) -> CriticalEdgeResult:
     if n < 2:
         raise OddPointCount("need at least 2 points")
     mst = emst5(pts)
-    lengths = np.unique(mst.sq).tolist()
+    lengths = np.sort(mst.sq)
+    lengths = lengths[np.append(True, lengths[1:] != lengths[:-1])].tolist()
     even_sq = even_threshold(mst)
     # (seeds, forest) per probed index; forest is None when no forest was built.
     results: dict[int, tuple[Optional[list[SeedTriple]], Optional[Forest]]] = {}

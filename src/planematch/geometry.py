@@ -41,11 +41,12 @@ class PointSet:
     Ids are dense in [0, n). Coordinate lists are plain Python ints so all
     derived predicates stay exact regardless of magnitude. ``_xy`` (see
     ``translated``) is their one numpy copy, exact at every span, which
-    every array kernel reads; it, ``_kdtree`` and ``_peel`` (the
-    skeleton-peeling working arrays) are built on first use.
+    every array kernel reads; it and ``_peel`` (the skeleton-peeling
+    working arrays) are built on first use. ``_delaunay`` holds the strict
+    Delaunay triangulation once ``proximity.delaunay`` has made it.
     """
 
-    __slots__ = ("xs", "ys", "_kdtree", "_peel", "_xy")
+    __slots__ = ("xs", "ys", "_delaunay", "_peel", "_xy")
 
     def __init__(self, coords: Iterable[tuple[int, int]]):
         xs: list[int] = []
@@ -60,7 +61,7 @@ class PointSet:
             ys.append(y)
         self.xs = xs
         self.ys = ys
-        self._kdtree = None
+        self._delaunay = None
         self._peel = None
         self._xy = None
 

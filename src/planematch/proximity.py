@@ -1,6 +1,6 @@
-"""Proximity structures: Delaunay triangulation, the Kruskal pass,
-degree-bounded Euclidean MST, threshold forests, disk graphs, short-pair
-lists, second-closest queries and skeletons.
+"""Proximity structures: Delaunay triangulation, the Kruskal and Borůvka
+passes, degree-bounded Euclidean MST, threshold forests, disk graphs,
+short-pair lists, second-closest queries and skeletons.
 
 The Delaunay triangulation is exact: every internal edge is locally Delaunay
 under an exact integer incircle test. It has two tie rules. The canonical
@@ -9,12 +9,14 @@ the lexicographically smaller diagonal, so the result is unique and
 deterministic. The strict one flips only where the incircle determinant is
 strictly positive and keeps whichever diagonal of a co-circular quad it was
 given; the pipeline (``emst5``, the even forest) uses it. Either result
-contains the Euclidean MST under the (length, id) order of ``kruskal``: the
+contains the Euclidean MST under the (length, id) order of the passes: the
 closed disk with diameter pq of an MST edge pq holds no other point, since a
 point r on or inside it has |pr|, |rq| < |pq| and pq would be the strict
 maximum of a cycle. An edge with such an empty closed disk lies in every
 Delaunay triangulation, so Kruskal takes the same edges in the same order
-from either.
+from either. The strict triangulation is kept on the PointSet, and a
+second-closest query reads the Delaunay neighbours of its two points
+(``second_closest_batch``).
 
 scipy (Qhull) proposes a triangulation of the coordinates translated by
 their exact integer minimum. Floats then serve only as a certified filter:
@@ -30,25 +32,30 @@ otherwise a Lawson flip pass repairs it, testing exactly every edge whose
 certificate does not hold. A span of 2^53 or more, or Qhull's joggled
 fallback, sends every edge to the exact test; past that span Qhull gets the
 translated coordinates shifted right to 53 bits, which keeps its arithmetic
-in the float range at any coordinate size. Points Qhull leaves out
-(near-collinear input can lose some) are inserted exactly before the flip
-pass. Exactness therefore depends on the span of the coordinates, not on
-their magnitude. Every array kernel reads one exact copy of them,
-``PointSet.translated`` (int64 or Python ints), and squared lengths come
-from ``geometry.sq_lengths``, which ``sorted_candidate_edges`` orders by
-one stable argsort.
+in the float range at any coordinate size. The shift can merge points, and
+then some of Qhull's triangles are not strictly counterclockwise in exact
+coordinates, which no flip repairs: on those two routes such a triangle
+sends the whole set to an exact lexicographic sweep (``_swept_mesh``) before
+the flip pass. Points Qhull leaves out (near-collinear input can lose some)
+are inserted exactly before the flip pass. Exactness therefore depends on
+the span of the coordinates, not on their magnitude. Every array kernel
+reads one exact copy of them, ``PointSet.translated`` (int64 or Python
+ints), and squared lengths come from ``geometry.sq_lengths``, which
+``sorted_candidate_edges`` orders by one stable argsort.
 
-Every Kruskal pass of the package is ``kruskal``: one union-find over edges
-in length order that reports, with each edge it takes, how many odd
-components are left. ``emst5`` takes its first n - 1 edges, the even forest
-of the second approximation stops where no odd component is left, and
-``even_prefix_sq`` (L of the crossing bracket) returns that length. A tree
-needs no pass: ``Tree.rooted`` hangs it from its smallest vertex once, by
-an Euler tour ranked by pointer jumping (``_hang``), and keeps each
-vertex's parent and subtree size. Its even threshold is the longest edge
-with an odd subtree below it (``even_threshold``), and the parts of any
-subset of its edges are labelled by the parent array with every removed
-edge's lower end made a root (``subtrees``, ``forest_leq``).
+The MST comes from ``boruvka``: Borůvka's rounds in numpy over the index
+order of ``sorted_candidate_edges``, which is total, so they take exactly
+the edges a Kruskal pass would. The prefixes come from ``kruskal``: one
+union-find over edges in length order that reports, with each edge it takes,
+how many odd components are left. The even forest of the second
+approximation stops where no odd component is left, and ``even_prefix_sq``
+(L of the crossing bracket) returns that length. A tree needs no pass:
+``Tree.rooted`` hangs it from its smallest vertex once, by an Euler tour
+ranked by pointer jumping (``_hang``), and keeps each vertex's parent and
+subtree size. Its even threshold is the longest edge with an odd subtree
+below it (``even_threshold``), and the parts of any subset of its edges are
+labelled by the parent array with every removed edge's lower end made a root
+(``subtrees``, ``forest_leq``).
 
 The fixed-radius queries, ``disk_graph`` and ``pairs_within``, share one
 numpy kernel, ``_near_pairs``: the points are sorted by the code of their
@@ -62,18 +69,19 @@ returns the pairs as arrays (sq, u, v) sorted by (sq, u, v), the shape of
 
 Every ``Tree`` comes from one builder, ``_build_forest``, and is its edge
 arrays: the int64 ends and squared lengths ``sorted_candidate_edges``
-returned, at the indices ``kruskal`` took (``emst5``, ``even_forest``), or a
-masked copy of a tree's own arrays (``forest_leq``, ``subtrees``,
-``skeleton``). Components are the roots (``_roots``) of a parent array: the
-union-find of the pass that took the edges, or the cut parent array of the
-rooted tree. Besides the arrays a tree holds the sorted ``adj`` lists that
-the peeling reads and its forest's degree counts; its ``edge_sq`` dict is
-built only when something reads it.
+returned, at the indices ``boruvka`` (``emst5``) or ``kruskal``
+(``even_forest``) took, or a masked copy of a tree's own arrays
+(``forest_leq``, ``subtrees``, ``skeleton``). Components are the roots
+(``_roots``) of a parent array: the labels or union-find of the pass that
+took the edges, or the cut parent array of the rooted tree. Besides the
+arrays a tree holds the sorted ``adj`` lists that the peeling reads and its
+forest's degree counts; its ``edge_sq`` dict is built only when something
+reads it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain
 from math import isqrt
 from typing import NamedTuple, Optional
 
@@ -233,9 +241,6 @@ class SkeletonTree:
 _EPS = 2.0**-53
 _CCW_ERRBOUND_A = (3.0 + 16.0 * _EPS) * _EPS
 _ICC_ERRBOUND_A = (10.0 + 96.0 * _EPS) * _EPS
-# Integer coordinates translated by their minimum are exact doubles below
-# this span.
-_EXACT_FLOAT_SPAN = 2**53
 # Internal edges certified per vectorized step, which bounds the temporaries.
 _CERTIFY_CHUNK = 2048
 
@@ -623,6 +628,58 @@ def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
     return Triangulation(codes[np.append(True, codes[1:] != codes[:-1])], n)
 
 
+def _strictly_ccw(pts: PointSet, simplices: np.ndarray) -> bool:
+    """Whether every triangle of Qhull's ``simplices``, which Qhull orients
+    counterclockwise, is strictly counterclockwise in exact coordinates:
+    int64 products of the translated coordinates while 2 * span^2 < 2^63,
+    Python ints past it, ``_CERTIFY_CHUNK`` triangles at a time."""
+    span, xy = pts.translated()[2:]
+    wide = 2 * span * span >= 1 << 63
+    for lo in range(0, len(simplices), _CERTIFY_CHUNK):
+        p = xy[simplices[lo : lo + _CERTIFY_CHUNK].T]
+        if wide:
+            p = p.astype(object)
+        ba, ca = p[1] - p[0], p[2] - p[0]
+        if not (ba[:, 0] * ca[:, 1] > ba[:, 1] * ca[:, 0]).all():
+            return False
+    return True
+
+
+def _swept_mesh(pts: PointSet) -> _FlipMesh:
+    """A triangulation of ``pts``, which must not all be collinear, built
+    exactly: the points are inserted in lexicographic order, and each, which
+    lies outside the hull of the earlier ones, is fanned to every hull edge
+    it strictly sees. Those edges are one run of the counterclockwise hull
+    that holds an edge of the previous point, the lexicographically largest
+    so far, so each insertion walks the run from there."""
+    xs, ys = pts.xs, pts.ys
+    order = sorted(range(pts.n), key=lambda i: (xs[i], ys[i]))
+    k = 2
+    while orientation(pts, order[0], order[1], order[k]) == 0:
+        k += 1
+    first = order[k]
+    mesh = _FlipMesh(pts, [[order[i], order[i + 1], first] for i in range(k - 1)])
+    # The counterclockwise hull as successor and predecessor maps.
+    ring = order[:k] + [first]
+    if orientation(pts, order[0], order[1], first) < 0:
+        ring = [order[0], first] + order[k - 1 : 0 : -1]
+    nxt = dict(zip(ring, ring[1:] + ring[:1]))
+    prv = {b: a for a, b in nxt.items()}
+    last = first
+    for r in order[k + 1 :]:
+        right = last
+        while orientation(pts, right, nxt[right], r) < 0:
+            mesh._add_tri([right, nxt[right], r])
+            right = nxt[right]
+        left = last
+        while orientation(pts, prv[left], left, r) < 0:
+            mesh._add_tri([prv[left], left, r])
+            left = prv[left]
+        nxt[left], prv[r], nxt[r], prv[right] = r, left, right, r
+        last = r
+    return mesh
+
+
 def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
     """Delaunay triangulation by exact integer incircle tests.
 
@@ -632,9 +689,25 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
     keeps the diagonal Qhull chose: still a Delaunay triangulation, and
     still one that contains the Euclidean MST, whose edges have empty
     closed diametral disks and so lie in every Delaunay triangulation (see
-    the module docstring). Fully collinear input degenerates to the
-    consecutive-pair chain, which still contains the Euclidean MST.
+    the module docstring). That strict triangulation is kept on the
+    PointSet, where ``second_closest_batch`` reads it. Fully collinear
+    input degenerates to the consecutive-pair chain, which still contains
+    the Euclidean MST.
     """
+    out = _triangulate(pts, canonical)
+    if not canonical:
+        pts._delaunay = out
+    return out
+
+
+def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
+    """``delaunay``'s triangulation.
+
+    Past a span of 2^53, or after Qhull's joggled fallback, Qhull's
+    triangles may not all be strictly counterclockwise in exact
+    coordinates: the shift to 53 bits can merge points. The flip pass cannot
+    repair that, so the triangulation is then built exactly
+    (``_swept_mesh``) and flipped from there."""
     n = pts.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
@@ -648,6 +721,9 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
             break
     if collinear:
         return _collinear_chain(pts)
+    if n == 3:
+        # Qhull's joggled retry needs four points.
+        return Triangulation.of_pairs([(0, 1), (0, 2), (1, 2)], n)
 
     from scipy.spatial import Delaunay as _SciDelaunay
     from scipy.spatial import QhullError
@@ -659,6 +735,10 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
         tri = _SciDelaunay(xy, qhull_options="QJ")
         exact_floats = False
 
+    if not exact_floats and not _strictly_ccw(pts, tri.simplices):
+        mesh = _swept_mesh(pts)
+        _canonicalize(pts, mesh, None, canonical)
+        return Triangulation.of_pairs(mesh.live_edges(), n)
     # Qhull merging can drop near-collinear points (exact duplicates are
     # impossible); they are inserted into the mesh, whose certificates would
     # not survive the splits.
@@ -693,6 +773,10 @@ def kruskal(edges, size: int, odd: int, parent: Optional[list[int]] = None):
     with cycles. ``parent``, when given, must be ``list(range(size))``; the
     pass runs its union-find in it, so the caller can read the components
     (``_roots``) where the pass stopped.
+
+    It serves the passes that read the odd count or stop early: the even
+    forest, ``even_prefix_sq`` and ``blossom._Window.barrier_sq``. A whole
+    minimum spanning forest comes from ``boruvka``, in numpy.
     """
     if parent is None:
         parent = list(range(size))
@@ -848,13 +932,13 @@ def _build_forest(
     (every id when None), ordered by their smallest vertex.
 
     Every tree of the package comes from here. The components are the
-    roots (``_roots``) of ``parent``: the union-find of the ``kruskal`` pass
-    that took the edges, or a rooted tree's parent array with the lower end
-    of every edge left out pointing to itself. One sort of the directed
-    edges by (tail, head) gives the sorted ``adj`` lists; the edges with
-    tail < head, stably sorted by component, are slices of one array per
-    tree in lexicographic order, with the given squared lengths. No
-    vertices make one empty tree.
+    roots (``_roots``) of ``parent``: the labels of ``boruvka`` or the
+    union-find of the ``kruskal`` pass that took the edges, or a rooted
+    tree's parent array with the lower end of every edge left out pointing
+    to itself. One sort of the directed edges by (tail, head) gives the
+    sorted ``adj`` lists; the edges with tail < head, stably sorted by
+    component, are slices of one array per tree in lexicographic order,
+    with the given squared lengths. No vertices make one empty tree.
     """
     if vertices is None:
         vertices = np.arange(n, dtype=np.int64)
@@ -922,10 +1006,11 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
     return _build_forest(pts.n, u, v, sq, vertices, parent)
 
 
-def mst_forest(pts: PointSet, edges, taken: list[int], parent: list[int]) -> list[Tree]:
+def mst_forest(pts: PointSet, edges, taken, parent) -> list[Tree]:
     """The trees of the MST edges ``taken``, indices into the arrays
-    ``edges`` = (sq, u, v) of ``sorted_candidate_edges``; ``parent`` is the
-    union-find of the ``kruskal`` pass that took them."""
+    ``edges`` = (sq, u, v) of ``sorted_candidate_edges``; ``parent`` is a
+    parent list or array whose roots are the components of the pass that
+    took them: the union-find of ``kruskal``, or ``boruvka``'s labels."""
     sq, u, v = edges
     return _build_forest(pts.n, u[taken], v[taken], sq[taken], None, parent)
 
@@ -937,11 +1022,61 @@ def indexed(edges):
     return zip(range(len(u)), u.tolist(), v.tolist())
 
 
+def boruvka(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
+    """(taken, label): the sorted indices of the minimum spanning forest of
+    the arrays ``edges`` = (sq, u, v) of ``sorted_candidate_edges`` over
+    ids below n, by Borůvka's rounds (Borůvka 1926) in numpy, and for every
+    id a vertex of its tree, a parent array for ``mst_forest``.
+
+    An edge's weight is its index, so the order is total: the forest is the
+    unique minimum one, which is exactly the edges ``kruskal`` takes from
+    the same arrays in index order. Only ids and indices are read, never the
+    lengths, so the rounds run in int64 at every span. Each round every
+    component picks its lowest-index edge to another component
+    (``np.minimum.at`` on both ends) and hooks to the component at the
+    other end. Under a total order the only cycles of the hooks are mutual
+    picks of one edge; such an edge is taken once, and the smaller
+    component stays a root. ``_roots`` compresses the hooks, the components
+    are renumbered densely, and the edges inside one component drop out.
+    Every component with an edge out merges, so there are at most log2(n)
+    rounds.
+    """
+    _, u, v = edges
+    idx = np.arange(len(u), dtype=np.int64)
+    rep = np.arange(n, dtype=np.int64)  # a vertex of each component
+    label = rep  # each vertex's component
+    taken = [idx[:0]]
+    while len(idx):
+        k, m = len(rep), len(idx)
+        # Positions in this round's arrays rise with the edge index.
+        pos = np.arange(m, dtype=np.int64)
+        pick = np.full(k, m, dtype=np.int64)
+        np.minimum.at(pick, u, pos)
+        np.minimum.at(pick, v, pos)
+        comp = np.flatnonzero(pick < m)
+        at = pick[comp]
+        other = np.where(u[at] == comp, v[at], u[at])
+        mutual = pick[other] == at
+        taken.append(idx[at[~mutual | (comp < other)]])
+        hook = ~mutual | (comp > other)
+        parent = np.arange(k, dtype=np.int64)
+        parent[comp[hook]] = other[hook]
+        root = _roots(parent)
+        keep = root == np.arange(k)
+        to = (np.cumsum(keep) - 1)[root]
+        rep, label = rep[keep], to[label]
+        u, v = to[u], to[v]
+        between = u != v
+        u, v, idx = u[between], v[between], idx[between]
+    return np.sort(np.concatenate(taken)), rep[label]
+
+
 def emst5(pts: PointSet) -> Tree:
     """Euclidean minimum spanning tree with maximum degree at most five.
 
-    The first n - 1 edges ``kruskal`` takes from the strict-tie Delaunay
-    edges in (length, lexicographic) order.
+    The edges ``boruvka`` takes from the strict-tie Delaunay edges in
+    (length, lexicographic) order: the n - 1 edges a ``kruskal`` pass in
+    that order takes.
 
     No vertex of it, or of any MST forest on integer coordinates, has
     degree six. Two MST edges vu, vw meet at an angle of at least pi/3:
@@ -960,9 +1095,8 @@ def emst5(pts: PointSet) -> Tree:
         none = np.zeros(0, dtype=np.int64)
         return _build_forest(n, none, none, none, None, [0])[0]
     edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
-    parent = list(range(n))
-    taken = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n, parent), n - 1)]
-    return mst_forest(pts, edges, taken, parent)[0]
+    taken, label = boruvka(n, edges)
+    return mst_forest(pts, edges, taken, label)[0]
 
 
 def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
@@ -1118,56 +1252,42 @@ def _joined(order, xs, ys, first: int, lo, hi, sq_radius):
     return sq[near], np.minimum(p, q), np.maximum(p, q)
 
 
-def _kdtree(pts: PointSet):
-    """A cKDTree over the translated coordinates, built once and kept on the
-    PointSet; None when the span is 2^53 or more and they are not exact."""
-    if pts._kdtree is None:
-        if pts.translated()[2] >= _EXACT_FLOAT_SPAN:
-            return None
-        from scipy.spatial import cKDTree
-
-        pts._kdtree = cKDTree(_translated_floats(pts)[0])
-    return pts._kdtree
-
-
 def second_closest_batch(pts: PointSet, queries: list[tuple[int, int]]) -> list[int]:
     """For each (p, v), the nearest point to p among all points except p and
     v; distance ties break toward the smaller id.
 
-    The kd-tree only proposes candidates. The choice among them uses exact
-    integer squared distances, and a query is asked again with twice the
-    candidates while an unseen point could still tie or beat the best within
-    float tolerance. Without an exact kd-tree every point is scanned.
+    The answer is a neighbour of p or of v in the strict Delaunay
+    triangulation that ``delaunay(pts, canonical=False)`` keeps on the
+    PointSet (made here when no call has kept one yet). A nearest neighbour
+    q of p in P less v has no other point in the closed disk with diameter
+    pq (a point r there has |pr| < |pq|), so pq is an edge of every Delaunay
+    triangulation of P less v; one of them is this triangulation with v's
+    star retriangulated on v's neighbours (de Berg et al., *Computational
+    Geometry*, ch. 9). So pq is an edge of this triangulation, or p and q
+    are both neighbours of v. Exact integer squared distances pick the
+    answer among those neighbours.
     """
     if not queries:
         return []
     n = pts.n
     if n < 3:
         raise TooFewPoints("second_closest needs at least 3 points")
-    tree = _kdtree(pts)
-    if tree is None:
-        return [_closest(pts, p, v, range(n))[1] for p, v in queries]
-    out = [0] * len(queries)
-    pending = list(range(len(queries)))
-    k = min(n, 8)
-    while pending:
-        dists, idxs = tree.query(tree.data[[queries[row][0] for row in pending]], k=k)
-        retry = []
-        for row, ds, js in zip(pending, dists.tolist(), idxs.tolist()):
-            best = _closest(pts, *queries[row], js)
-            if best is not None and (k == n or ds[-1] * ds[-1] > best[0] * (1 + 1e-9)):
-                out[row] = best[1]
-            else:
-                retry.append(row)
-        pending = retry
-        k = min(n, 2 * k)
-    return out
-
-
-def _closest(pts: PointSet, p: int, v: int, candidates) -> Optional[tuple[int, int]]:
-    """(squared distance, id) of the candidate nearest to p other than p and
-    v, ties toward the smaller id; None when there is none."""
-    return min(((pts.sq_dist(p, j), j) for j in candidates if j != p and j != v), default=None)
+    tri = pts._delaunay
+    if tri is None:
+        tri = delaunay(pts, canonical=False)
+    # The neighbour lists of the queried points only.
+    lo, hi = np.divmod(tri.codes, n)
+    asked = np.zeros(n, dtype=bool)
+    asked[np.array(queries, dtype=np.int64).ravel()] = True
+    near = asked[lo] | asked[hi]
+    nbrs: dict[int, list[int]] = {}
+    for a, b in zip(lo[near].tolist(), hi[near].tolist()):
+        nbrs.setdefault(a, []).append(b)
+        nbrs.setdefault(b, []).append(a)
+    return [
+        min((pts.sq_dist(p, j), j) for j in chain(nbrs.get(p, ()), nbrs.get(v, ())) if j != p and j != v)[1]
+        for p, v in queries
+    ]
 
 
 def second_closest(pts: PointSet, p: int, v: int) -> int:

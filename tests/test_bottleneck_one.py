@@ -179,8 +179,8 @@ def test_golden_critical_edge(kind, seed):
 
 
 def test_first_approx_imports_no_more_scipy_than_spatial():
-    # approx1 needs scipy.spatial (Qhull and the kd-tree) and nothing else of
-    # scipy: scipy.sparse.csgraph alone would add about 3 MB to its memory.
+    # approx1 needs scipy.spatial (Qhull) and nothing else of scipy:
+    # scipy.sparse.csgraph alone would add about 3 MB to its memory.
     src = os.path.dirname(os.path.dirname(planematch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     listing = "print(sorted(name for name in sys.modules if name.split('.')[0] == 'scipy'))\n"

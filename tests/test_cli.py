@@ -130,6 +130,24 @@ def test_cli_exact(capsys, tmp_path):
     assert rep["bottleneck"] == pytest.approx(1.0)
 
 
+def test_approx1_and_approx2_are_plane_on_far_apart_clusters(capsys, tmp_path):
+    # Past a 2^53 span Qhull's joggled triangles of this set are not all
+    # counterclockwise. Without the exact rebuild both commands exited 0
+    # with a crossing matching, and approx2 certified its length bound
+    # against L^2 = 1,570,634 instead of the even prefix's 24,644.
+    from test_proximity import wide_set
+
+    coords = wide_set()
+    f = tmp_path / "wide.txt"
+    f.write_text(f"{len(coords)}\n" + "".join(f"{x} {y}\n" for x, y in coords))
+    for command in ("approx1", "approx2"):
+        code, rep = run_cli(capsys, command, "--input", str(f))
+        assert (code, rep["plane"]) == (0, True)
+    assert rep["lambda_lower_bound"] == pytest.approx(math.sqrt(24644))
+    assert rep["checks"] == {"length_bound": True, "round_accounting": True, "size_bound": True}
+    assert bottleneck_two.second_approx_detailed(PointSet(coords)).even.last_sq == 24644
+
+
 def test_cli_approx1_oracle(capsys):
     code, rep = run_cli(
         capsys, "approx1", "--n", "10", "--seed", "3", "--oracle"

@@ -6,6 +6,7 @@ the depth-first component walk built before the forest builder."""
 from __future__ import annotations
 
 import random
+from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -21,10 +22,13 @@ from planematch.io import gen_points
 from planematch.proximity import (
     Tree,
     _build_forest,
+    _roots,
+    boruvka,
     delaunay,
     disk_graph,
     emst5,
     forest_leq,
+    indexed,
     kruskal,
     skeleton,
     sorted_candidate_edges,
@@ -347,6 +351,61 @@ def test_built_trees_agree_with_their_arrays_on_random_sets(cells, seed):
 def test_barrier_sq_equals_reference_on_uniform_instances():
     steps = sum(barrier_steps(gen_points(300, seed, "uniform")) for seed in range(1, 81))
     assert steps >= 10
+
+
+def wide_clusters(scale: int, dx: int, dy: int) -> PointSet:
+    """``gen_points(2000, 1, "clustered")`` scaled and shifted past a span
+    of 2^62."""
+    base = gen_points(2000, 1, "clustered")
+    pts = PointSet((x * scale + dx, y * scale + dy) for x, y in zip(base.xs, base.ys))
+    assert pts.translated()[2] >= 2**62
+    return pts
+
+
+def unit_lattice(w: int, h: int) -> PointSet:
+    return PointSet((x * S, y * S) for x in range(w) for y in range(h))
+
+
+def emst5_inputs():
+    """Generated points from 2k to 20k, unit lattices, where only the id
+    order decides between edges of length 1, and spans past 2^62."""
+    for n, seed in ((2000, 1), (6000, 2), (20000, 3)):
+        for mode in ("uniform", "clustered"):
+            yield f"{mode}-{n}-{seed}", partial(gen_points, n, seed, mode)
+    for w, h in ((30, 20), (77, 80)):
+        yield f"lattice-{w}x{h}", partial(unit_lattice, w, h)
+    yield "clustered-2000-x2^50", partial(wide_clusters, 2**50, 2**70, -(2**66))
+    yield "clustered-2000-x10^13", partial(wide_clusters, 10**13, -(10**30), 10**30)
+
+
+@pytest.mark.parametrize("name,make", list(emst5_inputs()), ids=lambda v: v if isinstance(v, str) else "")
+def test_emst5_equals_reference_on_larger_inputs(name, make):
+    pts = make()
+    assert shape(emst5(pts)) == reference_emst5(pts)
+
+
+def components(label) -> list[int]:
+    """The smallest id with the same root, for every id of a parent array."""
+    root = _roots(label).tolist()
+    first: dict[int, int] = {}
+    return [first.setdefault(r, i) for i, r in enumerate(root)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 30), st.lists(st.tuples(st.integers(0, 29), st.integers(0, 29)), max_size=90))
+def test_boruvka_takes_the_edges_kruskal_takes_on_any_graph(n, pairs):
+    # Repeated pairs, cycles, isolated ids and several components: the
+    # index order alone decides.
+    pairs = [(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n]
+    u = np.array([a for a, _ in pairs], dtype=np.int64)
+    v = np.array([b for _, b in pairs], dtype=np.int64)
+    edges = (np.zeros(len(pairs), dtype=np.int64), u, v)
+    parent = list(range(n))
+    want = [i for i, _, _, _ in kruskal(indexed(edges), n, n, parent)]
+    taken, label = boruvka(n, edges)
+    assert taken.tolist() == want
+    assert np.array_equal(label[label], label)
+    assert components(label) == components(parent)
 
 
 def test_kruskal_yields_joining_edges_with_odd_counts():

@@ -5,7 +5,7 @@ import functools
 import hashlib
 import math
 import random
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 import pytest
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from planematch.bottleneck_two import even_forest
 from planematch.errors import OddPointCount, TooFewPoints
-from planematch.geometry import PointSet, cross_ids, orient, point_in_triangle_closed
+from planematch.geometry import PointSet, cross_ids, orient, orientation, point_in_triangle_closed
 from planematch.io import gen_points
 from planematch.proximity import (
     _build_forest,
@@ -26,6 +26,8 @@ from planematch.proximity import (
     _incircle_det_int,
     _incircle_signs,
     _internal_edges,
+    _strictly_ccw,
+    _swept_mesh,
     _translated_floats,
     delaunay,
     disk_graph,
@@ -61,8 +63,9 @@ def ps(*coords):
     return PointSet((round(x * S), round(y * S)) for x, y in coords)
 
 
-def brute_mst_sq_lengths(pts: PointSet) -> list[int]:
-    """Kruskal on the complete graph; returns the sorted squared lengths."""
+def brute_mst_edges(pts: PointSet) -> list[tuple[int, int]]:
+    """Kruskal on the complete graph in (length, id) order; returns the
+    edges it takes, sorted."""
     n = pts.n
     edges = sorted(
         (pts.sq_dist(i, j), i, j) for i, j in combinations(range(n), 2)
@@ -76,12 +79,17 @@ def brute_mst_sq_lengths(pts: PointSet) -> list[int]:
         return x
 
     out = []
-    for d, i, j in edges:
+    for _, i, j in edges:
         ri, rj = find(i), find(j)
         if ri != rj:
             parent[ri] = rj
-            out.append(d)
+            out.append((i, j))
     return sorted(out)
+
+
+def brute_mst_sq_lengths(pts: PointSet) -> list[int]:
+    """Kruskal on the complete graph; returns the sorted squared lengths."""
+    return sorted(pts.sq_dist(i, j) for i, j in brute_mst_edges(pts))
 
 
 def random_pointset(rng, n, span=100):
@@ -95,6 +103,14 @@ def test_delaunay_triangle():
     pts = ps((0, 0), (4, 0), (1, 3))
     t = delaunay(pts)
     assert len(t.edges) == 3
+
+
+def test_delaunay_near_collinear_triangle():
+    # Qhull finds the lifted simplex flat, and its joggled retry needs four
+    # points; three points off one line are their own triangulation.
+    pts = PointSet([(0, 0), (0, 1), (1, -13423798)])
+    assert delaunay(pts).edges == delaunay(pts, canonical=False).edges == ((0, 1), (0, 2), (1, 2))
+    assert sorted(emst5(pts).edges()) == brute_mst_edges(pts)
 
 
 def test_delaunay_square_tie_break():
@@ -198,7 +214,9 @@ def test_delaunay_equals_exact_reference_small_grid(coords):
 
 def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
     # When Qhull needs QJ, every edge of its triangulation goes to the exact
-    # flip pass, with no certificate.
+    # flip pass, with no certificate. Joggling the grid leaves flat slivers
+    # along its hull, which no flip removes: the triangulation is then built
+    # exactly, and it equals the unjoggled one.
     import scipy.spatial
     from scipy.spatial import QhullError
 
@@ -212,13 +230,42 @@ def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
         returned.append(tri.simplices)
         return tri
 
-    monkeypatch.setattr(scipy.spatial, "Delaunay", strict_only_with_qj)
     grid = PointSet((x * S, y * S) for x in range(8) for y in range(7))
-    for pts in (grid, gen_points(300, 5, "uniform")):
+    uniform = gen_points(300, 5, "uniform")
+    want = {id(pts): exact_reference_edges(pts) for pts in (grid, uniform)}
+    monkeypatch.setattr(scipy.spatial, "Delaunay", strict_only_with_qj)
+    for pts, swept in ((grid, True), (uniform, False)):
         got = delaunay(pts).edges
-        mesh = _FlipMesh(pts, returned[-1].tolist())
-        _canonicalize(pts, mesh)
-        assert got == tuple(mesh.live_edges())
+        assert got == want[id(pts)]
+        assert _strictly_ccw(pts, returned[-1]) != swept
+        if not swept:
+            mesh = _FlipMesh(pts, returned[-1].tolist())
+            _canonicalize(pts, mesh)
+            assert got == tuple(mesh.live_edges())
+    assert len(want[id(grid)]) == 3 * 56 - 3 - 26
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), min_size=3, max_size=30),
+    st.sampled_from([(1, 1), (1, -1), (-1, 1), (2, -3)]),
+)
+def test_swept_mesh_is_a_triangulation_that_flips_to_delaunay(cells, axes):
+    # Lexicographic order starts with collinear runs going up, down or
+    # sideways, and the first point off the line lies on either side.
+    coords = sorted((x * axes[0] * S, (y * axes[1] + x) * S) for x, y in cells)
+    x0, y0 = coords[0]
+    x1, y1 = coords[1]
+    assume(any(orient(x0, y0, x1, y1, x, y) != 0 for x, y in coords[2:]))
+    pts = PointSet(coords)
+    mesh = _swept_mesh(pts)
+    live = [t for t in mesh.tris if t is not None]
+    assert all(orientation(pts, *t) > 0 for t in live)
+    assert set(chain.from_iterable(live)) == set(range(pts.n))
+    hull = [e for e, ts in mesh.edge_map.items() if len(ts) == 1]
+    assert len(live) == 2 * pts.n - 2 - len(hull)
+    _canonicalize(pts, mesh)
+    assert tuple(mesh.live_edges()) == exact_reference_edges(pts)
 
 
 def drops_point(real, k):
@@ -1326,40 +1373,107 @@ def brute_second_closest(pts: PointSet, p: int, v: int) -> int:
     return min((pts.sq_dist(p, j), j) for j in range(pts.n) if j not in (p, v))[1]
 
 
+def wide_set() -> list[tuple[int, int]]:
+    """400 points in two 2000-unit clusters 2^60 and 2^61 apart: shifted to
+    53 bits for Qhull, each cluster collapses onto a few points."""
+    rng = random.Random(23)
+    coords = set()
+    while len(coords) < 400:
+        coords.add((rng.randrange(2000), rng.randrange(2000)))
+    coords = sorted(coords)
+    return coords[:200] + [(x + 2**60, y + 2**61) for x, y in coords[200:]]
+
+
 def test_second_closest_far_from_origin():
-    # Doubles near 10^18 are 128 apart, so an untranslated kd-tree misranks
-    # neighbours of a span-2000 set there; above a 2^53 span every point is
-    # scanned exactly.
+    # Doubles near 10^18 are 128 apart, so an untranslated float search
+    # misranks neighbours of a span-2000 set there; past a 2^53 span the
+    # translated doubles are not exact either.
     rng = random.Random(23)
     coords = set()
     while len(coords) < 400:
         coords.add((rng.randrange(2000), rng.randrange(2000)))
     coords = sorted(coords)
     wide = coords[:200] + [(x + 2**60, y + 2**61) for x, y in coords[200:]]
+    assert wide == wide_set()
     cases = [
-        (shifted(coords, 10**18 + rng.randrange(10**9), 10**18 - rng.randrange(10**9)), True),
-        (shifted(coords, -(10**18), 3 * 10**18), True),
-        (PointSet(wide), False),
+        shifted(coords, 10**18 + rng.randrange(10**9), 10**18 - rng.randrange(10**9)),
+        shifted(coords, -(10**18), 3 * 10**18),
+        PointSet(wide),
     ]
-    for pts, uses_kdtree in cases:
+    for pts in cases:
         queries = [(rng.randrange(pts.n), rng.randrange(pts.n)) for _ in range(300)]
         want = [brute_second_closest(pts, p, v) for p, v in queries]
         assert second_closest_batch(pts, queries) == want
         assert [second_closest(pts, p, v) for p, v in queries] == want
-        assert (pts._kdtree is not None) == uses_kdtree
 
 
-def test_second_closest_batch_escalates_on_ties():
-    # From the centre every circle point ties, so eight candidates never
-    # settle the query and the candidate count doubles up to n.
+def test_second_closest_batch_breaks_circle_ties_by_id():
+    # From the centre every circle point ties, and so do many pairs on the
+    # circle; the same holds scaled and shifted past 2^53 and 2^62.
     rng = random.Random(5)
     for r in (25, 65):
-        pts = PointSet([(0, 0)] + pythagorean_circle(r))
-        queries = [(0, v) for v in range(pts.n)]
-        queries += [(rng.randrange(pts.n), rng.randrange(pts.n)) for _ in range(50)]
-        want = [brute_second_closest(pts, p, v) for p, v in queries]
-        assert second_closest_batch(pts, queries) == want
+        circle = [(0, 0)] + pythagorean_circle(r)
+        for scale, dx, dy in ((1, 0, 0), (S, 0, 0), (2**40, 2**61, -(2**60)), (10**20, -(10**40), 3)):
+            pts = PointSet((x * scale + dx, y * scale + dy) for x, y in circle)
+            queries = [(0, v) for v in range(pts.n)]
+            queries += [(rng.randrange(pts.n), rng.randrange(pts.n)) for _ in range(50)]
+            want = [brute_second_closest(pts, p, v) for p, v in queries]
+            assert second_closest_batch(pts, queries) == want
     assert second_closest_batch(pts, []) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.sets(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=3, max_size=40),
+    st.sampled_from([1, 7, S, 10**13, 2**55, 10**25]),
+    st.integers(-(2**70), 2**70),
+    st.data(),
+)
+def test_second_closest_batch_equals_brute_force_at_every_span(cells, scale, shift, data):
+    # Grid cells tie in distance everywhere, so the id rule decides.
+    pts = PointSet(sorted((x * scale + shift, y * scale - shift) for x, y in cells))
+    ids = st.integers(0, pts.n - 1)
+    queries = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=20))
+    want = [brute_second_closest(pts, p, v) for p, v in queries]
+    assert second_closest_batch(pts, queries) == want
+
+
+def test_wide_set_is_triangulated_exactly():
+    # Shifted to 53 bits, each cluster collapses onto a few points and
+    # Qhull's joggled triangles are not all counterclockwise: without the
+    # exact rebuild the triangulation had 1,090 edges, missed most
+    # nearest-neighbour edges, and its MST was not minimal.
+    pts = PointSet(wide_set())
+    tri = delaunay(pts, canonical=False)
+    assert len(tri.codes) == 1180
+    assert pts._delaunay is tri
+    tree = emst5(pts)
+    assert list(zip(tree.u.tolist(), tree.v.tolist())) == brute_mst_edges(pts)
+    nearest = {(min(p, q), max(p, q)) for p in range(pts.n) for q in [brute_second_closest(pts, p, p)]}
+    assert nearest <= set(tri.edges)
+
+
+def far_clusters(seed: int) -> list[tuple[int, int]]:
+    """Two to four clusters of 8 to 30 points in a 2000-unit box, at
+    offsets up to 2^62 apart: past a 2^53 span the shift to 53 bits merges
+    the points of a cluster."""
+    rng = random.Random(seed)
+    coords: set[tuple[int, int]] = set()
+    for _ in range(rng.randint(2, 4)):
+        ox, oy = rng.randint(-(2**62), 2**62), rng.randint(-(2**62), 2**62)
+        coords |= {(ox + rng.randrange(2000), oy + rng.randrange(2000)) for _ in range(rng.randint(8, 30))}
+    return sorted(coords)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2**32), st.data())
+def test_emst5_and_second_closest_on_far_apart_clusters(seed, data):
+    pts = PointSet(far_clusters(seed))
+    tree = emst5(pts)
+    assert list(zip(tree.u.tolist(), tree.v.tolist())) == brute_mst_edges(pts)
+    ids = st.integers(0, pts.n - 1)
+    queries = data.draw(st.lists(st.tuples(ids, ids), min_size=1, max_size=10))
+    assert second_closest_batch(pts, queries) == [brute_second_closest(pts, p, v) for p, v in queries]
 
 
 def test_second_closest_too_few():
