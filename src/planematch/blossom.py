@@ -19,10 +19,10 @@ from itertools import chain
 import numpy as np
 
 from ._nogc import nogc
-from .errors import InvariantViolation, OddPointCount
+from .errors import InvariantViolation, OddPointCount, TooFewPoints
 from .geometry import PointSet
 from .matching import Matching
-from .proximity import disk_graph, even_prefix_sq, kruskal, pairs_within
+from .proximity import disk_graph, kruskal, pairs_within
 
 
 @dataclass(frozen=True)
@@ -288,6 +288,21 @@ class _Window:
             if odd <= spare:
                 return sq
         raise InvariantViolation("no perfect matching at twice the even-prefix length")
+
+
+def even_prefix_sq(edges, size: int, odd: int) -> int:
+    """The first squared length at which the ``kruskal`` pass over ``edges``
+    (same arguments) leaves no odd component.
+
+    That is the length of the first edge that brings the count to zero. The
+    count never rises, so every length at or above the answer is all-even,
+    even where the pass stops inside a run of equal lengths, and every one
+    below has an odd component.
+    """
+    for sq, _, _, left in kruskal(edges, size, odd):
+        if left == 0:
+            return sq
+    raise TooFewPoints("no edge length leaves every component even")
 
 
 def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:

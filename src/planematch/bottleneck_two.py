@@ -1,14 +1,15 @@
 """Second bottleneck approximation: a plane matching of size at least 2n/5
 whose edges are at most (sqrt(2)+sqrt(3)) times the optimal plane bottleneck.
 
-Kruskal over the Delaunay edges stops as soon as every component is even;
-each resulting tree (an exact MST of its points, reduced to degree five) is
-then consumed iteratively. While the tree is large and some skeleton leaf is
-not an anchor, a local leaf or leaf-pair is matched (Step 1). When every
-skeleton leaf is an anchor, a leaf of the second-level skeleton is resolved
-through one of four convex-empty-region cases (Step 2). Trees of at most six
-vertices and single-vertex second-level skeletons end in closed-form base
-cases. Every iteration matches at least four fifths of what it removes.
+The Kruskal prefix of the Euclidean MST (``emst5``) stops as soon as every
+component is even; each resulting tree (an exact MST of its points, of
+degree at most five) is then consumed iteratively. While the tree is large
+and some skeleton leaf is not an anchor, a local leaf or leaf-pair is
+matched (Step 1). When every skeleton leaf is an anchor, a leaf of the
+second-level skeleton is resolved through one of four convex-empty-region
+cases (Step 2). Trees of at most six vertices and single-vertex
+second-level skeletons end in closed-form base cases. Every iteration
+matches at least four fifths of what it removes.
 """
 from __future__ import annotations
 
@@ -36,21 +37,23 @@ from .geometry import (
     sort_clockwise,
 )
 from .matching import Matching
+# bench/tracer.py wraps ``delaunay`` and ``sorted_candidate_edges`` in this
+# module too (tests/test_tracer_targets.py), so they stay bound here.
 from .proximity import (
     Forest,
     Tree,
     delaunay,
-    indexed,
-    kruskal,
-    mst_forest,
+    emst5,
+    last_odd_edge,
     sorted_candidate_edges,
+    subtrees,
 )
 from .udg import _LiveTree, _peel_state
 
 
 @dataclass
 class EvenForest:
-    """Kruskal prefix forest whose trees all have even vertex counts."""
+    """The first Kruskal prefix of the MST whose trees are all even."""
 
     forest: Forest
     last_edge: tuple[int, int]
@@ -65,31 +68,29 @@ class TreeMatchResult:
 
 
 def even_forest(pts: PointSet) -> EvenForest:
-    """The ``kruskal`` prefix of the strict-tie Delaunay edges in (length,
-    lexicographic) order, stopped at the first edge after which every
-    component has even size; that edge and its squared length are
-    ``last_edge`` and ``last_sq``.
-
-    The pass stops there even inside a run of equal lengths. Each tree is
-    the exact MST of its vertex set, so its degrees are at most five and
-    its edges at a vertex meet at more than pi/3 (see ``emst5``).
+    """The prefix of the MST (``emst5``) in (length, lexicographic) order
+    that ends at the first edge after which every component has even size:
+    the MST's last edge with an odd subtree below it (``last_odd_edge``),
+    whose ends and squared length are ``last_edge`` and ``last_sq``. Every
+    later edge is cut, even one as long. Each tree is the exact MST of its
+    vertex set, so its degrees are at most five and its edges at a vertex
+    meet at more than pi/3 (see ``emst5``).
     """
     n = pts.n
     if n % 2 != 0:
         raise OddPointCount(f"n must be even, got {n}")
     if n < 2:
         raise TooFewPoints("need at least 2 points")
-    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
-    parent = list(range(n))
-    taken = []
-    for i, u, v, odd in kruskal(indexed(edges), n, n, parent):
-        taken.append(i)
-        if odd == 0:
-            break
-    else:
-        raise InvariantViolation("even forest construction did not terminate")
-    trees = mst_forest(pts, edges, taken, parent)
-    return EvenForest(forest=Forest(trees=trees), last_edge=(u, v), last_sq=int(edges[0][i]))
+    mst = emst5(pts)
+    i = last_odd_edge(mst)
+    sq, last_sq = mst.sq, mst.sq[i]
+    # The prefix: the shorter edges, and those as long that come no later
+    # in the arrays' lexicographic order.
+    keep = sq <= last_sq
+    keep[i + 1 :] &= sq[i + 1 :] != last_sq
+    trees = [mst] if keep.all() else subtrees(pts, mst, keep=keep)
+    u, v = int(mst.u[i]), int(mst.v[i])
+    return EvenForest(forest=Forest(trees=trees), last_edge=(u, v), last_sq=int(last_sq))
 
 
 def is_anchor(pts: PointSet, tree: Tree, v: int) -> bool:

@@ -30,32 +30,31 @@ otherwise, and the scalar canonical tie rule only where the determinant is
 zero. When no edge must flip, Qhull's triangulation is returned as is;
 otherwise a Lawson flip pass repairs it, testing exactly every edge whose
 certificate does not hold. A span of 2^53 or more, or Qhull's joggled
-fallback, sends every edge to the exact test; past that span Qhull gets the
-translated coordinates shifted right to 53 bits, which keeps its arithmetic
-in the float range at any coordinate size. The shift can merge points, and
-then some of Qhull's triangles are not strictly counterclockwise in exact
-coordinates, which no flip repairs: on those two routes such a triangle
-sends the whole set to an exact lexicographic sweep (``_swept_mesh``) before
-the flip pass. Points Qhull leaves out (near-collinear input can lose some)
-are inserted exactly before the flip pass. Exactness therefore depends on
-the span of the coordinates, not on their magnitude. Every array kernel
-reads one exact copy of them, ``PointSet.translated`` (int64 or Python
-ints), and squared lengths come from ``geometry.sq_lengths``, which
-``sorted_candidate_edges`` orders by one stable argsort.
+fallback, skips the filter: every edge goes to the exact stage. Past that
+span Qhull gets the translated coordinates shifted right to 53 bits, which
+keeps its arithmetic in the float range at any coordinate size. The shift
+can merge points, and then some of Qhull's triangles are not strictly
+counterclockwise in exact coordinates, which no flip repairs: on those two
+routes such a triangle sends the whole set to an exact lexicographic sweep
+(``_swept_mesh``) before the flip pass. Points Qhull leaves out
+(near-collinear input can lose some) are inserted exactly before the flip
+pass. Exactness therefore depends on the span of the coordinates, not on
+their magnitude. Every array kernel reads one exact copy of them,
+``PointSet.translated`` (int64 or Python ints), and squared lengths come
+from ``geometry.sq_lengths``, which ``sorted_candidate_edges`` orders by one
+stable argsort.
 
 The MST comes from ``boruvka``: Borůvka's rounds in numpy over the index
 order of ``sorted_candidate_edges``, which is total, so they take exactly
-the edges a Kruskal pass would. The prefixes come from ``kruskal``: one
-union-find over edges in length order that reports, with each edge it takes,
-how many odd components are left. The even forest of the second
-approximation stops where no odd component is left, and ``even_prefix_sq``
-(L of the crossing bracket) returns that length. A tree needs no pass:
-``Tree.rooted`` hangs it from its smallest vertex once, by an Euler tour
-ranked by pointer jumping (``_hang``), and keeps each vertex's parent and
-subtree size. Its even threshold is the longest edge with an odd subtree
-below it (``even_threshold``), and the parts of any subset of its edges are
-labelled by the parent array with every removed edge's lower end made a root
-(``subtrees``, ``forest_leq``).
+the edges a Kruskal pass would. A tree needs no pass: ``Tree.rooted`` hangs
+it from its smallest vertex once, by an Euler tour ranked by pointer
+jumping (``_hang``), and keeps each vertex's parent and subtree size. The
+first all-even Kruskal prefix of the MST ends at its last edge with an odd
+subtree below it (``last_odd_edge``), whose length is the even threshold
+of both approximations. The parts of any subset of a tree's edges are
+labelled by the parent array with every removed edge's lower end made a
+root (``subtrees``, ``forest_leq``). ``kruskal``, a union-find pass that
+counts the odd components left, serves only the crossing bracket's pairs.
 
 The fixed-radius queries, ``disk_graph`` and ``pairs_within``, share one
 numpy kernel, ``_near_pairs``: the points are sorted by the code of their
@@ -69,11 +68,10 @@ returns the pairs as arrays (sq, u, v) sorted by (sq, u, v), the shape of
 
 Every ``Tree`` comes from one builder, ``_build_forest``, and is its edge
 arrays: the int64 ends and squared lengths ``sorted_candidate_edges``
-returned, at the indices ``boruvka`` (``emst5``) or ``kruskal``
-(``even_forest``) took, or a masked copy of a tree's own arrays
-(``forest_leq``, ``subtrees``, ``skeleton``). Components are the roots
-(``_roots``) of a parent array: the labels or union-find of the pass that
-took the edges, or the cut parent array of the rooted tree. Besides the
+returned, at the indices ``boruvka`` took (``emst5``), or a masked copy of
+a tree's own arrays (``forest_leq``, ``subtrees``, ``skeleton``).
+Components are the roots (``_roots``) of a parent array: ``boruvka``'s
+labels, or the cut parent array of the rooted tree. Besides the
 arrays a tree holds the sorted ``adj`` lists that the peeling reads and its
 forest's degree counts; its ``edge_sq`` dict is built only when something
 reads it.
@@ -579,26 +577,27 @@ def _internal_edges(simplices: np.ndarray, neighbors: np.ndarray):
     return i, k, q
 
 
-def _certify_or_flip(pts: PointSet, xy: np.ndarray, tri, canonical: bool) -> Optional[set[int]]:
-    """None when Qhull's triangulation ``tri`` of the exact coordinates
-    ``xy`` already meets the tie rule; otherwise the codes ``u * n + v`` of
-    its edges (u, v) certified strictly locally Delaunay by the float
-    filter. Codes, unlike tuples, add nothing for the garbage collector to
-    scan.
+def _certify_or_flip(pts: PointSet, xy: Optional[np.ndarray], tri, canonical: bool) -> Optional[set[int]]:
+    """None when Qhull's triangulation ``tri`` already meets the tie rule;
+    otherwise the codes ``u * n + v`` of its edges (u, v) certified strictly
+    locally Delaunay by the float filter on the exact coordinates ``xy``,
+    none without them. Codes, unlike tuples, add nothing for the garbage
+    collector to scan.
 
-    Edges the filter cannot decide get the exact test that the flip pass
-    would apply to them, so None means that pass would flip nothing: one
-    vectorised evaluation of their incircle signs (``_incircle_signs``),
-    and the scalar ``_should_flip`` only for the exact ties the canonical
-    rule may flip.
+    The other edges get the exact test that the flip pass would apply to
+    them, so None means that pass would flip nothing: one vectorised
+    evaluation of their incircle signs (``_incircle_signs``), and the
+    scalar ``_should_flip`` only for the exact ties the canonical rule may
+    flip.
     """
     simplices = tri.simplices
     i, k, q = _internal_edges(simplices, tri.neighbors)
-    ok = np.empty(len(i), dtype=bool)
-    for lo in range(0, len(i), _CERTIFY_CHUNK):
-        part = slice(lo, lo + _CERTIFY_CHUNK)
-        t = simplices[i[part]]
-        ok[part] = _certified_delaunay(xy, t[:, 0], t[:, 1], t[:, 2], q[part])
+    ok = np.zeros(len(i), dtype=bool)
+    if xy is not None:
+        for lo in range(0, len(i), _CERTIFY_CHUNK):
+            part = slice(lo, lo + _CERTIFY_CHUNK)
+            t = simplices[i[part]]
+            ok[part] = _certified_delaunay(xy, t[:, 0], t[:, 1], t[:, 2], q[part])
     undecided = np.flatnonzero(~ok)
     if len(undecided) == 0:
         return None
@@ -703,11 +702,11 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
 def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     """``delaunay``'s triangulation.
 
-    Past a span of 2^53, or after Qhull's joggled fallback, Qhull's
-    triangles may not all be strictly counterclockwise in exact
-    coordinates: the shift to 53 bits can merge points. The flip pass cannot
-    repair that, so the triangulation is then built exactly
-    (``_swept_mesh``) and flipped from there."""
+    Past a span of 2^53, or after Qhull's joggled fallback, the float filter
+    is skipped, and Qhull's triangles may not all be strictly
+    counterclockwise in exact coordinates: the shift to 53 bits can merge
+    points. The flip pass cannot repair that, so the triangulation is then
+    built exactly (``_swept_mesh``) and flipped from there."""
     n = pts.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
@@ -743,7 +742,7 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     # impossible); they are inserted into the mesh, whose certificates would
     # not survive the splits.
     missing = np.flatnonzero(np.bincount(tri.simplices.ravel(), minlength=n) == 0).tolist()
-    certified = _certify_or_flip(pts, xy, tri, canonical) if exact_floats and not missing else set()
+    certified = _certify_or_flip(pts, xy if exact_floats else None, tri, canonical) if not missing else set()
     if certified is None:
         return _triangulation_of(tri.simplices, n)
     mesh = _FlipMesh(pts, tri.simplices.tolist())
@@ -774,9 +773,9 @@ def kruskal(edges, size: int, odd: int, parent: Optional[list[int]] = None):
     pass runs its union-find in it, so the caller can read the components
     (``_roots``) where the pass stopped.
 
-    It serves the passes that read the odd count or stop early: the even
-    forest, ``even_prefix_sq`` and ``blossom._Window.barrier_sq``. A whole
-    minimum spanning forest comes from ``boruvka``, in numpy.
+    It serves the crossing bracket's passes over pair lists, which read the
+    odd count and stop early: ``blossom.even_prefix_sq`` and
+    ``blossom._Window.barrier_sq``.
     """
     if parent is None:
         parent = list(range(size))
@@ -932,13 +931,12 @@ def _build_forest(
     (every id when None), ordered by their smallest vertex.
 
     Every tree of the package comes from here. The components are the
-    roots (``_roots``) of ``parent``: the labels of ``boruvka`` or the
-    union-find of the ``kruskal`` pass that took the edges, or a rooted
-    tree's parent array with the lower end of every edge left out pointing
-    to itself. One sort of the directed edges by (tail, head) gives the
-    sorted ``adj`` lists; the edges with tail < head, stably sorted by
-    component, are slices of one array per tree in lexicographic order,
-    with the given squared lengths. No vertices make one empty tree.
+    roots (``_roots``) of ``parent``: the labels of ``boruvka``, or a
+    rooted tree's parent array with the lower end of every edge left out
+    pointing to itself. One sort of the directed edges by (tail, head)
+    gives the sorted ``adj`` lists; the edges with tail < head, stably
+    sorted by component, are slices of one array per tree in lexicographic
+    order, with the given squared lengths. No vertices make one empty tree.
     """
     if vertices is None:
         vertices = np.arange(n, dtype=np.int64)
@@ -1006,15 +1004,6 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
     return _build_forest(pts.n, u, v, sq, vertices, parent)
 
 
-def mst_forest(pts: PointSet, edges, taken, parent) -> list[Tree]:
-    """The trees of the MST edges ``taken``, indices into the arrays
-    ``edges`` = (sq, u, v) of ``sorted_candidate_edges``; ``parent`` is a
-    parent list or array whose roots are the components of the pass that
-    took them: the union-find of ``kruskal``, or ``boruvka``'s labels."""
-    sq, u, v = edges
-    return _build_forest(pts.n, u[taken], v[taken], sq[taken], None, parent)
-
-
 def indexed(edges):
     """The arrays (sq, u, v) of ``sorted_candidate_edges`` as ``kruskal``
     input rows (index, u, v), so that the pass hands back indices."""
@@ -1026,7 +1015,7 @@ def boruvka(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """(taken, label): the sorted indices of the minimum spanning forest of
     the arrays ``edges`` = (sq, u, v) of ``sorted_candidate_edges`` over
     ids below n, by Borůvka's rounds (Borůvka 1926) in numpy, and for every
-    id a vertex of its tree, a parent array for ``mst_forest``.
+    id a vertex of its tree, a parent array for ``_build_forest``.
 
     An edge's weight is its index, so the order is total: the forest is the
     unique minimum one, which is exactly the edges ``kruskal`` takes from
@@ -1075,8 +1064,8 @@ def emst5(pts: PointSet) -> Tree:
     """Euclidean minimum spanning tree with maximum degree at most five.
 
     The edges ``boruvka`` takes from the strict-tie Delaunay edges in
-    (length, lexicographic) order: the n - 1 edges a ``kruskal`` pass in
-    that order takes.
+    (length, lexicographic) order: the n - 1 edges a Kruskal pass in that
+    order takes. Both approximations start from it.
 
     No vertex of it, or of any MST forest on integer coordinates, has
     degree six. Two MST edges vu, vw meet at an angle of at least pi/3:
@@ -1094,9 +1083,9 @@ def emst5(pts: PointSet) -> Tree:
     if n == 1:
         none = np.zeros(0, dtype=np.int64)
         return _build_forest(n, none, none, none, None, [0])[0]
-    edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
-    taken, label = boruvka(n, edges)
-    return mst_forest(pts, edges, taken, label)[0]
+    sq, u, v = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
+    taken, label = boruvka(n, (sq, u, v))
+    return _build_forest(n, u[taken], v[taken], sq[taken], None, label)[0]
 
 
 def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
@@ -1105,7 +1094,7 @@ def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
     Its trees are labelled off the rooted tree (``Tree.rooted``), with no
     Kruskal pass: the lower end of each edge longer than ``sq_limit`` is
     made a root (``subtrees``). Every tree is even exactly when each such
-    edge has an even subtree below it, the rule ``even_threshold`` proves
+    edge has an even subtree below it, the rule ``last_odd_edge`` proves
     and reads. At or above the longest edge the forest is a tree of the
     forest builder itself, already in the form ``subtrees`` would rebuild.
     """
@@ -1115,43 +1104,36 @@ def forest_leq(tree: Tree, sq_limit: int, pts: PointSet) -> Forest:
     return Forest(trees=subtrees(pts, tree, keep=keep))
 
 
-def even_prefix_sq(edges, size: int, odd: int) -> int:
-    """The first squared length at which the ``kruskal`` pass over ``edges``
-    (same arguments) leaves no odd component.
+def last_odd_edge(tree: Tree) -> int:
+    """The index into the even tree's edge arrays of its last edge in
+    (length, lexicographic) order with an odd subtree below it in the
+    rooted tree (``Tree.rooted``): among the odd edges of the greatest
+    length, the last, since the arrays are in lexicographic order.
 
-    That is the length of the first edge that brings the count to zero. The
-    count never rises, so every length at or above the answer is all-even,
-    even where the pass stops inside a run of equal lengths, and every one
-    below has an odd component.
-    """
-    for sq, _, _, left in kruskal(edges, size, odd):
-        if left == 0:
-            return sq
-    raise TooFewPoints("no edge length leaves every component even")
-
-
-def even_threshold(tree: Tree) -> int:
-    """The smallest squared edge length L of ``tree`` at which every tree of
-    ``forest_leq(tree, L)`` has an even number of vertices.
-
-    L is the longest edge with an odd number of vertices below it in the
-    rooted tree (``Tree.rooted``). Cutting a set of edges of an even tree
-    leaves only even parts exactly when every cut edge has an even subtree
-    below it: the part hanging from a cut edge is its subtree less the
-    subtrees of the cut edges under it, and the top part is the whole tree
-    less those of the highest cut edges, so even subtrees leave even parts;
-    and the parts inside an odd subtree add up to an odd count, so one is
-    odd. ``forest_leq(tree, L)`` cuts the edges longer than L. A tree with
-    an even number of vertices always has L: a leaf other than the root has
-    an odd subtree.
+    Cutting a set of edges of an even tree leaves only even parts exactly
+    when every cut edge has an even subtree below it: the part hanging from
+    a cut edge is its subtree less the subtrees of the cut edges under it,
+    and the top part is the whole tree less those of the highest cut edges,
+    so even subtrees leave even parts; and the parts inside an odd subtree
+    add up to an odd count, so one is odd. So the first all-even prefix in
+    that order, where a Kruskal pass stops, ends at this edge. A leaf other
+    than the root has an odd subtree, so an even tree has the edge.
     """
     if tree.n % 2 != 0:
         raise OddPointCount(f"tree has an odd number of vertices: {tree.n}")
     _, size, below = tree.rooted()
-    odd = size[below] % 2 == 1
-    if not odd.any():
+    odd = np.flatnonzero(size[below] % 2 == 1)
+    if len(odd) == 0:
         raise TooFewPoints("no edge length leaves every component even")
-    return int(tree.sq[odd].max())
+    sq = tree.sq[odd]
+    return int(odd[np.flatnonzero(sq == sq.max())[-1]])
+
+
+def even_threshold(tree: Tree) -> int:
+    """The smallest squared edge length L of ``tree`` at which every tree of
+    ``forest_leq(tree, L)``, which cuts the edges longer than L, has an even
+    number of vertices: the length of ``last_odd_edge``."""
+    return int(tree.sq[last_odd_edge(tree)])
 
 
 def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:

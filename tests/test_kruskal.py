@@ -27,6 +27,7 @@ from planematch.proximity import (
     delaunay,
     disk_graph,
     emst5,
+    even_threshold,
     forest_leq,
     indexed,
     kruskal,
@@ -284,9 +285,37 @@ def check_consumers(coords) -> None:
     barrier_steps(pts)
 
 
-@pytest.mark.parametrize("name,coords", list(degenerate_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def wide_corpus():
+    """The degenerate corpus scaled past a span of 2^62 and of 10^80, where
+    squared lengths are object arrays of Python ints."""
+    for scale, tag in ((2**62, "2^62"), (10**80, "10^80")):
+        for name, coords in degenerate_corpus():
+            yield f"{name}-x{tag}", [(x * scale - 3 * scale, y * scale + scale // 7) for x, y in coords]
+
+
+@pytest.mark.parametrize(
+    "name,coords", list(degenerate_corpus()) + list(wide_corpus()), ids=lambda v: v if isinstance(v, str) else ""
+)
 def test_consumers_equal_reference_loops(name, coords):
     check_consumers(coords)
+
+
+def test_even_forest_leaves_out_a_later_edge_of_the_last_length():
+    # A zigzag A-B-C-D of three edges of length 5, numbered so that AB =
+    # (0, 2) and CD = (1, 3) come before BC = (2, 3) in (length, id) order:
+    # the prefix is all-even after CD, so BC stays out although it is as
+    # long, while the threshold forest at that length keeps it.
+    pts = PointSet([(0, 0), (9, 4), (3, 4), (6, 0)])
+    mst = emst5(pts)
+    assert mst.edge_sq == {(0, 2): 25, (1, 3): 25, (2, 3): 25}
+    ef = even_forest(pts)
+    assert (ef.last_edge, ef.last_sq) == ((1, 3), 25)
+    assert [t.edges() for t in ef.forest.trees] == [[(0, 2)], [(1, 3)]]
+    assert even_threshold(mst) == 25
+    assert [t.edges() for t in forest_leq(mst, 25, pts).trees] == [[(0, 2), (1, 3), (2, 3)]]
+    trees, last_edge, last_sq = reference_even_forest(pts)
+    assert (ef.last_edge, ef.last_sq) == (last_edge, last_sq)
+    assert list(map(shape, ef.forest.trees)) == trees
 
 
 @settings(max_examples=150, deadline=None)

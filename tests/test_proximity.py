@@ -12,6 +12,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from planematch.blossom import even_prefix_sq
 from planematch.bottleneck_two import even_forest
 from planematch.errors import OddPointCount, TooFewPoints
 from planematch.geometry import PointSet, cross_ids, orient, orientation, point_in_triangle_closed
@@ -29,10 +30,10 @@ from planematch.proximity import (
     _strictly_ccw,
     _swept_mesh,
     _translated_floats,
+    _triangulation_of,
     delaunay,
     disk_graph,
     emst5,
-    even_prefix_sq,
     even_threshold,
     forest_leq,
     indexed,
@@ -388,6 +389,48 @@ def test_strict_lattice_never_builds_the_flip_mesh(monkeypatch, coords):
         delaunay(pts)
 
 
+def test_uniform_points_at_span_1e17_never_build_the_flip_mesh(monkeypatch):
+    # Past a span of 2^53 the float filter certifies nothing, so every
+    # internal edge gets the exact stage; on uniform points none flips under
+    # either tie rule, and Qhull's triangulation is returned without the
+    # Python mesh.
+    from planematch import proximity
+
+    rng = random.Random(17)
+    pts = PointSet(sorted({(rng.randrange(10**17), rng.randrange(10**17)) for _ in range(1000)}))
+    assert not _translated_floats(pts)[1]
+    want = exact_reference_edges(pts)
+
+    def no_mesh(*args):
+        raise AssertionError("built the flip mesh")
+
+    monkeypatch.setattr(proximity, "_FlipMesh", no_mesh)
+    assert delaunay(pts).edges == want
+    assert delaunay(pts, canonical=False).edges == want
+    emst5(pts)
+    even_forest(pts)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_exact_stage_past_2_53_finds_the_edges_qhull_gets_wrong(seed):
+    # A lattice of spacing 2^58 spans past 2^61, so Qhull sees it shifted
+    # right by 8 bits. Each point is moved by less than 2^7 (seed 0 moves
+    # none): Qhull triangulates the unmoved lattice and picks its diagonals
+    # freely, while the exact points decide them, and the unmoved lattice's
+    # co-circular squares take the canonical rule's diagonals. With no float
+    # filter on this route, the exact stage must find every edge to flip.
+    rng = random.Random(seed)
+    step, moved = 2**58, 2**7 if seed else 1
+    pts = PointSet(
+        [(x * step + rng.randrange(moved), y * step + rng.randrange(moved)) for x in range(8) for y in range(8)]
+    )
+    assert not _translated_floats(pts)[1]
+    want = exact_reference_edges(pts)
+    assert delaunay(pts).edges == want
+    if seed:
+        assert delaunay(pts, canonical=False).edges == want
+
+
 def test_strict_ties_on_the_joggled_path_leave_no_strictly_non_delaunay_edge(monkeypatch):
     import scipy.spatial
     from scipy.spatial import QhullError
@@ -395,11 +438,14 @@ def test_strict_ties_on_the_joggled_path_leave_no_strictly_non_delaunay_edge(mon
     from planematch import proximity
 
     real = scipy.spatial.Delaunay
+    returned = []
 
     def strict_only_with_qj(points, qhull_options=None):
         if qhull_options != "QJ":
             raise QhullError("forced")
-        return real(points, qhull_options=qhull_options)
+        tri = real(points, qhull_options=qhull_options)
+        returned.append(tri)
+        return tri
 
     meshes = []
 
@@ -412,13 +458,29 @@ def test_strict_ties_on_the_joggled_path_leave_no_strictly_non_delaunay_edge(mon
     monkeypatch.setattr(proximity, "_FlipMesh", RecordedMesh)
     grid = PointSet((x * S, y * S) for x in range(8) for y in range(7))
     circle = PointSet(pythagorean_circle(65) + [(0, 0)])
-    for pts in (grid, circle, gen_points(300, 5, "uniform")):
+    uniform = gen_points(300, 5, "uniform")
+    built = []
+    for pts in (grid, circle, uniform):
+        before = len(meshes)
         got = delaunay(pts, canonical=False).edges
-        mesh = meshes[-1]
-        assert got == tuple(mesh.live_edges())
-        for edge, (t1, t2) in ((e, ts) for e, ts in mesh.edge_map.items() if len(ts) == 2):
-            det = _incircle_det_int(pts, *mesh.tris[t1], mesh.opposite(t2, edge))
-            assert det <= 0
+        built.append(len(meshes) > before)
+        if built[-1]:
+            mesh = meshes[-1]
+            assert got == tuple(mesh.live_edges())
+            internal = [
+                (mesh.tris[t1], mesh.opposite(t2, edge))
+                for edge, (t1, t2) in ((e, ts) for e, ts in mesh.edge_map.items() if len(ts) == 2)
+            ]
+        else:
+            # No edge flips: Qhull's joggled triangles are returned as they
+            # are, and their internal edges are checked exactly here.
+            tri = returned[-1]
+            assert got == _triangulation_of(tri.simplices, pts.n).edges
+            i, _, q = _internal_edges(tri.simplices, tri.neighbors)
+            internal = list(zip(tri.simplices[i].tolist(), q.tolist()))
+        for t, d in internal:
+            assert _incircle_det_int(pts, *_ccw(pts, *t), d) <= 0
+    assert built[2] is False
 
 
 def test_filter_never_certifies_an_edge_that_flips():
