@@ -14,15 +14,14 @@ from __future__ import annotations
 from bisect import insort
 from collections import deque
 from dataclasses import dataclass
-from itertools import chain
 
 import numpy as np
 
 from ._nogc import nogc
-from .errors import InvariantViolation, OddPointCount, TooFewPoints
+from .errors import InvariantViolation, OddPointCount
 from .geometry import PointSet
 from .matching import Matching
-from .proximity import disk_graph, kruskal, pairs_within
+from .proximity import disk_graph, pairs_within
 
 
 @dataclass(frozen=True)
@@ -208,18 +207,9 @@ class BottleneckCrossingResult:
     lower_sq: int
 
 
-# Rows per step when window arrays become Python rows for a Kruskal pass,
-# which often stops long before the end.
+# Rows per step when window arrays become Python rows for the odd-count
+# pass, which often stops long before the end.
 _ROW_CHUNK = 4096
-
-
-def _rows(sq, u, v):
-    """The arrays (sq, u, v) as rows of Python ints, converted a chunk at a
-    time as the consumer reaches them."""
-    return chain.from_iterable(
-        zip(sq[lo : lo + _ROW_CHUNK].tolist(), u[lo : lo + _ROW_CHUNK].tolist(), v[lo : lo + _ROW_CHUNK].tolist())
-        for lo in range(0, len(u), _ROW_CHUNK)
-    )
 
 
 class _Window:
@@ -227,8 +217,8 @@ class _Window:
     held as the arrays (sq, u, v) of ``pairs_within`` (sorted by (sq, u,
     v)); the radius grows on demand up to ``top_sq``: the whole span while
     ``_crossing_bracket`` looks for L, then 4 L^2, beyond which no probe
-    goes. Python rows are made only for the Kruskal passes of the bracket
-    and ``barrier_sq`` and the edges ``extend`` adds."""
+    goes. Python rows are made only for the odd-count pass
+    (``barrier_sq``) and the edges ``extend`` adds."""
 
     def __init__(self, pts: PointSet, pairs: tuple, sq_radius: int, top_sq: int):
         self.pts, self.pairs, self.sq_radius, self.top_sq = pts, pairs, sq_radius, top_sq
@@ -253,56 +243,58 @@ class _Window:
             insort(adj[a], b)
             insort(adj[b], a)
 
-    def _pairs_avoiding(self, cut: list[int]):
-        """The window's pairs with no end in ``cut``, as rows in order,
-        growing the window when they run out."""
-
-        def listings():
-            start = 0
-            while True:
-                sq, u, v = (col[start:] for col in self.pairs)
-                if cut:
-                    keep = ~(np.isin(u, cut) | np.isin(v, cut))
-                    sq, u, v = sq[keep], u[keep], v[keep]
-                yield _rows(sq, u, v)
-                swept = self.sq_radius
-                if not self._grow():
-                    return
-                start = self._after(swept)
-
-        return chain.from_iterable(listings())
-
     def barrier_sq(self, barrier: list[int]) -> int:
         """The first squared length at which removing ``barrier`` from the
         disk graph leaves at most |barrier| odd components.
 
         By the Tutte-Berge formula no disk graph below that length has a
-        perfect matching. The one at 4 L^2 has one, so the pass ends in the
-        window. It is the ``kruskal`` pass over the pairs that avoid the
-        barrier, from the n - |barrier| odd singletons; the count never
-        rises, so the first edge that brings it to |barrier| has the
-        answer's length.
+        perfect matching. For the empty barrier it is the even-prefix
+        length L; for a barrier of a failed probe the disk graph at 4 L^2
+        has a perfect matching, so the pass ends in the window.
+
+        Kruskal's pass over the pairs with no end in the barrier, in (sq,
+        u, v) order, from the n - |barrier| odd singletons. An edge inside
+        one component is skipped, which keeps the count right on graphs
+        with cycles. Merging two even or two odd components leaves no new
+        odd one, so the count never rises, and the first edge that brings
+        it to |barrier| has the answer's length. The rows are made a chunk
+        at a time; when the window runs out, it doubles its squared radius
+        and the pass goes on with the pairs beyond the radius already read.
         """
         n, spare = self.pts.n, len(barrier)
-        for sq, _, _, odd in kruskal(self._pairs_avoiding(barrier), n, n - spare):
-            if odd <= spare:
-                return sq
-        raise InvariantViolation("no perfect matching at twice the even-prefix length")
-
-
-def even_prefix_sq(edges, size: int, odd: int) -> int:
-    """The first squared length at which the ``kruskal`` pass over ``edges``
-    (same arguments) leaves no odd component.
-
-    That is the length of the first edge that brings the count to zero. The
-    count never rises, so every length at or above the answer is all-even,
-    even where the pass stops inside a run of equal lengths, and every one
-    below has an odd component.
-    """
-    for sq, _, _, left in kruskal(edges, size, odd):
-        if left == 0:
-            return sq
-    raise TooFewPoints("no edge length leaves every component even")
+        odd = n - spare
+        parent = list(range(n))
+        weight = [1] * n
+        cut = np.zeros(n, dtype=bool)
+        cut[barrier] = True
+        start = 0
+        while True:
+            sq, u, v = (col[start:] for col in self.pairs)
+            if spare:
+                keep = ~(cut[u] | cut[v])
+                sq, u, v = sq[keep], u[keep], v[keep]
+            for lo in range(0, len(u), _ROW_CHUNK):
+                hi = lo + _ROW_CHUNK
+                for s, a, b in zip(sq[lo:hi].tolist(), u[lo:hi].tolist(), v[lo:hi].tolist()):
+                    while parent[a] != a:
+                        parent[a] = a = parent[parent[a]]
+                    while parent[b] != b:
+                        parent[b] = b = parent[parent[b]]
+                    if a == b:
+                        continue
+                    wa, wb = weight[a], weight[b]
+                    if wa & wb & 1:
+                        odd -= 2
+                        if odd <= spare:
+                            return s
+                    if wa < wb:
+                        a, b = b, a
+                    parent[b] = a
+                    weight[a] = wa + wb
+            swept = self.sq_radius
+            if not self._grow():
+                raise InvariantViolation("no length in the window leaves few enough odd components")
+            start = self._after(swept)
 
 
 def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
@@ -314,13 +306,11 @@ def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
     the triangle inequality its edges are at most 2L, so the crossing
     bottleneck is one of the distances in [L, 2L].
 
-    Only short pairs are listed, as the arrays of ``pairs_within``: the
-    scan starts at a radius of 2.5 times the mean point spacing, which
-    covers L on uniform inputs. One Kruskal pass reads the window's pairs
-    as rows a chunk at a time; when they run out before the prefix turns
-    even, the window doubles its squared radius and the pass goes on with
-    the pairs beyond the radius already read (``_Window._pairs_avoiding``),
-    until the radius covers the whole span.
+    L is the barrier length of the empty barrier (``_Window.barrier_sq``):
+    the first length that leaves no odd component. Only short pairs are
+    listed, as the arrays of ``pairs_within``: the window starts at a radius
+    of 2.5 times the mean point spacing, which covers L on uniform inputs,
+    and may grow up to the whole span while the pass looks for L.
     """
     n = pts.n
     width = max(pts.xs) - min(pts.xs)
@@ -328,7 +318,7 @@ def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
     sq_radius = 25 * max(width * height // n, (max(width, height) // n) ** 2, 1) // 4
     span_sq = width * width + height * height
     window = _Window(pts, pairs_within(pts, sq_radius), sq_radius, span_sq)
-    lower_sq = even_prefix_sq(window._pairs_avoiding([]), n, n)
+    lower_sq = window.barrier_sq([])
     window.top_sq = 4 * lower_sq
     return lower_sq, window
 
@@ -363,11 +353,9 @@ def bottleneck_crossing(pts: PointSet) -> BottleneckCrossingResult:
     if n == 0:
         return BottleneckCrossingResult(0, Matching.of(pts, []), 0)
     lower_sq, window = _crossing_bracket(pts)
-    adj = disk_graph(pts, lower_sq).adj
-    pairs = max_matching_pairs(n, adj)
-    if len(pairs) * 2 == n:
-        return BottleneckCrossingResult(lower_sq, Matching.of(pts, pairs), lower_sq)
     sq_radius = lower_sq
+    adj = disk_graph(pts, sq_radius).adj
+    pairs = max_matching_pairs(n, adj)
     while len(pairs) * 2 < n:
         next_sq = window.barrier_sq(tutte_barrier(n, adj, pairs))
         # adj stays equal to disk_graph(pts, sq_radius).adj.

@@ -52,6 +52,14 @@ def _read(path: str) -> bytes:
         raise FormatError(f"cannot read {path}: {exc.strerror or exc}") from exc
 
 
+def _write(path: str, data: bytes) -> None:
+    try:
+        with open(path, "wb") as fh:
+            fh.write(data)
+    except OSError as exc:
+        raise BadParameters(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_pairs(path: str) -> list[tuple[int, int]]:
     """The ``edges`` list of a matching JSON object, as id pairs."""
     try:
@@ -107,18 +115,14 @@ def _load_points(args) -> PointSet:
 
 
 def _emit(args, report: dict, pts: Optional[PointSet], m: Optional[Matching]) -> None:
-    # The drawing first: a point set it refuses prints only the error.
-    svg = None
-    if args.svg and pts is not None:
-        svg = render_svg(pts, m if m is not None else Matching.of(pts, []))
+    # The files first: a point set the drawing refuses, or a path that
+    # cannot be written, prints only the error.
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
+    if args.svg and pts is not None:
+        _write(args.svg, render_svg(pts, m if m is not None else Matching.of(pts, [])))
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    if svg is not None:
-        with open(args.svg, "wb") as fh:
-            fh.write(svg)
+        _write(args.json, (text + "\n").encode())
+    print(text)
 
 
 def _base_report(algorithm: str, pts: PointSet, m: Matching, ms: float) -> dict:
@@ -271,14 +275,12 @@ def cmd_validate(args) -> int:
 def cmd_gen(args) -> int:
     pts = gen_points(args.n, args.seed, args.mode)
     text = format_points(pts)
+    if args.svg:
+        _write(args.svg, render_svg(pts, Matching.of(pts, [])))
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        _write(args.output, text.encode())
     else:
         sys.stdout.write(text)
-    if args.svg:
-        with open(args.svg, "wb") as fh:
-            fh.write(render_svg(pts, Matching.of(pts, [])))
     return 0
 
 
@@ -326,10 +328,9 @@ def cmd_bench(args) -> int:
         "rows": rows,
     }
     text = json.dumps(report, indent=2, sort_keys=True)
-    print(text)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        _write(args.json, (text + "\n").encode())
+    print(text)
     return 0
 
 

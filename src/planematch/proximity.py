@@ -1,5 +1,5 @@
-"""Proximity structures: Delaunay triangulation, the Kruskal and Borůvka
-passes, degree-bounded Euclidean MST, threshold forests, disk graphs,
+"""Proximity structures: Delaunay triangulation, the Borůvka MST
+kernel, degree-bounded Euclidean MST, threshold forests, disk graphs,
 short-pair lists, second-closest queries and skeletons.
 
 The Delaunay triangulation is exact: every internal edge is locally Delaunay
@@ -53,8 +53,7 @@ first all-even Kruskal prefix of the MST ends at its last edge with an odd
 subtree below it (``last_odd_edge``), whose length is the even threshold
 of both approximations. The parts of any subset of a tree's edges are
 labelled by the parent array with every removed edge's lower end made a
-root (``subtrees``, ``forest_leq``). ``kruskal``, a union-find pass that
-counts the odd components left, serves only the crossing bracket's pairs.
+root (``subtrees``, ``forest_leq``).
 
 The fixed-radius queries, ``disk_graph`` and ``pairs_within``, share one
 numpy kernel, ``_near_pairs``: the points are sorted by the code of their
@@ -758,46 +757,6 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     return Triangulation.of_pairs(mesh.live_edges(), n)
 
 
-def kruskal(edges, size: int, odd: int, parent: Optional[list[int]] = None):
-    """Kruskal's pass over ``edges``: yields (sq, u, v, odd) for each edge
-    that joins two components, where ``odd`` is the number of odd
-    components after it.
-
-    ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
-    ids below ``size``; ``odd`` is the number of vertices taking part, each
-    an odd singleton at the start. ``sq`` is passed through unread, so a
-    caller may put the edge's index in its place. Merging two even or two
-    odd components leaves no new odd one, so the count never rises. An edge
-    inside one component is skipped, which keeps the count right on graphs
-    with cycles. ``parent``, when given, must be ``list(range(size))``; the
-    pass runs its union-find in it, so the caller can read the components
-    (``_roots``) where the pass stopped.
-
-    It serves the crossing bracket's passes over pair lists, which read the
-    odd count and stop early: ``blossom.even_prefix_sq`` and
-    ``blossom._Window.barrier_sq``.
-    """
-    if parent is None:
-        parent = list(range(size))
-    weight = [1] * size
-    for sq, u, v in edges:
-        ru = u
-        while parent[ru] != ru:
-            parent[ru] = ru = parent[parent[ru]]
-        rv = v
-        while parent[rv] != rv:
-            parent[rv] = rv = parent[parent[rv]]
-        if ru == rv:
-            continue
-        wu, wv = weight[ru], weight[rv]
-        odd -= 2 * (wu & wv & 1)
-        if wu < wv:
-            ru, rv = rv, ru
-        parent[rv] = ru
-        weight[ru] = wu + wv
-        yield sq, u, v, odd
-
-
 def sorted_candidate_edges(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Edges as arrays (sq, u, v) of squared lengths and int64 ends u < v,
     sorted by (length, lexicographic pair).
@@ -827,9 +786,9 @@ def _edge_ends(edges) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _roots(parent) -> np.ndarray:
-    """The root of every id in a parent list or array, such as the
-    union-find that ``kruskal`` leaves or a ``Rooting``'s ``parent``, by
-    pointer jumping."""
+    """The root of every id in a parent list or array, such as
+    ``boruvka``'s labels or a ``Rooting``'s ``parent``, by pointer
+    jumping."""
     root = np.array(parent, dtype=np.int64)
     while True:
         up = root[root]
@@ -1004,13 +963,6 @@ def subtrees(pts: PointSet, tree: Tree, keep: Optional[np.ndarray] = None, drop=
     return _build_forest(pts.n, u, v, sq, vertices, parent)
 
 
-def indexed(edges):
-    """The arrays (sq, u, v) of ``sorted_candidate_edges`` as ``kruskal``
-    input rows (index, u, v), so that the pass hands back indices."""
-    _, u, v = edges
-    return zip(range(len(u)), u.tolist(), v.tolist())
-
-
 def boruvka(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     """(taken, label): the sorted indices of the minimum spanning forest of
     the arrays ``edges`` = (sq, u, v) of ``sorted_candidate_edges`` over
@@ -1018,10 +970,10 @@ def boruvka(n: int, edges) -> tuple[np.ndarray, np.ndarray]:
     id a vertex of its tree, a parent array for ``_build_forest``.
 
     An edge's weight is its index, so the order is total: the forest is the
-    unique minimum one, which is exactly the edges ``kruskal`` takes from
-    the same arrays in index order. Only ids and indices are read, never the
-    lengths, so the rounds run in int64 at every span. Each round every
-    component picks its lowest-index edge to another component
+    unique minimum one, which is exactly the edges a Kruskal pass takes
+    from the same arrays in index order. Only ids and indices are read,
+    never the lengths, so the rounds run in int64 at every span. Each round
+    every component picks its lowest-index edge to another component
     (``np.minimum.at`` on both ends) and hooks to the component at the
     other end. Under a total order the only cycles of the hooks are mutual
     picks of one edge; such an edge is taken once, and the smaller

@@ -338,35 +338,17 @@ def test_crossing_window_grows_past_the_first_radius(monkeypatch):
 
 
 @pytest.mark.parametrize("mode", ["uniform", "clustered"])
-def test_crossing_bracket_reads_each_pair_once(mode, monkeypatch):
-    # One Kruskal pass reads the pairs in (sq, u, v) order across the
-    # window's doublings, each pair once; on clustered input the first
-    # radius lies far below L, so the window doubles on the way.
-    passes = []
-    real = blossom.even_prefix_sq
-
-    def recorded(edges, size, odd):
-        rows = []
-        passes.append(rows)
-
-        def tee():
-            for row in edges:
-                rows.append(row)
-                yield row
-
-        return real(tee(), size, odd)
-
+def test_crossing_bracket_lists_the_pairs_once_per_radius(mode, monkeypatch):
+    # The pass for L lists the pairs once at the first radius, and once more
+    # at each doubling; on clustered input the first radius lies far below
+    # L, so the window doubles on the way. L is the MST's even threshold.
     listings = []
     listed = blossom.pairs_within
-    monkeypatch.setattr(blossom, "even_prefix_sq", recorded)
     monkeypatch.setattr(blossom, "pairs_within", lambda pts, r: listings.append(r) or listed(pts, r))
     pts = gen_points(2000, 1, mode)
     lower_sq, window = _crossing_bracket(pts)
-    assert len(passes) == 1
-    (rows,) = passes
-    assert rows == list(zip(*(col.tolist() for col in listed(pts, window.sq_radius))))[: len(rows)]
-    assert rows[-1][0] == lower_sq
     assert len(listings) == (1 if mode == "uniform" else 3)
+    assert lower_sq == even_threshold(emst5(pts))
 
 
 def scaled(pts: PointSet, factor: int, shift: int) -> PointSet:
@@ -414,6 +396,57 @@ def test_barrier_sq_is_the_first_length_leaving_few_odd_components(name):
 
     below = max(d for d in sq.values() if d < got)
     assert odd_at(got) <= len(barrier) < odd_at(below)
+
+
+def first_length_leaving_few_odd_components(pts: PointSet, barrier: list[int]) -> int:
+    """The first pair length at which removing ``barrier`` from the disk
+    graph leaves at most |barrier| odd components, by brute force."""
+    n = pts.n
+    sq = {(i, j): pts.sq_dist(i, j) for i in range(n) for j in range(i + 1, n)}
+    for radius in sorted(set(sq.values())):
+        if odd_components(n, [e for e, d in sq.items() if d <= radius], set(barrier)) <= len(barrier):
+            return radius
+    raise AssertionError("the complete graph leaves too many odd components")
+
+
+def lattice_draw(w: int, h: int, step: int) -> list[tuple[int, int]]:
+    return [(x * step, y * step) for x in range(w) for y in range(h)]
+
+
+def collinear_draw(gaps: list[int], slope: tuple[int, int]) -> list[tuple[int, int]]:
+    coords, t = [], 0
+    for gap in gaps:
+        t += gap
+        coords.append((t * slope[0], t * slope[1]))
+    return coords
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    st.one_of(
+        st.sets(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=2, max_size=20).map(sorted),
+        st.builds(lattice_draw, st.integers(1, 5), st.integers(2, 4), st.integers(1, 3)),
+        st.builds(
+            collinear_draw,
+            st.lists(st.integers(1, 4), min_size=2, max_size=20),
+            st.sampled_from([(1, 0), (0, 1), (1, 1), (2, -1)]),
+        ),
+    ),
+    st.data(),
+)
+def test_barrier_sq_equals_brute_force_on_small_sets(coords, data):
+    # Any barrier A with 2|A| < n, the empty one included: the pass skips
+    # A's pairs and cycle edges, and grows the window up to the span.
+    pts = PointSet(coords[: len(coords) // 2 * 2])
+    n = pts.n
+    lower_sq, window = _crossing_bracket(pts)
+    window.top_sq = (max(pts.xs) - min(pts.xs)) ** 2 + (max(pts.ys) - min(pts.ys)) ** 2
+    barriers = data.draw(
+        st.lists(st.lists(st.integers(0, n - 1), max_size=(n - 1) // 2, unique=True), min_size=1, max_size=4)
+    )
+    assert lower_sq == first_length_leaving_few_odd_components(pts, [])
+    for barrier in [[]] + barriers:
+        assert window.barrier_sq(barrier) == first_length_leaving_few_odd_components(pts, barrier)
 
 
 def test_crossing_path_imports_no_scipy():

@@ -408,6 +408,26 @@ def test_cli_error_on_unreadable_file(capsys, tmp_path):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ("approx2", "--n", "12", "--json"),
+        ("approx2", "--n", "12", "--svg"),
+        ("gen", "--n", "12", "--output"),
+        ("bench", "--algorithm", "approx2", "--sizes", "12", "--json"),
+    ],
+    ids=["approx2-json", "approx2-svg", "gen-output", "bench-json"],
+)
+def test_cli_error_on_unwritable_output(capsys, tmp_path, argv):
+    # stdout holds the error object alone, and the exit code is not
+    # validate's "invalid matching".
+    target = str(tmp_path / "missing" / "out")
+    code, rep = run_cli(capsys, *argv, target)
+    assert code == 2
+    assert rep["error"]["code"] == "bad_parameters"
+    assert target in rep["error"]["message"]
+
+
+@pytest.mark.parametrize(
     "text",
     [
         '{"edges": [[0, 1]',

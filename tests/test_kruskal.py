@@ -1,8 +1,10 @@
-"""proximity.kruskal and its consumers against reference copies of the
-separate Kruskal loops they replaced: the even-forest loop, the EMST loop
-and the Tutte-barrier sweep that labelled components depth-first before
-merging them with its own union-find. The trees are compared with the ones
-the depth-first component walk built before the forest builder."""
+"""The MST, the even forest and the crossing search's odd-count pass
+against reference copies of the separate Kruskal loops they replaced: the
+even-forest loop, the EMST loop and the Tutte-barrier sweep that labelled
+components depth-first before merging them with its own union-find. The
+trees are compared with the ones the depth-first component walk built
+before the forest builder. ``kruskal`` is the one reference Kruskal pass
+that other tests read."""
 from __future__ import annotations
 
 import random
@@ -29,14 +31,46 @@ from planematch.proximity import (
     emst5,
     even_threshold,
     forest_leq,
-    indexed,
-    kruskal,
     skeleton,
     sorted_candidate_edges,
     subtrees,
 )
 
 S = SCALE
+
+
+def kruskal(edges, size: int, odd: int, parent: list[int] | None = None):
+    """Kruskal's pass over ``edges``: yields (sq, u, v, odd) for each edge
+    that joins two components, where ``odd`` is the number of odd
+    components after it.
+
+    ``edges`` yields (sq_length, u, v) in nondecreasing length over vertex
+    ids below ``size``; ``odd`` is the number of vertices taking part, each
+    an odd singleton at the start. ``sq`` is passed through unread, so a
+    caller may put the edge's index in its place. An edge inside one
+    component is skipped. ``parent``, when given, must be
+    ``list(range(size))``; the pass runs its union-find in it, so the caller
+    can read the components (``_roots``) where the pass stopped.
+    """
+    if parent is None:
+        parent = list(range(size))
+    weight = [1] * size
+    for sq, u, v in edges:
+        ru = u
+        while parent[ru] != ru:
+            parent[ru] = ru = parent[parent[ru]]
+        rv = v
+        while parent[rv] != rv:
+            parent[rv] = rv = parent[parent[rv]]
+        if ru == rv:
+            continue
+        wu, wv = weight[ru], weight[rv]
+        odd -= 2 * (wu & wv & 1)
+        if wu < wv:
+            ru, rv = rv, ru
+        parent[rv] = ru
+        weight[ru] = wu + wv
+        yield sq, u, v, odd
 
 
 def rows(edges) -> list[tuple[int, int, int]]:
@@ -430,7 +464,7 @@ def test_boruvka_takes_the_edges_kruskal_takes_on_any_graph(n, pairs):
     v = np.array([b for _, b in pairs], dtype=np.int64)
     edges = (np.zeros(len(pairs), dtype=np.int64), u, v)
     parent = list(range(n))
-    want = [i for i, _, _, _ in kruskal(indexed(edges), n, n, parent)]
+    want = [i for i, _, _, _ in kruskal(zip(range(len(pairs)), u.tolist(), v.tolist()), n, n, parent)]
     taken, label = boruvka(n, edges)
     assert taken.tolist() == want
     assert np.array_equal(label[label], label)

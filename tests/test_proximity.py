@@ -12,7 +12,6 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from planematch.blossom import even_prefix_sq
 from planematch.bottleneck_two import even_forest
 from planematch.errors import OddPointCount, TooFewPoints
 from planematch.geometry import PointSet, cross_ids, orient, orientation, point_in_triangle_closed
@@ -36,8 +35,6 @@ from planematch.proximity import (
     emst5,
     even_threshold,
     forest_leq,
-    indexed,
-    kruskal,
     pairs_within,
     second_closest,
     second_closest_batch,
@@ -46,7 +43,7 @@ from planematch.proximity import (
     subtrees,
 )
 from planematch.udg import plane_matching
-from test_kruskal import built_tree
+from test_kruskal import built_tree, kruskal
 
 S = 10**6
 
@@ -996,9 +993,10 @@ def test_even_threshold_matches_forest_parity_degenerate(name, coords):
 
 def reference_even_threshold(tree) -> int:
     """The even threshold by a Kruskal pass over the sorted (sq, u, v)
-    tuples, from odd singletons."""
+    tuples, from odd singletons: the length of the edge that leaves no odd
+    component."""
     edges = sorted((sq, u, v) for (u, v), sq in tree.edge_sq.items())
-    return even_prefix_sq(edges, max(tree.vertices) + 1, tree.n)
+    return next(sq for sq, _, _, odd in kruskal(edges, max(tree.vertices) + 1, tree.n) if odd == 0)
 
 
 def reference_subtrees(pts, tree, keep=None, drop=()):
@@ -1010,7 +1008,7 @@ def reference_subtrees(pts, tree, keep=None, drop=()):
         stay &= keep
     u, v, sq = u[stay], v[stay], sq[stay]
     parent = list(range(pts.n))
-    for _ in kruskal(indexed((sq, u, v)), pts.n, pts.n, parent):
+    for _ in kruskal(zip(sq.tolist(), u.tolist(), v.tolist()), pts.n, pts.n, parent):
         pass
     vertices = np.array(sorted(set(tree.vertices) - set(drop)), dtype=np.int64)
     return _build_forest(pts.n, u, v, sq, vertices, parent)
@@ -1091,7 +1089,7 @@ def path_like(gaps: list[int], wobble: list[int]) -> list[tuple[int, int]]:
 )
 def test_rooting_equals_kruskal_passes_on_ties_and_paths(coords, drop_at):
     # The rooted tree, and the even threshold and forests read off it, equal
-    # the Kruskal passes they replace: even_prefix_sq over the sorted tuples,
+    # the Kruskal passes they replace: an even prefix over the sorted tuples,
     # and a union-find labelling of the kept edges.
     assume(len(coords) >= 2)
     assert_rooting_equals_reference_passes(PointSet(coords), drop_at)
@@ -1116,16 +1114,6 @@ def test_even_threshold_examples():
     assert even_threshold(emst5(ps((0, 0), (2, 0), (3, 0), (5, 0)))) == 4 * S * S
     with pytest.raises(OddPointCount):
         even_threshold(emst5(ps((0, 0), (1, 0), (3, 0))))
-
-
-def test_even_prefix_skips_cycle_edges():
-    # A square 0-1-2-3 with the diagonal 0-2. The diagonal closes the
-    # triangle 0-1-2 while it is odd, which must not count as a merge: the
-    # odd triangle and vertex 3 first join at length 2.
-    edges = [(1, 0, 1), (1, 1, 2), (1, 0, 2), (2, 2, 3), (2, 0, 3)]
-    assert even_prefix_sq(edges, 4, 4) == 2
-    with pytest.raises(TooFewPoints):
-        even_prefix_sq(edges[:3], 4, 4)
 
 
 def test_disk_graph_examples():
