@@ -36,13 +36,13 @@ keeps its arithmetic in the float range at any coordinate size. The shift
 can merge points, and then some of Qhull's triangles are not strictly
 counterclockwise in exact coordinates, which no flip repairs: on those two
 routes such a triangle sends the whole set to an exact lexicographic sweep
-(``_swept_mesh``) before the flip pass. Points Qhull leaves out
-(near-collinear input can lose some) are inserted exactly before the flip
-pass. Exactness therefore depends on the span of the coordinates, not on
-their magnitude. Every array kernel reads one exact copy of them,
-``PointSet.translated`` (int64 or Python ints), and squared lengths come
-from ``geometry.sq_lengths``, which ``sorted_candidate_edges`` orders by one
-stable argsort.
+(``_swept_mesh``) before the flip pass. So does any point Qhull leaves out
+(near-collinear input can lose some, with wrongly oriented triangles
+beside them), at any span. Exactness therefore depends on the span of the
+coordinates, not on their magnitude. Every array kernel reads one exact
+copy of them, ``PointSet.translated`` (int64 or Python ints), and squared
+lengths come from ``geometry.sq_lengths``, which ``sorted_candidate_edges``
+orders by one stable argsort.
 
 The MST comes from ``boruvka``: Borůvka's rounds in numpy over the index
 order of ``sorted_candidate_edges``, which is total, so they take exactly
@@ -85,7 +85,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from .errors import InvariantViolation, OddPointCount, TooFewPoints
-from .geometry import PointSet, orient, orientation, point_in_triangle_closed, sq_lengths
+from .geometry import PointSet, orient, orientation, sq_lengths
 
 
 class Triangulation:
@@ -432,81 +432,6 @@ class _FlipMesh:
         self._add_tri([p, q, v])
         return _edge_key(p, q)
 
-    def fill_pockets(self) -> None:
-        """Triangulate the pockets between the boundary, one simple cycle,
-        and its convex hull, which Qhull can leave where it merges facets
-        away: clip the ear at each strictly reflex boundary vertex whose
-        closed triangle holds no other boundary vertex, until none is left."""
-        pts = self.pts
-        nxt = {}  # boundary successor, the mesh on the left
-        for (a, b), ts in self.edge_map.items():
-            if len(ts) == 1:
-                tri = self.tris[ts[0]]
-                if tri[(tri.index(a) + 1) % 3] == b:
-                    nxt[a] = b
-                else:
-                    nxt[b] = a
-        prv = {b: a for a, b in nxt.items()}
-        clipped = True
-        while clipped:
-            clipped = False
-            for v in list(nxt):
-                u, w = prv[v], nxt[v]
-                if orientation(pts, u, v, w) >= 0 or any(
-                    point_in_triangle_closed(pts, u, v, w, x) for x in nxt if x not in (u, v, w)
-                ):
-                    continue
-                self._add_tri([u, v, w])
-                del nxt[v], prv[v]
-                nxt[u], prv[w] = w, u
-                clipped = True
-
-    def _sides(self, t: int, r: int):
-        """The edges of live triangle t in ccw order, and the orientation of
-        r to each: r lies in the closed triangle when none is negative."""
-        tri = self.tris[t]
-        sides = list(zip(tri, tri[1:] + tri[:1]))
-        return sides, [orientation(self.pts, u, v, r) for u, v in sides]
-
-    def _locate(self, r: int) -> Optional[int]:
-        """A live triangle that holds r, found by an exact orientation scan
-        of every triangle, or None when r lies outside the hull, which must
-        be convex."""
-        for t, tri in enumerate(self.tris):
-            if tri is not None:
-                signs = self._sides(t, r)[1]
-                if min(signs) >= 0 and max(signs) > 0:
-                    return t
-        return None
-
-    def insert(self, r: int) -> None:
-        """Add point r, which no triangle has as a vertex, exactly: split the
-        triangle that holds it, or the one or two triangles on the edge it
-        lies on; outside the hull (which must be convex), fan it to every
-        hull edge it strictly sees. The result is a triangulation, not yet
-        Delaunay."""
-        pts = self.pts
-        t = self._locate(r)
-        if t is None:
-            hull = [(e, ts[0]) for e, ts in self.edge_map.items() if len(ts) == 1]
-            for (u, v), s in hull:
-                if orientation(pts, u, v, r) * orientation(pts, u, v, self.opposite(s, (u, v))) < 0:
-                    self._add_tri([u, v, r])
-            return
-        sides, signs = self._sides(t, r)
-        if 0 not in signs:
-            self._remove_tri(t)
-            for u, v in sides:
-                self._add_tri([u, v, r])
-            return
-        # r is a point other than the vertices, so it lies on one edge.
-        u, v = sides[signs.index(0)]
-        for s in list(self.edge_map[_edge_key(u, v)]):
-            w = self.opposite(s, (u, v))
-            self._remove_tri(s)
-            self._add_tri([u, w, r])
-            self._add_tri([v, w, r])
-
     def live_edges(self) -> list[tuple[int, int]]:
         return sorted(self.edge_map.keys())
 
@@ -649,7 +574,10 @@ def _swept_mesh(pts: PointSet) -> _FlipMesh:
     lies outside the hull of the earlier ones, is fanned to every hull edge
     it strictly sees. Those edges are one run of the counterclockwise hull
     that holds an edge of the previous point, the lexicographically largest
-    so far, so each insertion walks the run from there."""
+    so far, so each insertion walks the run from there. It is ``delaunay``'s
+    one exact construction wherever Qhull's output cannot be repaired by
+    flips: a dropped point, or a triangle that is not strictly
+    counterclockwise."""
     xs, ys = pts.xs, pts.ys
     order = sorted(range(pts.n), key=lambda i: (xs[i], ys[i]))
     k = 2
@@ -704,7 +632,9 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     Past a span of 2^53, or after Qhull's joggled fallback, the float filter
     is skipped, and Qhull's triangles may not all be strictly
     counterclockwise in exact coordinates: the shift to 53 bits can merge
-    points. The flip pass cannot repair that, so the triangulation is then
+    points. At any span Qhull can drop near-collinear points, and the
+    triangles around them need not be strictly counterclockwise either.
+    The flip pass repairs neither, so in both cases the triangulation is
     built exactly (``_swept_mesh``) and flipped from there."""
     n = pts.n
     if n < 2:
@@ -733,26 +663,17 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
         tri = _SciDelaunay(xy, qhull_options="QJ")
         exact_floats = False
 
-    if not exact_floats and not _strictly_ccw(pts, tri.simplices):
+    # Qhull merging can drop near-collinear points (exact duplicates are
+    # impossible); only the sweep rebuilds them exactly.
+    missing = (np.bincount(tri.simplices.ravel(), minlength=n) == 0).any()
+    if missing or not exact_floats and not _strictly_ccw(pts, tri.simplices):
         mesh = _swept_mesh(pts)
         _canonicalize(pts, mesh, None, canonical)
         return Triangulation.of_pairs(mesh.live_edges(), n)
-    # Qhull merging can drop near-collinear points (exact duplicates are
-    # impossible); they are inserted into the mesh, whose certificates would
-    # not survive the splits.
-    missing = np.flatnonzero(np.bincount(tri.simplices.ravel(), minlength=n) == 0).tolist()
-    certified = _certify_or_flip(pts, xy if exact_floats else None, tri, canonical) if not missing else set()
+    certified = _certify_or_flip(pts, xy if exact_floats else None, tri, canonical)
     if certified is None:
         return _triangulation_of(tri.simplices, n)
     mesh = _FlipMesh(pts, tri.simplices.tolist())
-    if missing:
-        mesh.fill_pockets()
-        for r in missing:
-            mesh.insert(r)
-        # Flips keep the vertex set, so coverage is checked once, here.
-        lost = sorted(set(range(n)).difference(chain.from_iterable(mesh.edge_map)))
-        if lost:
-            raise InvariantViolation(f"triangulation dropped points: {lost[:5]}")
     _canonicalize(pts, mesh, certified, canonical)
     return Triangulation.of_pairs(mesh.live_edges(), n)
 

@@ -22,6 +22,7 @@ from planematch.oracle import exact_bottleneck_plane
 from planematch.proximity import disk_graph, emst5, forest_leq
 from planematch.udg import one_third, plane_matching
 from test_kruskal import degenerate_corpus
+from test_proximity import collinear_with_two_far_points
 from test_udg import exact_total
 
 S = SCALE
@@ -214,12 +215,15 @@ def test_criterion_4_one_third():
 
 @pytest.mark.parametrize(
     "name,coords",
-    [(name, coords) for name, coords in degenerate_corpus() if len(coords) % 2 == 0],
+    [(name, coords) for name, coords in degenerate_corpus() if len(coords) % 2 == 0]
+    + [("line2000+2-far", collinear_with_two_far_points(2000))],
     ids=lambda v: v if isinstance(v, str) else "",
 )
 def test_degenerate_corpus_meets_every_bound(name, coords):
     # Grids, Pythagorean circles with and without their centre, collinear
     # plus one point and spans past 2^63: ties everywhere, exact paths only.
+    # The last case is 2,000 points on a line with two far points, of which
+    # Qhull drops most of the line.
     pts = PointSet(coords)
     n = pts.n
     m1 = first_approx(pts)

@@ -23,7 +23,7 @@ from planematch.bottleneck_one import (
 )
 from planematch.errors import OddPointCount, SeedRequired
 from planematch.geometry import SCALE, PointSet
-from planematch.io import gen_points
+from planematch.io import _star_chain_coords, gen_points
 from planematch.matching import validate
 from planematch.oracle import exact_bottleneck_plane
 from planematch.proximity import emst5, even_threshold, forest_leq, second_closest
@@ -414,6 +414,36 @@ def test_first_approx_crossing_route_oracle_random():
         assert rep.is_matching and rep.is_plane, rep.violations
         assert m.size >= math.ceil(n / 5)
         assert m.bottleneck_sq <= opt.bottleneck_sq
+
+
+def test_first_approx_split_restart_oracle(monkeypatch):
+    # Jittered three-star chains (16 points): every peeling round of the
+    # tree sees degree five, and on many draws the seed partner is an
+    # internal vertex, so match_tree_first splits the tree there and peels
+    # the parts. The spy counts those splits.
+    splits = []
+    real = bottleneck_one.subtrees
+
+    def spy(pts, tree, keep=None, drop=()):
+        if drop:
+            splits.append(drop)
+        return real(pts, tree, keep, drop)
+
+    monkeypatch.setattr(bottleneck_one, "subtrees", spy)
+    rng = random.Random(1)
+    base = _star_chain_coords(3)
+    took = []
+    for _ in range(30):
+        jitter = [(rng.randint(-20000, 20000), rng.randint(-20000, 20000)) for _ in base]
+        pts = PointSet((x + dx, y + dy) for (x, y), (dx, dy) in zip(base, jitter))
+        splits.clear()
+        m = first_approx(pts)
+        took.append(bool(splits))
+        rep = validate(pts, m)
+        assert rep.is_matching and rep.is_plane, rep.violations
+        assert m.size >= math.ceil(pts.n / 5)
+        assert m.bottleneck_sq <= exact_bottleneck_plane(pts).bottleneck_sq
+    assert took[0] and sum(took) == 11
 
 
 def test_first_approx_odd_raises():

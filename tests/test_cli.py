@@ -19,6 +19,7 @@ from planematch.errors import BadParameters, DuplicatePoint, FormatError
 from planematch.geometry import SCALE, PointSet
 from planematch.io import format_points, gen_points, parse_points, render_svg
 from planematch.matching import Matching, validate
+from test_proximity import DROPPED_WITH_A_WRONG_TRIANGLE
 
 
 def test_parse_two_points():
@@ -305,8 +306,8 @@ def test_cli_error_object(capsys):
 @pytest.mark.parametrize("algorithm", ["approx1", "approx2"])
 def test_cli_matches_points_qhull_drops(capsys, tmp_path, algorithm):
     # Points on a line and two points 3,000,000 units away, one of them
-    # 10^-6 off the line: Qhull drops most of the line, and the points are
-    # inserted back into the triangulation.
+    # 10^-6 off the line: Qhull drops most of the line, and the exact sweep
+    # triangulates the whole set.
     line10 = [f"{x} 0" for x in range(10)] + ["3000000 0.000001", "3000000 5"]
     line20 = [f"{x} 0" for x in range(20)] + ["-3000000 0.000001", "-3000000 -5"]
     for lines in (line10, line20):
@@ -319,6 +320,18 @@ def test_cli_matches_points_qhull_drops(capsys, tmp_path, algorithm):
         m = Matching.of(pts, [tuple(e) for e in rep["edges"]])
         report = validate(pts, m)
         assert report.is_plane and report.is_matching
+
+
+@pytest.mark.parametrize("algorithm", ["approx1", "approx2"])
+def test_cli_matches_points_qhull_drops_beside_a_wrong_triangle(capsys, tmp_path, algorithm):
+    # Qhull drops 15 of these points and returns a wrongly oriented
+    # triangle; a triangulation built from its output had crossing edges,
+    # and so had the matching.
+    f = tmp_path / "pts.txt"
+    f.write_text(format_points(PointSet(DROPPED_WITH_A_WRONG_TRIANGLE)))
+    code, rep = run_cli(capsys, algorithm, "--input", str(f))
+    assert code == 0
+    assert rep["plane"] and all(rep["checks"].values())
 
 
 def wide_point_file(tmp_path, exponent: int, n: int):

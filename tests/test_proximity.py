@@ -280,9 +280,9 @@ def drops_point(real, k):
 
 @pytest.mark.parametrize("canonical", [True, False])
 def test_delaunay_dropped_point_is_inserted(monkeypatch, canonical):
-    # A dropped hull vertex is fanned to the hull edges it sees, an interior
-    # one splits its triangle; the flip pass then restores the triangulation
-    # of the undropped call.
+    # A dropped point, on the hull or inside it, sends the set to the exact
+    # sweep, whose flip pass restores the triangulation of the undropped
+    # call.
     import scipy.spatial
 
     real = scipy.spatial.Delaunay
@@ -333,6 +333,87 @@ def test_delaunay_inserts_points_qhull_drops(name, coords):
     want = brute_delaunay_edges(pts)
     assert delaunay(pts).edges == want
     assert delaunay(pts, canonical=False).edges == want
+
+
+# Qhull drops 15 of these 22 points, and one of its 7 triangles is not
+# strictly counterclockwise in exact coordinates; the span is below 2^53, so
+# no float-rounding check looks at the triangles.
+DROPPED_WITH_A_WRONG_TRIANGLE = (
+    [(-7825336, -2844661), (1821629, -2101274)]
+    + [(2766981 + i, -4798053 + i) for i in range(17)]
+    + [(999999999999991, 5195187), (999999999999992, 8916885), (1000000000000001, 5110262)]
+)
+
+
+def crossing_pairs(pts: PointSet, edges) -> list:
+    return [(e, f) for e, f in combinations(edges, 2) if cross_ids(pts, *e, *f)]
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_points_qhull_drops_beside_a_wrong_triangle_are_swept(canonical):
+    from scipy.spatial import Delaunay
+
+    pts = PointSet(DROPPED_WITH_A_WRONG_TRIANGLE)
+    xy = np.array(DROPPED_WITH_A_WRONG_TRIANGLE, dtype=float)
+    simplices = Delaunay(xy - xy.min(axis=0)).simplices
+    assert len(np.unique(simplices)) < pts.n and not _strictly_ccw(pts, simplices)
+    edges = delaunay(pts, canonical=canonical).edges
+    assert crossing_pairs(pts, edges) == []
+    assert edges == brute_delaunay_edges(pts)
+    tree = emst5(pts)
+    assert sorted(zip(tree.u.tolist(), tree.v.tolist())) == brute_mst_edges(pts)
+
+
+def drop_prone(rng) -> PointSet:
+    """3 to 39 points on a line of step (1, 1), one to three points about
+    10^15 away and up to five random points near the line, in scaled units:
+    Qhull drops points from almost every such set."""
+    x0, y0 = rng.randrange(-10**7, 10**7), rng.randrange(-10**7, 10**7)
+    coords = {(x0 + i, y0 + i) for i in range(rng.randrange(3, 40))}
+    for _ in range(rng.randrange(1, 4)):
+        coords.add((10**15 + rng.randrange(-10, 10), rng.randrange(-10**7, 10**7)))
+    for _ in range(rng.randrange(0, 6)):
+        coords.add((rng.randrange(-10**7, 10**7), rng.randrange(-10**7, 10**7)))
+    return PointSet(sorted(coords))
+
+
+def test_drop_prone_sets_triangulate_without_crossings():
+    rng = random.Random(1)
+    for _ in range(40):
+        pts = drop_prone(rng)
+        for canonical in (True, False):
+            assert crossing_pairs(pts, delaunay(pts, canonical=canonical).edges) == []
+        tree = emst5(pts)
+        assert sorted(zip(tree.u.tolist(), tree.v.tolist())) == brute_mst_edges(pts)
+
+
+def collinear_with_two_far_points(k: int) -> list[tuple[int, int]]:
+    """k points on y = 0 and two points 3 * 10^6 units away, one of them
+    10^-6 off the line: Qhull drops most of the line."""
+    far = 3 * 10**12
+    return [(x * S, 0) for x in range(k)] + [(far, 1), (far, 5 * S)]
+
+
+@pytest.mark.parametrize("k", [500, 1000, 2000])
+def test_dropped_collinear_points_take_linear_work(monkeypatch, k):
+    # Counter pins, no clock: the sweep makes one orientation test per point
+    # and flips each of the k - 1 fan edges to the far point once. A scan
+    # per dropped point would grow the tests with k^2.
+    from planematch import proximity
+
+    counts = {"flip": 0, "orientation": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(proximity._FlipMesh, "flip", counted("flip", proximity._FlipMesh.flip))
+    monkeypatch.setattr(proximity, "orientation", counted("orientation", proximity.orientation))
+    delaunay(PointSet(collinear_with_two_far_points(k)), canonical=False)
+    assert counts == {"flip": k - 1, "orientation": k + 3}
 
 
 def strict_corpus():
@@ -554,29 +635,6 @@ def test_canonicalize_certificates_keep_the_flip_sequence():
         ok = _certified_delaunay(xy, abc[:, 0], abc[:, 1], abc[:, 2], far)
         _canonicalize(pts, mesh, {u * pts.n + v for ((u, v), _), keep in zip(internal, ok.tolist()) if keep})
         assert mesh.tris == plain.tris
-
-
-def test_locate_finds_the_triangle_or_reports_outside():
-    # Random (not Delaunay) triangulations of points on a parabola: every
-    # query point is found in a triangle that holds it, or reported outside
-    # exactly when no triangle does.
-    rng = random.Random(44)
-    for _ in range(40):
-        xs = sorted(rng.sample(range(-30, 30), rng.randrange(4, 20)))
-        hull = [(x * S, x * x * S) for x in xs]
-        queries = [(rng.randrange(-35 * S, 35 * S), rng.randrange(-S, 1000 * S)) for _ in range(30)]
-        pairs = list(zip(hull, hull[1:])) + [rng.sample(hull, 2) for _ in range(5)]
-        queries += [((a[0] + b[0]) // 2, (a[1] + b[1]) // 2) for a, b in pairs]  # on edges and chords
-        pts = PointSet(hull + sorted(set(queries)))
-        k = len(hull)
-        for r in range(k, pts.n):
-            mesh = _FlipMesh(pts, random_convex_triangulation(rng, list(range(k))))
-            t = mesh._locate(r)
-            holding = [
-                i for i, tri in enumerate(mesh.tris)
-                if tri is not None and point_in_triangle_closed(pts, *tri, r)
-            ]
-            assert (t in holding) if t is not None else not holding
 
 
 def test_filter_certifies_clear_cases():
