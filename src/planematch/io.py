@@ -209,34 +209,32 @@ def gen_points(n: int, seed: int, mode: str) -> PointSet:
     The seed must be at least 0. Uniform and clustered points are distinct
     points of the grid, so n above its (1000 * SCALE + 1)^2 points is
     rejected before anything is drawn.
+
+    The order of the draws from ``PCG64(seed)`` fixes every instance, and
+    ``tests/test_cli.py`` pins it. Both modes make attempts until n
+    distinct points are drawn; an attempt that hits a drawn point is lost.
+    Each attempt adds at most one point, so the n - d attempts after d
+    distinct points are drawn as one batch, which is exactly what one
+    attempt at a time would draw. Uniform draws a batch's x, then its y.
+    Clustered draws the k = max(1, n // 10) centres first, as one (k, 2)
+    batch, then per attempt a centre index in [0, k), the x normal and the
+    y normal, each by its own scalar call: numpy draws a bounded index by
+    Lemire's method from 32-bit halves of the generator's 64-bit words and
+    a normal from whole words, so drawing the indices together would read
+    the stream in another order. An attempt's coordinate is the centre plus
+    5 * SCALE times the normal, truncated towards zero and clamped to the
+    square. Points are deduplicated as the codes x * (1000 * SCALE + 1) + y
+    by a sort and a mask rather than by ``np.unique``, whose default path
+    imports numpy.ma.
     """
     if n < 2:
         raise BadParameters(f"n must be at least 2, got {n}")
     if seed < 0:
         raise BadParameters(f"seed must be at least 0, got {seed}")
-    grid = (1000 * SCALE + 1) ** 2
+    top = 1000 * SCALE
+    grid = (top + 1) ** 2
     if mode in ("uniform", "clustered") and n > grid:
         raise BadParameters(f"n = {n} exceeds the {grid} grid points {mode} mode draws from")
-    rng = np.random.Generator(np.random.PCG64(seed))
-    if mode == "uniform":
-        coords: set[tuple[int, int]] = set()
-        while len(coords) < n:
-            xs = rng.integers(0, 1000 * SCALE + 1, size=n - len(coords))
-            ys = rng.integers(0, 1000 * SCALE + 1, size=n - len(coords))
-            coords.update(zip(map(int, xs), map(int, ys)))
-        return PointSet(sorted(coords))
-    if mode == "clustered":
-        k = max(1, n // 10)
-        centers = rng.integers(0, 1000 * SCALE + 1, size=(k, 2))
-        coords = set()
-        while len(coords) < n:
-            c = centers[int(rng.integers(0, k))]
-            dx = rng.normal(0.0, 5.0) * SCALE
-            dy = rng.normal(0.0, 5.0) * SCALE
-            x = min(max(int(c[0] + dx), 0), 1000 * SCALE)
-            y = min(max(int(c[1] + dy), 0), 1000 * SCALE)
-            coords.add((x, y))
-        return PointSet(sorted(coords))
     if mode == "star-chain":
         if n % 5 == 1 and n >= 6:
             return PointSet(_star_chain_coords((n - 1) // 5))
@@ -249,7 +247,40 @@ def gen_points(n: int, seed: int, mode: str) -> PointSet:
         raise BadParameters(
             "star-chain needs n = 5k+1, or even n with n-2 = 5k+1"
         )
-    raise BadParameters(f"unknown mode {mode!r}")
+    rng = np.random.Generator(np.random.PCG64(seed))
+    if mode == "uniform":
+
+        def attempts(m: int) -> tuple[np.ndarray, np.ndarray]:
+            xs = rng.integers(0, top + 1, size=m)
+            return xs, rng.integers(0, top + 1, size=m)
+
+    elif mode == "clustered":
+        k = max(1, n // 10)
+        centers = rng.integers(0, top + 1, size=(k, 2))
+        index, normal = rng.integers, rng.standard_normal
+
+        def attempts(m: int) -> tuple[np.ndarray, np.ndarray]:
+            i, zx, zy = [0] * m, [0.0] * m, [0.0] * m
+            for a in range(m):
+                i[a], zx[a], zy[a] = index(0, k), normal(), normal()
+            c = centers[np.array(i, dtype=np.int64)]
+            # Per element, the double the scalar form int(c + normal(0.0,
+            # 5.0) * SCALE) truncates: normal is 0.0 + 5.0 * standard_normal,
+            # which differs only in the sign of a zero, lost in the sum.
+            xs = (c[:, 0] + 5.0 * np.array(zx) * SCALE).astype(np.int64)
+            ys = (c[:, 1] + 5.0 * np.array(zy) * SCALE).astype(np.int64)
+            return np.clip(xs, 0, top), np.clip(ys, 0, top)
+
+    else:
+        raise BadParameters(f"unknown mode {mode!r}")
+    # Codes below grid < 2^63 sort as the points do, x first.
+    codes = np.empty(0, dtype=np.int64)
+    while len(codes) < n:
+        xs, ys = attempts(n - len(codes))
+        codes = np.sort(np.concatenate((codes, xs * (top + 1) + ys)))
+        codes = codes[np.diff(codes, prepend=-1) != 0]
+    xs, ys = np.divmod(codes, top + 1)
+    return PointSet(zip(xs.tolist(), ys.tolist()))
 
 
 def render_svg(pts: PointSet, m: Matching) -> bytes:

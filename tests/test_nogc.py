@@ -105,3 +105,33 @@ def test_paused_entry_points_keep_their_names_and_signatures(fn):
     assert fn.__name__ == inner.__name__ and fn.__doc__ == inner.__doc__
     assert inspect.signature(fn) == inspect.signature(inner)
     assert getattr(inspect.getmodule(inner), fn.__name__) is fn
+
+
+# A young collection after a job scans every object the job left in
+# generation 0: the pair tuples, and about eight more (the pairs' tuple, the
+# Matching, the ValidationReport and the caches the solve builds on the
+# PointSet). Each further survivor adds to the time measured after a job.
+SURVIVORS_BESIDES_PAIRS = 12
+SOLVES_ON_FRESH_POINTS = {
+    "second_approx": (bottleneck_two.second_approx, lambda: io.gen_points(2000, 1, "uniform")),
+    "first_approx": (bottleneck_one.first_approx, lambda: io.gen_points(2000, 1, "clustered")),
+    "plane_matching": (udg.plane_matching,
+                       lambda: PointSet((x * SCALE, y * SCALE) for x in range(14) for y in range(10))),
+}
+
+
+@pytest.mark.parametrize("name", list(SOLVES_ON_FRESH_POINTS))
+def test_a_solve_leaves_few_young_objects(name):
+    solve, make = SOLVES_ON_FRESH_POINTS[name]
+    matching.validate(make(), solve(make()))  # lazy imports and first-use caches
+    pts = make()
+    gc.collect()
+    gc.disable()
+    try:
+        m = solve(pts)
+        report = matching.validate(pts, m)
+        young = len(gc.get_objects(0))
+    finally:
+        gc.enable()
+    assert report.is_plane
+    assert young <= len(m.pairs) + SURVIVORS_BESIDES_PAIRS, f"{name}: {young} young objects"

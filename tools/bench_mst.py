@@ -163,7 +163,7 @@ def end_to_end(dirs: dict, workload: str, pairs: int, seed0: int) -> dict:
     return row
 
 
-def traced(dirs: dict, workload: str, seed: int) -> dict:
+def traced(dirs: dict, workload: str, seed: int, keys=TRACED) -> dict:
     row = {"seed": seed}
     for side in SIDES:
         r = run_bench(dirs[side], workload, seed, trace=True)
@@ -171,7 +171,7 @@ def traced(dirs: dict, workload: str, seed: int) -> dict:
                      "digest": r["digest"]}
         if r["result"]:
             layers = r["result"]["metrics"]
-            row[side].update({k: round(layers[k]["value"], 6) for k in TRACED})
+            row[side].update({k: round(layers[k]["value"], 6) for k in keys})
         print(workload, "traced", side, r["exit"], flush=True)
     return row
 
