@@ -28,8 +28,10 @@ pass (``_incircle_signs``): int64 on the coordinates divided by their gcd
 where every intermediate provably fits, object arrays of Python ints
 otherwise, and the scalar canonical tie rule only where the determinant is
 zero. When no edge must flip, Qhull's triangulation is returned as is;
-otherwise a Lawson flip pass repairs it, testing exactly every edge whose
-certificate does not hold. A span of 2^53 or more, or Qhull's joggled
+otherwise a Lawson flip pass (``_canonicalize``) repairs it, testing exactly
+every edge whose certificate does not hold. Its mesh (``_FlipMesh``) keeps
+each edge as its code ``u * n + v`` with its apexes, the vertices opposite
+it, which is all a flip reads. A span of 2^53 or more, or Qhull's joggled
 fallback, skips the filter: every edge goes to the exact stage. Past that
 span Qhull gets the translated coordinates shifted right to 53 bits, which
 keeps its arithmetic in the float range at any coordinate size. The shift
@@ -242,10 +244,6 @@ _ICC_ERRBOUND_A = (10.0 + 96.0 * _EPS) * _EPS
 _CERTIFY_CHUNK = 2048
 
 
-def _edge_key(u: int, v: int) -> tuple[int, int]:
-    return (u, v) if u < v else (v, u)
-
-
 def _translated_floats(pts: PointSet) -> tuple[np.ndarray, bool]:
     """The coordinates minus their exact integer minimum, shifted right to
     53 bits when the span is 2^53 or more, as an (n, 2) float array; and
@@ -263,7 +261,7 @@ def _coord_edge_key(pts: PointSet, u: int, v: int):
 
 def _collinear_chain(pts: PointSet) -> Triangulation:
     order = sorted(range(pts.n), key=lambda i: (pts.xs[i], pts.ys[i]))
-    return Triangulation.of_pairs((_edge_key(order[i], order[i + 1]) for i in range(pts.n - 1)), pts.n)
+    return Triangulation.of_pairs((sorted(e) for e in zip(order, order[1:])), pts.n)
 
 
 def _incircle(adx, ady, bdx, bdy, cdx, cdy):
@@ -332,17 +330,15 @@ def _ccw(pts: PointSet, a: int, b: int, c: int) -> list[int]:
     return [a, b, c]
 
 
-def _should_flip(
-    pts: PointSet, tri, p: int, q: int, edge: tuple[int, int], canonical: bool
-) -> bool:
-    """Whether the triangulation replaces ``edge`` of the ccw triangle
-    ``tri`` (third vertex p) by the diagonal p-q: q lies strictly inside the
-    circumcircle of tri, or, under the canonical tie rule, on it with p-q
-    the lexicographically smaller diagonal."""
-    det = _incircle_det_int(pts, *tri, q)
+def _should_flip(pts: PointSet, u: int, v: int, p: int, q: int, canonical: bool) -> bool:
+    """Whether the triangulation replaces the edge u-v of triangle uvp by
+    the diagonal p-q, where q is the apex on the edge's other side: q lies
+    strictly inside the circumcircle of uvp, or, under the canonical tie
+    rule, on it with p-q the lexicographically smaller diagonal."""
+    det = _incircle_det_int(pts, *_ccw(pts, u, v, p), q)
     if det != 0 or not canonical:
         return det > 0
-    return _coord_edge_key(pts, p, q) < _coord_edge_key(pts, *edge)
+    return _coord_edge_key(pts, p, q) < _coord_edge_key(pts, u, v)
 
 
 def _certified_delaunay(xy: np.ndarray, a, b, c, d) -> np.ndarray:
@@ -378,68 +374,56 @@ def _certified_delaunay(xy: np.ndarray, a, b, c, d) -> np.ndarray:
 
 
 class _FlipMesh:
-    """Minimal editable triangulation supporting Lawson flips."""
+    """An editable triangulation for Lawson flips, which need nothing but
+    the two vertices opposite each edge: ``apex`` maps the code
+    ``u * n + v`` of each edge (u, v), u < v, to the third vertex of each of
+    its one or two triangles, in the order the triangles were made."""
 
-    def __init__(self, pts: PointSet, triangles: list[list[int]]):
+    def __init__(self, pts: PointSet, triangles=()):
         self.pts = pts
-        self.tris: list[Optional[list[int]]] = []
-        self.edge_map: dict[tuple[int, int], list[int]] = {}
+        self.apex: dict[int, list[int]] = {}
         for t in triangles:
-            self._add_tri(t)
+            self._add(_ccw(pts, *t))
 
-    def _add_tri(self, t) -> int:
-        a, b, c = _ccw(self.pts, *t)
-        idx = len(self.tris)
-        self.tris.append([a, b, c])
-        for e in (_edge_key(a, b), _edge_key(b, c), _edge_key(a, c)):
-            self.edge_map.setdefault(e, []).append(idx)
-        return idx
+    def _add(self, tri) -> None:
+        """Add the counterclockwise triangle (a, b, c): its edges ab, bc and
+        ac, in that order, gain the opposite vertex as an apex."""
+        a, b, c = tri
+        n = self.pts.n
+        for u, v, w in ((a, b, c), (b, c, a), (a, c, b)):
+            self.apex.setdefault(u * n + v if u < v else v * n + u, []).append(w)
 
-    def _remove_tri(self, idx: int) -> None:
-        a, b, c = self.tris[idx]
-        for e in (_edge_key(a, b), _edge_key(b, c), _edge_key(a, c)):
-            lst = self.edge_map[e]
-            lst.remove(idx)
-            if not lst:
-                del self.edge_map[e]
-        self.tris[idx] = None
-
-    def opposite(self, tri_idx: int, edge: tuple[int, int]) -> int:
-        for v in self.tris[tri_idx]:
-            if v not in edge:
-                return v
-        raise AssertionError("edge not part of triangle")
-
-    def flip(self, edge: tuple[int, int]) -> Optional[tuple[int, int]]:
-        """Replace the diagonal ``edge`` of its two incident triangles by the
-        other diagonal; returns the new edge, or None if not flippable."""
-        tris = self.edge_map.get(edge)
-        if tris is None or len(tris) != 2:
-            return None
-        t1, t2 = tris
-        p = self.opposite(t1, edge)
-        q = self.opposite(t2, edge)
-        u, v = edge
+    def flip(self, code: int):
+        """Replace the internal edge (u, v) of code ``code``, with apexes p
+        and q, by the diagonal p-q; returns the new triangles pqu and pqv,
+        in that order, each counterclockwise, or None when the quad u-p-v-q
+        is not strictly convex."""
+        p, q = self.apex[code]
+        n = self.pts.n
+        u, v = divmod(code, n)
         xs, ys = self.pts.xs, self.pts.ys
-        # The quad u-p-v-q must be strictly convex for the flip to be valid.
         o_up = orient(xs[p], ys[p], xs[q], ys[q], xs[u], ys[u])
         o_vq = orient(xs[p], ys[p], xs[q], ys[q], xs[v], ys[v])
         if o_up == 0 or o_vq == 0 or o_up == o_vq:
             return None
-        self._remove_tri(max(t1, t2))
-        self._remove_tri(min(t1, t2))
-        self._add_tri([p, q, u])
-        self._add_tri([p, q, v])
-        return _edge_key(p, q)
+        del self.apex[code]
+        # Each outer edge trades its old triangle's apex for its new one's.
+        for a, b, old, new in ((u, p, v, q), (v, p, u, q), (u, q, v, p), (v, q, u, p)):
+            apexes = self.apex[a * n + b if a < b else b * n + a]
+            apexes.remove(old)
+            apexes.append(new)
+        self.apex[p * n + q if p < q else q * n + p] = [u, v]
+        return (p, q, u) if o_up > 0 else (p, u, q), (p, q, v) if o_vq > 0 else (p, v, q)
 
-    def live_edges(self) -> list[tuple[int, int]]:
-        return sorted(self.edge_map.keys())
+    def triangulation(self) -> Triangulation:
+        return Triangulation(np.sort(np.fromiter(self.apex, np.int64, len(self.apex))), self.pts.n)
 
 
 def _canonicalize(
     pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] = None, canonical: bool = True
 ) -> None:
-    """Lawson flip loop with exact incircle tests.
+    """Lawson flip loop with exact incircle tests over a stack of edge
+    codes: every edge of ``mesh``, then the outer edges of each flip.
 
     Flips every locally non-Delaunay internal edge and, under the canonical
     tie rule, exactly co-circular quads whose other diagonal has a
@@ -447,46 +431,39 @@ def _canonicalize(
     strictly decreases the lifted potential or, at equal potential (a tie
     flip), the sorted edge-key multiset.
 
-    Edges (u, v) whose code ``u * n + v`` is in ``certified`` are known to be
-    strictly locally Delaunay and skip the exact test; an edge leaves the set
-    when a flip replaces one of its two triangles. The flip sequence is the
-    same as without certificates.
+    Edges whose code is in ``certified`` are known to be strictly locally
+    Delaunay and skip the exact test; an edge leaves the set when a flip
+    replaces one of its two triangles. The flip sequence is the same as
+    without certificates.
     """
-    if certified is None:
-        certified = set()
+    certified = set() if certified is None else certified
     n = pts.n
-    pending = list(mesh.edge_map.keys())
+    pending = list(mesh.apex)
     in_queue = set(pending)
-    guard = 0
-    limit = 20 * max(1, len(mesh.edge_map)) + 1000
+    limit = 20 * max(1, len(pending)) + 1000
     while pending:
-        guard += 1
-        if guard > limit:
+        limit -= 1
+        if limit < 0:
             raise InvariantViolation("delaunay canonicalization did not converge")
-        edge = pending.pop()
-        in_queue.discard(edge)
-        if edge[0] * n + edge[1] in certified:
+        code = pending.pop()
+        in_queue.discard(code)
+        if code in certified:
             continue
-        tris = mesh.edge_map.get(edge)
-        if tris is None or len(tris) != 2:
+        apexes = mesh.apex.get(code)
+        if apexes is None or len(apexes) != 2:
             continue
-        t1, t2 = tris
-        p = mesh.opposite(t1, edge)
-        q = mesh.opposite(t2, edge)
-        if not _should_flip(pts, mesh.tris[t1], p, q, edge, canonical):
+        p, q = apexes
+        if not _should_flip(pts, *divmod(code, n), p, q, canonical):
             continue
-        new_edge = mesh.flip(edge)
-        if new_edge is None:
+        made = mesh.flip(code)
+        if made is None:
             continue
-        for t in mesh.edge_map[new_edge]:
-            tri = mesh.tris[t]
-            for e in (
-                _edge_key(tri[0], tri[1]),
-                _edge_key(tri[1], tri[2]),
-                _edge_key(tri[0], tri[2]),
-            ):
-                if e != new_edge:
-                    certified.discard(e[0] * n + e[1])
+        diagonal = p * n + q if p < q else q * n + p
+        for a, b, c in made:
+            for u, v in ((a, b), (b, c), (a, c)):
+                e = u * n + v if u < v else v * n + u
+                if e != diagonal:
+                    certified.discard(e)
                     if e not in in_queue:
                         pending.append(e)
                         in_queue.add(e)
@@ -533,7 +510,7 @@ def _certify_or_flip(pts: PointSet, xy: Optional[np.ndarray], tri, canonical: bo
             t = simplices[i[e]].tolist()
             kk = int(k[e])
             p, u, v = t[kk], t[(kk + 1) % 3], t[(kk + 2) % 3]
-            if _should_flip(pts, _ccw(pts, *t), p, int(q[e]), _edge_key(u, v), canonical):
+            if _should_flip(pts, u, v, p, int(q[e]), canonical):
                 flips = True
                 break
     if not flips:
@@ -584,22 +561,23 @@ def _swept_mesh(pts: PointSet) -> _FlipMesh:
     while orientation(pts, order[0], order[1], order[k]) == 0:
         k += 1
     first = order[k]
-    mesh = _FlipMesh(pts, [[order[i], order[i + 1], first] for i in range(k - 1)])
+    mesh = _FlipMesh(pts)
+    cw = orientation(pts, order[0], order[1], first) < 0
+    for a, b in zip(order, order[1:k]):
+        mesh._add((a, first, b) if cw else (a, b, first))
     # The counterclockwise hull as successor and predecessor maps.
-    ring = order[:k] + [first]
-    if orientation(pts, order[0], order[1], first) < 0:
-        ring = [order[0], first] + order[k - 1 : 0 : -1]
+    ring = [order[0], first] + order[k - 1 : 0 : -1] if cw else order[:k] + [first]
     nxt = dict(zip(ring, ring[1:] + ring[:1]))
     prv = {b: a for a, b in nxt.items()}
     last = first
     for r in order[k + 1 :]:
         right = last
         while orientation(pts, right, nxt[right], r) < 0:
-            mesh._add_tri([right, nxt[right], r])
+            mesh._add((right, r, nxt[right]))
             right = nxt[right]
         left = last
         while orientation(pts, prv[left], left, r) < 0:
-            mesh._add_tri([prv[left], left, r])
+            mesh._add((prv[left], r, left))
             left = prv[left]
         nxt[left], prv[r], nxt[r], prv[right] = r, left, right, r
         last = r
@@ -667,15 +645,14 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     # impossible); only the sweep rebuilds them exactly.
     missing = (np.bincount(tri.simplices.ravel(), minlength=n) == 0).any()
     if missing or not exact_floats and not _strictly_ccw(pts, tri.simplices):
-        mesh = _swept_mesh(pts)
-        _canonicalize(pts, mesh, None, canonical)
-        return Triangulation.of_pairs(mesh.live_edges(), n)
-    certified = _certify_or_flip(pts, xy if exact_floats else None, tri, canonical)
-    if certified is None:
-        return _triangulation_of(tri.simplices, n)
-    mesh = _FlipMesh(pts, tri.simplices.tolist())
+        mesh, certified = _swept_mesh(pts), None
+    else:
+        certified = _certify_or_flip(pts, xy if exact_floats else None, tri, canonical)
+        if certified is None:
+            return _triangulation_of(tri.simplices, n)
+        mesh = _FlipMesh(pts, tri.simplices.tolist())
     _canonicalize(pts, mesh, certified, canonical)
-    return Triangulation.of_pairs(mesh.live_edges(), n)
+    return mesh.triangulation()
 
 
 def sorted_candidate_edges(pts: PointSet, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -3,9 +3,10 @@ from __future__ import annotations
 
 import functools
 import hashlib
+import json
 import math
 import random
-from itertools import chain, combinations
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -165,7 +166,7 @@ def exact_reference_edges(pts: PointSet) -> tuple[tuple[int, int], ...]:
     xy = np.column_stack((np.asarray(pts.xs, dtype=float), np.asarray(pts.ys, dtype=float)))
     mesh = _FlipMesh(pts, Delaunay(xy).simplices.tolist())
     _canonicalize(pts, mesh)
-    return tuple(mesh.live_edges())
+    return mesh.triangulation().edges
 
 
 def pythagorean_circle(r: int) -> list[tuple[int, int]]:
@@ -239,7 +240,7 @@ def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
         if not swept:
             mesh = _FlipMesh(pts, returned[-1].tolist())
             _canonicalize(pts, mesh)
-            assert got == tuple(mesh.live_edges())
+            assert got == mesh.triangulation().edges
     assert len(want[id(grid)]) == 3 * 56 - 3 - 26
 
 
@@ -257,13 +258,17 @@ def test_swept_mesh_is_a_triangulation_that_flips_to_delaunay(cells, axes):
     assume(any(orient(x0, y0, x1, y1, x, y) != 0 for x, y in coords[2:]))
     pts = PointSet(coords)
     mesh = _swept_mesh(pts)
-    live = [t for t in mesh.tris if t is not None]
-    assert all(orientation(pts, *t) > 0 for t in live)
-    assert set(chain.from_iterable(live)) == set(range(pts.n))
-    hull = [e for e, ts in mesh.edge_map.items() if len(ts) == 1]
-    assert len(live) == 2 * pts.n - 2 - len(hull)
+    # Every edge has one or two triangles, and the apexes of two lie
+    # strictly on opposite sides of it.
+    for code, apexes in mesh.apex.items():
+        u, v = divmod(code, pts.n)
+        sides = [orientation(pts, u, v, w) for w in apexes]
+        assert sides in ([1], [-1], [1, -1], [-1, 1])
+    assert {w for code in mesh.apex for w in divmod(code, pts.n)} == set(range(pts.n))
+    hull = [e for e, apexes in mesh.apex.items() if len(apexes) == 1]
+    assert sum(map(len, mesh.apex.values())) == 3 * (2 * pts.n - 2 - len(hull))
     _canonicalize(pts, mesh)
-    assert tuple(mesh.live_edges()) == exact_reference_edges(pts)
+    assert mesh.triangulation().edges == exact_reference_edges(pts)
 
 
 def drops_point(real, k):
@@ -416,6 +421,52 @@ def test_dropped_collinear_points_take_linear_work(monkeypatch, k):
     assert counts == {"flip": k - 1, "orientation": k + 3}
 
 
+# sha256 of the JSON list of the edges [u, v] that ``delaunay`` asks
+# ``_FlipMesh.flip`` to flip, in call order, with the number of calls: the
+# sweep route (a dropped point beside a wrong triangle) under both tie
+# rules, the canonical rule's lattice ties on Qhull's triangles, the
+# sweep's fan flips on collinear points, and the sweep of 300 uniform
+# points after a Qhull stand-in drops point 7, whose flips also follow the
+# order in which each flip queues its quad's outer edges again.
+FLIP_SEQUENCE_PINS = [
+    ("dropped", DROPPED_WITH_A_WRONG_TRIANGLE, True, 17,
+     "f350105d17fc0bd95ff450be2ba6b858f2d0b71a557ae21221da3b06178345a8"),
+    ("dropped", DROPPED_WITH_A_WRONG_TRIANGLE, False, 17,
+     "f350105d17fc0bd95ff450be2ba6b858f2d0b71a557ae21221da3b06178345a8"),
+    ("grid8x7", [(x * S, y * S) for x in range(8) for y in range(7)], True, 21,
+     "8ac97dd46644b06f92be522c9a45598e63e923e168b4983e0f031beda5542931"),
+    ("line200", collinear_with_two_far_points(200), False, 199,
+     "e2bc9f781e19ec28231c5f694ed06d668c264903df075b1603042021092d1dd6"),
+    ("uniform300-drop7", None, False, 1197,
+     "538fc052f4188f20bc1575e8c0639f05fcb7a368947e37bb24098468fea2497f"),
+]
+
+
+@pytest.mark.parametrize("name,coords,canonical,calls,digest", FLIP_SEQUENCE_PINS,
+                         ids=[f"{p[0]}-{'canonical' if p[2] else 'strict'}" for p in FLIP_SEQUENCE_PINS])
+def test_flip_sequence_is_pinned(monkeypatch, name, coords, canonical, calls, digest):
+    import scipy.spatial
+
+    from planematch import proximity
+
+    if coords is None:
+        pts = gen_points(300, 5, "uniform")
+        monkeypatch.setattr(scipy.spatial, "Delaunay", drops_point(scipy.spatial.Delaunay, 7))
+    else:
+        pts = PointSet(coords)
+    flipped = []
+    real = proximity._FlipMesh.flip
+
+    def spy(self, edge):
+        # An edge key is its code u * n + v, or the pair (u, v) itself.
+        flipped.append(list(edge) if isinstance(edge, tuple) else list(divmod(edge, self.pts.n)))
+        return real(self, edge)
+
+    monkeypatch.setattr(proximity._FlipMesh, "flip", spy)
+    delaunay(pts, canonical=canonical)
+    assert (len(flipped), hashlib.sha256(json.dumps(flipped).encode()).hexdigest()) == (calls, digest)
+
+
 def strict_corpus():
     yield from degenerate_corpus()
     yield from near_collinear_with_far_points()
@@ -544,10 +595,11 @@ def test_strict_ties_on_the_joggled_path_leave_no_strictly_non_delaunay_edge(mon
         built.append(len(meshes) > before)
         if built[-1]:
             mesh = meshes[-1]
-            assert got == tuple(mesh.live_edges())
+            assert got == mesh.triangulation().edges
             internal = [
-                (mesh.tris[t1], mesh.opposite(t2, edge))
-                for edge, (t1, t2) in ((e, ts) for e, ts in mesh.edge_map.items() if len(ts) == 2)
+                ((*divmod(code, pts.n), apexes[0]), apexes[1])
+                for code, apexes in mesh.apex.items()
+                if len(apexes) == 2
             ]
         else:
             # No edge flips: Qhull's joggled triangles are returned as they
@@ -616,6 +668,18 @@ def random_convex_triangulation(rng, polygon):
     )
 
 
+class FlipRecorder(_FlipMesh):
+    """A flip mesh that records the code of every edge asked to flip."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.flipped = []
+
+    def flip(self, code):
+        self.flipped.append(code)
+        return super().flip(code)
+
+
 def test_canonicalize_certificates_keep_the_flip_sequence():
     # Non-Delaunay triangulations of points on a parabola (never four
     # co-circular): certified edges whose triangles a flip replaces must be
@@ -625,16 +689,17 @@ def test_canonicalize_certificates_keep_the_flip_sequence():
         xs = sorted(rng.sample(range(60), rng.randrange(5, 25)))
         pts = PointSet((x * S, x * x * S) for x in xs)
         triangles = random_convex_triangulation(rng, list(range(pts.n)))
-        plain = _FlipMesh(pts, triangles)
+        plain = FlipRecorder(pts, triangles)
         _canonicalize(pts, plain)
-        mesh = _FlipMesh(pts, triangles)
-        internal = [(e, ts) for e, ts in mesh.edge_map.items() if len(ts) == 2]
+        mesh = FlipRecorder(pts, triangles)
+        internal = [(code, apexes) for code, apexes in mesh.apex.items() if len(apexes) == 2]
         xy = np.column_stack((np.array(pts.xs, dtype=float), np.array(pts.ys, dtype=float)))
-        abc = np.array([triangles[t1] for _, (t1, _) in internal]).reshape(-1, 3)
-        far = np.array([mesh.opposite(t2, e) for e, (_, t2) in internal], dtype=int)
+        abc = np.array([(*divmod(code, pts.n), p) for code, (p, _) in internal]).reshape(-1, 3)
+        far = np.array([q for _, (_, q) in internal], dtype=int)
         ok = _certified_delaunay(xy, abc[:, 0], abc[:, 1], abc[:, 2], far)
-        _canonicalize(pts, mesh, {u * pts.n + v for ((u, v), _), keep in zip(internal, ok.tolist()) if keep})
-        assert mesh.tris == plain.tris
+        _canonicalize(pts, mesh, {code for (code, _), keep in zip(internal, ok.tolist()) if keep})
+        assert mesh.flipped == plain.flipped
+        assert mesh.apex == plain.apex
 
 
 def test_filter_certifies_clear_cases():

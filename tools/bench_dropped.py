@@ -1,24 +1,35 @@
-"""Measure Delaunay on inputs Qhull drops points from: BENCH_dropped.json.
+"""Measure Delaunay's exact repair routes against a parent commit: the
+sweep after points Qhull drops, and the flip mesh over Qhull's whole
+triangulation (BENCH_dropped.json, BENCH_mesh.json).
 
 Usage:
-    python3 tools/bench_dropped.py --parent DIR --change DIR --out BENCH_dropped.json
+    python3 tools/bench_dropped.py --parent DIR --change DIR --out BENCH_mesh.json
 
 DIR is a clean checkout of one side (``git archive`` of the commit). The
 script runs, one process at a time:
 
-* for every timed row, ``delaunay(pts, canonical=False)`` once per side, in
-  a child process that imports that side's ``src/``, with the cyclic
-  collector off; it records the seconds, the calls of ``_FlipMesh.flip``
-  and how many points Qhull's own call left out. The rows are k points on
-  y = 0 with two far points (k = 500 to 4,000), uniform points with far or
-  collinear points added, and a Qhull stand-in that drops one point of
-  20k uniform;
+* for every timed row, ``delaunay(pts, canonical=False)`` in a child
+  process that imports one side's ``src/``, with the cyclic collector off;
+  it records the seconds, the calls of ``_FlipMesh.flip``, how many points
+  Qhull's own call left out, the process's peak RSS and the sha256 of the
+  output codes. The rows are k points on y = 0 with two far points
+  (k = 500 to 4,000), uniform points with far or collinear points added, a
+  Qhull stand-in that drops one point of 20k uniform, and clustered points
+  at 200k and 1M (at 1M one edge the float filter leaves undecided must
+  flip, so the whole triangulation goes through the flip mesh). The
+  ``mesh`` rows time that mesh stage alone on the same clustered points:
+  building the mesh from Qhull's triangles, a flip pass with every
+  internal edge certified, and the output. Rows in ``RUNS`` run that many
+  times per side, alternating which side goes first; the others once,
+  parent first;
 * a census, in the change's tree only (both sides make the same Qhull
-  call), of the points Qhull drops and of its triangles that are not
-  strictly counterclockwise, on natural inputs and on the instances of
-  three benchmark workloads;
-* ``bench/run.py`` end to end once per workload and side (15 s runs),
-  parent first, as a check that no metric moved.
+  call), of the points Qhull drops, of its triangles that are not
+  strictly counterclockwise, and of the inputs on which ``delaunay`` builds
+  a flip mesh, on natural inputs and on the instances of three benchmark
+  workloads;
+* ``bench/run.py`` once per workload and side untraced and once traced,
+  on the same seed for both sides (15 s runs, parent first), as a check
+  that no metric moved and that the trace check passes.
 
 The output file is rewritten after every step, so an interrupted run keeps
 what it measured.
@@ -29,15 +40,15 @@ import argparse
 import json
 import os
 import platform
-import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
 
-SIDES = ("parent", "change")
-CLAIM = ("none: no benchmark instance in the census has a point Qhull drops, so the workloads run the "
-         "changed branch nowhere; the timed rows are one run per side, slower rows included")
+from bench_mst import SIDES, child, run_bench, traced
+
+CLAIM = ("none: no benchmark instance in the census builds a flip mesh, so the workloads run the changed "
+         "code nowhere; every timed row's output digest and flip count must be equal on both sides")
 
 INPUTS = r"""
 import numpy as np
@@ -66,11 +77,26 @@ def row_input(name):
         return with_extra(int(arg), [(FAR + i * S, i) for i in range(21)])
     if kind == "standin":
         return gen_points(20000, 1, "uniform")
+    if kind in ("clustered", "mesh"):
+        return gen_points(int(arg), 1, "clustered")
     raise ValueError(name)
 """
 
+FLIP_COUNTER = r"""
+flips = [0]
+flip = proximity._FlipMesh.flip
+
+
+def counted(self, edge):
+    flips[0] += 1
+    return flip(self, edge)
+
+
+proximity._FlipMesh.flip = counted
+"""
+
 TIMED_CHILD = INPUTS + r"""
-import gc, json, sys, time
+import gc, hashlib, json, resource, sys, time
 import scipy.spatial
 from planematch import proximity
 from planematch.proximity import _translated_floats, delaunay
@@ -89,22 +115,49 @@ if name == "standin":
 
     scipy.spatial.Delaunay = without_k
 dropped = int((np.bincount(scipy.spatial.Delaunay(xy).simplices.ravel(), minlength=pts.n) == 0).sum())
-flips = [0]
-flip = proximity._FlipMesh.flip
-
-
-def counted(self, edge):
-    flips[0] += 1
-    return flip(self, edge)
-
-
-proximity._FlipMesh.flip = counted
+""" + FLIP_COUNTER + r"""
 gc.disable()
 t = time.perf_counter()
 out = delaunay(pts, canonical=False)
 s = time.perf_counter() - t
 gc.enable()
-print(json.dumps({"n": pts.n, "dropped": dropped, "s": round(s, 4), "flips": flips[0], "edges": len(out.codes)}))
+print(json.dumps({"n": pts.n, "dropped": dropped, "s": round(s, 4), "flips": flips[0], "edges": len(out.codes),
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                  "codes_sha256": hashlib.sha256(out.codes.tobytes()).hexdigest()}))
+"""
+
+# The flip mesh stage of the whole-mesh route alone: Qhull's triangles, with
+# every internal edge certified, so the flip pass pops and skips each edge.
+MESH_CHILD = INPUTS + r"""
+import gc, hashlib, json, resource, sys, time
+from scipy.spatial import Delaunay
+from planematch import proximity
+from planematch.proximity import Triangulation, _FlipMesh, _canonicalize, _internal_edges, _translated_floats
+
+name = sys.argv[1]
+pts = row_input(name)
+n = pts.n
+tri = Delaunay(_translated_floats(pts)[0])
+i, k, _ = _internal_edges(tri.simplices, tri.neighbors)
+u = tri.simplices[i, (k + 1) % 3].astype(np.int64)
+v = tri.simplices[i, (k + 2) % 3].astype(np.int64)
+certified = set((np.minimum(u, v) * n + np.maximum(u, v)).tolist())
+""" + FLIP_COUNTER + r"""
+gc.disable()
+t0 = time.perf_counter()
+mesh = _FlipMesh(pts, tri.simplices.tolist())
+t1 = time.perf_counter()
+_canonicalize(pts, mesh, certified, False)
+t2 = time.perf_counter()
+# A mesh of edge codes gives its Triangulation; one of pairs, its sorted pairs.
+out = mesh.triangulation() if hasattr(mesh, "triangulation") else Triangulation.of_pairs(mesh.live_edges(), n)
+t3 = time.perf_counter()
+gc.enable()
+print(json.dumps({"n": n, "s": round(t3 - t0, 4), "build_s": round(t1 - t0, 4), "flip_pass_s": round(t2 - t1, 4),
+                  "output_s": round(t3 - t2, 4), "flips": flips[0], "edges": len(out.codes),
+                  "triangles": len(tri.simplices),
+                  "peak_rss_mb": round(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024, 1),
+                  "codes_sha256": hashlib.sha256(out.codes.tobytes()).hexdigest()}))
 """
 
 CENSUS_CHILD = r"""
@@ -114,7 +167,8 @@ from scipy.spatial import Delaunay, QhullError
 from planematch import io
 from planematch.geometry import PointSet, SCALE as S
 from planematch.io import gen_points
-from planematch.proximity import _strictly_ccw, _translated_floats
+from planematch import proximity
+from planematch.proximity import _strictly_ccw, _translated_floats, delaunay
 
 
 def census(pts):
@@ -125,7 +179,21 @@ def census(pts):
     except QhullError:
         tri = Delaunay(xy, qhull_options="QJ")
     dropped = int((np.bincount(tri.simplices.ravel(), minlength=pts.n) == 0).sum())
-    return dropped, not _strictly_ccw(pts, tri.simplices)
+    meshes.clear()
+    delaunay(pts, canonical=False)
+    return dropped, not _strictly_ccw(pts, tri.simplices), bool(meshes)
+
+
+meshes = []
+mesh_init = proximity._FlipMesh.__init__
+
+
+def recorded_init(self, *args):
+    meshes.append(1)
+    mesh_init(self, *args)
+
+
+proximity._FlipMesh.__init__ = recorded_init
 
 
 def natural():
@@ -163,43 +231,42 @@ def bench(name, count):
 
 out = {"natural": {}, "benchmark": {}}
 for name, pts in natural():
-    dropped, non_ccw = census(pts)
-    out["natural"][name] = {"n": pts.n, "dropped": dropped, "non_ccw": non_ccw}
-    print(name, dropped, non_ccw, file=sys.stderr, flush=True)
+    dropped, non_ccw, mesh = census(pts)
+    out["natural"][name] = {"n": pts.n, "dropped": dropped, "non_ccw": non_ccw, "flip_mesh": mesh}
+    print(name, dropped, non_ccw, mesh, file=sys.stderr, flush=True)
 for name, count in (("approx2-uniform", 58), ("approx1-clustered", 58), ("udg-lattice", 536)):
     rows = [census(pts) for pts in bench(name, count)]
     out["benchmark"][name] = {"instances": len(rows), "seeds": f"1 to {count}",
-                              "with_dropped_points": sum(d > 0 for d, _ in rows),
-                              "with_non_ccw_triangle": sum(c for _, c in rows)}
+                              "with_dropped_points": sum(d > 0 for d, _, _ in rows),
+                              "with_non_ccw_triangle": sum(c for _, c, _ in rows),
+                              "with_flip_mesh": sum(m for _, _, m in rows)}
     print(name, out["benchmark"][name], file=sys.stderr, flush=True)
 print(json.dumps(out))
 """
 
 ROWS = ["line:500", "line:1000", "line:2000", "line:4000", "far_line200", "inside50", "far_slope21:20000",
-        "far_slope21:100000", "standin"]
+        "far_slope21:100000", "standin", "clustered:200000", "clustered:1000000", "mesh:200000", "mesh:1000000"]
+RUNS = {"clustered:200000": 2, "clustered:1000000": 2, "mesh:200000": 2, "mesh:1000000": 2}
+WORKLOADS = ("approx2-uniform", "approx1-clustered", "crossing-one-third", "udg-lattice")
+TRACED = ("unattributed_frac", "proximity.delaunay.self_s", "proximity.delaunay.flipped_edges")
 ROW_TEXT = {
     "line": "k points on y = 0 plus (3e12, 1) and (3e12, 5e6) scaled",
     "far_line200": "gen_points(20000, 1, uniform) + 200 points (3e12 + i*1e6, 0) scaled",
     "inside50": "gen_points(20000, 1, uniform) + 50 points (5e8 + i, 5e8 + 7) scaled, 10^-6 apart",
     "far_slope21": "gen_points(n, 1, uniform) + 21 points (3e12 + i*1e6, i) scaled, slope 10^-6",
     "standin": "gen_points(20000, 1, uniform) with a Qhull stand-in that leaves out point n // 2",
+    "clustered": "gen_points(n, 1, clustered); at 1M one edge must flip, so all of Qhull's triangles go "
+                 "through the flip mesh",
+    "mesh": "the flip mesh stage alone on Qhull's triangles of gen_points(n, 1, clustered), every internal "
+            "edge certified: build, flip pass, output",
 }
 
 
-def child(tree: Path, code: str, *args) -> dict:
-    proc = subprocess.run([sys.executable, "-c", code, *map(str, args)], cwd=tree, capture_output=True,
-                          text=True, env=dict(os.environ, PYTHONPATH=str(tree / "src")), check=True)
-    return json.loads(proc.stdout.strip().splitlines()[-1])
-
-
-def run_bench(tree: Path, workload: str, seed: int) -> dict:
-    cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed), "--seconds", "15",
-           "--trace", "0"]
-    proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True)
-    if proc.returncode:
-        return {"exit": proc.returncode, "stderr": proc.stderr.strip()[-400:]}
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
-    return {"exit": 0, **{k: round(v["value"], 4) for k, v in result["metrics"].items()}}
+def untraced(tree: Path, workload: str, seed: int) -> dict:
+    r = run_bench(tree, workload, seed, trace=False)
+    if not r["result"]:
+        return {"exit": r["exit"], "digest": r["digest"], "stderr": r["stderr"]}
+    return {"exit": 0, "digest": r["digest"], **{k: round(v["value"], 4) for k, v in r["result"]["metrics"].items()}}
 
 
 def main() -> int:
@@ -211,29 +278,37 @@ def main() -> int:
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"hardware": f"{platform.machine()}, {os.cpu_count()} vCPU; Python {platform.python_version()}, "
                        f"numpy {np.__version__}",
-           "command": "python3 tools/bench_dropped.py --parent DIR --change DIR --out BENCH_dropped.json",
+           "command": f"python3 tools/bench_dropped.py --parent DIR --change DIR --out {args.out.name}",
            "claim": CLAIM,
            "src_lines": {side: sum(len(f.read_text(encoding="utf-8").splitlines())
                                    for f in (dirs[side] / "src" / "planematch").glob("*.py")) for side in SIDES},
-           "timed": {}, "census": None, "end_to_end": {}}
+           "timed": {}, "census": None, "end_to_end": {}, "traced": {}}
 
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
     for name in ROWS:
-        row = {"input": ROW_TEXT[name.partition(":")[0]]}
-        for side in SIDES:
-            row[side] = child(dirs[side], TIMED_CHILD, name)
-            print(name, side, row[side], flush=True)
-        row["change_over_parent_s"] = round(row["change"]["s"] / row["parent"]["s"], 3)
+        row = {"input": ROW_TEXT[name.partition(":")[0]], **{side: [] for side in SIDES}}
+        for i in range(RUNS.get(name, 1)):
+            for side in SIDES if i % 2 == 0 else SIDES[::-1]:
+                code = MESH_CHILD if name.startswith("mesh:") else TIMED_CHILD
+                row[side].append(child(dirs[side], code, name))
+                print(name, side, row[side][-1], flush=True)
+        row["same_output_and_flips"] = len({(r["codes_sha256"], r["flips"]) for s in SIDES for r in row[s]}) == 1
+        row["change_over_parent_s"] = round(np.median([r["s"] for r in row["change"]])
+                                            / np.median([r["s"] for r in row["parent"]]), 3)
         doc["timed"][name] = row
         save()
     doc["census"] = child(dirs["change"], CENSUS_CHILD)
     save()
-    for seed, workload in enumerate(("approx2-uniform", "approx1-clustered", "crossing-one-third", "udg-lattice"),
-                                    28101):
-        doc["end_to_end"][workload] = {"seed": seed, **{side: run_bench(dirs[side], workload, seed) for side in SIDES}}
-        print(workload, doc["end_to_end"][workload], flush=True)
+    for seed, workload in enumerate(WORKLOADS, 32101):
+        row = {"seed": seed, **{side: untraced(dirs[side], workload, seed) for side in SIDES}}
+        row["digests_equal"] = row["parent"]["digest"] == row["change"]["digest"]
+        doc["end_to_end"][workload] = row
+        print(workload, row, flush=True)
+        save()
+    for seed, workload in enumerate(WORKLOADS, 32201):
+        doc["traced"][workload] = traced(dirs, workload, seed, TRACED)
         save()
     return 0
 

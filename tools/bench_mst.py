@@ -13,7 +13,12 @@ with its own ``bench/``. The script runs, one process at a time:
   or fails ``bench/run.py``'s trace check;
 * in the change's tree, the old ``emst5`` Kruskal pass and ``boruvka`` on
   the same sorted Delaunay edges, timed alternately with the cyclic
-  collector off, with the taken edges compared;
+  collector off, with the taken edges compared. That step (``MST_CHILD``)
+  imports ``proximity.kruskal`` and ``proximity.indexed``, so it needs a
+  change tree that still has them: they were deleted in 7a492c7, and from
+  there on it raises ImportError and ``BENCH_mst.json`` cannot be made
+  again. The end-to-end and traced helpers, which other tools import, are
+  unaffected;
 * ``first_approx`` on ``gen_points(1000000, 1, "uniform")`` in each tree,
   with stage times (module attributes wrapped by name) and peak RSS.
 
