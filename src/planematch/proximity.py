@@ -19,32 +19,33 @@ second-closest query reads the Delaunay neighbours of its two points
 (``second_closest_batch``).
 
 scipy (Qhull) proposes a triangulation of the coordinates translated by
-their exact integer minimum. Floats then serve only as a certified filter:
-when the coordinate span is below 2^53 the translated doubles are exact, and
-Shewchuk's static error bounds prove most internal edges strictly locally
-Delaunay. The edges the filter cannot decide, such as the co-circular
-diagonals of every lattice square, get the exact integer test in one numpy
-pass (``_incircle_signs``): int64 on the coordinates divided by their gcd
-where every intermediate provably fits, object arrays of Python ints
-otherwise, and the scalar canonical tie rule only where the determinant is
-zero. When no edge must flip, Qhull's triangulation is returned as is;
-otherwise a Lawson flip pass (``_canonicalize``) repairs it, testing exactly
-every edge whose certificate does not hold. Its mesh (``_FlipMesh``) keeps
-each edge as its code ``u * n + v`` with its apexes, the vertices opposite
-it, which is all a flip reads. A span of 2^53 or more, or Qhull's joggled
-fallback, skips the filter: every edge goes to the exact stage. Past that
-span Qhull gets the translated coordinates shifted right to 53 bits, which
-keeps its arithmetic in the float range at any coordinate size. The shift
-can merge points, and then some of Qhull's triangles are not strictly
-counterclockwise in exact coordinates, which no flip repairs: on those two
-routes such a triangle sends the whole set to an exact lexicographic sweep
-(``_swept_mesh``) before the flip pass. So does any point Qhull leaves out
-(near-collinear input can lose some, with wrongly oriented triangles
-beside them), at any span. Exactness therefore depends on the span of the
-coordinates, not on their magnitude. Every array kernel reads one exact
-copy of them, ``PointSet.translated`` (int64 or Python ints), and squared
-lengths come from ``geometry.sq_lengths``, which ``sorted_candidate_edges``
-orders by one stable argsort.
+their exact integer minimum; past a span of 2^53 Qhull gets them shifted
+right to 53 bits, which keeps its arithmetic in the float range at any
+coordinate size. Its output is used only when it covers every point and
+each triangle is strictly counterclockwise in exact coordinates
+(``_strictly_ccw``), one check at every span. Otherwise (a near-collinear
+point Qhull left out, points the shift merged, a flat or folded triangle:
+nothing a flip repairs) the set goes to an exact lexicographic sweep
+(``_swept_mesh``), and everything after the check takes the triangles as
+counterclockwise. Floats serve only as certified filters: below a span of
+2^53 the translated doubles are exact, whatever Qhull joggles in its own
+copy, and Shewchuk's static error bounds prove most triangles'
+orientation and most internal edges strictly locally Delaunay. The edges
+the filter cannot decide, such as the co-circular diagonals of every
+lattice square, or every edge past 2^53, get the exact integer test in
+one numpy pass (``_incircle_signs``): int64 on the coordinates divided by
+their gcd where every intermediate provably fits, object arrays of Python
+ints otherwise, and the scalar canonical tie rule only where the
+determinant is zero. When no edge must flip, Qhull's triangulation is
+returned as is; otherwise a Lawson flip pass (``_canonicalize``) repairs
+it, testing exactly every edge whose certificate does not hold. Its mesh
+(``_FlipMesh``) keeps each edge as its code ``u * n + v`` with its
+apexes, the vertices opposite it, which is all a flip reads. Exactness
+therefore depends on the span of the coordinates, not on their
+magnitude. Every array kernel reads one exact copy of them,
+``PointSet.translated`` (int64 or Python ints), and squared lengths come
+from ``geometry.sq_lengths``, which ``sorted_candidate_edges`` orders by
+one stable argsort.
 
 The MST comes from ``boruvka``: Borůvka's rounds in numpy over the index
 order of ``sorted_candidate_edges``, which is total, so they take exactly
@@ -285,22 +286,21 @@ def _incircle_det_int(pts: PointSet, a: int, b: int, c: int, d: int) -> int:
 
 
 def _incircle_signs(pts: PointSet, a, b, c, d) -> np.ndarray:
-    """The sign (int8) of the exact incircle determinant of each triangle
-    (a[i], b[i], c[i]), put in ccw order as ``_ccw`` does, and point d[i]:
-    the sign of ``_incircle_det_int(pts, *_ccw(pts, a, b, c), d)``, over
-    the translated coordinates of ``PointSet.translated`` (int64 below a
-    span of 2^62, Python ints past it).
+    """The sign (int8) of the exact incircle determinant of each strictly
+    counterclockwise triangle (a[i], b[i], c[i]) and point d[i]: the sign
+    of ``_incircle_det_int(pts, a, b, c, d)``, over the translated
+    coordinates of ``PointSet.translated`` (int64 below a span of 2^62,
+    Python ints past it).
 
     The translated coordinates are divided by their gcd g, which changes
-    neither sign: both determinants are homogeneous in the differences, and
-    g > 0. With S the reduced span, every difference is at most S in
-    absolute value, every lift dx^2 + dy^2 at most 2 S^2, each of the three
-    terms of ``_incircle`` at most S * 4 S^3 or 2 S^2 * 2 S^2, that is
-    4 S^4, and so every partial sum at most 12 S^4; the orientation is at
-    most 2 S^2. The arithmetic is therefore int64 when 12 S^4 < 2^63, and
-    the same expression runs on object arrays of Python ints otherwise.
-    Rows are taken ``_CERTIFY_CHUNK`` at a time, which bounds the
-    temporaries.
+    no sign: the determinant is homogeneous in the differences, and g > 0.
+    With S the reduced span, every difference is at most S in absolute
+    value, every lift dx^2 + dy^2 at most 2 S^2, each of the three terms of
+    ``_incircle`` at most S * 4 S^3 or 2 S^2 * 2 S^2, that is 4 S^4, and so
+    every partial sum at most 12 S^4. The arithmetic is therefore int64 when
+    12 S^4 < 2^63, and the same expression runs on object arrays of Python
+    ints otherwise. Rows are taken ``_CERTIFY_CHUNK`` at a time, which
+    bounds the temporaries.
     """
     _, _, span, xy = pts.translated()
     g = max(int(np.gcd.reduce(xy, axis=None)), 1)
@@ -314,10 +314,7 @@ def _incircle_signs(pts: PointSet, a, b, c, d) -> np.ndarray:
             p = p.astype(object)
         ad, bd, cd = p[0] - p[3], p[1] - p[3], p[2] - p[3]
         det = _incircle(ad[:, 0], ad[:, 1], bd[:, 0], bd[:, 1], cd[:, 0], cd[:, 1])
-        ba, ca = p[1] - p[0], p[2] - p[0]
-        cw = ba[:, 0] * ca[:, 1] - ba[:, 1] * ca[:, 0] < 0
-        sign = (det > 0).astype(np.int8) - (det < 0)
-        out[part] = np.where(cw, -sign, sign)
+        out[part] = (det > 0).astype(np.int8) - (det < 0)
     return out
 
 
@@ -335,6 +332,7 @@ def _should_flip(pts: PointSet, u: int, v: int, p: int, q: int, canonical: bool)
     the diagonal p-q, where q is the apex on the edge's other side: q lies
     strictly inside the circumcircle of uvp, or, under the canonical tie
     rule, on it with p-q the lexicographically smaller diagonal."""
+    # An edge code carries no orientation, so the triangle is ordered here.
     det = _incircle_det_int(pts, *_ccw(pts, u, v, p), q)
     if det != 0 or not canonical:
         return det > 0
@@ -342,20 +340,13 @@ def _should_flip(pts: PointSet, u: int, v: int, p: int, q: int, canonical: bool)
 
 
 def _certified_delaunay(xy: np.ndarray, a, b, c, d) -> np.ndarray:
-    """True where static error bounds prove, for the exact coordinates in
-    ``xy``, that triangle abc is nondegenerate and d lies strictly outside
-    its circumcircle (Shewchuk 1997, orient2d and incircle stage A)."""
-    ax, ay = xy[a, 0], xy[a, 1]
-    bx, by = xy[b, 0], xy[b, 1]
-    cx, cy = xy[c, 0], xy[c, 1]
+    """True where the static error bound proves, for the exact coordinates
+    in ``xy``, that d lies strictly outside the circumcircle of the strictly
+    counterclockwise triangle abc (Shewchuk 1997, incircle stage A)."""
     dx, dy = xy[d, 0], xy[d, 1]
-    detleft = (ax - cx) * (by - cy)
-    detright = (ay - cy) * (bx - cx)
-    orientation = detleft - detright
-    sure = np.abs(orientation) > _CCW_ERRBOUND_A * (np.abs(detleft) + np.abs(detright))
-    adx, ady = ax - dx, ay - dy
-    bdx, bdy = bx - dx, by - dy
-    cdx, cdy = cx - dx, cy - dy
+    adx, ady = xy[a, 0] - dx, xy[a, 1] - dy
+    bdx, bdy = xy[b, 0] - dx, xy[b, 1] - dy
+    cdx, cdy = xy[c, 0] - dx, xy[c, 1] - dy
     bdxcdy, cdxbdy = bdx * cdy, cdx * bdy
     cdxady, adxcdy = cdx * ady, adx * cdy
     adxbdy, bdxady = adx * bdy, bdx * ady
@@ -368,22 +359,21 @@ def _certified_delaunay(xy: np.ndarray, a, b, c, d) -> np.ndarray:
         + (np.abs(cdxady) + np.abs(adxcdy)) * blift
         + (np.abs(adxbdy) + np.abs(bdxady)) * clift
     )
-    sure &= np.abs(det) > _ICC_ERRBOUND_A * permanent
-    # Outside means a negative determinant for the ccw ordering of abc.
-    return sure & (np.sign(orientation) * det < 0)
+    return det < -_ICC_ERRBOUND_A * permanent
 
 
 class _FlipMesh:
     """An editable triangulation for Lawson flips, which need nothing but
     the two vertices opposite each edge: ``apex`` maps the code
     ``u * n + v`` of each edge (u, v), u < v, to the third vertex of each of
-    its one or two triangles, in the order the triangles were made."""
+    its one or two triangles, in the order the triangles were made. The
+    initial ``triangles`` must be counterclockwise and are added as given."""
 
     def __init__(self, pts: PointSet, triangles=()):
         self.pts = pts
         self.apex: dict[int, list[int]] = {}
         for t in triangles:
-            self._add(_ccw(pts, *t))
+            self._add(t)
 
     def _add(self, tri) -> None:
         """Add the counterclockwise triangle (a, b, c): its edges ab, bc and
@@ -528,15 +518,22 @@ def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
     return Triangulation(codes[np.append(True, codes[1:] != codes[:-1])], n)
 
 
-def _strictly_ccw(pts: PointSet, simplices: np.ndarray) -> bool:
-    """Whether every triangle of Qhull's ``simplices``, which Qhull orients
-    counterclockwise, is strictly counterclockwise in exact coordinates:
+def _strictly_ccw(pts: PointSet, simplices: np.ndarray, xy: Optional[np.ndarray] = None) -> bool:
+    """Whether every triangle of Qhull's ``simplices`` is strictly
+    counterclockwise in exact coordinates. Given ``xy``, the translated
+    coordinates as exact doubles, Shewchuk's orient2d stage-A bound proves
+    most triangles; the rest, or all without ``xy``, get the exact test:
     int64 products of the translated coordinates while 2 * span^2 < 2^63,
     Python ints past it, ``_CERTIFY_CHUNK`` triangles at a time."""
-    span, xy = pts.translated()[2:]
+    span, exact = pts.translated()[2:]
     wide = 2 * span * span >= 1 << 63
+    if xy is not None:
+        x, y = xy[:, 0][simplices.T], xy[:, 1][simplices.T]
+        detleft = (x[0] - x[2]) * (y[1] - y[2])
+        detright = (y[0] - y[2]) * (x[1] - x[2])
+        simplices = simplices[detleft - detright <= _CCW_ERRBOUND_A * (np.abs(detleft) + np.abs(detright))]
     for lo in range(0, len(simplices), _CERTIFY_CHUNK):
-        p = xy[simplices[lo : lo + _CERTIFY_CHUNK].T]
+        p = exact[simplices[lo : lo + _CERTIFY_CHUNK].T]
         if wide:
             p = p.astype(object)
         ba, ca = p[1] - p[0], p[2] - p[0]
@@ -607,13 +604,12 @@ def delaunay(pts: PointSet, *, canonical: bool = True) -> Triangulation:
 def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     """``delaunay``'s triangulation.
 
-    Past a span of 2^53, or after Qhull's joggled fallback, the float filter
-    is skipped, and Qhull's triangles may not all be strictly
-    counterclockwise in exact coordinates: the shift to 53 bits can merge
-    points. At any span Qhull can drop near-collinear points, and the
-    triangles around them need not be strictly counterclockwise either.
-    The flip pass repairs neither, so in both cases the triangulation is
-    built exactly (``_swept_mesh``) and flipped from there."""
+    Qhull's triangles are used only when they cover every point and
+    ``_strictly_ccw`` proves each counterclockwise in exact coordinates:
+    Qhull can leave out near-collinear points, the shift past 2^53 can merge
+    points, and ``Qt`` output can hold flat or folded triangles, none of
+    which a flip repairs. Otherwise the triangulation is built exactly
+    (``_swept_mesh``) and flipped from there."""
     n = pts.n
     if n < 2:
         raise TooFewPoints(f"need at least 2 points, got {n}")
@@ -639,15 +635,15 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
         tri = _SciDelaunay(xy)
     except QhullError:
         tri = _SciDelaunay(xy, qhull_options="QJ")
-        exact_floats = False
+    exact_xy = xy if exact_floats else None
 
     # Qhull merging can drop near-collinear points (exact duplicates are
     # impossible); only the sweep rebuilds them exactly.
     missing = (np.bincount(tri.simplices.ravel(), minlength=n) == 0).any()
-    if missing or not exact_floats and not _strictly_ccw(pts, tri.simplices):
+    if missing or not _strictly_ccw(pts, tri.simplices, exact_xy):
         mesh, certified = _swept_mesh(pts), None
     else:
-        certified = _certify_or_flip(pts, xy if exact_floats else None, tri, canonical)
+        certified = _certify_or_flip(pts, exact_xy, tri, canonical)
         if certified is None:
             return _triangulation_of(tri.simplices, n)
         mesh = _FlipMesh(pts, tri.simplices.tolist())

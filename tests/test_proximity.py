@@ -212,10 +212,11 @@ def test_delaunay_equals_exact_reference_small_grid(coords):
 
 
 def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
-    # When Qhull needs QJ, every edge of its triangulation goes to the exact
-    # flip pass, with no certificate. Joggling the grid leaves flat slivers
-    # along its hull, which no flip removes: the triangulation is then built
-    # exactly, and it equals the unjoggled one.
+    # When Qhull needs QJ, the joggle is Qhull's own: the translated doubles
+    # stay exact, and its triangles get the same orientation check and float
+    # filter as any others. Joggling the grid leaves flat slivers along its
+    # hull, which no flip removes: the triangulation is then built exactly,
+    # and it equals the unjoggled one.
     import scipy.spatial
     from scipy.spatial import QhullError
 
@@ -281,6 +282,58 @@ def drops_point(real, k):
         return SimpleNamespace(simplices=tri.simplices + (tri.simplices >= k), neighbors=tri.neighbors)
 
     return delaunay_without_k
+
+
+# Seeds of gen_points(60, seed, "uniform") whose fold the float filter and
+# the flip pass, with no orientation check before them, turned into a wrong
+# triangulation under both tie rules; at seeds 1, 10 and 23 also a wrong MST.
+FOLD_SEEDS = [1, 2, 3, 10, 23]
+
+
+def folds_a_quad(real):
+    """A Qhull stand-in that returns Qhull's own triangulation with the
+    diagonal of its first non-convex quad swapped, and ``neighbors``
+    recomputed: the two new triangles keep the mesh's combinatorial
+    orientation, so one is clockwise and overlaps the other, a fold."""
+    from types import SimpleNamespace
+
+    def delaunay_folded(points, qhull_options=None):
+        tri = real(points, qhull_options=qhull_options)
+        simplices = tri.simplices.copy()
+        pts = PointSet(map(tuple, points.astype(np.int64).tolist()))
+        for i, k, q in zip(*(a.tolist() for a in _internal_edges(simplices, tri.neighbors))):
+            p, u, v = (int(simplices[i, (k + j) % 3]) for j in range(3))
+            if orientation(pts, p, u, q) < 0 or orientation(pts, p, q, v) < 0:
+                j = tri.neighbors[i, k]
+                simplices[i], simplices[j] = (p, u, q), (p, q, v)
+                break
+        sides = {}
+        for t, row in enumerate(simplices.tolist()):
+            for k in range(3):
+                sides.setdefault(frozenset(row[:k] + row[k + 1 :]), []).append((t, k))
+        neighbors = np.full_like(simplices, -1)
+        for pair in sides.values():
+            if len(pair) == 2:
+                (t, k), (r, m) = pair
+                neighbors[t, k], neighbors[r, m] = r, t
+        return SimpleNamespace(simplices=simplices, neighbors=neighbors)
+
+    return delaunay_folded
+
+
+@pytest.mark.parametrize("seed", FOLD_SEEDS)
+def test_folded_qhull_triangulation_is_swept(monkeypatch, seed):
+    # A fold leaves every point covered and every internal edge shared by
+    # two triangles; only the orientation check at the door can see it.
+    import scipy.spatial
+
+    want = exact_reference_edges(gen_points(60, seed, "uniform"))
+    mst = brute_mst_edges(gen_points(60, seed, "uniform"))
+    monkeypatch.setattr(scipy.spatial, "Delaunay", folds_a_quad(scipy.spatial.Delaunay))
+    for canonical in (True, False):
+        assert delaunay(gen_points(60, seed, "uniform"), canonical=canonical).edges == want
+    tree = emst5(gen_points(60, seed, "uniform"))
+    assert sorted(zip(tree.u.tolist(), tree.v.tolist())) == mst
 
 
 @pytest.mark.parametrize("canonical", [True, False])
@@ -613,9 +666,34 @@ def test_strict_ties_on_the_joggled_path_leave_no_strictly_non_delaunay_edge(mon
     assert built[2] is False
 
 
+def near_flat_triangle(rng, o: int, base: int = 2**51):
+    """A triangle at coordinates near ``base`` whose orientation determinant
+    is ``o`` (-1, 0 or 1), with sides near base / 4: a float orientation
+    there is rounding."""
+    while True:
+        px, py = rng.randrange(base >> 3, base >> 2), rng.randrange(base >> 3, base >> 2)
+        if math.gcd(px, py) == 1:
+            break
+    sy = pow(px, -1, py)
+    sx = (px * sy - 1) // py  # px * sy - py * sx == 1
+    third = {1: (sx, sy), -1: (-sx, -sy), 0: (-px, -py)}[o]
+    return (base, base), (base + px, base + py), (base + third[0], base + third[1])
+
+
+def unchecked_pointset(rows) -> PointSet:
+    """The points of ``rows`` in order; rows share points, so the PointSet
+    skips deduplication."""
+    pts = PointSet.__new__(PointSet)
+    pts.xs = [x for row in rows for x, _ in row]
+    pts.ys = [y for row in rows for _, y in row]
+    pts._delaunay = pts._peel = pts._xy = None
+    return pts
+
+
 def test_filter_never_certifies_an_edge_that_flips():
     # Quads one scaled unit off co-circular, at coordinates near 2^46: the
-    # float determinant there is dominated by rounding.
+    # float determinant there is dominated by rounding. Each triangle is put
+    # in counterclockwise order, as the filter's callers prove it is.
     rng = random.Random(13)
     triples = [(3, 4, 5), (5, 12, 13), (8, 15, 17), (7, 24, 25), (20, 21, 29)]
     rows = []
@@ -630,30 +708,42 @@ def test_filter_never_certifies_an_edge_that_flips():
     # Triangles of orientation determinant 1 at coordinates near 2^51, whose
     # float orientation rounds to zero, against a far apex.
     while len(rows) < 800:
-        px, py = rng.randrange(2**48, 2**49), rng.randrange(2**48, 2**49)
-        if math.gcd(px, py) != 1:
-            continue
-        sy = pow(px, -1, py)
-        sx = (px * sy - 1) // py  # px * sy - py * sx == 1
-        a = (2**51, 2**51)
-        b = (a[0] + px, a[1] + py)
-        c = (a[0] + sx, a[1] + sy)
+        a, b, c = near_flat_triangle(rng, 1)
         d = (a[0] + rng.randrange(-(2**49), 2**49), a[1] + rng.randrange(-(2**49), 2**49))
         rows.append((a, b, c, d))
-    coords = [pt for row in rows for pt in row]
-    pts = PointSet.__new__(PointSet)  # the quads share points, so skip deduplication
-    pts.xs = [x for x, _ in coords]
-    pts.ys = [y for _, y in coords]
-    xy = np.array(coords, dtype=float)
-    idx = np.arange(len(coords)).reshape(-1, 4)
-    certified = _certified_delaunay(xy, idx[:, 0], idx[:, 1], idx[:, 2], idx[:, 3])
+    pts = unchecked_pointset(rows)
+    xy = np.array(list(zip(pts.xs, pts.ys)), dtype=float)
+    idx = np.array([[*_ccw(pts, a, b, c), d] for a, b, c, d in np.arange(pts.n).reshape(-1, 4).tolist()])
+    certified = _certified_delaunay(xy, *idx.T)
     outside = 0
     for (a, b, c, d), ok in zip(idx.tolist(), certified.tolist()):
-        det = _incircle_det_int(pts, *_ccw(pts, a, b, c), d)
+        det = _incircle_det_int(pts, a, b, c, d)
         outside += det < 0
         if ok:
             assert det < 0
     assert outside > 0
+
+
+def test_strictly_ccw_float_stage_equals_the_exact_test():
+    # Orientation determinants -1, 0 and 1 near 2^51, where the float
+    # orientation is rounding, mixed with triangles the float bound proves
+    # either way; then the same past 2^53, where there are no exact doubles.
+    # One triangle per call, so each verdict is that row's alone.
+    rng = random.Random(5)
+    for base, exact_floats in ((2**51, True), (2**60, False)):
+        rows = []
+        for o in (-1, 0, 1) * 100:
+            a, b, c = near_flat_triangle(rng, o, base)
+            square = (a[0] + a[1] - b[1], a[1] + b[0] - a[0])  # b - a turned a quarter left
+            rows += [(a, b, c), (a, b, square) if o >= 0 else (a, square, b)]
+        pts = unchecked_pointset(rows)
+        xy, exact = _translated_floats(pts)
+        assert exact == exact_floats
+        tris = np.arange(pts.n).reshape(-1, 3)
+        want = [orientation(pts, *t) > 0 for t in tris.tolist()]
+        got = [_strictly_ccw(pts, tris[r : r + 1], xy if exact else None) for r in range(len(tris))]
+        assert got == want
+        assert 0 < sum(want) < len(want)
 
 
 def random_convex_triangulation(rng, polygon):
@@ -694,7 +784,7 @@ def test_canonicalize_certificates_keep_the_flip_sequence():
         mesh = FlipRecorder(pts, triangles)
         internal = [(code, apexes) for code, apexes in mesh.apex.items() if len(apexes) == 2]
         xy = np.column_stack((np.array(pts.xs, dtype=float), np.array(pts.ys, dtype=float)))
-        abc = np.array([(*divmod(code, pts.n), p) for code, (p, _) in internal]).reshape(-1, 3)
+        abc = np.array([_ccw(pts, *divmod(code, pts.n), p) for code, (p, _) in internal]).reshape(-1, 3)
         far = np.array([q for _, (_, q) in internal], dtype=int)
         ok = _certified_delaunay(xy, abc[:, 0], abc[:, 1], abc[:, 2], far)
         _canonicalize(pts, mesh, {code for (code, _), keep in zip(internal, ok.tolist()) if keep})
@@ -706,9 +796,9 @@ def test_filter_certifies_clear_cases():
     pts = gen_points(300, 8, "uniform")
     xy = np.column_stack((np.array(pts.xs, dtype=float), np.array(pts.ys, dtype=float)))
     rng = random.Random(2)
-    quads = np.array([rng.sample(range(pts.n), 4) for _ in range(500)])
+    quads = np.array([[*_ccw(pts, a, b, c), d] for a, b, c, d in (rng.sample(range(pts.n), 4) for _ in range(500))])
     certified = _certified_delaunay(xy, *quads.T)
-    exact = [_incircle_det_int(pts, *_ccw(pts, a, b, c), d) < 0 for a, b, c, d in quads.tolist()]
+    exact = [_incircle_det_int(pts, a, b, c, d) < 0 for a, b, c, d in quads.tolist()]
     assert certified.tolist() == exact
 
 
@@ -788,22 +878,23 @@ def test_incircle_stage_equals_the_scalar_test_on_circles(r, centre, scale, nudg
     assert_stage_signs_on_undecided_edges(pts)
 
 
-def test_incircle_stage_on_any_ordered_or_degenerate_triangle():
-    # Clockwise triangles take the ccw sign fix of ``_ccw``; degenerate ones
-    # keep their given order, as the scalar test does. Both arithmetic
-    # branches, with more rows than one chunk.
+def test_incircle_stage_on_counterclockwise_triangles():
+    # Random triangles put in counterclockwise order; flat ones are left
+    # out, since a set with one goes to the sweep and never reaches the
+    # stage. Both arithmetic branches, with more rows than one chunk.
     rng = random.Random(17)
     for coords in (
         [(x * 3, y * 3) for x in range(9) for y in range(9)],
         [(x, y) for x in range(9) for y in range(9)] + [(2**49 + 1, 3)],
     ):
         pts = PointSet(coords)
-        quads = np.array([rng.sample(range(pts.n), 4) for _ in range(5000)], dtype=np.int64)
-        quads[::7, 2] = quads[::7, 1]  # two equal corners: a degenerate triangle
+        quads = [rng.sample(range(pts.n), 4) for _ in range(5000)]
+        quads = np.array([[*_ccw(pts, a, b, c), d] for a, b, c, d in quads if orientation(pts, a, b, c)])
+        assert len(quads) > 2048
         got = _incircle_signs(pts, *quads.T)
         want = []
         for a, b, c, d in quads.tolist():
-            det = _incircle_det_int(pts, *_ccw(pts, a, b, c), d)
+            det = _incircle_det_int(pts, a, b, c, d)
             want.append((det > 0) - (det < 0))
         assert got.tolist() == want
         assert {-1, 0, 1} <= set(want)

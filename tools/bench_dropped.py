@@ -1,9 +1,12 @@
 """Measure Delaunay's exact repair routes against a parent commit: the
-sweep after points Qhull drops, and the flip mesh over Qhull's whole
-triangulation (BENCH_dropped.json, BENCH_mesh.json).
+sweep after points Qhull drops, the flip mesh over Qhull's whole
+triangulation, and the orientation check on Qhull's triangles
+(BENCH_dropped.json, BENCH_mesh.json, BENCH_orient.json).
 
 Usage:
     python3 tools/bench_dropped.py --parent DIR --change DIR --out BENCH_mesh.json
+    python3 tools/bench_dropped.py --parent DIR --change DIR --out BENCH_orient.json \
+        --rows wide:200000,wide:1000000,mesh:200000,mesh:1000000,clustered:1000000 --seed 33101
 
 DIR is a clean checkout of one side (``git archive`` of the commit). The
 script runs, one process at a time:
@@ -16,12 +19,14 @@ script runs, one process at a time:
   (k = 500 to 4,000), uniform points with far or collinear points added, a
   Qhull stand-in that drops one point of 20k uniform, and clustered points
   at 200k and 1M (at 1M one edge the float filter leaves undecided must
-  flip, so the whole triangulation goes through the flip mesh). The
+  flip, so the whole triangulation goes through the flip mesh), and
+  uniform points times 10 at 200k and 1M (a span near 10^10, where the
+  exact orientation test needs Python ints). The
   ``mesh`` rows time that mesh stage alone on the same clustered points:
   building the mesh from Qhull's triangles, a flip pass with every
-  internal edge certified, and the output. Rows in ``RUNS`` run that many
-  times per side, alternating which side goes first; the others once,
-  parent first;
+  internal edge certified, and the output. ``--rows`` picks rows (all by
+  default). Rows in ``RUNS`` run that many times per side, alternating
+  which side goes first; the others once, parent first;
 * a census, in the change's tree only (both sides make the same Qhull
   call), of the points Qhull drops, of its triangles that are not
   strictly counterclockwise, and of the inputs on which ``delaunay`` builds
@@ -29,7 +34,8 @@ script runs, one process at a time:
   workloads;
 * ``bench/run.py`` once per workload and side untraced and once traced,
   on the same seed for both sides (15 s runs, parent first), as a check
-  that no metric moved and that the trace check passes.
+  that no metric moved and that the trace check passes. The workloads
+  take seeds from ``--seed`` on untraced and from ``--seed`` + 100 traced.
 
 The output file is rewritten after every step, so an interrupted run keeps
 what it measured.
@@ -47,8 +53,9 @@ import numpy as np
 
 from bench_mst import SIDES, child, run_bench, traced
 
-CLAIM = ("none: no benchmark instance in the census builds a flip mesh, so the workloads run the changed "
-         "code nowhere; every timed row's output digest and flip count must be equal on both sides")
+CLAIM = ("none: every timed row's output digest and flip count must be equal on both sides; the census "
+         "shows which benchmark instances build a flip mesh or hold a triangle that is not strictly "
+         "counterclockwise")
 
 INPUTS = r"""
 import numpy as np
@@ -79,6 +86,9 @@ def row_input(name):
         return gen_points(20000, 1, "uniform")
     if kind in ("clustered", "mesh"):
         return gen_points(int(arg), 1, "clustered")
+    if kind == "wide":
+        base = gen_points(int(arg), 1, "uniform")
+        return PointSet(zip([x * 10 for x in base.xs], [y * 10 for y in base.ys]))
     raise ValueError(name)
 """
 
@@ -245,8 +255,10 @@ print(json.dumps(out))
 """
 
 ROWS = ["line:500", "line:1000", "line:2000", "line:4000", "far_line200", "inside50", "far_slope21:20000",
-        "far_slope21:100000", "standin", "clustered:200000", "clustered:1000000", "mesh:200000", "mesh:1000000"]
-RUNS = {"clustered:200000": 2, "clustered:1000000": 2, "mesh:200000": 2, "mesh:1000000": 2}
+        "far_slope21:100000", "standin", "clustered:200000", "clustered:1000000", "mesh:200000", "mesh:1000000",
+        "wide:200000", "wide:1000000"]
+RUNS = {"clustered:200000": 2, "clustered:1000000": 2, "mesh:200000": 2, "mesh:1000000": 2, "wide:200000": 2,
+        "wide:1000000": 2}
 WORKLOADS = ("approx2-uniform", "approx1-clustered", "crossing-one-third", "udg-lattice")
 TRACED = ("unattributed_frac", "proximity.delaunay.self_s", "proximity.delaunay.flipped_edges")
 ROW_TEXT = {
@@ -259,6 +271,7 @@ ROW_TEXT = {
                  "through the flip mesh",
     "mesh": "the flip mesh stage alone on Qhull's triangles of gen_points(n, 1, clustered), every internal "
             "edge certified: build, flip pass, output",
+    "wide": "gen_points(n, 1, uniform) with every coordinate times 10: a span near 10^10",
 }
 
 
@@ -274,11 +287,17 @@ def main() -> int:
     ap.add_argument("--parent", type=Path, required=True)
     ap.add_argument("--change", type=Path, required=True)
     ap.add_argument("--out", type=Path, required=True)
+    ap.add_argument("--rows", default=",".join(ROWS), help="comma-separated timed rows (default: all)")
+    ap.add_argument("--seed", type=int, default=32101, help="first untraced workload seed (default: 32101)")
     args = ap.parse_args()
+    rows = args.rows.split(",")
+    if not set(rows) <= set(ROWS):
+        ap.error(f"unknown rows: {sorted(set(rows) - set(ROWS))}")
     dirs = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     doc = {"hardware": f"{platform.machine()}, {os.cpu_count()} vCPU; Python {platform.python_version()}, "
                        f"numpy {np.__version__}",
-           "command": f"python3 tools/bench_dropped.py --parent DIR --change DIR --out {args.out.name}",
+           "command": f"python3 tools/bench_dropped.py --parent DIR --change DIR --out {args.out.name} "
+                      f"--rows {args.rows} --seed {args.seed}",
            "claim": CLAIM,
            "src_lines": {side: sum(len(f.read_text(encoding="utf-8").splitlines())
                                    for f in (dirs[side] / "src" / "planematch").glob("*.py")) for side in SIDES},
@@ -287,7 +306,7 @@ def main() -> int:
     def save():
         args.out.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
 
-    for name in ROWS:
+    for name in rows:
         row = {"input": ROW_TEXT[name.partition(":")[0]], **{side: [] for side in SIDES}}
         for i in range(RUNS.get(name, 1)):
             for side in SIDES if i % 2 == 0 else SIDES[::-1]:
@@ -301,13 +320,13 @@ def main() -> int:
         save()
     doc["census"] = child(dirs["change"], CENSUS_CHILD)
     save()
-    for seed, workload in enumerate(WORKLOADS, 32101):
+    for seed, workload in enumerate(WORKLOADS, args.seed):
         row = {"seed": seed, **{side: untraced(dirs[side], workload, seed) for side in SIDES}}
         row["digests_equal"] = row["parent"]["digest"] == row["change"]["digest"]
         doc["end_to_end"][workload] = row
         print(workload, row, flush=True)
         save()
-    for seed, workload in enumerate(WORKLOADS, 32201):
+    for seed, workload in enumerate(WORKLOADS, args.seed + 100):
         doc["traced"][workload] = traced(dirs, workload, seed, TRACED)
         save()
     return 0

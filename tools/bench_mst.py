@@ -11,14 +11,11 @@ with its own ``bench/``. The script runs, one process at a time:
   swapping every pair;
 * one traced run (``--trace 1``) per workload and side, which also passes
   or fails ``bench/run.py``'s trace check;
-* in the change's tree, the old ``emst5`` Kruskal pass and ``boruvka`` on
-  the same sorted Delaunay edges, timed alternately with the cyclic
-  collector off, with the taken edges compared. That step (``MST_CHILD``)
-  imports ``proximity.kruskal`` and ``proximity.indexed``, so it needs a
-  change tree that still has them: they were deleted in 7a492c7, and from
-  there on it raises ImportError and ``BENCH_mst.json`` cannot be made
-  again. The end-to-end and traced helpers, which other tools import, are
-  unaffected;
+* in the change's tree, a Kruskal pass (the reference ``kruskal`` of
+  ``tests/test_kruskal.py``, the old ``emst5`` loop, fed the rows
+  (index, u, v)) and ``boruvka`` on the same sorted Delaunay edges, timed
+  alternately with the cyclic collector off, with the taken edges
+  compared (``MST_CHILD``);
 * ``first_approx`` on ``gen_points(1000000, 1, "uniform")`` in each tree,
   with stage times (module attributes wrapped by name) and peak RSS.
 
@@ -59,7 +56,9 @@ from itertools import islice
 import numpy as np
 import scipy.spatial
 from planematch.io import gen_points
-from planematch.proximity import boruvka, delaunay, indexed, kruskal, sorted_candidate_edges
+from planematch.proximity import boruvka, delaunay, sorted_candidate_edges
+sys.path.insert(0, "tests")
+from test_kruskal import kruskal
 n, mode, repeats = int(sys.argv[1]), sys.argv[2], int(sys.argv[3])
 gc.disable()
 pts = gen_points(n, 1, mode)
@@ -67,8 +66,8 @@ edges = sorted_candidate_edges(pts, delaunay(pts, canonical=False))
 times = {"kruskal": [], "boruvka": []}
 for _ in range(repeats):
     t = time.perf_counter()
-    parent = list(range(n))
-    old = [i for i, _, _, _ in islice(kruskal(indexed(edges), n, n, parent), n - 1)]
+    rows = zip(range(len(edges[0])), edges[1].tolist(), edges[2].tolist())
+    old = [i for i, _, _, _ in islice(kruskal(rows, n, n), n - 1)]
     times["kruskal"].append(time.perf_counter() - t)
     t = time.perf_counter()
     new, label = boruvka(n, edges)
