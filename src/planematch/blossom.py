@@ -8,6 +8,11 @@ Kruskal order and 2L. The search probes L first; on uniform inputs L is
 usually feasible, and one blossom run decides. Otherwise a Tutte barrier
 read off the failed augmenting-path search names the next length at which
 a perfect matching can exist, and the search jumps there.
+
+One listing of the short pairs, sorted by length with ties in no
+particular order, serves the whole search: the odd-count passes, the disk
+graph at L (its prefix) and the barrier steps read it, and none of them
+reads the order of equal lengths.
 """
 from __future__ import annotations
 
@@ -214,11 +219,13 @@ _ROW_CHUNK = 4096
 
 class _Window:
     """The pairs of a point set at squared distance at most ``sq_radius``,
-    held as the arrays (sq, u, v) of ``pairs_within`` (sorted by (sq, u,
-    v)); the radius grows on demand up to ``top_sq``: the whole span while
-    ``_crossing_bracket`` looks for L, then 4 L^2, beyond which no probe
-    goes. Python rows are made only for the odd-count pass
-    (``barrier_sq``) and the edges ``extend`` adds."""
+    held as the arrays (sq, u, v) of ``pairs_within`` (sorted by length,
+    ties in no particular order); the radius grows on demand up to
+    ``top_sq``: the whole span while ``_crossing_bracket`` looks for L,
+    then 4 L^2, beyond which no probe goes. The disk graph at L is read off
+    its prefix (``disk_graph`` with ``pairs`` as the listing). Python rows
+    are made only for the odd-count pass (``barrier_sq``) and the edges
+    ``extend`` adds."""
 
     def __init__(self, pts: PointSet, pairs: tuple, sq_radius: int, top_sq: int):
         self.pts, self.pairs, self.sq_radius, self.top_sq = pts, pairs, sq_radius, top_sq
@@ -252,14 +259,17 @@ class _Window:
         length L; for a barrier of a failed probe the disk graph at 4 L^2
         has a perfect matching, so the pass ends in the window.
 
-        Kruskal's pass over the pairs with no end in the barrier, in (sq,
-        u, v) order, from the n - |barrier| odd singletons. An edge inside
+        Kruskal's pass over the pairs with no end in the barrier, in
+        length order, from the n - |barrier| odd singletons. An edge inside
         one component is skipped, which keeps the count right on graphs
         with cycles. Merging two even or two odd components leaves no new
         odd one, so the count never rises, and the first edge that brings
-        it to |barrier| has the answer's length. The rows are made a chunk
-        at a time; when the window runs out, it doubles its squared radius
-        and the pass goes on with the pairs beyond the radius already read.
+        it to |barrier| has the answer's length. The order within a run of
+        equal lengths does not change it: the components after a whole
+        run, and so the count, are the same in any order, and so is the run
+        in which the count reaches |barrier|. The rows are made a chunk at
+        a time; when the window runs out, it doubles its squared radius and
+        the pass goes on with the pairs beyond the radius already read.
         """
         n, spare = self.pts.n, len(barrier)
         odd = n - spare
@@ -310,7 +320,8 @@ def _crossing_bracket(pts: PointSet) -> tuple[int, _Window]:
     the first length that leaves no odd component. Only short pairs are
     listed, as the arrays of ``pairs_within``: the window starts at a radius
     of 2.5 times the mean point spacing, which covers L on uniform inputs,
-    and may grow up to the whole span while the pass looks for L.
+    and may grow up to the whole span while the pass looks for L. The
+    window then covers L, so the disk graph at L is its prefix.
     """
     n = pts.n
     width = max(pts.xs) - min(pts.xs)
@@ -354,7 +365,7 @@ def bottleneck_crossing(pts: PointSet) -> BottleneckCrossingResult:
         return BottleneckCrossingResult(0, Matching.of(pts, []), 0)
     lower_sq, window = _crossing_bracket(pts)
     sq_radius = lower_sq
-    adj = disk_graph(pts, sq_radius).adj
+    adj = disk_graph(pts, sq_radius, window.pairs).adj
     pairs = max_matching_pairs(n, adj)
     while len(pairs) * 2 < n:
         next_sq = window.barrier_sq(tutte_barrier(n, adj, pairs))

@@ -65,8 +65,11 @@ half-neighbourhood in a 3 x 3 block of cells by two runs of the sorted
 codes (``searchsorted``); the candidates are kept by their exact squared
 length. It runs in int64 where every intermediate provably fits, and the
 same steps on object arrays of Python ints otherwise. ``pairs_within``
-returns the pairs as arrays (sq, u, v) sorted by (sq, u, v), the shape of
-``sorted_candidate_edges``; ``disk_graph`` sorts them into neighbour lists.
+returns the pairs as arrays (sq, u, v) sorted by length, the shape of
+``sorted_candidate_edges``, with equal lengths in no particular order;
+``disk_graph`` sorts them into neighbour lists, and given such a listing
+that covers its radius it reads the listing's prefix instead of listing
+the pairs again.
 
 Every ``Tree`` comes from one builder, ``_build_forest``, and is its edge
 arrays: the int64 ends and squared lengths ``sorted_candidate_edges``
@@ -203,8 +206,8 @@ class Forest:
 class DiskGraph:
     """All point pairs at squared distance <= sq_radius: ``adj`` lists each
     point's neighbours in increasing order, and ``u``, ``v`` are the int64
-    ends u < v of every pair, in the order ``_near_pairs`` found them
-    (``_component_labels`` reads them)."""
+    ends u < v of every pair, in the order ``_near_pairs`` or the listing
+    gave them (``_component_labels`` reads them)."""
 
     adj: list[list[int]]
     sq_radius: int
@@ -982,17 +985,32 @@ def even_threshold(tree: Tree) -> int:
     return int(tree.sq[last_odd_edge(tree)])
 
 
-def disk_graph(pts: PointSet, sq_radius: int) -> DiskGraph:
+def disk_graph(pts: PointSet, sq_radius: int, listing: Optional[tuple] = None) -> DiskGraph:
     """Graph joining point pairs at squared distance <= sq_radius.
 
-    Its edges come from the fixed-radius kernel ``_near_pairs``; one sort
-    of the directed edges by (tail, head), the one ``_build_forest`` makes,
-    gives every vertex its sorted neighbour list.
+    Its edges come from the fixed-radius kernel ``_near_pairs``, or, when
+    ``listing`` is given, from the prefix up to ``sq_radius`` of that
+    listing: arrays (sq, u, v) of ``pairs_within`` at a radius of at least
+    ``sq_radius``. The prefix holds the same pairs in any order of equal
+    lengths. Every vertex's sorted neighbour list comes from one sort of
+    the codes tail * n + head of the directed edges, by value: nothing
+    reads which edge went where, and a value sort does not slow down on
+    the prefix's length order the way ``_directed``'s argsort does.
     """
-    _, u, v = _near_pairs(pts, sq_radius)
-    _, _, head, deg = _directed(u, v, pts.n)
+    if listing is None:
+        _, u, v = _near_pairs(pts, sq_radius)
+    else:
+        sq, u, v = listing
+        end = int(np.searchsorted(sq, sq_radius, side="right"))
+        u, v = u[:end], v[:end]
+    n = pts.n
+    tail = np.concatenate((u, v))
+    deg = np.bincount(tail, minlength=n)
+    code = tail * n + np.concatenate((v, u))
+    code.sort()
+    code %= n
     ends = np.cumsum(deg)
-    heads = head.tolist()
+    heads = code.tolist()
     adj = [heads[a:b] for a, b in zip((ends - deg).tolist(), ends.tolist())]
     return DiskGraph(adj=adj, sq_radius=sq_radius, u=u, v=v)
 
@@ -1001,10 +1019,11 @@ def pairs_within(pts: PointSet, sq_radius: int) -> tuple[np.ndarray, np.ndarray,
     """Every pair u < v at squared distance at most ``sq_radius``, as the
     arrays (sq, u, v) of ``sorted_candidate_edges``: exact squared lengths
     (int64 or Python ints, see ``_near_pairs``) and int64 ends, sorted by
-    (sq, u, v)."""
+    ``sq`` alone. Pairs of equal length come in no particular order, so a
+    reader may take only what does not depend on it: a length, or the set
+    of pairs up to a length."""
     sq, u, v = _near_pairs(pts, sq_radius)
-    by = np.argsort(u * pts.n + v)
-    by = by[np.argsort(sq[by], kind="stable")]
+    by = np.argsort(sq)
     # One column at a time, so that a single old column is alive with it.
     sq = sq[by]
     u = u[by]

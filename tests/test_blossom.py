@@ -8,12 +8,13 @@ import sys
 from collections import Counter
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import planematch
-from planematch import blossom
+from planematch import blossom, proximity
 from planematch.blossom import (
     AbstractGraph,
     _crossing_bracket,
@@ -26,7 +27,8 @@ from planematch.errors import InvariantViolation, OddPointCount
 from planematch.geometry import PointSet
 from planematch.io import gen_points
 from planematch.oracle import exact_bottleneck_plane
-from planematch.proximity import disk_graph, emst5, even_threshold
+from planematch.proximity import disk_graph, emst5, even_threshold, pairs_within
+from planematch.udg import one_third
 
 S = 10**6
 
@@ -337,18 +339,31 @@ def test_crossing_window_grows_past_the_first_radius(monkeypatch):
     assert grown and max(grown) < res.bottleneck_sq
 
 
-@pytest.mark.parametrize("mode", ["uniform", "clustered"])
-def test_crossing_bracket_lists_the_pairs_once_per_radius(mode, monkeypatch):
+@pytest.mark.parametrize("n,seed,mode", [(2000, 1, "uniform"), (2000, 1, "clustered"), (300, 1, "uniform"),
+                                         (300, 4, "uniform")])
+def test_crossing_bracket_lists_the_pairs_once_per_radius(n, seed, mode, monkeypatch):
     # The pass for L lists the pairs once at the first radius, and once more
     # at each doubling; on clustered input the first radius lies far below
     # L, so the window doubles on the way. L is the MST's even threshold.
-    listings = []
-    listed = blossom.pairs_within
+    # The whole search runs the fixed-radius kernel once per window listing
+    # and never more: the disk graph at L is the window's prefix, and the
+    # barrier steps, which the two 300-point sets take, read the window.
+    listings, kernel, steps = [], [], []
+    listed, near, barrier = blossom.pairs_within, proximity._near_pairs, blossom.tutte_barrier
     monkeypatch.setattr(blossom, "pairs_within", lambda pts, r: listings.append(r) or listed(pts, r))
-    pts = gen_points(2000, 1, mode)
+    monkeypatch.setattr(proximity, "_near_pairs", lambda pts, r: kernel.append(r) or near(pts, r))
+    monkeypatch.setattr(blossom, "tutte_barrier", lambda *args: steps.append(args) or barrier(*args))
+    pts = gen_points(n, seed, mode)
     lower_sq, window = _crossing_bracket(pts)
-    assert len(listings) == (1 if mode == "uniform" else 3)
-    assert lower_sq == even_threshold(emst5(pts))
+    if n == 2000:
+        assert len(listings) == (1 if mode == "uniform" else 3)
+    assert kernel == listings
+    listings.clear()
+    kernel.clear()
+    res = bottleneck_crossing(pts)
+    assert res.lower_sq == lower_sq == even_threshold(emst5(pts))
+    assert kernel == listings and listings
+    assert bool(steps) == (n == 300)
 
 
 def scaled(pts: PointSet, factor: int, shift: int) -> PointSet:
@@ -419,6 +434,55 @@ def collinear_draw(gaps: list[int], slope: tuple[int, int]) -> list[tuple[int, i
         t += gap
         coords.append((t * slope[0], t * slope[1]))
     return coords
+
+
+def shuffled_ties(seed: int):
+    """``pairs_within`` with the pairs of each run of equal lengths in a
+    seeded random order, and a list that records whether any moved."""
+    rng = np.random.default_rng(seed)
+    moved = []
+
+    def listing(pts, sq_radius):
+        sq, u, v = pairs_within(pts, sq_radius)
+        # Each pair's run is keyed by the index where its run starts.
+        order = np.lexsort((rng.random(len(sq)), np.searchsorted(sq, sq)))
+        moved.append(bool((order != np.arange(len(sq))).any()))
+        return sq[order], u[order], v[order]
+
+    return listing, moved
+
+
+def tie_corpus():
+    yield "lattice8x8", lattice_draw(8, 8, 1)
+    yield "lattice7x6", lattice_draw(7, 6, 1)
+    # Squared lengths of 10^40 and more: the listing holds Python ints.
+    yield "lattice6x6-beyond-2^63", [(2**70 + x, 2**70 + y) for x, y in lattice_draw(6, 6, 10**20)]
+    # A hub and three 3 x 3 lattices: L = 10 joins the hub to all three,
+    # the barrier {hub} leaves three odd ones, and the barrier step to 16,
+    # where the two mirrored lattices meet, adds pairs of tied lengths to
+    # the neighbour lists.
+    hub = [(0, 0)] + [(x + dx, y + dy) for x, y in ((10, -1), (-7, 8), (-7, -10)) for dx, dy in lattice_draw(3, 3, 1)]
+    yield "lattices+hub", hub
+    yield "lattices+hub-beyond-2^63", [(2**70 + x * 10**20, 2**70 + y * 10**20) for x, y in hub]
+    yield from crossing_corpus()
+
+
+@pytest.mark.parametrize("name,coords", list(tie_corpus()), ids=lambda v: v if isinstance(v, str) else "")
+def test_crossing_search_cannot_see_the_order_of_equal_lengths(name, coords, monkeypatch):
+    # The listing promises only the order of lengths. The bracket, the
+    # barrier lengths, the disk graph at L and the steps past it must read
+    # nothing else, so no tie order may change the result or one-third.
+    pts = PointSet(coords)
+    want = bottleneck_crossing(pts)
+    want_third = one_third(pts, want.matching)[0].pairs
+    for seed in range(3):
+        listing, moved = shuffled_ties(seed)
+        monkeypatch.setattr(blossom, "pairs_within", listing)
+        got = bottleneck_crossing(pts)
+        assert (got.bottleneck_sq, got.lower_sq, got.matching) == (want.bottleneck_sq, want.lower_sq, want.matching)
+        assert one_third(pts, got.matching)[0].pairs == want_third
+        if name.startswith("lattice"):
+            assert any(moved)
 
 
 @settings(max_examples=120, deadline=None)

@@ -1362,10 +1362,15 @@ def near_rows(pts: PointSet, sq_radius: int) -> list[tuple[int, int, int]]:
 
 
 def assert_near_pairs(pts: PointSet, sq_radius: int) -> None:
-    """pairs_within and disk_graph against the exact scan."""
+    """pairs_within and disk_graph against the exact scan. The listing is
+    sorted by length alone: its rows as a multiset are the scan's, and
+    equal lengths may come in any order. disk_graph reads the same graph
+    off a listing that covers its radius, at that radius or beyond."""
     want = near_rows(pts, sq_radius)
     got = pairs_within(pts, sq_radius)
-    assert rows(got) == want
+    assert sorted(rows(got)) == want
+    lengths = got[0].tolist()
+    assert all(a <= b for a, b in zip(lengths, lengths[1:]))
     adj = [[] for _ in range(pts.n)]
     for _, u, v in want:
         adj[u].append(v)
@@ -1374,7 +1379,13 @@ def assert_near_pairs(pts: PointSet, sq_radius: int) -> None:
     assert g.adj == [sorted(a) for a in adj]
     assert g.sq_radius == sq_radius
     assert g.u.dtype == g.v.dtype == np.int64
-    assert sorted(zip(g.u.tolist(), g.v.tolist())) == sorted((u, v) for _, u, v in want)
+    ends = sorted((u, v) for _, u, v in want)
+    assert sorted(zip(g.u.tolist(), g.v.tolist())) == ends
+    for listing in (got, pairs_within(pts, 4 * sq_radius + 1)):
+        h = disk_graph(pts, sq_radius, listing)
+        assert h == g
+        assert h.u.dtype == h.v.dtype == np.int64
+        assert sorted(zip(h.u.tolist(), h.v.tolist())) == ends
 
 
 def collinear_row(xs, step) -> set:
