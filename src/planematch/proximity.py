@@ -38,7 +38,8 @@ their gcd where every intermediate provably fits, object arrays of Python
 ints otherwise, and the scalar canonical tie rule only where the
 determinant is zero. When no edge must flip, Qhull's triangulation is
 returned as is; otherwise a Lawson flip pass (``_canonicalize``) repairs
-it, testing exactly every edge whose certificate does not hold. Its mesh
+it from a stack of just the edges whose exact sign is positive, or zero
+under the canonical rule (``_edges_in_doubt``). Its mesh
 (``_FlipMesh``) keeps each edge as its code ``u * n + v`` with its
 apexes, the vertices opposite it, which is all a flip reads. Exactness
 therefore depends on the span of the coordinates, not on their
@@ -412,11 +413,9 @@ class _FlipMesh:
         return Triangulation(np.sort(np.fromiter(self.apex, np.int64, len(self.apex))), self.pts.n)
 
 
-def _canonicalize(
-    pts: PointSet, mesh: _FlipMesh, certified: Optional[set[int]] = None, canonical: bool = True
-) -> None:
+def _canonicalize(pts: PointSet, mesh: _FlipMesh, pending: list[int], canonical: bool = True) -> None:
     """Lawson flip loop with exact incircle tests over a stack of edge
-    codes: every edge of ``mesh``, then the outer edges of each flip.
+    codes: ``pending``, which it empties, then the outer edges of each flip.
 
     Flips every locally non-Delaunay internal edge and, under the canonical
     tie rule, exactly co-circular quads whose other diagonal has a
@@ -424,24 +423,21 @@ def _canonicalize(
     strictly decreases the lifted potential or, at equal potential (a tie
     flip), the sorted edge-key multiset.
 
-    Edges whose code is in ``certified`` are known to be strictly locally
-    Delaunay and skip the exact test; an edge leaves the set when a flip
-    replaces one of its two triangles. The flip sequence is the same as
-    without certificates.
+    The stack is the one record of what may flip: every edge of ``mesh``
+    not on ``pending`` must already meet the tie rule. A flip keeps that
+    invariant by stacking its quad's four outer edges, the only edges
+    whose triangles it replaces, so the mesh meets the rule when the stack
+    is empty.
     """
-    certified = set() if certified is None else certified
     n = pts.n
-    pending = list(mesh.apex)
     in_queue = set(pending)
-    limit = 20 * max(1, len(pending)) + 1000
+    limit = 20 * max(1, len(mesh.apex)) + 1000
     while pending:
         limit -= 1
         if limit < 0:
             raise InvariantViolation("delaunay canonicalization did not converge")
         code = pending.pop()
         in_queue.discard(code)
-        if code in certified:
-            continue
         apexes = mesh.apex.get(code)
         if apexes is None or len(apexes) != 2:
             continue
@@ -455,11 +451,9 @@ def _canonicalize(
         for a, b, c in made:
             for u, v in ((a, b), (b, c), (a, c)):
                 e = u * n + v if u < v else v * n + u
-                if e != diagonal:
-                    certified.discard(e)
-                    if e not in in_queue:
-                        pending.append(e)
-                        in_queue.add(e)
+                if e != diagonal and e not in in_queue:
+                    pending.append(e)
+                    in_queue.add(e)
 
 
 def _internal_edges(simplices: np.ndarray, neighbors: np.ndarray):
@@ -471,18 +465,18 @@ def _internal_edges(simplices: np.ndarray, neighbors: np.ndarray):
     return i, k, q
 
 
-def _certify_or_flip(pts: PointSet, xy: Optional[np.ndarray], tri, canonical: bool) -> Optional[set[int]]:
+def _edges_in_doubt(pts: PointSet, xy: Optional[np.ndarray], tri, canonical: bool) -> Optional[list[int]]:
     """None when Qhull's triangulation ``tri`` already meets the tie rule;
-    otherwise the codes ``u * n + v`` of its edges (u, v) certified strictly
-    locally Delaunay by the float filter on the exact coordinates ``xy``,
-    none without them. Codes, unlike tuples, add nothing for the garbage
-    collector to scan.
+    otherwise, in increasing order, the codes ``u * n + v`` of its internal
+    edges (u, v) of positive exact incircle sign and, under the canonical
+    rule, of zero sign: the flip pass's first stack (``_canonicalize``). The
+    others are strictly locally Delaunay, by the float filter on the exact
+    coordinates ``xy`` (none without them) or by a negative sign.
 
-    The other edges get the exact test that the flip pass would apply to
-    them, so None means that pass would flip nothing: one vectorised
-    evaluation of their incircle signs (``_incircle_signs``), and the
-    scalar ``_should_flip`` only for the exact ties the canonical rule may
-    flip.
+    The edges the filter leaves undecided get one vectorised evaluation of
+    their incircle signs (``_incircle_signs``), and the scalar
+    ``_should_flip`` only for the exact ties the canonical rule may flip, so
+    None means the flip pass would flip nothing.
     """
     simplices = tri.simplices
     i, k, q = _internal_edges(simplices, tri.neighbors)
@@ -508,9 +502,10 @@ def _certify_or_flip(pts: PointSet, xy: Optional[np.ndarray], tri, canonical: bo
                 break
     if not flips:
         return None
-    u = simplices[i, (k + 1) % 3][ok].astype(np.int64)
-    v = simplices[i, (k + 2) % 3][ok].astype(np.int64)
-    return set((np.minimum(u, v) * pts.n + np.maximum(u, v)).tolist())
+    doubt = undecided[sign >= 0 if canonical else sign > 0]
+    u = simplices[i[doubt], (k[doubt] + 1) % 3].astype(np.int64)
+    v = simplices[i[doubt], (k[doubt] + 2) % 3].astype(np.int64)
+    return np.sort(np.minimum(u, v) * pts.n + np.maximum(u, v)).tolist()
 
 
 def _triangulation_of(simplices: np.ndarray, n: int) -> Triangulation:
@@ -644,13 +639,14 @@ def _triangulate(pts: PointSet, canonical: bool) -> Triangulation:
     # impossible); only the sweep rebuilds them exactly.
     missing = (np.bincount(tri.simplices.ravel(), minlength=n) == 0).any()
     if missing or not _strictly_ccw(pts, tri.simplices, exact_xy):
-        mesh, certified = _swept_mesh(pts), None
+        mesh = _swept_mesh(pts)
+        pending = list(mesh.apex)
     else:
-        certified = _certify_or_flip(pts, exact_xy, tri, canonical)
-        if certified is None:
+        pending = _edges_in_doubt(pts, exact_xy, tri, canonical)
+        if pending is None:
             return _triangulation_of(tri.simplices, n)
         mesh = _FlipMesh(pts, tri.simplices.tolist())
-    _canonicalize(pts, mesh, certified, canonical)
+    _canonicalize(pts, mesh, pending, canonical)
     return mesh.triangulation()
 
 

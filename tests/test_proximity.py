@@ -165,7 +165,7 @@ def exact_reference_edges(pts: PointSet) -> tuple[tuple[int, int], ...]:
 
     xy = np.column_stack((np.asarray(pts.xs, dtype=float), np.asarray(pts.ys, dtype=float)))
     mesh = _FlipMesh(pts, Delaunay(xy).simplices.tolist())
-    _canonicalize(pts, mesh)
+    _canonicalize(pts, mesh, list(mesh.apex))
     return mesh.triangulation().edges
 
 
@@ -240,7 +240,7 @@ def test_delaunay_joggled_fallback_uses_exact_path(monkeypatch):
         assert _strictly_ccw(pts, returned[-1]) != swept
         if not swept:
             mesh = _FlipMesh(pts, returned[-1].tolist())
-            _canonicalize(pts, mesh)
+            _canonicalize(pts, mesh, list(mesh.apex))
             assert got == mesh.triangulation().edges
     assert len(want[id(grid)]) == 3 * 56 - 3 - 26
 
@@ -268,7 +268,7 @@ def test_swept_mesh_is_a_triangulation_that_flips_to_delaunay(cells, axes):
     assert {w for code in mesh.apex for w in divmod(code, pts.n)} == set(range(pts.n))
     hull = [e for e, apexes in mesh.apex.items() if len(apexes) == 1]
     assert sum(map(len, mesh.apex.values())) == 3 * (2 * pts.n - 2 - len(hull))
-    _canonicalize(pts, mesh)
+    _canonicalize(pts, mesh, list(mesh.apex))
     assert mesh.triangulation().edges == exact_reference_edges(pts)
 
 
@@ -290,20 +290,20 @@ def drops_point(real, k):
 FOLD_SEEDS = [1, 2, 3, 10, 23]
 
 
-def folds_a_quad(real):
+def swaps_a_diagonal(real, picked):
     """A Qhull stand-in that returns Qhull's own triangulation with the
-    diagonal of its first non-convex quad swapped, and ``neighbors``
-    recomputed: the two new triangles keep the mesh's combinatorial
-    orientation, so one is clockwise and overlaps the other, a fold."""
+    diagonal u-v of its first quad that ``picked(pts, p, u, q, v)`` accepts
+    swapped for p-q, and ``neighbors`` recomputed: Qhull's triangle (p, u, v)
+    and the one across u-v, with apex q, become (p, u, q) and (p, q, v)."""
     from types import SimpleNamespace
 
-    def delaunay_folded(points, qhull_options=None):
+    def delaunay_swapped(points, qhull_options=None):
         tri = real(points, qhull_options=qhull_options)
         simplices = tri.simplices.copy()
         pts = PointSet(map(tuple, points.astype(np.int64).tolist()))
         for i, k, q in zip(*(a.tolist() for a in _internal_edges(simplices, tri.neighbors))):
             p, u, v = (int(simplices[i, (k + j) % 3]) for j in range(3))
-            if orientation(pts, p, u, q) < 0 or orientation(pts, p, q, v) < 0:
+            if picked(pts, p, u, q, v):
                 j = tri.neighbors[i, k]
                 simplices[i], simplices[j] = (p, u, q), (p, q, v)
                 break
@@ -318,7 +318,25 @@ def folds_a_quad(real):
                 neighbors[t, k], neighbors[r, m] = r, t
         return SimpleNamespace(simplices=simplices, neighbors=neighbors)
 
-    return delaunay_folded
+    return delaunay_swapped
+
+
+def folds_a_quad(real):
+    """``swaps_a_diagonal`` at the first non-convex quad: the two new
+    triangles keep the mesh's combinatorial orientation, so one is
+    clockwise and overlaps the other, a fold."""
+    return swaps_a_diagonal(
+        real, lambda pts, p, u, q, v: orientation(pts, p, u, q) < 0 or orientation(pts, p, q, v) < 0
+    )
+
+
+def swaps_a_convex_quad(real):
+    """``swaps_a_diagonal`` at the first strictly convex quad: both new
+    triangles are counterclockwise, and the new diagonal is the one edge
+    that must flip back."""
+    return swaps_a_diagonal(
+        real, lambda pts, p, u, q, v: orientation(pts, p, u, q) > 0 and orientation(pts, p, q, v) > 0
+    )
 
 
 @pytest.mark.parametrize("seed", FOLD_SEEDS)
@@ -334,6 +352,39 @@ def test_folded_qhull_triangulation_is_swept(monkeypatch, seed):
         assert delaunay(gen_points(60, seed, "uniform"), canonical=canonical).edges == want
     tree = emst5(gen_points(60, seed, "uniform"))
     assert sorted(zip(tree.u.tolist(), tree.v.tolist())) == mst
+
+
+@pytest.mark.parametrize("canonical", [True, False])
+def test_flip_pass_tests_only_the_edges_in_doubt(monkeypatch, canonical):
+    # Counter pins, no clock. Past a span of 2^53 the float filter proves
+    # nothing, so every internal edge gets its exact sign, and only the
+    # swapped diagonal's is positive. The flip pass tests it, flips it and
+    # tests the quad's four outer edges: 5 exact tests, where a pass over
+    # every edge makes 869.
+    import scipy.spatial
+
+    from planematch import proximity
+
+    base = gen_points(300, 1, "uniform")
+    pts = PointSet(zip([x * 10**8 for x in base.xs], [y * 10**8 for y in base.ys]))
+    swapped = swaps_a_convex_quad(scipy.spatial.Delaunay)
+    full = _FlipMesh(pts, swapped(_translated_floats(pts)[0]).simplices.tolist())
+    _canonicalize(pts, full, list(full.apex), canonical)
+    counts = {"flip": 0, "_should_flip": 0}
+
+    def counted(name, real):
+        def call(*args):
+            counts[name] += 1
+            return real(*args)
+
+        return call
+
+    monkeypatch.setattr(scipy.spatial, "Delaunay", swapped)
+    monkeypatch.setattr(proximity._FlipMesh, "flip", counted("flip", proximity._FlipMesh.flip))
+    monkeypatch.setattr(proximity, "_should_flip", counted("_should_flip", proximity._should_flip))
+    got = delaunay(pts, canonical=canonical)
+    assert counts == {"flip": 1, "_should_flip": 5}
+    assert got.edges == full.triangulation().edges
 
 
 @pytest.mark.parametrize("canonical", [True, False])
@@ -477,7 +528,8 @@ def test_dropped_collinear_points_take_linear_work(monkeypatch, k):
 # sha256 of the JSON list of the edges [u, v] that ``delaunay`` asks
 # ``_FlipMesh.flip`` to flip, in call order, with the number of calls: the
 # sweep route (a dropped point beside a wrong triangle) under both tie
-# rules, the canonical rule's lattice ties on Qhull's triangles, the
+# rules, the canonical rule's lattice ties on Qhull's triangles (from a
+# stack of the zero-sign edges in increasing code order), the
 # sweep's fan flips on collinear points, and the sweep of 300 uniform
 # points after a Qhull stand-in drops point 7, whose flips also follow the
 # order in which each flip queues its quad's outer edges again.
@@ -487,7 +539,7 @@ FLIP_SEQUENCE_PINS = [
     ("dropped", DROPPED_WITH_A_WRONG_TRIANGLE, False, 17,
      "f350105d17fc0bd95ff450be2ba6b858f2d0b71a557ae21221da3b06178345a8"),
     ("grid8x7", [(x * S, y * S) for x in range(8) for y in range(7)], True, 21,
-     "8ac97dd46644b06f92be522c9a45598e63e923e168b4983e0f031beda5542931"),
+     "f4dcfc5c45e6f368b2e4644b7c0272c16e2e5cf8f83354ce7205319e94a8fd31"),
     ("line200", collinear_with_two_far_points(200), False, 199,
      "e2bc9f781e19ec28231c5f694ed06d668c264903df075b1603042021092d1dd6"),
     ("uniform300-drop7", None, False, 1197,
@@ -758,38 +810,30 @@ def random_convex_triangulation(rng, polygon):
     )
 
 
-class FlipRecorder(_FlipMesh):
-    """A flip mesh that records the code of every edge asked to flip."""
-
-    def __init__(self, *args):
-        super().__init__(*args)
-        self.flipped = []
-
-    def flip(self, code):
-        self.flipped.append(code)
-        return super().flip(code)
-
-
-def test_canonicalize_certificates_keep_the_flip_sequence():
+def test_canonicalize_from_the_positive_edges_alone():
     # Non-Delaunay triangulations of points on a parabola (never four
-    # co-circular): certified edges whose triangles a flip replaces must be
-    # tested again, so the flips and the result match the uncertified pass.
+    # co-circular): a pass whose stack starts with only the edges of
+    # positive incircle sign must still test the edges each flip makes
+    # non-Delaunay, and so reach the triangulation of a pass over every edge.
     rng = random.Random(31)
     for _ in range(60):
         xs = sorted(rng.sample(range(60), rng.randrange(5, 25)))
         pts = PointSet((x * S, x * x * S) for x in xs)
         triangles = random_convex_triangulation(rng, list(range(pts.n)))
-        plain = FlipRecorder(pts, triangles)
-        _canonicalize(pts, plain)
-        mesh = FlipRecorder(pts, triangles)
-        internal = [(code, apexes) for code, apexes in mesh.apex.items() if len(apexes) == 2]
-        xy = np.column_stack((np.array(pts.xs, dtype=float), np.array(pts.ys, dtype=float)))
-        abc = np.array([_ccw(pts, *divmod(code, pts.n), p) for code, (p, _) in internal]).reshape(-1, 3)
-        far = np.array([q for _, (_, q) in internal], dtype=int)
-        ok = _certified_delaunay(xy, abc[:, 0], abc[:, 1], abc[:, 2], far)
-        _canonicalize(pts, mesh, {code for (code, _), keep in zip(internal, ok.tolist()) if keep})
-        assert mesh.flipped == plain.flipped
-        assert mesh.apex == plain.apex
+        plain = _FlipMesh(pts, triangles)
+        _canonicalize(pts, plain, list(plain.apex))
+        mesh = _FlipMesh(pts, triangles)
+
+        def positive():
+            return sorted(
+                code
+                for code, (p, *q) in mesh.apex.items()
+                if q and _incircle_det_int(pts, *_ccw(pts, *divmod(code, pts.n), p), q[0]) > 0
+            )
+
+        _canonicalize(pts, mesh, positive())
+        assert positive() == []
+        assert sorted(mesh.apex) == sorted(plain.apex)
 
 
 def test_filter_certifies_clear_cases():
@@ -913,7 +957,7 @@ def pinned_triangulation_corpus():
 
 # sha256 (first 16 hex digits) of delaunay(pts, canonical=c).codes for the
 # canonical and the strict rule, recorded before the exact stage of
-# ``_certify_or_flip`` was vectorised.
+# ``_edges_in_doubt`` was vectorised.
 TRIANGULATION_PINS = {
     "grid5": ("768701ffe87183cd", "ca37c1aa0861481c"),
     "grid12x9": ("52a4eefc43579ccc", "3bfda9a36084cfdd"),

@@ -23,9 +23,10 @@ script runs, one process at a time:
   uniform points times 10 at 200k and 1M (a span near 10^10, where the
   exact orientation test needs Python ints). The
   ``mesh`` rows time that mesh stage alone on the same clustered points:
-  building the mesh from Qhull's triangles, a flip pass with every
-  internal edge certified, and the output. ``--rows`` picks rows (all by
-  default). Rows in ``RUNS`` run that many times per side, alternating
+  building the mesh from Qhull's triangles, a flip pass with no edge in
+  doubt (every internal edge certified, or an empty stack where the pass
+  takes only the edges in doubt), and the output. ``--rows`` picks rows
+  (all by default). Rows in ``RUNS`` run that many times per side, alternating
   which side goes first; the others once, parent first;
 * a census, in the change's tree only (both sides make the same Qhull
   call), of the points Qhull drops, of its triangles that are not
@@ -136,10 +137,12 @@ print(json.dumps({"n": pts.n, "dropped": dropped, "s": round(s, 4), "flips": fli
                   "codes_sha256": hashlib.sha256(out.codes.tobytes()).hexdigest()}))
 """
 
-# The flip mesh stage of the whole-mesh route alone: Qhull's triangles, with
-# every internal edge certified, so the flip pass pops and skips each edge.
+# The flip mesh stage of the whole-mesh route alone, on Qhull's triangles
+# with no edge in doubt: a tree whose flip pass takes a certified set gets
+# every internal edge in it, so the pass pops and skips each edge; a tree
+# whose pass takes the stack of edges in doubt gets an empty one.
 MESH_CHILD = INPUTS + r"""
-import gc, hashlib, json, resource, sys, time
+import gc, hashlib, inspect, json, resource, sys, time
 from scipy.spatial import Delaunay
 from planematch import proximity
 from planematch.proximity import Triangulation, _FlipMesh, _canonicalize, _internal_edges, _translated_floats
@@ -148,16 +151,19 @@ name = sys.argv[1]
 pts = row_input(name)
 n = pts.n
 tri = Delaunay(_translated_floats(pts)[0])
-i, k, _ = _internal_edges(tri.simplices, tri.neighbors)
-u = tri.simplices[i, (k + 1) % 3].astype(np.int64)
-v = tri.simplices[i, (k + 2) % 3].astype(np.int64)
-certified = set((np.minimum(u, v) * n + np.maximum(u, v)).tolist())
+if "certified" in inspect.signature(_canonicalize).parameters:
+    i, k, _ = _internal_edges(tri.simplices, tri.neighbors)
+    u = tri.simplices[i, (k + 1) % 3].astype(np.int64)
+    v = tri.simplices[i, (k + 2) % 3].astype(np.int64)
+    no_doubt = set((np.minimum(u, v) * n + np.maximum(u, v)).tolist())
+else:
+    no_doubt = []
 """ + FLIP_COUNTER + r"""
 gc.disable()
 t0 = time.perf_counter()
 mesh = _FlipMesh(pts, tri.simplices.tolist())
 t1 = time.perf_counter()
-_canonicalize(pts, mesh, certified, False)
+_canonicalize(pts, mesh, no_doubt, False)
 t2 = time.perf_counter()
 # A mesh of edge codes gives its Triangulation; one of pairs, its sorted pairs.
 out = mesh.triangulation() if hasattr(mesh, "triangulation") else Triangulation.of_pairs(mesh.live_edges(), n)
@@ -269,8 +275,8 @@ ROW_TEXT = {
     "standin": "gen_points(20000, 1, uniform) with a Qhull stand-in that leaves out point n // 2",
     "clustered": "gen_points(n, 1, clustered); at 1M one edge must flip, so all of Qhull's triangles go "
                  "through the flip mesh",
-    "mesh": "the flip mesh stage alone on Qhull's triangles of gen_points(n, 1, clustered), every internal "
-            "edge certified: build, flip pass, output",
+    "mesh": "the flip mesh stage alone on Qhull's triangles of gen_points(n, 1, clustered), no edge in doubt "
+            "(every internal edge certified, or an empty stack): build, flip pass, output",
     "wide": "gen_points(n, 1, uniform) with every coordinate times 10: a span near 10^10",
 }
 
